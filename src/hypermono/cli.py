@@ -32,7 +32,6 @@ class RunConfig:
     T: float = 1e4
     ntraj: int = 50
     seed: Optional[int] = None
-    depth: int = 8
     proj: str = "1,0,0,0;0,1,0,0"
     out: Optional[str] = None
     orbifold_order: str = "gl"
@@ -43,8 +42,8 @@ class RunConfig:
     kinds: str = "attracting,cusp"
 
     def validate(self):
-        if self.L < 0 or self.depth < 0:
-            raise ValueError("L and depth must be nonnegative")
+        if self.L < 0:
+            raise ValueError("L must be nonnegative")
         for name in ("gap_min", "T"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -361,7 +360,7 @@ def _build_config(args) -> RunConfig:
     if getattr(args, "params", None):
         cfg.alpha, cfg.beta = _split_params(args.params)
     for key in (
-        "L", "gap_min", "T", "ntraj", "seed", "depth", "proj", "out",
+        "L", "gap_min", "T", "ntraj", "seed", "proj", "out",
         "orbifold_order", "no_timestamp", "rep", "sig", "kinds",
     ):
         val = getattr(args, key, None)
@@ -383,7 +382,6 @@ def _add_common(sp):
     sp.add_argument("--T", type=float)
     sp.add_argument("--ntraj", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--depth", type=int)
     sp.add_argument("--proj")
     sp.add_argument("--sig", help="override orbifold signature, e.g. '2,3,inf'")
     sp.add_argument("--no-timestamp", dest="no_timestamp", action="store_true", default=None)

@@ -28,44 +28,152 @@ from .fuchsian import (
     INF,
     OrbifoldSignature,
     build_domain,
-    frobenius_distance,
     geodesic_sample,
     mat_inv,
-    mat_mul,
-    mat_normalize,
 )
 from .lie import LimitDatum, is_log_proximal, limit_data_from_matrices, stable_point_test
 
 MAT_DEDUP_RES = 1e-7
+EXACT_KEY_LIMIT = 2**53  # int64 keys while n * max|g| * max|F| stays below this
+INTEGRAL_TOL = 1e-9  # a generator entry within this (relative) of an integer is that integer
 
 
-def canonical_exponent(k: int, order) -> int:
-    """Reduce an exponent into (-order/2, order/2] for a finite-order generator."""
+def canonical_exponent(k, order):
+    """Reduce an exponent into (-order/2, order/2] for a finite-order generator.
+
+    ``k`` is an int or an integer array (reduced elementwise).
+    """
     if order == INF or order is None:
         return k
     e = int(order)
     k = k % e
-    if k > e / 2:
-        k -= e
-    return k
+    return k - e * (k > e / 2)
 
 
 @dataclass
 class WordBall:
-    """Reduced words of bounded length with their matrices, hash-deduplicated."""
+    """Reduced words of bounded length with their matrices, one word per matrix key.
+
+    ``words[i]`` is a tuple of syllables ``(symbol, exponent)``, leftmost
+    first; ``mats`` is (N, n, n), ``lengths`` (N,), and ``fuchs``, when the
+    ball was built with Fuchsian generators, the (N, 4) array of normalized
+    2x2 matrices (a, b, c, d) of the same words.
+    """
 
     words: list
     mats: np.ndarray
     lengths: np.ndarray
     orders: dict
-    fuchs: Optional[list] = None
+    fuchs: Optional[np.ndarray] = None
 
     def __len__(self):
         return len(self.words)
 
 
-def _word_length(word):
-    return sum(abs(k) for _, k in word)
+def _integer_matrix(m):
+    """``m`` as an object array of Python ints if every entry is an integer, else None."""
+    r = np.round(m)
+    if not np.all(np.abs(m - r) <= INTEGRAL_TOL * np.maximum(1.0, np.abs(r))):
+        return None
+    return np.array([[int(x) for x in row] for row in r.tolist()], dtype=object)
+
+
+def _exact_steps(steps):
+    """Exact integer step matrices, or None unless every generator and its inverse is integral."""
+    exact = [_integer_matrix(g) for g in steps]
+    if any(g is None for g in exact):
+        return None
+    eye = np.eye(len(exact[0]), dtype=int)
+    for g, g_inv in zip(exact[::2], exact[1::2]):
+        if not np.array_equal(g @ g_inv, eye):
+            return None
+    return exact
+
+
+class _KeySet:
+    """Exact set of integer key rows; ``admit`` keeps the first copy of each new row.
+
+    int64 rows are indexed by a 64-bit row hash, and rows whose hashes agree
+    are compared in full.  On a hash collision between distinct rows, or for
+    rows of Python ints (an object array), the set moves to a Python set of
+    row tuples for good: slower, equally exact.
+    """
+
+    def __init__(self, width):
+        # fixed odd multipliers; any work, as rows with equal hashes are compared in full
+        self.mult = np.random.default_rng(width).integers(1, 2**62, size=width) | 1
+        self.levels = []  # admitted int64 rows, one array per admit()
+        self.hashes = np.empty(0, dtype=np.int64)  # sorted, one per admitted row
+        self.at = np.empty(0, dtype=np.int64)  # row index of each sorted hash
+        self.tuples = None
+
+    def admit(self, keys):
+        """Indices (increasing) of the rows of ``keys`` not seen before, first copies only."""
+        if self.tuples is None and keys.dtype == np.int64:
+            first = self._admit_hashed(keys)
+            if first is not None:
+                return first
+        if self.tuples is None:
+            self.tuples = {tuple(r) for rows in self.levels for r in rows.tolist()}
+            self.levels = self.hashes = self.at = None
+        first = []
+        for i, row in enumerate(map(tuple, keys.tolist())):
+            if row not in self.tuples:
+                self.tuples.add(row)
+                first.append(i)
+        return np.array(first, dtype=np.int64)
+
+    def _admit_hashed(self, keys):
+        h = keys @ self.mult  # wraps modulo 2**64
+        order = np.argsort(h, kind="stable")
+        same = h[order[1:]] == h[order[:-1]]
+        if not np.array_equal(keys[order[1:][same]], keys[order[:-1][same]]):
+            return None
+        first = np.sort(order[np.concatenate(([True], ~same))])
+        pos = np.searchsorted(self.hashes, h[first])
+        hit = np.zeros(len(first), dtype=bool)
+        inside = pos < len(self.hashes)
+        hit[inside] = self.hashes[pos[inside]] == h[first[inside]]
+        if hit.any():
+            stored = np.concatenate(self.levels)[self.at[pos[hit]]]
+            if not np.array_equal(stored, keys[first[hit]]):
+                return None
+            first = first[~hit]
+        new_h = h[first]
+        by_hash = np.argsort(new_h, kind="stable")
+        where = np.searchsorted(self.hashes, new_h[by_hash])
+        base = sum(len(rows) for rows in self.levels)
+        self.hashes = np.insert(self.hashes, where, new_h[by_hash])
+        self.at = np.insert(self.at, where, base + by_hash)
+        self.levels.append(_rows(keys, first))
+        return first
+
+
+def _rows(a, idx):
+    """a[idx] for increasing indices ``idx``, without a copy when it takes every row."""
+    return a if len(idx) == len(a) else a[idx]
+
+
+def _float_keys(m, ell):
+    scaled = m.reshape(len(m), -1) / MAT_DEDUP_RES
+    np.round(scaled, out=scaled)
+    if len(scaled) and not max(scaled.max(), -scaled.min()) < 2.0**63:
+        raise ArithmeticError(
+            f"level {ell}: matrix entries reach {np.abs(m).max():.3g}, beyond the int64 "
+            f"range of the {MAT_DEDUP_RES:g} dedup grid"
+        )
+    return scaled.astype(np.int64)
+
+
+def _fuchs_step(m, fq):
+    """``mat_normalize(mat_mul(m, q))`` for each row q of the (k, 4) array ``fq``, bit for bit."""
+    a, b, c, d = m
+    e, f, g, h = fq.T
+    out = np.stack([a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h], axis=1)
+    det = out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2]
+    if np.any(det < 0):
+        raise ValueError("matrix has negative determinant")
+    return out / np.sqrt(np.abs(det))[:, None]
 
 
 def enumerate_ball(
@@ -77,69 +185,106 @@ def enumerate_ball(
 ) -> WordBall:
     """All reduced words of length <= L over the alphabet, by left multiplication.
 
-    Exponents of a finite-order generator stay in (-e/2, e/2]; matrices are
-    deduplicated by rounded-entry hashing.
+    Exponents of a finite-order generator stay in (-e/2, e/2].  The ball is
+    grown a level at a time: each (generator, sign) step multiplies the
+    frontier words it may extend in one stacked matmul.
+
+    Order: words of length ell come after all shorter words, in the order of
+    (parent in the previous level, generator in ``alphabet``, sign +1 then -1),
+    and of several words with the same matrix only the first is kept.
+
+    Keys: when every generator and its inverse is integral (entries within
+    ``INTEGRAL_TOL`` of integers that multiply to the identity), words are
+    deduplicated on their exact integer matrices, in int64 while
+    n * max|g| * max|F| < ``EXACT_KEY_LIMIT`` = 2**53 (F the frontier) and in
+    Python ints from the first level past that bound.  Otherwise keys are the
+    entries rounded to the ``MAT_DEDUP_RES`` grid, and a level whose keys would
+    leave the int64 range raises ``ArithmeticError``.  ``mats`` are always
+    the float products of the given generators.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
     alphabet = list(alphabet or gen_mats.keys())
-    mats = {s: np.asarray(gen_mats[s], dtype=float) for s in alphabet}
-    invs = {s: np.linalg.inv(mats[s]) for s in alphabet}
-    n = next(iter(mats.values())).shape[0]
-    f_mats = None
+    steps = []  # (letter index, sign, matrix) in the order words are extended
+    for i, s in enumerate(alphabet):
+        g = np.asarray(gen_mats[s], dtype=float)
+        steps += [(i, 1, g), (i, -1, np.linalg.inv(g))]
+    step_letter = np.array([i for i, _, _ in steps])
+    n = steps[0][2].shape[0]
+    exact = _exact_steps([g for _, _, g in steps])
+    if exact is not None:
+        g_max = max(int(np.abs(g).max()) for g in exact)
+    f_steps = None
     if fuchs_gens is not None:
-        f_mats = {s: tuple(map(float, fuchs_gens[s])) for s in alphabet}
-        f_invs = {s: mat_inv(f_mats[s]) for s in alphabet}
+        f_gens = [tuple(map(float, fuchs_gens[s])) for s in alphabet]
+        f_steps = [f for g in f_gens for f in (g, mat_inv(g))]
 
-    def mkey(m):
-        return tuple(np.round(m.ravel() / MAT_DEDUP_RES).astype(np.int64))
+    # the frontier, the words of the last level: float matrices F, exact
+    # integer matrices E, Fuchsian rows FQ, and first syllables
+    F = np.eye(n)[None]
+    E = np.eye(n, dtype=np.int64)[None] if exact is not None else None
+    FQ = np.array([IDENT]) if f_steps is not None else None
+    first_letter = np.array([-1])
+    first_exp = np.array([0])
+    frontier_words = [()]
 
-    words = [()]
-    out_mats = [np.eye(n)]
-    lengths = [0]
-    out_fuchs = [IDENT] if f_mats is not None else None
-    seen = {mkey(out_mats[0])}
-    frontier = [((), out_mats[0], IDENT)]
+    keys = _KeySet(n * n)
+    keys.admit(E.reshape(1, -1) if E is not None else _float_keys(F, 0))
+    words, mats, lengths, fuchs = [()], [F], [np.zeros(1, dtype=np.int64)], [FQ]
     for ell in range(1, L + 1):
-        nxt = []
-        for word, mat, fm in frontier:
-            for s in alphabet:
-                for sgn in (1, -1):
-                    if word and word[0][0] == s:
-                        net = word[0][1] + sgn
-                        if canonical_exponent(net, orders.get(s, INF)) != net or net == 0:
-                            continue
-                        if abs(net) <= abs(word[0][1]):
-                            continue
-                        new_word = ((s, net),) + word[1:]
-                    else:
-                        if canonical_exponent(sgn, orders.get(s, INF)) != sgn:
-                            continue
-                        new_word = ((s, sgn),) + word
-                    g = mats[s] if sgn > 0 else invs[s]
-                    new_mat = g @ mat
-                    new_fm = fm
-                    if f_mats is not None:
-                        new_fm = mat_normalize(
-                            mat_mul(f_mats[s] if sgn > 0 else f_invs[s], fm)
-                        )
-                    key = mkey(new_mat)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    nxt.append((new_word, new_mat, new_fm))
-                    words.append(new_word)
-                    out_mats.append(new_mat)
-                    lengths.append(ell)
-                    if out_fuchs is not None:
-                        out_fuchs.append(new_fm)
-        frontier = nxt
+        valid = np.zeros((len(F), len(steps)), dtype=bool)
+        nets = np.empty((len(F), len(steps)), dtype=np.int64)
+        for t, (i, sgn, _) in enumerate(steps):
+            same = first_letter == i  # extend the first syllable, away from 0
+            net = np.where(same, first_exp + sgn, sgn)
+            valid[:, t] = (canonical_exponent(net, orders.get(alphabet[i], INF)) == net) & (
+                ~same | (np.abs(net) > np.abs(first_exp))
+            )
+            nets[:, t] = net
+        parent, step = np.nonzero(valid)  # candidates in (parent, step) order
+        if not len(parent):
+            break
+        M = np.empty((len(parent), n, n))  # candidate matrices, exact ones in C
+        C = None
+        if E is not None:
+            if E.dtype != object and g_max * n * int(np.abs(E).max()) >= EXACT_KEY_LIMIT:
+                E = E.astype(object)  # Python ints from here on
+            C = np.empty((len(parent), n, n), dtype=E.dtype)
+        for t, (_, _, g) in enumerate(steps):
+            at = np.flatnonzero(step == t)
+            M[at] = g @ F[parent[at]]
+            if C is not None:
+                C[at] = exact[t].astype(E.dtype) @ E[parent[at]]
+        new = keys.admit(C.reshape(len(C), -1) if C is not None else _float_keys(M, ell))
+        parent, step, F = parent[new], step[new], _rows(M, new)
+        E = _rows(C, new) if C is not None else None
+        if FQ is not None:
+            fq = np.empty((len(new), 4))
+            for t, f in enumerate(f_steps):
+                at = np.flatnonzero(step == t)
+                fq[at] = _fuchs_step(f, FQ[parent[at]])
+            FQ = fq
+        letter = step_letter[step]
+        same = first_letter[parent] == letter
+        first_exp = nets[parent, step]
+        first_letter = letter
+        frontier_words = [
+            ((alphabet[i], k),) + (w[1:] if sm else w)
+            for i, k, sm, w in zip(
+                letter.tolist(), first_exp.tolist(), same.tolist(),
+                map(frontier_words.__getitem__, parent.tolist()),
+            )
+        ]
+        words += frontier_words
+        mats.append(F)
+        lengths.append(np.full(len(F), ell, dtype=np.int64))
+        fuchs.append(FQ)
     return WordBall(
         words=words,
-        mats=np.array(out_mats),
-        lengths=np.array(lengths),
+        mats=np.concatenate(mats),
+        lengths=np.concatenate(lengths),
         orders=dict(orders),
-        fuchs=out_fuchs,
+        fuchs=np.concatenate(fuchs) if f_steps is not None else None,
     )
 
 
@@ -224,6 +369,32 @@ def _lower_hull(xs, ys):
     return hull
 
 
+def _hull_candidates(xs, ys):
+    """Indices of the points that can be vertices of ``_lower_hull(xs, ys)``.
+
+    In (x, y) order a lower-hull vertex is a prefix or a suffix minimum of y:
+    its support line has slope <= 0 (no lower point to its left) or >= 0
+    (none to its right).  ``_lower_hull`` drops a point whose x is within
+    1e-12 of the last hull vertex, so only points it never drops, the first
+    of each run of x closer than 1e-12, count as lower points here.
+    """
+    order = np.lexsort((ys, xs))
+    x, y = xs[order], ys[order]
+    never_dropped = np.concatenate(([True], np.abs(x[1:] - x[:-1]) >= 1e-12))
+    bound = np.where(never_dropped, y, np.inf)
+    prefix = y <= np.minimum.accumulate(bound)
+    suffix = y <= np.minimum.accumulate(bound[::-1])[::-1]
+    return order[prefix | suffix]
+
+
+def _frobenius_distances(fuchs):
+    """``frobenius_distance`` of each row of an (N, 4) array, bit for bit."""
+    q = (fuchs[:, 0] * fuchs[:, 0] + fuchs[:, 1] * fuchs[:, 1]
+         + fuchs[:, 2] * fuchs[:, 2] + fuchs[:, 3] * fuchs[:, 3]) / 2.0
+    # math.acosh, not np.arccosh: the two differ in the last bit on ~2.5% of inputs
+    return np.array([math.acosh(x) for x in np.maximum(q, 1.0).tolist()])
+
+
 def _hull_value(hull, x):
     """Value of the piecewise-linear lower minorant at x (clamped to its range)."""
     if x <= hull[0][0]:
@@ -250,8 +421,9 @@ def anosov_certificate(ball: WordBall, gap_arr=None) -> AnosovCertificate:
         raise ValueError("ball was enumerated without Fuchsian matrices")
     s = np.linalg.svd(ball.mats, compute_uv=False)
     gaps = np.log(s[:, 0]) - np.log(s[:, 1]) if gap_arr is None else gap_arr
-    dists = np.array([frobenius_distance(f) for f in ball.fuchs])
-    hull = _lower_hull(dists.tolist(), gaps.tolist())
+    dists = _frobenius_distances(ball.fuchs)
+    keep = _hull_candidates(dists, gaps)
+    hull = _lower_hull(dists[keep].tolist(), gaps[keep].tolist())
     if len(hull) < 2:
         eps = 0.0
     else:
@@ -426,10 +598,6 @@ def fiberwise_unipotent(alpha, beta):
 # --- rational limit points --------------------------------------------------------
 
 
-def _frac_mat(m):
-    return tuple(tuple(_as_fraction(x) for x in row) for row in np.asarray(m).tolist())
-
-
 def _frac_matmul(a, b):
     n = len(a)
     return tuple(
@@ -477,10 +645,10 @@ def _frac_rank(rows):
 
 
 def _check_integral(m, name):
-    arr = np.asarray(m, dtype=float)
-    if not np.allclose(arr, np.round(arr), atol=1e-9):
+    exact = _integer_matrix(np.asarray(m, dtype=float))
+    if exact is None:
         raise ValueError(f"{name} is not integral")
-    return tuple(tuple(Fraction(int(round(x))) for x in row) for row in arr.tolist())
+    return tuple(tuple(Fraction(x) for x in row) for row in exact.tolist())
 
 
 @dataclass(frozen=True)

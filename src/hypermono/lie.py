@@ -64,11 +64,16 @@ def alpha1_gaps_batch(gs) -> np.ndarray:
 
 
 def _matrix_scale(n):
-    return max(1.0, float(np.linalg.norm(n)))
+    """||n||, the unit for the cuts on the powers n^i (1 for n = 0)."""
+    return float(np.linalg.norm(n)) or 1.0
 
 
 def nilpotent_order(N, tol=NILPOTENT_TOL):
-    """Largest d with N^d != 0 (and N^{dim} must vanish); errors otherwise."""
+    """Largest d with N^d != 0 (and N^{dim} must vanish); errors otherwise.
+
+    N^i counts as zero when ||N^i|| <= tol * ||N||^i, a cut that does not
+    depend on the scale of N.
+    """
     N = np.asarray(N, dtype=float)
     dim = N.shape[0]
     scale = _matrix_scale(N)
@@ -79,7 +84,7 @@ def nilpotent_order(N, tol=NILPOTENT_TOL):
         raise ValueError("matrix is not nilpotent")
     d = 0
     for i in range(dim, 0, -1):
-        if np.linalg.norm(powers[i]) > tol * max(1.0, scale**i):
+        if np.linalg.norm(powers[i]) > tol * scale**i:
             d = i
             break
     return d, powers
@@ -98,7 +103,7 @@ def jordan_chains(N, tol=NILPOTENT_TOL):
     scale = _matrix_scale(N)
     kernels = [np.zeros((dim, 0))]
     for i in range(1, d + 1):
-        kernels.append(null_space(powers[i] / max(1.0, scale**i), atol=1e-12))
+        kernels.append(null_space(powers[i] / scale**i, atol=1e-12))
     kernels.append(np.eye(dim))  # N^{d+1} = 0 by definition of the order
     chains = []
     for s in range(d + 1, 0, -1):  # chain length s, tops have height s
@@ -191,8 +196,8 @@ def weight_filtration_kernel_image(N, tol=NILPOTENT_TOL) -> WeightFiltration:
     kers = {0: np.zeros((dim, 0)), d + 1: np.eye(dim)}
     ims = {0: np.eye(dim), d + 1: np.zeros((dim, 0))}
     for i in range(1, d + 1):
-        kers[i] = null_space(powers[i] / max(1.0, scale**i), atol=1e-12)
-        ims[i] = orth_basis(powers[i] / max(1.0, scale**i), atol=1e-12)
+        kers[i] = null_space(powers[i] / scale**i, atol=1e-12)
+        ims[i] = orth_basis(powers[i] / scale**i, atol=1e-12)
     levels = {}
     for k in range(-d, d + 1):
         pieces = []

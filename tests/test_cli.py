@@ -1,0 +1,48 @@
+import json
+
+import pytest
+
+from hypermono import cli
+
+QUINTIC = "1/5,2/5,3/5,4/5:0,0,0,0"
+
+
+def _run_twice(tmp_path, argv, suffixes):
+    outputs = []
+    for run in ("a", "b"):
+        prefix = tmp_path / run
+        assert cli.main(argv + ["--out", str(prefix)]) == 0
+        outputs.append({s: (tmp_path / f"{run}{s}").read_bytes() for s in suffixes})
+    return outputs
+
+
+class TestDeterminism:
+    def test_certify_rerun_identical(self, tmp_path, capsys):
+        first, second = _run_twice(
+            tmp_path, ["certify", "--params", QUINTIC, "--L", "6"], (".csv", ".json")
+        )
+        assert first == second
+        summary = json.loads(first[".json"])
+        assert summary["ball_size"] == first[".csv"].count(b"\n") - 1
+        assert summary["eps_hat"] > 0
+
+    def test_limitset_rerun_identical(self, tmp_path, capsys):
+        first, second = _run_twice(
+            tmp_path,
+            ["limitset", "--params", QUINTIC, "--L", "6", "--no-timestamp"],
+            (".csv", ".svg"),
+        )
+        assert first == second
+        assert first[".csv"].startswith(b"x0,x1,x2,x3,gap,kind\n")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("params", ["1/5,2/5", "1/5,2/5,3/5:0,0", "a,b:c,d"])
+    def test_invalid_params(self, params, capsys):
+        assert cli.main(["certify", "--params", params, "--L", "2"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_depth_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "--params", QUINTIC, "--depth", "3"])
+        assert exc.value.code == 2

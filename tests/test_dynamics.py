@@ -1,0 +1,215 @@
+import numpy as np
+import pytest
+
+from conftest import ball_for
+from hypermono import dynamics as dyn
+from hypermono import fuchsian as fox
+from hypermono import monodromy as mono
+from hypermono import params as par
+from hypermono.fuchsian import IDENT, INF, mat_inv, mat_mul, mat_normalize
+
+OCTIC = par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)
+
+
+def _canonical_exponent(k, order):
+    if order == INF or order is None:
+        return k
+    e = int(order)
+    k = k % e
+    if k > e / 2:
+        k -= e
+    return k
+
+
+def per_word_ball(gen_mats, orders, L, fuchs_gens=None):
+    """The per-word reference loop: left multiplication, rounded float keys."""
+    alphabet = list(gen_mats)
+    mats = {s: np.asarray(gen_mats[s], dtype=float) for s in alphabet}
+    invs = {s: np.linalg.inv(mats[s]) for s in alphabet}
+    n = next(iter(mats.values())).shape[0]
+    f_mats = None
+    if fuchs_gens is not None:
+        f_mats = {s: tuple(map(float, fuchs_gens[s])) for s in alphabet}
+        f_invs = {s: mat_inv(f_mats[s]) for s in alphabet}
+
+    def mkey(m):
+        return tuple(np.round(m.ravel() / dyn.MAT_DEDUP_RES).astype(np.int64))
+
+    words, out_mats, lengths = [()], [np.eye(n)], [0]
+    out_fuchs = [IDENT] if f_mats is not None else None
+    seen = {mkey(out_mats[0])}
+    frontier = [((), out_mats[0], IDENT)]
+    for ell in range(1, L + 1):
+        nxt = []
+        for word, mat, fm in frontier:
+            for s in alphabet:
+                for sgn in (1, -1):
+                    if word and word[0][0] == s:
+                        net = word[0][1] + sgn
+                        if _canonical_exponent(net, orders.get(s, INF)) != net or net == 0:
+                            continue
+                        if abs(net) <= abs(word[0][1]):
+                            continue
+                        new_word = ((s, net),) + word[1:]
+                    else:
+                        if _canonical_exponent(sgn, orders.get(s, INF)) != sgn:
+                            continue
+                        new_word = ((s, sgn),) + word
+                    new_mat = (mats[s] if sgn > 0 else invs[s]) @ mat
+                    new_fm = fm
+                    if f_mats is not None:
+                        new_fm = mat_normalize(mat_mul(f_mats[s] if sgn > 0 else f_invs[s], fm))
+                    key = mkey(new_mat)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    nxt.append((new_word, new_mat, new_fm))
+                    words.append(new_word)
+                    out_mats.append(new_mat)
+                    lengths.append(ell)
+                    if out_fuchs is not None:
+                        out_fuchs.append(new_fm)
+        frontier = nxt
+    return words, np.array(out_mats), np.array(lengths), out_fuchs
+
+
+def _inputs(p, with_fuchs):
+    std, _ = mono.build_rep(p).standardized()
+    sig = fox.orbifold_signature(p)
+    gens = {"0": std.h0, "inf": std.hinf}
+    orders = {"0": sig.e0, "inf": sig.einf}
+    fuchs = None
+    if with_fuchs:
+        dom = fox.build_domain(sig)
+        fuchs = {"0": dom.gens["0"], "inf": dom.gens["inf"]}
+    return gens, orders, fuchs
+
+
+class TestEnumerateBall:
+    @pytest.mark.parametrize(
+        "p, with_fuchs, size",
+        [(par.MIRROR_QUINTIC, True, 10269), (OCTIC, False, 10440)],
+        ids=["quintic", "octic"],
+    )
+    def test_matches_per_word_loop(self, p, with_fuchs, size):
+        gens, orders, fuchs = _inputs(p, with_fuchs)
+        ball = dyn.enumerate_ball(gens, orders, 8, fuchs_gens=fuchs)
+        words, mats, lengths, out_fuchs = per_word_ball(gens, orders, 8, fuchs_gens=fuchs)
+        assert len(ball) == size
+        assert ball.words == words
+        assert ball.lengths.tobytes() == lengths.tobytes()
+        assert ball.mats.tobytes() == mats.tobytes()
+        if with_fuchs:
+            assert ball.fuchs.shape == (size, 4)
+            assert ball.fuchs.tobytes() == np.array(out_fuchs).tobytes()
+        else:
+            assert ball.fuchs is None
+
+    def test_length_zero(self):
+        gens, orders, fuchs = _inputs(par.MIRROR_QUINTIC, True)
+        ball = dyn.enumerate_ball(gens, orders, 0, fuchs_gens=fuchs)
+        assert ball.words == [()] and ball.lengths.tolist() == [0]
+        assert np.array_equal(ball.mats, np.eye(4)[None])
+        assert ball.fuchs.tolist() == [list(IDENT)]
+
+    def test_conftest_ball(self, mq_ball8):
+        assert len(mq_ball8) == 10269
+        assert mq_ball8.lengths.max() == 8
+
+    def test_exact_keys_past_int64(self):
+        # Products of entries 2**32 wrap to the same int64 matrix for ab and ba
+        # (1 + 2**64 = 1 mod 2**64); level 2 must use Python-int keys.
+        big = 2**32
+        gens = {"a": np.array([[1.0, big], [0.0, 1.0]]), "b": np.array([[1.0, 0.0], [big, 1.0]])}
+        ball = dyn.enumerate_ball(gens, {"a": INF, "b": INF}, 2)
+        assert len(ball) == 1 + 4 + 12
+        assert (("a", 1), ("b", 1)) in ball.words and (("b", 1), ("a", 1)) in ball.words
+        exact = {"a": [[1, big], [0, 1]], "b": [[1, 0], [big, 1]]}
+        exact_inv = {"a": [[1, -big], [0, 1]], "b": [[1, 0], [-big, 1]]}
+        for word, m in zip(ball.words, ball.mats):
+            prod = np.eye(2, dtype=int).astype(object)
+            for s, k in reversed(word):
+                g = np.array(exact[s] if k > 0 else exact_inv[s], dtype=object)
+                for _ in range(abs(k)):
+                    prod = g @ prod
+            assert np.array_equal(m, prod.astype(float))
+
+    def test_key_set_hash_collisions_stay_exact(self):
+        # With all-ones multipliers the row hash is the row sum: (1, 0) and
+        # (0, 1) collide, within one admit and across two.
+        for batches, admitted in (
+            ([[[1, 0], [0, 1], [1, 0], [2, 2]], [[0, 1], [3, 0]]], [[0, 1, 3], [1]]),
+            ([[[1, 0], [2, 2]], [[0, 1], [2, 2], [0, 1]]], [[0, 1], [0]]),
+        ):
+            keys = dyn._KeySet(2)
+            keys.mult = np.ones(2, dtype=np.int64)
+            got = [keys.admit(np.array(b, dtype=np.int64)).tolist() for b in batches]
+            assert got == admitted
+            assert keys.tuples is not None
+
+    def test_float_keys_refuse_overflow(self):
+        g = np.diag([1e6 + 0.5, 1.0 / (1e6 + 0.5)])
+        h = np.array([[1.0, 0.5], [0.0, 1.0]])
+        dyn.enumerate_ball({"g": g, "h": h}, {"g": INF, "h": INF}, 1)
+        with pytest.raises(ArithmeticError, match="level 2"):
+            dyn.enumerate_ball({"g": g, "h": h}, {"g": INF, "h": INF}, 2)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 8.0, INF])
+    def test_canonical_exponent_vectorised(self, order):
+        ks = np.arange(-20, 21)
+        got = dyn.canonical_exponent(ks, order)
+        assert got.tolist() == [_canonical_exponent(int(k), order) for k in ks]
+
+
+class TestRationalLimitClassify:
+    def test_rejects_near_integral_generator(self):
+        # 42.0004 passed the old np.allclose test (rtol 1e-5) and was rounded to 42.
+        gens = {"a": np.array([[42.0004, 1.0], [-1.0, 0.0]]), "b": np.eye(2)}
+        with pytest.raises(ValueError, match="generator a is not integral"):
+            dyn.rational_limit_classify(gens, {}, v=(1, 0), L=1)
+
+    def test_unipotent_generator_is_witness(self):
+        gens = {"a": np.array([[1.0, 1.0], [0.0, 1.0]]), "b": np.array([[0.0, -1.0], [1.0, 0.0]])}
+        w = dyn.rational_limit_classify(gens, {"b": 4}, v=(1, 0), L=1)
+        assert w.word == (("a", 1),)
+
+
+class TestAnosovCertificate:
+    def test_pruned_hull_equals_full_hull(self):
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            m = int(rng.integers(1, 400))
+            xs = rng.integers(0, 12, size=m).astype(float)  # many equal-x ties
+            ys = rng.integers(-6, 6, size=m).astype(float)
+            if trial % 3 == 0:  # a collinear run, some of it on the hull
+                t = rng.integers(0, 12, size=m // 2).astype(float)
+                xs[: m // 2], ys[: m // 2] = t, 0.5 * t - 8
+            if trial % 3 == 1:
+                xs, ys = rng.normal(size=m), rng.normal(size=m)
+            if trial % 6 == 5:  # x within the 1e-12 equal-x tolerance, not equal
+                xs = xs + rng.integers(-1, 2, size=m) * 1e-13
+            keep = dyn._hull_candidates(xs, ys)
+            assert dyn._lower_hull(xs[keep].tolist(), ys[keep].tolist()) == dyn._lower_hull(
+                xs.tolist(), ys.tolist()
+            )
+
+    def test_distances_match_scalar(self, mq):
+        ball, _, _ = ball_for(mq, 6, with_fuchs=True)
+        want = [fox.frobenius_distance(tuple(f)) for f in ball.fuchs.tolist()]
+        assert dyn._frobenius_distances(ball.fuchs).tolist() == want
+
+    def test_sym3_gap_equals_distance(self):
+        # For Sym^3 of a Fuchsian group, mu_1 - mu_2 = 2 log sigma_1 = dist(i, g i).
+        sig = fox.OrbifoldSignature(2, 3, INF)
+        dom = fox.build_domain(sig)
+        fuchs = {"0": dom.gens["0"], "inf": dom.gens["inf"]}
+        gens = {s: dyn.sym_cube(np.array(g).reshape(2, 2)) for s, g in fuchs.items()}
+        ball = dyn.enumerate_ball(gens, {"0": sig.e0, "inf": sig.einf}, 8, fuchs_gens=fuchs)
+        cert = dyn.anosov_certificate(ball)
+        assert abs(cert.eps_hat - 1.0) < 1e-9
+        assert abs(cert.c_hat) < 1e-9
+        assert np.allclose(cert.gaps, cert.dists, atol=1e-9)
+
+    def test_requires_fuchsian_matrices(self, mq_ball8):
+        with pytest.raises(ValueError, match="Fuchsian"):
+            dyn.anosov_certificate(mq_ball8)

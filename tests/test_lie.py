@@ -232,6 +232,14 @@ class TestJacobsonMorozov:
         assert np.allclose(Y, Y1, atol=1e-12)
         assert np.allclose(1e3 * Np, Np1, atol=1e-12)
 
+    def test_small_scale(self):
+        # The nilpotent helpers cut the powers N^i relative to ||N||^i, so a
+        # small N keeps its Jordan type (an absolute cut lost N^2 and N^3 here).
+        Y1, Np1 = jacobson_morozov(N_SYM3)
+        Y, Np = jacobson_morozov(1e-4 * N_SYM3)
+        assert np.allclose(Y, Y1, atol=1e-12)
+        assert np.allclose(1e-4 * Np, Np1, atol=1e-12)
+
     def test_relations_random(self):
         # Each relation is measured relative to the norm of its right-hand
         # side, which keeps all three invariant under rescaling N (N_plus
