@@ -176,31 +176,14 @@ def _fuchs_step(m, fq):
     return out / np.sqrt(np.abs(det))[:, None]
 
 
-def enumerate_ball(
-    gen_mats: Dict[str, np.ndarray],
-    orders: Dict[str, float],
-    L: int,
-    fuchs_gens: Optional[Dict[str, tuple]] = None,
-    alphabet: Optional[Sequence[str]] = None,
-) -> WordBall:
-    """All reduced words of length <= L over the alphabet, by left multiplication.
+def _ball_levels(gen_mats, orders, L, fuchs_gens=None, alphabet=None):
+    """The word ball a level at a time, as ``enumerate_ball`` orders and keys it.
 
-    Exponents of a finite-order generator stay in (-e/2, e/2].  The ball is
-    grown a level at a time: each (generator, sign) step multiplies the
-    frontier words it may extend in one stacked matmul.
-
-    Order: words of length ell come after all shorter words, in the order of
-    (parent in the previous level, generator in ``alphabet``, sign +1 then -1),
-    and of several words with the same matrix only the first is kept.
-
-    Keys: when every generator and its inverse is integral (entries within
-    ``INTEGRAL_TOL`` of integers that multiply to the identity), words are
-    deduplicated on their exact integer matrices, in int64 while
-    n * max|g| * max|F| < ``EXACT_KEY_LIMIT`` = 2**53 (F the frontier) and in
-    Python ints from the first level past that bound.  Otherwise keys are the
-    entries rounded to the ``MAT_DEDUP_RES`` grid, and a level whose keys would
-    leave the int64 range raises ``ArithmeticError``.  ``mats`` are always
-    the float products of the given generators.
+    Yields, for each length 0..L that has new words, ``(words, mats, exact,
+    fuchs)``: the level's words, float matrices (m, n, n), exact integer
+    matrices (int64 or Python ints; None unless every generator and its
+    inverse is integral) and Fuchsian rows (m, 4) or None.  Only the current
+    level's arrays are kept.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
@@ -230,7 +213,7 @@ def enumerate_ball(
 
     keys = _KeySet(n * n)
     keys.admit(E.reshape(1, -1) if E is not None else _float_keys(F, 0))
-    words, mats, lengths, fuchs = [()], [F], [np.zeros(1, dtype=np.int64)], [FQ]
+    yield frontier_words, F, E, FQ
     for ell in range(1, L + 1):
         valid = np.zeros((len(F), len(steps)), dtype=bool)
         nets = np.empty((len(F), len(steps)), dtype=np.int64)
@@ -243,7 +226,7 @@ def enumerate_ball(
             nets[:, t] = net
         parent, step = np.nonzero(valid)  # candidates in (parent, step) order
         if not len(parent):
-            break
+            return
         M = np.empty((len(parent), n, n))  # candidate matrices, exact ones in C
         C = None
         if E is not None:
@@ -275,7 +258,40 @@ def enumerate_ball(
                 map(frontier_words.__getitem__, parent.tolist()),
             )
         ]
-        words += frontier_words
+        yield frontier_words, F, E, FQ
+
+
+def enumerate_ball(
+    gen_mats: Dict[str, np.ndarray],
+    orders: Dict[str, float],
+    L: int,
+    fuchs_gens: Optional[Dict[str, tuple]] = None,
+    alphabet: Optional[Sequence[str]] = None,
+) -> WordBall:
+    """All reduced words of length <= L over the alphabet, by left multiplication.
+
+    Exponents of a finite-order generator stay in (-e/2, e/2].  The ball is
+    grown a level at a time: each (generator, sign) step multiplies the
+    frontier words it may extend in one stacked matmul.
+
+    Order: words of length ell come after all shorter words, in the order of
+    (parent in the previous level, generator in ``alphabet``, sign +1 then -1),
+    and of several words with the same matrix only the first is kept.
+
+    Keys: when every generator and its inverse is integral (entries within
+    ``INTEGRAL_TOL`` of integers that multiply to the identity), words are
+    deduplicated on their exact integer matrices, in int64 while
+    n * max|g| * max|F| < ``EXACT_KEY_LIMIT`` = 2**53 (F the frontier) and in
+    Python ints from the first level past that bound.  Otherwise keys are the
+    entries rounded to the ``MAT_DEDUP_RES`` grid, and a level whose keys would
+    leave the int64 range raises ``ArithmeticError``.  ``mats`` are always
+    the float products of the given generators.
+    """
+    words, mats, lengths, fuchs = [], [], [], []
+    for ell, (level_words, F, _, FQ) in enumerate(
+        _ball_levels(gen_mats, orders, L, fuchs_gens, alphabet)
+    ):
+        words += level_words
         mats.append(F)
         lengths.append(np.full(len(F), ell, dtype=np.int64))
         fuchs.append(FQ)
@@ -284,7 +300,7 @@ def enumerate_ball(
         mats=np.concatenate(mats),
         lengths=np.concatenate(lengths),
         orders=dict(orders),
-        fuchs=np.concatenate(fuchs) if f_steps is not None else None,
+        fuchs=np.concatenate(fuchs) if fuchs_gens is not None else None,
     )
 
 
@@ -354,17 +370,24 @@ class AnosovCertificate:
 
 
 def _lower_hull(xs, ys):
+    """Vertices of the lower convex hull, left to right.
+
+    Points whose x lie within 1e-12 of the last vertex count as equal in x,
+    and only the lower of the two is kept.
+    """
     pts = sorted(zip(xs, ys))
     hull = []
     for p in pts:
+        if hull and abs(hull[-1][0] - p[0]) < 1e-12:
+            if p[1] >= hull[-1][1]:
+                continue
+            hull.pop()
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) < 0:
                 hull.pop()
             else:
                 break
-        if hull and abs(hull[-1][0] - p[0]) < 1e-12:
-            continue  # keep the lower of equal-x points (sorted order does)
         hull.append(p)
     return hull
 
@@ -374,16 +397,12 @@ def _hull_candidates(xs, ys):
 
     In (x, y) order a lower-hull vertex is a prefix or a suffix minimum of y:
     its support line has slope <= 0 (no lower point to its left) or >= 0
-    (none to its right).  ``_lower_hull`` drops a point whose x is within
-    1e-12 of the last hull vertex, so only points it never drops, the first
-    of each run of x closer than 1e-12, count as lower points here.
+    (none to its right).
     """
     order = np.lexsort((ys, xs))
-    x, y = xs[order], ys[order]
-    never_dropped = np.concatenate(([True], np.abs(x[1:] - x[:-1]) >= 1e-12))
-    bound = np.where(never_dropped, y, np.inf)
-    prefix = y <= np.minimum.accumulate(bound)
-    suffix = y <= np.minimum.accumulate(bound[::-1])[::-1]
+    y = ys[order]
+    prefix = y <= np.minimum.accumulate(y)
+    suffix = y <= np.minimum.accumulate(y[::-1])[::-1]
     return order[prefix | suffix]
 
 
@@ -598,61 +617,60 @@ def fiberwise_unipotent(alpha, beta):
 # --- rational limit points --------------------------------------------------------
 
 
-def _frac_matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
-def _frac_inv(m):
-    n = len(m)
-    aug = [list(m[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+def _row_reduce(rows):
+    """Reduced row echelon form over Q, exactly: (nonzero rows as Fractions, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def _frac_rank(rows):
-    rows = [list(r) for r in rows if any(x != 0 for x in r)]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rows and col < ncols:
-        piv = next((i for i, r in enumerate(rows) if r[col] != 0), None)
-        if piv is None:
-            col += 1
             continue
-        rows[0], rows[piv] = rows[piv], rows[0]
-        lead = rows[0]
-        rows = [
-            [x - (r[col] / lead[col]) * y for x, y in zip(r, lead)] if r[col] != 0 else r
-            for r in rows[1:]
-        ]
-        rows = [r for r in rows if any(x != 0 for x in r)]
-        rank += 1
-        col += 1
-    return rank
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
 
 
-def _check_integral(m, name):
-    exact = _integer_matrix(np.asarray(m, dtype=float))
-    if exact is None:
-        raise ValueError(f"{name} is not integral")
-    return tuple(tuple(Fraction(x) for x in row) for row in exact.tolist())
+def _rank(rows):
+    return len(_row_reduce(rows)[1])
+
+
+def _kernel(d):
+    """Basis of {x : d x = 0} for a rational matrix ``d`` (a list of rows)."""
+    reduced, pivots = _row_reduce(d)
+    n = len(d[0])
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(int(c == free)) for c in range(n)]
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def _kernel_image(d):
+    """Spanning vectors of ker(d) & im(d): the image d(ker d^2)."""
+    d2 = (d @ d).tolist()
+    return [v for v in (d @ np.array(k, dtype=object) for k in _kernel(d2)) if any(v)]
+
+
+def _integral_vector(x):
+    """The rational vector ``x`` times the lcm of its denominators, as Python ints."""
+    x = [_as_fraction(t) for t in x]
+    scale = math.lcm(*(t.denominator for t in x))
+    return [int(t * scale) for t in x]
 
 
 @dataclass(frozen=True)
 class CuspWitness:
+    """A word, as syllables (symbol, exponent) whose product left to right is
+    the unipotent, and that unipotent as a tuple of rows of Python ints."""
+
     word: tuple
     unipotent: tuple
 
@@ -663,153 +681,68 @@ def rational_limit_classify(gen_mats, orders, v=None, lagrangian=None, L=6):
     For a vector: a witness u with v in ker(u - id) & im(u - id).  For a
     Lagrangian: a witness whose fixed cusp line lies in the plane.  Returns a
     CuspWitness or None (meaning: no witness within length L, no claim of
-    nonexistence).  Generators must be integral.
+    nonexistence).
+
+    Search order: a word ``((s_1, k_1), ..., (s_m, k_m))`` stands for the
+    product ``g_{s_1}^{k_1} ... g_{s_m}^{k_m}`` and grows at its right end.
+    Words are searched by length, and within a length in the order of (parent
+    word, generator in ``gen_mats``, sign +1 then -1), keeping the first word
+    of each matrix; the witness is the first hit, so it has minimal word
+    length.  The search runs ``enumerate_ball``'s engine on the transposed
+    generators, as (w g)^T = g^T w^T.
+
+    Arithmetic is exact: every generator and its inverse must be integral
+    (det +-1, as for hypergeometric monodromy groups), else a ``ValueError``
+    is raised.  An integer prefilter over each level ((u - id) v = 0 and
+    u != id for a vector, tr u = n for a Lagrangian; int64 while
+    n * max|u - id| * max|v| < 2**63, Python ints past that) picks the
+    matrices that get the full rational test.
     """
     if (v is None) == (lagrangian is None):
         raise ValueError("pass exactly one of v, lagrangian")
-    gens = {s: _check_integral(m, f"generator {s}") for s, m in gen_mats.items()}
-    n = len(next(iter(gens.values())))
-    ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    inv = {s: _frac_inv(m) for s, m in gens.items()}
+    for s, m in gen_mats.items():
+        if _integer_matrix(np.asarray(m, dtype=float)) is None:
+            raise ValueError(f"generator {s} is not integral")
     if v is not None:
-        target = [_as_fraction(x) for x in np.ravel(np.asarray(v, dtype=object)).tolist()]
+        target = _integral_vector(np.ravel(np.asarray(v, dtype=object)).tolist())
+        scale = max(map(abs, target))
     else:
-        target = [[_as_fraction(x) for x in np.ravel(col).tolist()] for col in np.asarray(lagrangian, dtype=object).T.tolist()]
-
-    def is_witness(u):
-        d = tuple(tuple(u[i][j] - ident[i][j] for j in range(n)) for i in range(n))
-        power = d
-        for _ in range(n - 1):
-            power = _frac_matmul(power, d)
-        if any(any(x != 0 for x in row) for row in power):
-            return False  # not unipotent
-        cols = [[d[i][j] for i in range(n)] for j in range(n)]
-        cols = [c for c in cols if any(x != 0 for x in c)]
-        if not cols:
-            return False
-        rank_d = _frac_rank([list(r) for r in zip(*cols)]) if cols else 0
+        cols = np.asarray(lagrangian, dtype=object).T.tolist()
+        target = [[_as_fraction(x) for x in col] for col in cols]
+        scale = 1
+    transposed = {s: np.asarray(m, dtype=float).T for s, m in gen_mats.items()}
+    for words, _, exact, _ in _ball_levels(transposed, orders, L):
+        if exact is None:
+            raise ValueError("the exact search needs integral generator inverses (det +-1)")
+        n = exact.shape[1]
+        D = exact - np.eye(n, dtype=np.int64)  # (u - id)^T for each word's u
+        if D.dtype != object and n * max(1, int(np.abs(D).max())) * scale >= 2**63:
+            D = D.astype(object)  # Python ints: the products below would leave int64
         if v is not None:
-            if any(sum(d[i][j] * target[j] for j in range(n)) != 0 for i in range(n)):
-                return False  # not fixed
-            aug = cols + [target]
-            return _frac_rank([list(r) for r in zip(*aug)]) == rank_d
-        # lagrangian: some vector of ker & im lies in the plane
-        ker_im = _frac_kernel_image(d, n)
-        if not ker_im:
-            return False
-        stacked = ker_im + target
-        return _frac_rank(stacked) < _frac_rank(ker_im) + _frac_rank(target)
-
-    frontier = [((), ident)]
-    seen = {ident}
-    if is_witness(ident):
-        return CuspWitness(word=(), unipotent=ident)
-    for _ in range(L):
-        nxt = []
-        for word, mat in frontier:
-            for s in gens:
-                for sgn in (1, -1):
-                    if word and word[-1][0] == s:
-                        net = word[-1][1] + sgn
-                        if canonical_exponent(net, orders.get(s, INF)) != net or net == 0:
-                            continue
-                        if abs(net) <= abs(word[-1][1]):
-                            continue
-                        new_word = word[:-1] + ((s, net),)
-                    else:
-                        if canonical_exponent(sgn, orders.get(s, INF)) != sgn:
-                            continue
-                        new_word = word + ((s, sgn),)
-                    g = gens[s] if sgn > 0 else inv[s]
-                    new_mat = _frac_matmul(mat, g)
-                    nxt.append((new_word, new_mat))
-                    if new_mat in seen:
-                        continue
-                    seen.add(new_mat)
-                    if is_witness(new_mat):
-                        return CuspWitness(word=new_word, unipotent=new_mat)
-        frontier = nxt
+            hits = ~np.any(np.array(target, dtype=D.dtype) @ D, axis=1) & np.any(D, axis=(1, 2))
+        else:
+            hits = np.trace(D, axis1=1, axis2=2) == 0
+        for k in np.flatnonzero(hits).tolist():
+            d = np.array(D[k].T.tolist(), dtype=object)
+            if _is_witness(d, v is not None, target):
+                u = (d + np.eye(n, dtype=int)).tolist()
+                return CuspWitness(word=tuple(reversed(words[k])), unipotent=tuple(map(tuple, u)))
     return None
 
 
-def _frac_kernel_image(d, n):
-    """Rational basis (list of row vectors) of ker(d) & im(d)."""
-    # kernel by row reduction of d
-    rows = [list(r) for r in d]
-    # solve d x = 0 exactly: reduce [d] and read free variables
-    aug = [list(r) for r in d]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        lead = aug[r][c]
-        aug[r] = [x / lead for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -aug[i][fc]
-        kernel.append(vec)
-    image = [[d[i][j] for i in range(n)] for j in range(n)]
-    image = [c for c in image if any(x != 0 for x in c)]
-    # intersection: vectors in span(kernel) & span(image)
-    if not kernel or not image:
-        return []
-    k, m = len(kernel), len(image)
-    combo = [list(kernel[i]) + [Fraction(0)] * 0 for i in range(k)]
-    # solve sum a_i kernel_i - sum b_j image_j = 0
-    sys_rows = []
-    for coord in range(n):
-        sys_rows.append([kernel[i][coord] for i in range(k)] + [-image[j][coord] for j in range(m)])
-    null = _frac_nullspace(sys_rows, k + m)
-    out = []
-    for sol in null:
-        vec = [sum(sol[i] * kernel[i][coord] for i in range(k)) for coord in range(n)]
-        if any(x != 0 for x in vec):
-            out.append(vec)
-    return out
-
-
-def _frac_nullspace(rows, ncols):
-    aug = [list(r) for r in rows]
-    nrows = len(aug)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        lead = aug[r][c]
-        aug[r] = [x / lead for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -aug[i][fc] if i < len(aug) else Fraction(0)
-        out.append(vec)
-    return out
+def _is_witness(d, for_vector, target):
+    """The exact witness test on d = u - id (Python ints)."""
+    power = d
+    for _ in range(len(d) - 1):
+        power = power @ d
+    if any(power.ravel()) or not any(d.ravel()):
+        return False  # not unipotent, or the identity
+    if for_vector:  # v in ker(d) & im(d)
+        cols = d.T.tolist()
+        return not any(d @ np.array(target, dtype=object)) and _rank(cols + [target]) == _rank(cols)
+    ker_im = _kernel_image(d)
+    k = _rank(ker_im)
+    return k > 0 and _rank(ker_im + target) < k + _rank(target)
 
 
 # --- minimality ----------------------------------------------------------------

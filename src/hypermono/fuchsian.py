@@ -106,18 +106,6 @@ def hyp_distance(tau1, tau2):
     return math.acosh(max(1.0, x))
 
 
-def to_halfplane(z):
-    """Disk -> half-plane: tau = (1/sqrt(-1)) (z+1)/(z-1)."""
-    z = complex(z)
-    return (z + 1) / (z - 1) / 1j
-
-
-def to_disk(tau):
-    """Half-plane -> disk: z = (tau - i)/(tau + i)."""
-    tau = complex(tau)
-    return (tau - 1j) / (tau + 1j)
-
-
 def frobenius_distance(m):
     """dist(i, m . i) = arccosh(||m||_F^2 / 2) for m in SL(2, R)."""
     a, b, c, d = m

@@ -55,11 +55,6 @@ def alpha1_gap(g) -> float:
     return float(d.mu[0] - d.mu[1])
 
 
-def alpha1_gaps_batch(gs) -> np.ndarray:
-    s = np.linalg.svd(np.asarray(gs, dtype=float), compute_uv=False)
-    return np.log(s[..., 0]) - np.log(s[..., 1])
-
-
 # --- nilpotent structure ------------------------------------------------------
 
 
@@ -317,13 +312,6 @@ def jacobson_morozov(N, tol=NILPOTENT_TOL):
     if resid > SL2_TOL:
         raise ValueError(f"sl2 relations not satisfied, relative residual {resid:.3e}")
     return Y, N_plus
-
-
-def y_eigenspace(Y, k, tol=1e-6):
-    """Basis of the integer eigenspace V_k of a grading element Y."""
-    Y = np.asarray(Y, dtype=float)
-    dim = Y.shape[0]
-    return null_space(Y - k * np.eye(dim), rtol=tol)
 
 
 def strictly_adapted_norm(N, Y, tau, v):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,132 @@ def per_word_ball(gen_mats, orders, L, fuchs_gens=None):
                         out_fuchs.append(new_fm)
         frontier = nxt
     return words, np.array(out_mats), np.array(lengths), out_fuchs
+
+
+def _frac_matmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
+
+
+def _frac_rref(rows):
+    """Reduced row echelon form over Q: (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _frac_rank(rows):
+    return len(_frac_rref(rows)[1])
+
+
+def _frac_nullspace(rows, ncols):
+    red, pivots = _frac_rref(rows)
+    out = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(int(c == fc)) for c in range(ncols)]
+        for i, pc in enumerate(pivots):
+            vec[pc] = -red[i][fc]
+        out.append(vec)
+    return out
+
+
+def _frac_inv(m):
+    n = len(m)
+    red, _ = _frac_rref([list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)])
+    return tuple(tuple(row[n:]) for row in red)
+
+
+def _frac_kernel_image(d, n):
+    """ker(d) & im(d) by solving sum a_i kernel_i = sum b_j image_j."""
+    kernel = _frac_nullspace(d, n)
+    image = [c for c in ([d[i][j] for i in range(n)] for j in range(n)) if any(c)]
+    if not kernel or not image:
+        return []
+    k, m = len(kernel), len(image)
+    system = [[kv[c] for kv in kernel] + [-iv[c] for iv in image] for c in range(n)]
+    out = []
+    for sol in _frac_nullspace(system, k + m):
+        vec = [sum(sol[i] * kernel[i][c] for i in range(k)) for c in range(n)]
+        if any(vec):
+            out.append(vec)
+    return out
+
+
+def reference_classify(gen_mats, orders, v=None, lagrangian=None, L=6):
+    """The per-word reference search: right multiplication in Fractions, a
+    frontier that keeps duplicate matrices."""
+    gens = {
+        s: tuple(tuple(Fraction(int(round(x))) for x in row) for row in np.asarray(m).tolist())
+        for s, m in gen_mats.items()
+    }
+    n = len(next(iter(gens.values())))
+    ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    inv = {s: _frac_inv(m) for s, m in gens.items()}
+    if v is not None:
+        target = [Fraction(x) for x in v]
+    else:
+        cols = np.asarray(lagrangian, dtype=object).T.tolist()
+        target = [[Fraction(x) for x in col] for col in cols]
+
+    def is_witness(u):
+        d = tuple(tuple(u[i][j] - ident[i][j] for j in range(n)) for i in range(n))
+        power = d
+        for _ in range(n - 1):
+            power = _frac_matmul(power, d)
+        if any(any(row) for row in power):
+            return False
+        cols = [c for c in ([d[i][j] for i in range(n)] for j in range(n)) if any(c)]
+        if not cols:
+            return False
+        if v is not None:
+            if any(sum(d[i][j] * target[j] for j in range(n)) for i in range(n)):
+                return False
+            return _frac_rank(cols + [target]) == _frac_rank(cols)
+        ker_im = _frac_kernel_image(d, n)
+        if not ker_im:
+            return False
+        return _frac_rank(ker_im + target) < _frac_rank(ker_im) + _frac_rank(target)
+
+    frontier = [((), ident)]
+    seen = {ident}
+    for _ in range(L):
+        nxt = []
+        for word, mat in frontier:
+            for s in gens:
+                for sgn in (1, -1):
+                    if word and word[-1][0] == s:
+                        net = word[-1][1] + sgn
+                        if _canonical_exponent(net, orders.get(s, INF)) != net or net == 0:
+                            continue
+                        if abs(net) <= abs(word[-1][1]):
+                            continue
+                        new_word = word[:-1] + ((s, net),)
+                    else:
+                        if _canonical_exponent(sgn, orders.get(s, INF)) != sgn:
+                            continue
+                        new_word = word + ((s, sgn),)
+                    new_mat = _frac_matmul(mat, gens[s] if sgn > 0 else inv[s])
+                    nxt.append((new_word, new_mat))
+                    if new_mat in seen:
+                        continue
+                    seen.add(new_mat)
+                    if is_witness(new_mat):
+                        return new_word, new_mat
+        frontier = nxt
+    return None
 
 
 def _inputs(p, with_fuchs):
@@ -161,6 +289,30 @@ class TestEnumerateBall:
         assert got.tolist() == [_canonical_exponent(int(k), order) for k in ks]
 
 
+def _quintic_cusp_targets(count):
+    """(v, Lagrangian) for the cusp lines g.ker(h0 - id) of the first ``count`` ball words g.
+
+    The Lagrangian is g.im((h0 - id)^2), which holds that line.
+    """
+    gens, orders, _ = _inputs(par.MIRROR_QUINTIC, False)
+    N = np.rint(gens["0"]).astype(np.int64) - np.eye(4, dtype=np.int64)
+    N2, N3 = N @ N, N @ N @ N
+    line = N3[:, np.flatnonzero(N3.any(axis=0))[0]]
+    plane = N2[:, np.flatnonzero(N2.any(axis=0))[:2]]
+    ball = dyn.enumerate_ball(gens, orders, 3)
+    out = []
+    for g in ball.mats[:count]:
+        g = np.rint(g).astype(np.int64)
+        out.append(((g @ line).tolist(), (g @ plane).tolist()))
+    return gens, orders, out
+
+
+def _same(witness, reference):
+    if reference is None:
+        return witness is None
+    return witness is not None and (witness.word, witness.unipotent) == reference
+
+
 class TestRationalLimitClassify:
     def test_rejects_near_integral_generator(self):
         # 42.0004 passed the old np.allclose test (rtol 1e-5) and was rounded to 42.
@@ -168,10 +320,55 @@ class TestRationalLimitClassify:
         with pytest.raises(ValueError, match="generator a is not integral"):
             dyn.rational_limit_classify(gens, {}, v=(1, 0), L=1)
 
+    def test_rejects_non_integral_inverse(self):
+        gens = {"a": np.array([[2.0, 0.0], [0.0, 1.0]]), "b": np.array([[1.0, 1.0], [0.0, 1.0]])}
+        with pytest.raises(ValueError, match="integral generator inverses"):
+            dyn.rational_limit_classify(gens, {}, v=(1, 0), L=2)
+
     def test_unipotent_generator_is_witness(self):
         gens = {"a": np.array([[1.0, 1.0], [0.0, 1.0]]), "b": np.array([[0.0, -1.0], [1.0, 0.0]])}
         w = dyn.rational_limit_classify(gens, {"b": 4}, v=(1, 0), L=1)
         assert w.word == (("a", 1),)
+
+    def test_quintic_cusp_lines_match_reference(self):
+        gens, orders, targets = _quintic_cusp_targets(12)
+        words = set()
+        for v, plane in targets:
+            w = dyn.rational_limit_classify(gens, orders, v=v, L=5)
+            assert _same(w, reference_classify(gens, orders, v=v, L=5))
+            words.add(w.word)
+            u = np.array(w.unipotent, dtype=object)
+            assert np.array_equal(u @ np.array(v, dtype=object), np.array(v, dtype=object))
+            wl = dyn.rational_limit_classify(gens, orders, lagrangian=plane, L=5)
+            assert _same(wl, reference_classify(gens, orders, lagrangian=plane, L=5))
+        assert len(words) >= 3  # conjugates of h0 at several word lengths, not h0 alone
+
+    def test_quintic_no_witness(self):
+        gens, orders, _ = _inputs(par.MIRROR_QUINTIC, False)
+        assert dyn.rational_limit_classify(gens, orders, v=(1, 2, 3, 5), L=7) is None
+        assert reference_classify(gens, orders, v=(1, 2, 3, 5), L=4) is None
+
+    def test_rational_vector_scales(self):
+        gens, orders, targets = _quintic_cusp_targets(6)
+        v = targets[5][0]
+        w = dyn.rational_limit_classify(gens, orders, v=v, L=5)
+        assert w is not None
+        for scaled in ([Fraction(x, 6) for x in v], [-3 * x for x in v], [x / 4 for x in v]):
+            assert dyn.rational_limit_classify(gens, orders, v=scaled, L=5) == w
+
+    def test_int64_bound_crossed(self):
+        # Products of entries 2**31 leave int64 at level 2; v = b e1 has
+        # max|v| = 2**31, so the prefilter needs Python ints from level 1.
+        big = 2**31
+        gens = {"a": np.array([[1.0, big], [0.0, 1.0]]), "b": np.array([[1.0, 0.0], [big, 1.0]])}
+        orders = {"a": INF, "b": INF}
+        w = dyn.rational_limit_classify(gens, orders, v=(1, big), L=3)
+        assert w.word == (("b", 1), ("a", 1), ("b", -1))
+        assert _same(w, reference_classify(gens, orders, v=(1, big), L=3))
+        assert w.unipotent == ((1 - big**2, big), (-big**3, 1 + big**2))
+        # no unipotent of this group fixes (1, 1): every element is id mod 2**31
+        assert dyn.rational_limit_classify(gens, orders, v=(1, 1), L=3) is None
+        assert reference_classify(gens, orders, v=(1, 1), L=3) is None
 
 
 class TestAnosovCertificate:
@@ -192,6 +389,13 @@ class TestAnosovCertificate:
             assert dyn._lower_hull(xs[keep].tolist(), ys[keep].tolist()) == dyn._lower_hull(
                 xs.tolist(), ys.tolist()
             )
+
+    def test_near_tie_keeps_lower_point(self):
+        # (1e-13, -3) counts as x = 0 and is lower than (0, 0), so it replaces it.
+        xs, ys = np.array([0.0, 1e-13, 1.0, 3.0]), np.array([0.0, -3.0, -2.0, -3.0])
+        assert dyn._lower_hull(xs.tolist(), ys.tolist()) == [(1e-13, -3.0), (3.0, -3.0)]
+        keep = dyn._hull_candidates(xs, ys)
+        assert dyn._lower_hull(xs[keep].tolist(), ys[keep].tolist()) == [(1e-13, -3.0), (3.0, -3.0)]
 
     def test_distances_match_scalar(self, mq):
         ball, _, _ = ball_for(mq, 6, with_fuchs=True)

@@ -1,0 +1,61 @@
+import numpy as np
+import pytest
+
+from hypermono import dynamics as dyn
+from hypermono import fuchsian as fox
+from hypermono.fuchsian import INF, IDENT, mat_inv, mat_mul
+
+SIGNATURES = [(2, 3, INF), (2, 3, 7), (3, 3, 4), (INF, INF, 5), (INF, INF, INF)]
+
+
+def _sig(e):
+    return fox.OrbifoldSignature(*e)
+
+
+class TestGeodesicSample:
+    @pytest.mark.parametrize("e", [(2, 3, INF), (INF, INF, 5)])
+    def test_deterministic_per_seed(self, e):
+        sig = _sig(e)
+        a, b = fox.geodesic_sample(sig, 7, 30.0), fox.geodesic_sample(sig, 7, 30.0)
+        assert len(a.events) > 0
+        assert (a.events, a.deck, a.end_state) == (b.events, b.deck, b.end_state)
+        assert fox.geodesic_sample(sig, 8, 30.0).events != a.events
+
+    @pytest.mark.parametrize("e", SIGNATURES)
+    def test_deck_is_product_of_side_generators(self, e):
+        # each event (sym, sgn) appends the side's deck generator gamma_sym^sgn
+        dom = fox.build_domain(_sig(e))
+        gamma = {"0": dom.gamma0, "1": dom.gamma1}
+        for seed in range(3):
+            traj = fox.geodesic_sample(dom.sig, seed, 20.0)
+            deck = IDENT
+            for _, sym, sgn in traj.events:
+                deck = mat_mul(deck, gamma[sym] if sgn > 0 else mat_inv(gamma[sym]))
+            assert len(traj.events) > 0 and deck == traj.deck
+
+
+class TestDistances:
+    @pytest.mark.parametrize("e", SIGNATURES)
+    def test_frobenius_distance_is_displacement_of_i(self, e):
+        dom = fox.build_domain(_sig(e))
+        for g in list(dom.gens.values()) + [dom.gamma_inf]:
+            want = fox.hyp_distance(1j, fox.mobius(g, 1j))
+            assert abs(fox.frobenius_distance(g) - want) <= 1e-12 * max(1.0, want)
+
+
+class TestVeronese:
+    def test_sym3_attracting_points_lie_on_veronese(self):
+        # Sym^3 g = Sym^3(k1) diag(l^3, l, 1/l, 1/l^3) Sym^3(k2) with Sym^3(k)
+        # orthogonal, so its top left-singular direction is veronese(k1 e1).
+        sig = _sig((2, 3, INF))
+        dom = fox.build_domain(sig)
+        fuchs = {"0": dom.gens["0"], "inf": dom.gens["inf"]}
+        gens = {s: dyn.sym_cube(np.array(g).reshape(2, 2)) for s, g in fuchs.items()}
+        ball = dyn.enumerate_ball(gens, {"0": sig.e0, "inf": sig.einf}, 8, fuchs_gens=fuchs)
+        index = {w: i for i, w in enumerate(ball.words)}
+        samples = [s for s in dyn.limit_curve_samples(ball, 1.0) if s.kind == "attracting"]
+        assert len(samples) > 100
+        for s in samples:
+            u, _, _ = np.linalg.svd(ball.fuchs[index[s.word]].reshape(2, 2))
+            on_curve = dyn.veronese(u[:, 0])
+            assert abs(abs(float(on_curve @ s.point)) - 1.0) < 1e-9
