@@ -78,14 +78,6 @@ def subspace_intersection(a, b, rtol=1e-9):
     return orth_basis(a @ ns[: a.shape[1]], rtol)
 
 
-def qr_pos(a):
-    """QR with positive diagonal of R (unique for invertible a)."""
-    q, r = np.linalg.qr(a)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return q * d, (r.T * d).T
-
-
 def chordal_distance(u, v):
     """Projective distance between lines spanned by u, v (sin of the angle)."""
     u = np.ravel(np.asarray(u, dtype=float))

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._linalg import chordal_distance, projective_normalize, qr_pos, subspace_intersection
+from ._linalg import chordal_distance, projective_normalize, subspace_intersection
 from .exterior import (
     LagrangianPlane,
     photon_lagrangian,
@@ -488,54 +488,66 @@ def lyapunov_mc(
     """Benettin frame transport along random geodesics of the base orbifold.
 
     The flat frame is pulled back to the fundamental-domain chart at every
-    side crossing (matrix rho(gamma)^{-1}) and QR-renormalized; exponents are
-    averaged log diagonal growth per unit of flow time.  Time follows the
+    side crossing (matrix rho(gamma)^{-1}) and QR-renormalized, with the
+    signs fixed so that R has a positive diagonal; exponents are averaged
+    log diagonal growth per unit of flow time.  Time follows the
     diag(e^t, e^{-t}) convention, under which the geodesic covers hyperbolic
     arc length 2t and the uniformizing representation itself has top exponent
     exactly 1.
+
+    All trajectories are transported in lock step: each step is one stacked
+    matmul and one stacked QR over the trajectories that still have events,
+    which, sorted longest first, are a prefix of the stack.  Stacked ``@``
+    and ``np.linalg.qr`` act on each matrix as the 2-D calls do, so the
+    results equal one-at-a-time transport bit for bit.  A trajectory is
+    discarded when some R has a zero or non-finite diagonal entry, which is
+    exactly when its log sum ends non-finite; the kept rows of
+    ``per_trajectory`` stay in seed order.
     """
     if T <= 0 or n_traj <= 0:
         raise ValueError("T and n_traj must be positive")
-    mats = {s: np.asarray(m, dtype=float) for s, m in rep_mats.items()}
-    n = next(iter(mats.values())).shape[0]
-    step = {}
-    for s, m in mats.items():
-        mi = np.linalg.inv(m)
-        step[(s, 1)] = mi  # deck gains gamma  -> frame gains rho(gamma)^{-1}
-        step[(s, -1)] = m
+    mats = [np.asarray(m, dtype=float) for m in rep_mats.values()]
+    n = mats[0].shape[0]
+    # step code 2k + (sgn < 0) for generator k: the deck gains gamma^sgn and
+    # the frame gains rho(gamma)^{-sgn}
+    steps = np.stack([x for m in mats for x in (np.linalg.inv(m), m)])
+    code = {(s, sgn): 2 * k + (sgn < 0) for k, s in enumerate(rep_mats) for sgn in (1, -1)}
     t_each = T / n_traj
-    seeds = np.random.SeedSequence(seed).spawn(n_traj)
-    rows = []
-    discarded = 0
-    for sq in seeds:
+    codes = bytearray()
+    lengths = np.zeros(n_traj, dtype=np.int64)
+    for i, sq in enumerate(np.random.SeedSequence(seed).spawn(n_traj)):
         # trajectories are sampled by arc length 2 t_each (flow-time t_each)
-        traj = geodesic_sample(sig, sq, 2.0 * t_each)
-        frame = np.eye(n)
-        logs = np.zeros(n)
-        bad = False
-        for _, sym, sgn in traj.events:
-            frame = step[(sym, sgn)] @ frame
-            frame, r = qr_pos(frame)
-            diag = np.abs(np.diag(r))
-            if not np.all(np.isfinite(diag)) or np.any(diag == 0):
-                bad = True
-                break
-            logs += np.log(diag)
-        if bad:
-            discarded += 1
-            continue
-        rows.append(logs / t_each)
-    if not rows:
+        events = geodesic_sample(sig, sq, 2.0 * t_each).events
+        codes.extend(code[e[1:]] for e in events)
+        lengths[i] = len(events)
+    flat = np.frombuffer(codes, dtype=np.uint8)
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    # at steps ends[k] <= j < ends[k - 1], exactly the first k trajectories have events left
+    ends = np.append(lengths[order], 0).tolist()
+    frames = np.tile(np.eye(n), (n_traj, 1, 1))
+    logs = np.zeros((n_traj, n))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n_traj, 0, -1):
+            frame, log, start = frames[:k], logs[:k], starts[:k]
+            for j in range(ends[k], ends[k - 1]):
+                q, r = np.linalg.qr(steps[flat[start + j]] @ frame)
+                diag = r.diagonal(axis1=1, axis2=2)
+                np.multiply(q, np.copysign(1.0, diag)[:, None, :], out=frame)
+                log += np.log(np.abs(diag))
+    per = np.empty_like(logs)
+    per[order] = logs
+    per = per[np.isfinite(per).all(axis=1)] / t_each
+    if not len(per):
         raise RuntimeError("all trajectories were discarded")
-    per = np.array(rows)
     lam = per.mean(axis=0)
-    err = per.std(axis=0, ddof=1) / math.sqrt(len(rows)) if len(rows) > 1 else np.zeros(n)
+    err = per.std(axis=0, ddof=1) / math.sqrt(len(per)) if len(per) > 1 else np.zeros(n)
     return LyapunovResult(
         exponents=lam,
         stderr=err,
         per_trajectory=per,
-        total_time=t_each * len(rows),
-        n_discarded=discarded,
+        total_time=t_each * len(per),
+        n_discarded=n_traj - len(per),
     )
 
 

@@ -451,10 +451,6 @@ class GeodesicTrajectory:
     deck: tuple  # accumulated deck transformation, 2x2
     end_state: tuple  # SL(2,R) state of the endpoint inside the domain
 
-    @property
-    def word(self):
-        return [(sym, sgn) for _, sym, sgn in self.events]
-
 
 _BACK_TOL = 1e-9
 

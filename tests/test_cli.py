@@ -46,3 +46,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["certify", "--params", QUINTIC, "--depth", "3"])
         assert exc.value.code == 2
+
+
+class TestLyapunov:
+    ARGV = ["lyapunov", "--rep", "sym3", "--T", "200", "--ntraj", "4"]
+
+    def test_rerun_identical(self, tmp_path, capsys):
+        outputs = []
+        for run in ("a", "b"):
+            path = tmp_path / f"{run}.json"
+            assert cli.main(self.ARGV + ["--seed", "5", "--out", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+        summary = json.loads(outputs[0])
+        assert summary["n_discarded"] == 0 and len(summary["exponents"]) == 4
+
+    def test_seed_is_mandatory(self, capsys):
+        assert cli.main(self.ARGV) == 2
+        assert "error:" in capsys.readouterr().err

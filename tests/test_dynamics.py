@@ -417,3 +417,105 @@ class TestAnosovCertificate:
     def test_requires_fuchsian_matrices(self, mq_ball8):
         with pytest.raises(ValueError, match="Fuchsian"):
             dyn.anosov_certificate(mq_ball8)
+
+
+def per_event_lyapunov(rep_mats, sig, T, n_traj, seed):
+    """The per-event reference loop: one trajectory at a time, one 2-D QR per crossing."""
+    mats = {s: np.asarray(m, dtype=float) for s, m in rep_mats.items()}
+    n = next(iter(mats.values())).shape[0]
+    step = {}
+    for s, m in mats.items():
+        step[(s, 1)] = np.linalg.inv(m)
+        step[(s, -1)] = m
+    t_each = T / n_traj
+    rows, discarded = [], 0
+    for sq in np.random.SeedSequence(seed).spawn(n_traj):
+        traj = fox.geodesic_sample(sig, sq, 2.0 * t_each)
+        frame, logs, bad = np.eye(n), np.zeros(n), False
+        for _, sym, sgn in traj.events:
+            q, r = np.linalg.qr(step[(sym, sgn)] @ frame)
+            d = np.sign(np.diag(r))
+            d[d == 0] = 1.0
+            frame = q * d
+            diag = np.abs(np.diag(r))
+            if not np.all(np.isfinite(diag)) or np.any(diag == 0):
+                bad = True
+                break
+            logs += np.log(diag)
+        if bad:
+            discarded += 1
+            continue
+        rows.append(logs / t_each)
+    if not rows:
+        raise RuntimeError("all trajectories were discarded")
+    per = np.array(rows)
+    err = per.std(axis=0, ddof=1) / np.sqrt(len(rows)) if len(rows) > 1 else np.zeros(n)
+    return dyn.LyapunovResult(
+        exponents=per.mean(axis=0),
+        stderr=err,
+        per_trajectory=per,
+        total_time=t_each * len(rows),
+        n_discarded=discarded,
+    )
+
+
+@pytest.fixture(scope="module")
+def lyap_reps(modular_dom, mq_std, mq_sig):
+    g0 = np.array(modular_dom.gamma0).reshape(2, 2)
+    g1 = np.array(modular_dom.gamma1).reshape(2, 2)
+    sig = modular_dom.sig
+    return {
+        "sym3": ({"0": dyn.sym_cube(g0), "1": dyn.sym_cube(g1)}, sig),
+        "fuchsian": ({"0": g0, "1": g1}, sig),
+        "quintic": ({"0": mq_std.h0, "1": mq_std.h1}, mq_sig),
+        # inv(1e-310 I) is not finite: trajectories that cross side 1 forwards are discarded
+        "partial_discard": ({"0": g0, "1": 1e-310 * np.eye(2)}, sig),
+    }
+
+
+class TestLyapunovMC:
+    @pytest.mark.parametrize(
+        "rep, T, n_traj, seed, discarded",
+        [
+            ("sym3", 400, 8, 3, 0),
+            ("fuchsian", 300, 5, 11, 0),
+            ("quintic", 200, 4, 2, 0),
+            ("fuchsian", 50, 1, 4, 0),
+            ("partial_discard", 4, 8, 0, 3),
+        ],
+    )
+    def test_matches_per_event_loop(self, lyap_reps, rep, T, n_traj, seed, discarded):
+        rep_mats, sig = lyap_reps[rep]
+        got = dyn.lyapunov_mc(rep_mats, sig, T, n_traj, seed)
+        want = per_event_lyapunov(rep_mats, sig, T, n_traj, seed)
+        assert got.n_discarded == want.n_discarded == discarded
+        assert got.per_trajectory.tobytes() == want.per_trajectory.tobytes()
+        assert got.exponents.tobytes() == want.exponents.tobytes()
+        assert got.stderr.tobytes() == want.stderr.tobytes()
+        assert got.total_time == want.total_time
+
+    def test_all_discarded_raises(self, modular_sig):
+        rep_mats = {"0": 1e-310 * np.eye(2), "1": np.eye(2)}
+        for run in (dyn.lyapunov_mc, per_event_lyapunov):
+            with pytest.raises(RuntimeError, match="all trajectories were discarded"):
+                run(rep_mats, modular_sig, 4, 3, 0)
+
+    @pytest.mark.parametrize("rep", ["sym3", "fuchsian", "quintic"])
+    def test_rows_sum_to_zero(self, lyap_reps, rep):
+        # every generator has determinant 1, so the log growths of a frame cancel
+        rep_mats, sig = lyap_reps[rep]
+        per = dyn.lyapunov_mc(rep_mats, sig, 400, 8, 3).per_trajectory
+        assert np.abs(per.sum(axis=1)).max() < 1e-10
+
+    def test_sym3_spectrum_is_3_1_m1_m3(self, lyap_reps):
+        # Sym^3(QR) = Sym^3(Q) Sym^3(R) with Sym^3(Q) orthogonal in sym_cube's
+        # basis, so on the same geodesics each row is (3, 1, -1, -3) lambda_1.
+        sym3 = dyn.lyapunov_mc(*lyap_reps["sym3"], 400, 8, 3).per_trajectory
+        fuchs = dyn.lyapunov_mc(*lyap_reps["fuchsian"], 400, 8, 3).per_trajectory
+        assert np.abs(sym3 - np.outer(fuchs[:, 0], [3, 1, -1, -3])).max() < 1e-5
+
+    def test_fuchsian_top_exponent_is_one(self, lyap_reps):
+        # finite-time estimates sit about 1e-3 below 1, one to two stderrs
+        # (ROADMAP item 1), so the check uses a fixed 0.01, not the stderr
+        result = dyn.lyapunov_mc(*lyap_reps["fuchsian"], 2000, 20, 7)
+        assert abs(result.exponents[0] - 1.0) < 0.01
