@@ -24,21 +24,15 @@ from .monodromy import (
 from .exterior import (
     LagrangianPlane,
     QuadSpaceW,
-    electron_circle,
-    electron_membership,
-    photon,
     pluecker,
     reduced_exterior_square,
 )
 from .lie import (
     CartanData,
-    LimitDatum,
     alpha1_gap,
-    coarse_weight_split,
     is_log_proximal,
     jacobson_morozov,
     kak,
-    stable_point_test,
     strictly_adapted_norm,
     weight_filtration,
 )
@@ -46,22 +40,17 @@ from .fuchsian import (
     GeodesicTrajectory,
     OrbifoldSignature,
     geodesic_sample,
-    group_norm_distance,
     hyp_distance,
     orbifold_signature,
-    triangle_group,
 )
 from .dynamics import (
     AnosovCertificate,
     LimitSample,
     WordBall,
     anosov_certificate,
-    contraction_map,
     enumerate_ball,
-    fiberwise_unipotent,
     limit_curve_samples,
     lyapunov_mc,
-    minimality_scan,
     rational_limit_classify,
     sum_formula_report,
 )

@@ -77,12 +77,3 @@ def subspace_intersection(a, b, rtol=1e-9):
         return np.zeros((a.shape[0], 0))
     return orth_basis(a @ ns[: a.shape[1]], rtol)
 
-
-def chordal_distance(u, v):
-    """Projective distance between lines spanned by u, v (sin of the angle)."""
-    u = np.ravel(np.asarray(u, dtype=float))
-    v = np.ravel(np.asarray(v, dtype=float))
-    u = u / np.linalg.norm(u)
-    v = v / np.linalg.norm(v)
-    c = abs(float(u @ v))
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, c) ** 2)))

@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import dynamics, fuchsian, lie, monodromy, params
-from .exterior import reduced_exterior_square
+from . import dynamics, fuchsian, monodromy, params
 from .monodromy import form_signature
 
 

@@ -8,30 +8,15 @@ confined to (-e/2, e/2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import chordal_distance, projective_normalize, subspace_intersection
-from .exterior import (
-    LagrangianPlane,
-    photon_lagrangian,
-    pluecker,
-    reduced_exterior_square_batch,
-    symplectic_perp,
-    W_ISOMETRY_SCALE,
-)
-from .fuchsian import (
-    IDENT,
-    INF,
-    OrbifoldSignature,
-    build_domain,
-    geodesic_sample,
-    mat_inv,
-)
-from .lie import LimitDatum, is_log_proximal, limit_data_from_matrices, stable_point_test
+from ._linalg import projective_normalize
+from .fuchsian import IDENT, INF, OrbifoldSignature, geodesic_sample, mat_inv
+from .lie import is_log_proximal
 
 MAT_DEDUP_RES = 1e-7
 EXACT_KEY_LIMIT = 2**53  # int64 keys while n * max|g| * max|F| stays below this
@@ -571,28 +556,7 @@ def sum_formula_report(result: LyapunovResult, chi: float, rhs_degrees=None) -> 
     return report
 
 
-# --- contraction maps and fiberwise unipotents ------------------------------------
-
-
-def contraction_map(l, Lp: LagrangianPlane, rtol=1e-9):
-    """The photon point (l^perp & Lp) mod l, for a Lagrangian Lp not through l.
-
-    Returns (representative direction, Lagrangian span(l, representative)).
-    """
-    l = np.ravel(np.asarray(l, dtype=float))
-    stacked = np.column_stack([Lp.span, l])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    if s[-1] <= rtol * s[0]:
-        raise ValueError("line is contained in the Lagrangian")
-    perp = symplectic_perp(l)
-    inter = subspace_intersection(perp, Lp.span, rtol)
-    if inter.shape[1] != 1:
-        raise ValueError("unexpected intersection dimension (degenerate input)")
-    x = inter[:, 0]
-    # remove the l-component for a clean quotient representative
-    x = x - (x @ l) / (l @ l) * l
-    x = projective_normalize(x)
-    return x, LagrangianPlane(l, x)
+# --- rational limit points --------------------------------------------------------
 
 
 def _as_fraction(x):
@@ -605,28 +569,6 @@ def _as_fraction(x):
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**9)
     raise TypeError(f"cannot coerce {x!r} to a rational")
-
-
-def fiberwise_unipotent(alpha, beta):
-    """The three-cusp contraction cycle matrices, in exact rational arithmetic.
-
-    c_p2 = [[-a, 1/b], [-b, 0]], c_p3 = [[-1/a, 0], [b, -a]]; their product
-    is [[1, -1/(a b)], [0, 1]].
-    """
-    a = _as_fraction(alpha)
-    b = _as_fraction(beta)
-    if a == 0 or b == 0:
-        raise ValueError("need alpha * beta != 0")
-    c_p2 = ((-a, 1 / b), (-b, Fraction(0)))
-    c_p3 = ((-1 / a, Fraction(0)), (b, -a))
-    prod = tuple(
-        tuple(sum(c_p3[i][k] * c_p2[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
-    return c_p2, c_p3, prod
-
-
-# --- rational limit points --------------------------------------------------------
 
 
 def _row_reduce(rows):
@@ -755,111 +697,6 @@ def _is_witness(d, for_vector, target):
     ker_im = _kernel_image(d)
     k = _rank(ker_im)
     return k > 0 and _rank(ker_im + target) < k + _rank(target)
-
-
-# --- minimality ----------------------------------------------------------------
-
-
-def orbit_pluecker(mats, plane: LagrangianPlane):
-    """Normalized Plucker vectors of a batch of matrices applied to a plane."""
-    u = mats @ plane.span[:, 0]
-    v = mats @ plane.span[:, 1]
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    w6 = np.stack([u[:, i] * v[:, j] - u[:, j] * v[:, i] for i, j in pairs], axis=1)
-    from .exterior import _BASIS6_INV
-
-    w5 = w6 @ _BASIS6_INV[:5].T
-    norms = np.linalg.norm(w5, axis=1)
-    w5 = w5 / norms[:, None]
-    # sign convention: first coordinate of large modulus positive
-    lead = np.argmax(np.abs(w5) > 1e-12, axis=1)
-    signs = np.sign(w5[np.arange(len(w5)), lead])
-    signs[signs == 0] = 1.0
-    return w5 * signs[:, None]
-
-
-def cusp_lagrangian(h1):
-    """A Lagrangian through the cusp line of a log-proximal unipotent."""
-    ok, line, _ = is_log_proximal(h1)
-    if not ok:
-        raise ValueError("h1 is not a log-proximal unipotent")
-    return photon_lagrangian(line, np.array([1.0, 0.0]))
-
-
-def minimality_scan(ball: WordBall, h1, targets, radius):
-    """Coverage of limit-set sample balls by the orbit of one cusp Lagrangian.
-
-    ``targets`` is an (m, 5) array of normalized Plucker vectors; a target is
-    hit when some orbit point comes chordally within ``radius``.
-    """
-    plane = cusp_lagrangian(h1)
-    orbit = orbit_pluecker(ball.mats, plane)
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim == 1:
-        targets = targets[None, :]
-    hits = 0
-    for t in targets:
-        dots = np.abs(orbit @ t)
-        d = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, dots) ** 2))
-        if float(d.min()) <= radius:
-            hits += 1
-    return hits / len(targets)
-
-
-def photon_targets(samples: Sequence[LimitSample], n_dirs=4):
-    """Plucker targets on the photons over limit-curve samples."""
-    out = []
-    for s in samples:
-        for j in range(n_dirs):
-            theta = math.pi * j / n_dirs
-            t = np.array([math.cos(theta), math.sin(theta)])
-            try:
-                plane = photon_lagrangian(s.point, t)
-            except ValueError:
-                continue
-            out.append(pluecker(plane))
-    return np.array(out)
-
-
-# --- W-frame stability pipeline ---------------------------------------------------
-
-
-def w_limit_data(ball: WordBall, cusp_mats=(), cusp_depth=2, min_norm=2.0, dedup_tol=1e-3):
-    """Limit data of the ball acting on W, in isometric W-coordinates.
-
-    SVD rays of ball elements are complemented by the exact limit data of
-    unipotent cusp monodromies (``cusp_mats``) conjugated through the
-    sub-ball of length <= cusp_depth; singular frames of unipotent powers
-    converge too slowly for finite sampling to reach them.
-    """
-    from .lie import unipotent_limit_datum
-
-    w_mats = reduced_exterior_square_batch(ball.mats)
-    C = W_ISOMETRY_SCALE
-    Ci = 1.0 / C
-    scaled = C[None, :, None] * w_mats * Ci[None, None, :]
-    data = limit_data_from_matrices(scaled, min_norm=min_norm, dedup_tol=dedup_tol)
-    seen = set()
-    for u in cusp_mats:
-        for g, ell in zip(ball.mats, ball.lengths):
-            if ell > cusp_depth:
-                continue
-            conj = g @ u @ np.linalg.inv(g)
-            w_u = C[:, None] * reduced_exterior_square_batch(conj) * Ci[None, :]
-            key = tuple(np.round(w_u.ravel() / dedup_tol).astype(np.int64))
-            if key in seen:
-                continue
-            seen.add(key)
-            datum = unipotent_limit_datum(w_u)
-            if datum is not None:
-                data.append(datum)
-    return data
-
-
-def w_stability_verdict(w_vec, data, tol=1e-8):
-    """Stability of a W-point (spec basis) against W-frame limit data."""
-    v = W_ISOMETRY_SCALE * np.ravel(np.asarray(w_vec, dtype=float))
-    return stable_point_test(v, data, tol=tol)
 
 
 # --- auxiliary representations ----------------------------------------------------

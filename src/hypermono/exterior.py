@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (
-    null_space,
-    numerical_rank,
-    orth_basis,
-    projective_normalize,
-    subspace_intersection,
-)
+from ._linalg import numerical_rank, projective_normalize
 from .monodromy import STANDARD_J4
 
 # index pairs of the 6-dim exterior square, basis order (01, 02, 03, 12, 13, 23)
@@ -116,30 +110,6 @@ def wedge_to_w(x6, rtol=1e-9):
     return coords[:5].copy()
 
 
-def reduced_exterior_square_batch(gs):
-    """Batched W-action of symplectic matrices, shape (N, 4, 4) -> (N, 5, 5).
-
-    The symplectic precondition is not rechecked per element.
-    """
-    gs = np.asarray(gs, dtype=float)
-    single = gs.ndim == 2
-    if single:
-        gs = gs[None]
-    i = np.array([p[0] for p in _PAIRS])
-    j = np.array([p[1] for p in _PAIRS])
-    m6 = (
-        gs[:, i[:, None], i[None, :]] * gs[:, j[:, None], j[None, :]]
-        - gs[:, i[:, None], j[None, :]] * gs[:, j[:, None], i[None, :]]
-    )
-    w = _BASIS6_INV[:5] @ m6 @ _W_EMBED
-    return w[0] if single else w
-
-
-# rescaling (a, b, c, d, e) -> (a, b, sqrt2 c, d, e) makes the maximal compact
-# of Sp4 act by genuinely orthogonal matrices on W
-W_ISOMETRY_SCALE = np.array([1.0, 1.0, np.sqrt(2.0), 1.0, 1.0])
-
-
 @dataclass(frozen=True)
 class LagrangianPlane:
     """A Lagrangian 2-plane, spanned by the columns of ``span``."""
@@ -167,82 +137,3 @@ def pluecker(L: LagrangianPlane):
     w = wedge_to_w(wedge_vec(L.span[:, 0], L.span[:, 1]))
     return projective_normalize(w)
 
-
-def symplectic_perp(l, rtol=1e-9):
-    """Orthonormal basis (columns) of the symplectic orthogonal of the line l."""
-    l = np.ravel(np.asarray(l, dtype=float))
-    return null_space((STANDARD_J4 @ l)[None, :], rtol)
-
-
-def photon(l):
-    """The isotropic 2-plane l ^ l^perp in W, as a 5x2 orthonormal matrix."""
-    l = np.ravel(np.asarray(l, dtype=float))
-    if np.linalg.norm(l) == 0:
-        raise ValueError("need a nonzero line")
-    perp = symplectic_perp(l)
-    cols = []
-    for j in range(perp.shape[1]):
-        x = wedge_vec(l, perp[:, j])
-        if np.linalg.norm(x) > 1e-12:
-            cols.append(wedge_to_w(x))
-    return orth_basis(np.column_stack(cols))
-
-
-def photon_lagrangian(l, t):
-    """The Lagrangian on the photon of l at parameter direction t in l^perp/l."""
-    l = np.ravel(np.asarray(l, dtype=float))
-    perp = symplectic_perp(l)
-    # directions transverse to l inside l^perp
-    proj = perp - np.outer(l, l @ perp) / float(l @ l)
-    dirs = orth_basis(proj)
-    t = np.ravel(np.asarray(t, dtype=float))
-    x = dirs @ t[: dirs.shape[1]]
-    return LagrangianPlane(l, x)
-
-
-def hermitian_pairing(u, v):
-    """H(u, v) = i <u, conj v> for the standard symplectic form."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    return 1j * (u @ STANDARD_J4 @ np.conjugate(v))
-
-
-def _check_f2(F2, rtol=1e-9):
-    F2 = np.asarray(F2, dtype=complex).reshape(4, 2)
-    pair = F2[:, 0] @ STANDARD_J4 @ F2[:, 1]
-    if abs(pair) > rtol * np.linalg.norm(F2[:, 0]) * np.linalg.norm(F2[:, 1]):
-        raise ValueError("F2 is not Lagrangian")
-    H = np.array(
-        [[hermitian_pairing(F2[:, i], F2[:, j]) for j in range(2)] for i in range(2)]
-    )
-    H = 0.5 * (H + H.conj().T)
-    w = np.linalg.eigvalsh(H)
-    if not (w[0] < -rtol and w[1] > rtol):
-        raise ValueError(f"hermitian form on F2 has signature != (1,1): eigenvalues {w}")
-    return F2, H
-
-
-def electron_membership(F2, L: LagrangianPlane, rtol=1e-9) -> bool:
-    """True iff the complexification of L meets F2 nontrivially."""
-    F2, _ = _check_f2(F2, rtol)
-    stacked = np.column_stack([L.span.astype(complex), F2])
-    return numerical_rank(stacked, rtol) <= 3
-
-
-def electron_circle(F2, m: int, rtol=1e-9):
-    """m real Lagrangians sampled from the null circle of P(F2).
-
-    Walks alpha = u_+ + e^{i theta} u_- over an H-orthogonal basis with
-    H(u_+, u_+) = 1 = -H(u_-, u_-); each span(Re alpha, Im alpha) is a real
-    Lagrangian whose complexification contains alpha.
-    """
-    F2, H = _check_f2(F2, rtol)
-    w, vec = np.linalg.eigh(H)
-    u_minus = F2 @ vec[:, 0] / np.sqrt(-w[0])
-    u_plus = F2 @ vec[:, 1] / np.sqrt(w[1])
-    out = []
-    for j in range(m):
-        theta = 2.0 * np.pi * j / max(m, 1)
-        alpha = u_plus + np.exp(1j * theta) * u_minus
-        out.append(LagrangianPlane(alpha.real, alpha.imag))
-    return out

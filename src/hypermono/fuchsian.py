@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .params import HypergeomParams, as_exact
 
@@ -111,20 +110,6 @@ def frobenius_distance(m):
     a, b, c, d = m
     q = (a * a + b * b + c * c + d * d) / 2.0
     return math.acosh(max(1.0, q))
-
-
-def group_norm_distance(word, gens):
-    """Displacement dist(x0, gamma x0) of a word over Fuchsian generators.
-
-    ``word`` is a sequence of (symbol, exponent); ``gens`` maps symbols to
-    2x2 tuples.
-    """
-    m = IDENT
-    for sym, k in word:
-        g = gens[sym] if k >= 0 else mat_inv(gens[sym])
-        for _ in range(abs(int(k))):
-            m = mat_mul(m, g)
-    return frobenius_distance(mat_normalize(m))
 
 
 # --- orbifold signature -------------------------------------------------------
@@ -238,15 +223,6 @@ class TriangleDomain:
         rho(inf) = (gamma0 gamma1), matching h0 h1 = hinf."""
         return {"0": self.gamma0, "1": self.gamma1, "inf": mat_mul(self.gamma0, self.gamma1)}
 
-    @property
-    def angles(self):
-        e = self.sig
-        return tuple(0.0 if x == INF else math.pi / x for x in (e.e0, e.e1, e.einf))
-
-    @property
-    def area(self):
-        return 2.0 * (math.pi - sum(self.angles))
-
     def contains(self, z, tol=1e-9):
         for side in self.sides:
             if _axis_side_value(side.mop, z) < -tol:
@@ -314,12 +290,10 @@ def _solve_ideal_ideal_vertex(ainf):
     """Right vertex of the triangle (0, infty, w) with angle ainf at w, |w| = 1."""
     if ainf == 0.0:
         return 1.0  # ideal triangle (0, 1, infty)
-
-    def angle(psi):
-        u = complex(math.cos(psi) - 1.0 / (2.0 * math.cos(psi)), math.sin(psi))
-        return abs(math.atan2(u.imag, u.real))
-
-    psi = brentq(lambda s: angle(s) - ainf, 1e-9, math.pi / 2 - 1e-9, xtol=1e-14)
+    # w = e^{i psi}: the side from w to 0 lies on the circle centred at
+    # 1/(2 cos psi), whose radius at w is (cos 2psi, sin 2psi) / (2 cos psi);
+    # the angle at w, from the vertical side, is that radius's angle 2 psi
+    psi = ainf / 2.0
     return complex(math.cos(psi), math.sin(psi))
 
 
@@ -429,15 +403,6 @@ def _build_domain_cached(e0, e1, einf):
 
 def build_domain(sig: OrbifoldSignature) -> TriangleDomain:
     return _build_domain_cached(sig.e0, sig.e1, sig.einf)
-
-
-def triangle_group(sig: OrbifoldSignature):
-    """Generators (gamma0, gamma1, gamma_inf) with gamma0 gamma1 gamma_inf = +-id.
-
-    |trace gamma_i| = 2 cos(pi/e_i) for finite orders and 2 at cusps.
-    """
-    dom = build_domain(sig)
-    return dom.gamma0, dom.gamma1, dom.gamma_inf
 
 
 # --- geodesic sampling ----------------------------------------------------------

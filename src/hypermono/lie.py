@@ -1,14 +1,18 @@
-"""Cartan projections, nilpotent weight filtrations, sl2 triples, stability tests."""
+"""Cartan projections, nilpotent weight filtrations and sl2 triples."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from ._linalg import null_space, numerical_rank, orth_basis, projective_normalize
+from ._linalg import (
+    null_space,
+    numerical_rank,
+    orth_basis,
+    projective_normalize,
+    subspace_intersection,
+)
 
 NILPOTENT_TOL = 1e-9
 SL2_TOL = 1e-8
@@ -27,11 +31,6 @@ class CartanData:
 
     def reconstruct(self):
         return self.k_minus @ np.diag(np.exp(self.mu)) @ self.k_plus
-
-    @property
-    def chamber_pair(self):
-        """(mu_1, mu_2), the dominant pair for 4x4 symplectic input."""
-        return float(self.mu[0]), float(self.mu[1])
 
 
 def kak(g) -> CartanData:
@@ -205,8 +204,6 @@ def weight_filtration_kernel_image(N, tol=NILPOTENT_TOL) -> WeightFiltration:
             im = ims[min(i, d + 1)]
             if ker.shape[1] == 0 or im.shape[1] == 0:
                 continue
-            from ._linalg import subspace_intersection
-
             inter = subspace_intersection(ker, im)
             if inter.shape[1]:
                 pieces.append(inter)
@@ -331,155 +328,13 @@ def strictly_adapted_norm(N, Y, tau, v):
     N = np.asarray(N, dtype=float)
     Y = np.asarray(Y, dtype=float)
     v = np.ravel(np.asarray(v, dtype=float))
-    w = scipy.linalg.expm(-tau.real * N) @ v
-    w = scipy.linalg.expm(0.5 * np.log(tau.imag) * Y) @ w
-    return float(np.linalg.norm(w))
+    # e^{-xN} v as its finite series, as N^dim = 0
+    w = term = v
+    for k in range(1, len(v)):
+        term = (-tau.real / k) * (N @ term)
+        w = w + term
+    # y^{Y/2} through the eigenbasis of Y, whose eigenvalues are integers
+    lam, P = np.linalg.eig(Y)
+    w = P @ (tau.imag ** (0.5 * np.round(lam.real)) * np.linalg.solve(P, w))
+    return float(np.linalg.norm(w.real))
 
-
-# --- coarse weight splits and stability --------------------------------------
-
-STANDARD_WEIGHTS = ((1, 0), (0, 1), (0, -1), (-1, 0))
-WREP_WEIGHTS = ((1, 1), (1, -1), (0, 0), (-1, 1), (-1, -1))
-
-
-def coarse_weight_split(rep_weights, mu_dir, zero_tol=1e-10):
-    """Index partition (negative, zero, positive) of weights against a chamber ray.
-
-    Weights are linear functionals on (mu_1, mu_2) given as coefficient
-    pairs; zero is decided at relative threshold ``zero_tol``.
-    """
-    mu = np.asarray(mu_dir, dtype=float)
-    if np.linalg.norm(mu) == 0:
-        raise ValueError("zero chamber direction")
-    mu = mu / np.linalg.norm(mu)
-    neg, zero, pos = [], [], []
-    for i, w in enumerate(rep_weights):
-        val = float(np.dot(w, mu))
-        scale = max(1.0, float(np.linalg.norm(w)))
-        if val > zero_tol * scale:
-            pos.append(i)
-        elif val < -zero_tol * scale:
-            neg.append(i)
-        else:
-            zero.append(i)
-    return neg, zero, pos
-
-
-@dataclass(frozen=True)
-class LimitDatum:
-    """A limit ray (k_plus, [mu]): orthogonal frame and Weyl-chamber direction.
-
-    ``mu_dir`` is either the full nonincreasing log-singular-value direction
-    (length matching k_plus) or the dominant pair (mu_1, mu_2), in which case
-    representation weights are needed to produce sign patterns.
-    """
-
-    k_plus: np.ndarray
-    mu_dir: np.ndarray
-
-    def sign_split(self, rep_weights=None, zero_tol=1e-10):
-        mu = np.asarray(self.mu_dir, dtype=float)
-        if len(mu) == self.k_plus.shape[0]:
-            vals = mu / max(np.linalg.norm(mu), 1e-300)
-            neg = [i for i, v in enumerate(vals) if v < -zero_tol]
-            zero = [i for i, v in enumerate(vals) if abs(v) <= zero_tol]
-            pos = [i for i, v in enumerate(vals) if v > zero_tol]
-            return neg, zero, pos
-        if rep_weights is None:
-            raise ValueError("chamber-pair datum needs representation weights")
-        return coarse_weight_split(rep_weights, mu, zero_tol)
-
-
-STABLE = "stable"
-SEMISTABLE_ONLY = "semistable_only"
-UNSTABLE = "unstable"
-
-
-def stable_point_test(v, data: Sequence[LimitDatum], rep_weights=None, tol=1e-8):
-    """GIT-style verdict of a projective point against limit data.
-
-    stable: every datum leaves a component in the positive-weight part;
-    unstable: some datum confines k_plus v to the strictly negative part;
-    semistable_only: some datum lands it in the zero-but-not-negative wall.
-    """
-    if not len(data):
-        raise ValueError("need at least one limit datum")
-    v = np.ravel(np.asarray(v, dtype=float))
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        raise ValueError("zero vector")
-    v = v / nv
-    verdict = STABLE
-    for datum in data:
-        w = datum.k_plus @ v
-        neg, zero, pos = datum.sign_split(rep_weights)
-        pos_norm = np.linalg.norm(w[pos]) if pos else 0.0
-        zero_norm = np.linalg.norm(w[zero]) if zero else 0.0
-        if pos_norm <= tol:
-            if zero_norm <= tol:
-                return UNSTABLE
-            verdict = SEMISTABLE_ONLY
-    return verdict
-
-
-def unipotent_limit_datum(T, tol=NILPOTENT_TOL):
-    """The exact limit datum of the power sequence {T^k} of a unipotent T.
-
-    Singular frames of T^k converge only polynomially, so finite samples
-    never resolve this ray numerically; in the limit the slow subspace for
-    cutoff c is the weight-filtration space W_c(log T), and the chamber
-    direction is the sorted sl2-weight multiset.  Returns None for T = id.
-    """
-    N = unipotent_log(T)
-    wf = weight_filtration(N, tol)
-    d = wf.order
-    if d == 0:
-        return None
-    n = N.shape[0]
-    blocks = []
-    mus = []
-    prev = np.zeros((n, 0))
-    for c in range(-d, d + 1):
-        cur = wf.basis(c)
-        if cur.shape[1] > prev.shape[1]:
-            proj = cur - prev @ (prev.T @ cur) if prev.shape[1] else cur
-            newb = orth_basis(proj, rtol=1e-9)
-            blocks.append((c, newb))
-        prev = cur
-    rows = []
-    weights = []
-    for c, b in reversed(blocks):  # descending weight order
-        for j in range(b.shape[1]):
-            rows.append(b[:, j])
-            weights.append(float(c))
-    k_plus = np.array(rows)
-    mu = np.array(weights)
-    return LimitDatum(k_plus=k_plus, mu_dir=mu / np.linalg.norm(mu))
-
-
-def limit_data_from_matrices(mats, min_norm=2.0, dedup_tol=1e-3):
-    """Limit data (k_plus, [mu]) from a family of group elements.
-
-    Elements with ||mu|| below ``min_norm`` are skipped (they have not
-    diverged); rays are deduplicated at angular resolution ``dedup_tol``.
-    """
-    out = []
-    seen = set()
-    mats = np.asarray(mats, dtype=float)
-    for g in mats:
-        u, s, vt = np.linalg.svd(g)
-        mu = np.log(s)
-        norm = np.linalg.norm(mu)
-        if norm < min_norm:
-            continue
-        for i in range(vt.shape[0]):
-            j = int(np.argmax(np.abs(vt[i])))
-            if vt[i, j] < 0:
-                vt[i, :] = -vt[i, :]
-        ray = mu / norm
-        key = tuple(np.round(np.concatenate([ray, vt.ravel()]) / dedup_tol).astype(int))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(LimitDatum(k_plus=vt, mu_dir=ray))
-    return out

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypermono
 from hypermono import cli
 
 QUINTIC = "1/5,2/5,3/5,4/5:0,0,0,0"
@@ -64,3 +69,20 @@ class TestLyapunov:
     def test_seed_is_mandatory(self, capsys):
         assert cli.main(self.ARGV) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_rhs_degrees_evaluates_comparison(self, tmp_path, capsys):
+        path = tmp_path / "lyap.json"
+        argv = self.ARGV + ["--seed", "5", "--rhs-degrees", "3,1", "--out", str(path)]
+        assert cli.main(argv) == 0
+        comparison = json.loads(path.read_bytes())["comparison"]
+        assert comparison["evaluated"] is True
+
+
+def test_cli_import_leaves_out_scipy():
+    # numpy and pyyaml are the only runtime dependencies
+    env = dict(os.environ, PYTHONPATH=str(Path(hypermono.__file__).parents[1]))
+    code = "import hypermono.cli, sys; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

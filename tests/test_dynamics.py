@@ -519,3 +519,35 @@ class TestLyapunovMC:
         # (ROADMAP item 1), so the check uses a fixed 0.01, not the stderr
         result = dyn.lyapunov_mc(*lyap_reps["fuchsian"], 2000, 20, 7)
         assert abs(result.exponents[0] - 1.0) < 0.01
+
+
+class TestSumFormulaReport:
+    RESULT = dyn.LyapunovResult(
+        exponents=np.array([3.0, 1.0, -1.0, -3.0]),
+        stderr=np.zeros(4),
+        per_trajectory=np.array([[3.0, 1.0, -1.0, -3.0]]),
+        total_time=1.0,
+    )
+
+    def test_without_degrees(self):
+        report = dyn.sum_formula_report(self.RESULT, -0.5)
+        assert report == {
+            "lambda_sum": 4.0,
+            "chi": -0.5,
+            "evaluated": False,
+            "note": "not evaluated (no degree data supplied)",
+        }
+
+    def test_with_degrees(self):
+        report = dyn.sum_formula_report(self.RESULT, 0.5, rhs_degrees=[1.5, 0.5])
+        assert report["evaluated"] is True and report["lambda_sum"] == 4.0
+        assert report["rhs_over_chi"] == 4.0
+        assert report["abs_discrepancy"] == 0.0 and report["rel_discrepancy"] == 0.0
+        report = dyn.sum_formula_report(self.RESULT, 0.5, rhs_degrees=[1.0, 0.5])
+        assert report["rhs_over_chi"] == 3.0
+        assert report["abs_discrepancy"] == 1.0
+        assert report["rel_discrepancy"] == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    def test_zero_chi_rejected(self):
+        with pytest.raises(ValueError, match="chi must be nonzero"):
+            dyn.sum_formula_report(self.RESULT, 0.0)

@@ -6,14 +6,9 @@ from hypermono.exterior import (
     GRAM_Q,
     LagrangianPlane,
     QuadSpaceW,
-    electron_circle,
-    electron_membership,
-    photon,
-    photon_lagrangian,
     pluecker,
     q_value,
     reduced_exterior_square,
-    reduced_exterior_square_batch,
 )
 
 E = np.eye(4)
@@ -62,13 +57,6 @@ class TestReducedExteriorSquare:
         with pytest.raises(ValueError):
             reduced_exterior_square(np.diag([2.0, 1, 1, 1]))
 
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(3)
-        gs = np.stack([random_symplectic(rng) for _ in range(4)])
-        batch = reduced_exterior_square_batch(gs)
-        for i in range(4):
-            assert np.allclose(batch[i], reduced_exterior_square(gs[i]))
-
 
 class TestPluecker:
     def test_basis_planes(self):
@@ -91,74 +79,3 @@ class TestPluecker:
             img = img / np.linalg.norm(img)
             assert min(np.linalg.norm(w - img), np.linalg.norm(w + img)) < 1e-9
 
-
-class TestPhotons:
-    def test_photon_of_e1(self):
-        ph = photon(E1)
-        # plane spanned by coordinates a and b
-        want = np.zeros((5, 2))
-        want[0, 0] = want[1, 1] = 1.0
-        assert np.linalg.norm(ph @ ph.T - want @ want.T) < 1e-12
-
-    def test_photon_of_f1(self):
-        ph = photon(F1)
-        want = np.zeros((5, 2))
-        want[3, 0] = want[4, 1] = 1.0
-        assert np.linalg.norm(ph @ ph.T - want @ want.T) < 1e-12
-
-    def test_isotropy_exact(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            l = rng.normal(size=4)
-            ph = photon(l)
-            gram = ph.T @ GRAM_Q @ ph
-            assert np.linalg.norm(gram) < 1e-12
-
-    def test_photon_points_are_pluecker_images(self):
-        # Lagrangians through a fixed line map into the photon plane
-        ph = photon(E1)
-        for t in (np.array([1.0, 0.0]), np.array([0.3, 1.2])):
-            w = pluecker(photon_lagrangian(E1, t))
-            resid = w - ph @ (ph.T @ w)
-            assert np.linalg.norm(resid) < 1e-9
-
-
-F2_STD = np.column_stack([E1 + 1j * F1, E2 - 1j * F2])
-
-
-class TestElectrons:
-    def test_membership_by_construction(self):
-        for L in electron_circle(F2_STD, 8):
-            assert electron_membership(F2_STD, L)
-
-    def test_circle_size_and_distinct(self):
-        circ = electron_circle(F2_STD, 8)
-        assert len(circ) == 8
-        pts = [pluecker(L) for L in circ]
-        for i in range(8):
-            for j in range(i + 1, 8):
-                assert np.linalg.norm(pts[i] - pts[j]) > 1e-6
-
-    def test_empty(self):
-        assert electron_circle(F2_STD, 0) == []
-
-    def test_isotropic_images(self):
-        for L in electron_circle(F2_STD, 6):
-            assert abs(q_value(pluecker(L))) < 1e-10
-
-    def test_generic_not_member(self):
-        assert not electron_membership(F2_STD, LagrangianPlane(E1, E2))
-
-    def test_wrong_signature_rejected(self):
-        bad = np.column_stack([E1 + 1j * F1, E2 + 1j * F2])  # signature (2, 0)
-        with pytest.raises(ValueError, match="signature"):
-            electron_membership(bad, LagrangianPlane(E1, E2))
-        with pytest.raises(ValueError, match="signature"):
-            electron_circle(bad, 4)
-
-    def test_disjoint_from_generic_photon(self):
-        ph = photon(E1 + 2 * E2 + 3 * F1)
-        for L in electron_circle(F2_STD, 12):
-            w = pluecker(L)
-            resid = w - ph @ (ph.T @ w)
-            assert np.linalg.norm(resid) > 1e-3

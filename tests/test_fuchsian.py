@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hypermono import dynamics as dyn
 from hypermono import fuchsian as fox
@@ -41,6 +44,28 @@ class TestDistances:
         for g in list(dom.gens.values()) + [dom.gamma_inf]:
             want = fox.hyp_distance(1j, fox.mobius(g, 1j))
             assert abs(fox.frobenius_distance(g) - want) <= 1e-12 * max(1.0, want)
+
+
+def _brentq_vertex(ainf):
+    """The right vertex e^{i psi} found by root-finding the angle at it."""
+
+    def angle(psi):
+        u = complex(math.cos(psi) - 1.0 / (2.0 * math.cos(psi)), math.sin(psi))
+        return abs(math.atan2(u.imag, u.real))
+
+    psi = brentq(lambda s: angle(s) - ainf, 1e-9, math.pi / 2 - 1e-9, xtol=1e-14)
+    return complex(math.cos(psi), math.sin(psi))
+
+
+class TestIdealIdealVertex:
+    @pytest.mark.parametrize("e", [4, 5, 6, 8, 10, 12, 20, 100])
+    def test_closed_form_equals_root_find(self, e):
+        assert fox._solve_ideal_ideal_vertex(math.pi / e) == _brentq_vertex(math.pi / e)
+
+    def test_order_three_within_two_ulp(self):
+        got, want = fox._solve_ideal_ideal_vertex(math.pi / 3), _brentq_vertex(math.pi / 3)
+        assert abs(got.real - want.real) <= 2 * math.ulp(want.real)
+        assert abs(got.imag - want.imag) <= 2 * math.ulp(want.imag)
 
 
 class TestVeronese:

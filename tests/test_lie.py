@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,17 +8,11 @@ import scipy.linalg
 from conftest import random_nilpotent
 from hypermono import lie
 from hypermono.lie import (
-    LimitDatum,
-    STANDARD_WEIGHTS,
-    WREP_WEIGHTS,
     alpha1_gap,
-    coarse_weight_split,
     is_log_proximal,
     jacobson_morozov,
     kak,
-    stable_point_test,
     strictly_adapted_norm,
-    unipotent_limit_datum,
     unipotent_log,
     weight_filtration,
     weight_filtration_kernel_image,
@@ -312,75 +307,30 @@ class TestAdaptedNorm:
         assert min(ratios) >= 1.0 / C
 
 
-class TestCoarseWeightSplit:
-    def test_standard_generic(self):
-        neg, zero, pos = coarse_weight_split(STANDARD_WEIGHTS, (2, 1))
-        assert (neg, zero, pos) == ([2, 3], [], [0, 1])
-
-    def test_standard_wall(self):
-        neg, zero, pos = coarse_weight_split(STANDARD_WEIGHTS, (1, 0))
-        assert (neg, zero, pos) == ([3], [1, 2], [0])
-
-    def test_wrep_diagonal(self):
-        neg, zero, pos = coarse_weight_split(WREP_WEIGHTS, (1, 1))
-        assert (neg, zero, pos) == ([4], [1, 2, 3], [0])
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            coarse_weight_split(STANDARD_WEIGHTS, (0, 0))
+def _exact_series_norm(N, x, v):
+    """||e^{-xN} v|| for nilpotent N from the finite series in exact rationals."""
+    n = len(v)
+    N = [[Fraction(float(a)) for a in row] for row in N]
+    term = [Fraction(float(a)) for a in v]
+    w = list(term)
+    for k in range(1, n):
+        term = [Fraction(-x, k) * sum(N[i][j] * term[j] for j in range(n)) for i in range(n)]
+        w = [a + b for a, b in zip(w, term)]
+    return math.sqrt(sum(a * a for a in w))
 
 
-class TestStablePointTest:
-    def setup_method(self):
-        self.datum = LimitDatum(k_plus=np.eye(4), mu_dir=np.array([2.0, 1.0]))
-
-    def test_stable(self):
-        v = np.eye(4)[:, 0]
-        assert stable_point_test(v, [self.datum], STANDARD_WEIGHTS) == lie.STABLE
-
-    def test_unstable(self):
-        v = np.eye(4)[:, 2]  # weight -mu_1
-        assert stable_point_test(v, [self.datum], STANDARD_WEIGHTS) == lie.UNSTABLE
-
-    def test_semistable_wall(self):
-        datum = LimitDatum(k_plus=np.eye(4), mu_dir=np.array([1.0, 0.0]))
-        v = np.eye(4)[:, 1]  # weight +mu_2, zero against (1, 0)
-        assert stable_point_test(v, [datum], STANDARD_WEIGHTS) == lie.SEMISTABLE_ONLY
-
-    def test_scale_invariance(self):
-        v = np.array([0.3, 0.0, 0.1, 0.0])
-        a = stable_point_test(v, [self.datum], STANDARD_WEIGHTS)
-        b = stable_point_test(100.0 * v, [self.datum], STANDARD_WEIGHTS)
-        assert a == b
-
-    def test_empty_data_rejected(self):
-        with pytest.raises(ValueError):
-            stable_point_test(np.ones(4), [], STANDARD_WEIGHTS)
-
-
-class TestUnipotentLimitDatum:
-    def test_sl2(self):
-        datum = unipotent_limit_datum(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert np.allclose(np.abs(datum.k_plus), [[0, 1], [1, 0]])
-        assert np.allclose(datum.mu_dir * math.sqrt(2), [1, -1])
-
-    def test_identity_none(self):
-        assert unipotent_limit_datum(np.eye(3)) is None
-
-    def test_power_frame_convergence(self):
-        # SVD frames of T^k approach the exact datum's sign split
-        T = scipy.linalg.expm(N_SYM3)
-        datum = unipotent_limit_datum(T)
-        g = np.linalg.matrix_power(T, 4000)
-        d = kak(g)
-        # slow space (mu <= 0) of the finite sample vs exact W_{<=0}
-        neg, zero, pos = datum.sign_split()
-        rows = datum.k_plus[zero + neg] if zero else datum.k_plus[neg]
-        slow_exact = rows.T
-        k = len(neg) + len(zero)
-        slow_num = d.k_plus[-k:].T
-        overlap = np.linalg.svd(slow_exact.T @ slow_num, compute_uv=False)
-        assert np.min(overlap) > 0.99
+@pytest.mark.parametrize("re", [3, 100, 1000])
+def test_adapted_norm_matches_exact_series(re):
+    # at Im tau = 1 the factor y^{Y/2} is the identity for every Y, so Y = 0
+    # leaves e^{-xN} v alone; non-triangular nilpotents at large |Re tau| are
+    # where a dense matrix exponential loses digits to cancellation
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        N = random_nilpotent(rng)
+        v = rng.normal(size=4)
+        want = _exact_series_norm(N, re, v)
+        got = strictly_adapted_norm(N, np.zeros((4, 4)), complex(re, 1.0), v)
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_unipotent_log_matches_series():
