@@ -1,5 +1,18 @@
 """Command-line entry points: classify, monodromy, certify, limitset, lyapunov.
 
+Besides --params, --config and --out, each command takes only the options it
+reads (the table ``COMMANDS``):
+
+  classify   --orbifold-order
+  monodromy  (none)
+  certify    --L --sig --orbifold-order
+  limitset   --L --sig --orbifold-order --gap-min --proj --kinds --no-timestamp
+  lyapunov   --sig --orbifold-order --T --ntraj --seed --rep --rhs-degrees
+
+A YAML --config (``params: {alpha, beta}``, ``options: {key: value}``) stands
+for the tokens it spells out, parsed ahead of the command line: a flag given on
+the command line overrides it.
+
 Outputs are deterministic given the configuration (seeds included): reruns
 produce byte-identical CSV/JSON, and SVG identical up to a timestamp comment
 that --no-timestamp suppresses.  Exit codes: 0 success, 2 invalid input,
@@ -12,51 +25,12 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import yaml
 
 from . import dynamics, fuchsian, monodromy, params
 from .monodromy import form_signature
-
-
-@dataclass
-class RunConfig:
-    alpha: list = field(default_factory=list)
-    beta: list = field(default_factory=list)
-    L: int = 8
-    gap_min: float = 2.0
-    T: float = 1e4
-    ntraj: int = 50
-    seed: Optional[int] = None
-    proj: str = "1,0,0,0;0,1,0,0"
-    out: Optional[str] = None
-    orbifold_order: str = "gl"
-    no_timestamp: bool = False
-    rep: str = "params"
-    sig: Optional[str] = None
-    rhs_degrees: Optional[list] = None
-    kinds: str = "attracting,cusp"
-
-    def validate(self):
-        if self.L < 0:
-            raise ValueError("L must be nonnegative")
-        for name in ("gap_min", "T"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.ntraj <= 0:
-            raise ValueError("ntraj must be positive")
-        if self.orbifold_order not in ("gl", "projective"):
-            raise ValueError("orbifold-order must be gl or projective")
-
-
-def _fmt(x):
-    """Full-precision float text, shared by CSV and JSON output."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 class _FloatText(json.JSONEncoder):
@@ -68,13 +42,13 @@ class _FloatText(json.JSONEncoder):
         return super().default(o)
 
 
-def _json_dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True, cls=_FloatText)
-
-
 def _mat_json(m):
     m = np.asarray(m)
     return {"shape": list(m.shape), "data": [float(x) for x in m.ravel()]}
+
+
+def _sig_json(sig):
+    return ["inf" if e == fuchsian.INF else int(e) for e in (sig.e0, sig.e1, sig.einf)]
 
 
 def _word_str(word):
@@ -83,38 +57,32 @@ def _word_str(word):
     return ".".join(f"{s}^{k}" for s, k in word)
 
 
-def _parse_params(cfg: RunConfig) -> params.HypergeomParams:
-    if not cfg.alpha or not cfg.beta:
+def _parse_params(args) -> params.HypergeomParams:
+    if not args.params:
         raise ValueError("no parameters given (use --params or a config file)")
-    return params.HypergeomParams(cfg.alpha, cfg.beta)
+    try:
+        a, b = args.params.split(":")
+    except ValueError as exc:
+        raise ValueError("--params expects 'a1,..,an:b1,..,bn'") from exc
+    return params.HypergeomParams(a.split(","), b.split(","))
 
 
-def _signature(cfg: RunConfig, p=None):
-    if cfg.sig:
-        parts = [x.strip() for x in cfg.sig.split(",")]
+def _signature(args, p):
+    if args.sig:
+        parts = [x.strip() for x in args.sig.split(",")]
         vals = [fuchsian.INF if x in ("inf", "oo") else int(x) for x in parts]
         return fuchsian.OrbifoldSignature(*vals)
-    if p is None:
-        p = _parse_params(cfg)
-    return fuchsian.orbifold_signature(p, convention=cfg.orbifold_order)
+    return fuchsian.orbifold_signature(p, convention=args.orbifold_order)
 
 
-def _standardized_rep(p):
-    rep = monodromy.build_rep(p)
-    if rep.n != 4:
-        raise ValueError("dynamics commands need a rank-4 representation")
-    std, _ = rep.standardized()
-    return rep, std
-
-
-def _ball_inputs(cfg: RunConfig, p):
-    sig = _signature(cfg, p)
-    rep, std = _standardized_rep(p)
+def _ball_inputs(args, p):
+    sig = _signature(args, p)
+    std, _ = monodromy.build_rep(p).standardized()
     dom = fuchsian.build_domain(sig)
     gen_mats = {"0": std.h0, "inf": std.hinf}
     orders = {"0": sig.e0, "inf": sig.einf}
     fuchs = {"0": dom.gens["0"], "inf": dom.gens["inf"]}
-    return sig, rep, std, gen_mats, orders, fuchs
+    return sig, std, gen_mats, orders, fuchs
 
 
 def _write(path, text):
@@ -122,11 +90,19 @@ def _write(path, text):
         fh.write(text)
 
 
+def _emit_json(obj, path):
+    """Print obj as JSON, and write it to path when one is given."""
+    text = json.dumps(obj, indent=2, sort_keys=True, cls=_FloatText)
+    if path:
+        _write(path, text + "\n")
+    print(text)
+
+
 # --- commands -------------------------------------------------------------------
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    p = _parse_params(cfg)
+def cmd_classify(args) -> int:
+    p = _parse_params(args)
     report = {
         "alpha": [str(x) for x in p.alpha],
         "beta": [str(x) for x in p.beta],
@@ -146,25 +122,20 @@ def cmd_classify(cfg: RunConfig) -> int:
     if p.rank == 5 and p.self_dual:
         report["assumption_b"] = params.satisfies_assumption_b(p)
     try:
-        sig = fuchsian.orbifold_signature(p, convention=cfg.orbifold_order)
-        report["orbifold_signature"] = [
-            "inf" if e == fuchsian.INF else int(e) for e in (sig.e0, sig.e1, sig.einf)
-        ]
+        sig = fuchsian.orbifold_signature(p, convention=args.orbifold_order)
+        report["orbifold_signature"] = _sig_json(sig)
         report["chi"] = sig.chi
     except ValueError as exc:
         report["orbifold_signature"] = f"unavailable: {exc}"
-    text = _json_dumps(report)
-    if cfg.out:
-        _write(cfg.out, text + "\n")
-    print(text)
+    _emit_json(report, args.out)
     verdict = report.get("assumption_a", report.get("assumption_b"))
     print(f"# rank {p.rank}, hodge {report['hodge_numbers']}, verdict: {verdict}",
           file=sys.stderr)
     return 0
 
 
-def cmd_monodromy(cfg: RunConfig) -> int:
-    p = _parse_params(cfg)
+def cmd_monodromy(args) -> int:
+    p = _parse_params(args)
     rep = monodromy.build_rep(p)
     bundle = {
         "alpha": [str(x) for x in p.alpha],
@@ -196,34 +167,29 @@ def cmd_monodromy(cfg: RunConfig) -> int:
                 name: float(np.linalg.norm(R.T @ rep.J @ R - rep.J) / np.linalg.norm(rep.J))
                 for name, R in (("R_A", rep.R_A), ("R_B", rep.R_B), ("R_C", rep.R_C))
             }
-    text = _json_dumps(bundle)
-    if cfg.out:
-        _write(cfg.out, text + "\n")
-    print(text)
+    _emit_json(bundle, args.out)
     return 0
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    p = _parse_params(cfg)
-    sig, rep, std, gen_mats, orders, fuchs = _ball_inputs(cfg, p)
-    ball = dynamics.enumerate_ball(gen_mats, orders, cfg.L, fuchs_gens=fuchs)
+def cmd_certify(args) -> int:
+    p = _parse_params(args)
+    sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
+    ball = dynamics.enumerate_ball(gen_mats, orders, args.L, fuchs_gens=fuchs)
     cert = dynamics.anosov_certificate(ball)
     rows = ["dist,gap,word"]
-    for d, g, w in zip(cert.dists, cert.gaps, cert.words):
-        rows.append(f"{_fmt(float(d))},{_fmt(float(g))},{_word_str(w)}")
+    for d, g, w in zip(map(float, cert.dists), map(float, cert.gaps), cert.words):
+        rows.append(f"{d!r},{g!r},{_word_str(w)}")
     csv_text = "\n".join(rows) + "\n"
     summary = {
-        "L": cfg.L,
+        "L": args.L,
         "ball_size": len(ball),
         "eps_hat": cert.eps_hat,
         "c_hat": cert.c_hat,
-        "signature": ["inf" if e == fuchsian.INF else int(e) for e in (sig.e0, sig.e1, sig.einf)],
+        "signature": _sig_json(sig),
     }
-    json_text = _json_dumps(summary)
-    if cfg.out:
-        _write(cfg.out + ".csv", csv_text)
-        _write(cfg.out + ".json", json_text + "\n")
-    print(json_text)
+    if args.out:
+        _write(args.out + ".csv", csv_text)
+    _emit_json(summary, args.out and args.out + ".json")
     return 0
 
 
@@ -262,153 +228,145 @@ def _svg_scatter(points, kinds, proj_desc, timestamp):
     return "\n".join(lines) + "\n"
 
 
-def cmd_limitset(cfg: RunConfig) -> int:
-    p = _parse_params(cfg)
-    sig, rep, std, gen_mats, orders, fuchs = _ball_inputs(cfg, p)
-    ball = dynamics.enumerate_ball(gen_mats, orders, cfg.L)
-    kinds = {k.strip() for k in cfg.kinds.split(",") if k.strip()}
+def cmd_limitset(args) -> int:
+    kinds = {k.strip() for k in args.kinds.split(",") if k.strip()}
+    if not kinds <= {"attracting", "cusp"}:
+        raise ValueError(f"--kinds takes attracting and cusp, not {args.kinds!r}")
+    proj = _parse_proj(args.proj)
+    p = _parse_params(args)
+    sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
+    ball = dynamics.enumerate_ball(gen_mats, orders, args.L)
     h1 = std.h1 if "cusp" in kinds else None
-    samples = dynamics.limit_curve_samples(ball, cfg.gap_min, h1=h1)
+    samples = dynamics.limit_curve_samples(ball, args.gap_min, h1=h1)
     samples = [s for s in samples if s.kind in kinds]
     rows = ["x0,x1,x2,x3,gap,kind"]
     for s in samples:
-        coords = ",".join(_fmt(float(x)) for x in s.point)
-        rows.append(f"{coords},{_fmt(s.gap)},{s.kind}")
+        coords = ",".join(map(repr, s.point.tolist()))
+        rows.append(f"{coords},{s.gap!r},{s.kind}")
     csv_text = "\n".join(rows) + "\n"
-    proj = _parse_proj(cfg.proj)
     pts2 = [proj @ s.point for s in samples]
     svg_text = _svg_scatter(
         pts2,
         [s.kind for s in samples],
-        cfg.proj,
-        timestamp=not cfg.no_timestamp,
+        args.proj,
+        timestamp=not args.no_timestamp,
     )
-    if cfg.out:
-        _write(cfg.out + ".csv", csv_text)
-        _write(cfg.out + ".svg", svg_text)
+    if args.out:
+        _write(args.out + ".csv", csv_text)
+        _write(args.out + ".svg", svg_text)
     else:
         print(csv_text, end="")
     print(f"# {len(samples)} samples", file=sys.stderr)
     return 0
 
 
-def cmd_lyapunov(cfg: RunConfig) -> int:
-    if cfg.seed is None:
+def cmd_lyapunov(args) -> int:
+    if args.seed is None:
         raise ValueError("--seed is mandatory for stochastic commands")
-    if cfg.rep == "params":
-        p = _parse_params(cfg)
-        sig = _signature(cfg, p)
-        _, std = _standardized_rep(p)
+    degrees = [float(x) for x in args.rhs_degrees.split(",")] if args.rhs_degrees else None
+    if args.rep == "params":
+        p = _parse_params(args)
+        sig = _signature(args, p)
+        std, _ = monodromy.build_rep(p).standardized()
         rep_mats = {"0": std.h0, "1": std.h1}
     else:
-        sig = _signature(cfg, None) if cfg.sig else fuchsian.OrbifoldSignature(2, 3, fuchsian.INF)
+        sig = _signature(args, None) if args.sig else fuchsian.OrbifoldSignature(2, 3, fuchsian.INF)
         dom = fuchsian.build_domain(sig)
-        g0 = np.array(dom.gamma0).reshape(2, 2)
-        g1 = np.array(dom.gamma1).reshape(2, 2)
-        if cfg.rep == "fuchsian":
-            rep_mats = {"0": g0, "1": g1}
-        elif cfg.rep == "sym3":
-            rep_mats = {"0": dynamics.sym_cube(g0), "1": dynamics.sym_cube(g1)}
-        else:
-            raise ValueError("rep must be one of params, fuchsian, sym3")
-    result = dynamics.lyapunov_mc(rep_mats, sig, cfg.T, cfg.ntraj, cfg.seed)
+        g0, g1 = (np.array(g).reshape(2, 2) for g in (dom.gamma0, dom.gamma1))
+        if args.rep == "sym3":
+            g0, g1 = dynamics.sym_cube(g0), dynamics.sym_cube(g1)
+        rep_mats = {"0": g0, "1": g1}
+    result = dynamics.lyapunov_mc(rep_mats, sig, args.T, args.ntraj, args.seed)
     out = {
-        "rep": cfg.rep,
-        "T": cfg.T,
-        "ntraj": cfg.ntraj,
-        "seed": cfg.seed,
+        "rep": args.rep,
+        "T": args.T,
+        "ntraj": args.ntraj,
+        "seed": args.seed,
         "exponents": [float(x) for x in result.exponents],
         "stderr": [float(x) for x in result.stderr],
         "lambda_pair": list(result.nonnegative_pair),
         "n_discarded": result.n_discarded,
-        "signature": ["inf" if e == fuchsian.INF else int(e) for e in (sig.e0, sig.e1, sig.einf)],
+        "signature": _sig_json(sig),
     }
-    out["comparison"] = dynamics.sum_formula_report(
-        result, sig.chi, rhs_degrees=cfg.rhs_degrees
-    )
-    text = _json_dumps(out)
-    if cfg.out:
-        _write(cfg.out, text + "\n")
-    print(text)
+    out["comparison"] = dynamics.sum_formula_report(result, sig.chi, rhs_degrees=degrees)
+    _emit_json(out, args.out)
     return 0
 
 
-# --- argument plumbing ------------------------------------------------------------
+# --- argument parsing -------------------------------------------------------------
 
 
-def _split_params(text):
-    try:
-        a, b = text.split(":")
-        return [x.strip() for x in a.split(",")], [x.strip() for x in b.split(",")]
-    except ValueError as exc:
-        raise ValueError("--params expects 'a1,..,an:b1,..,bn'") from exc
+OPTIONS = {
+    "--L": dict(type=int, default=8, help="word length of the ball"),
+    "--sig": dict(help="override orbifold signature, e.g. '2,3,inf'"),
+    "--orbifold-order": dict(choices=("gl", "projective"), default="gl"),
+    "--gap-min": dict(type=float, default=2.0, help="least alpha_1-gap of an attracting sample"),
+    "--proj": dict(default="1,0,0,0;0,1,0,0", help="2x4 projection of the SVG"),
+    "--kinds": dict(default="attracting,cusp", help="limit-sample kinds to keep: attracting,cusp"),
+    "--no-timestamp": dict(action="store_true"),
+    "--T": dict(type=float, default=1e4, help="geodesic length per trajectory"),
+    "--ntraj": dict(type=int, default=50),
+    "--seed": dict(type=int),
+    "--rep": dict(choices=("params", "fuchsian", "sym3"), default="params"),
+    "--rhs-degrees": dict(help="comma list of extension degrees for the sum formula"),
+}
+
+COMMANDS = {
+    "classify": (cmd_classify, ("--orbifold-order",)),
+    "monodromy": (cmd_monodromy, ()),
+    "certify": (cmd_certify, ("--L", "--sig", "--orbifold-order")),
+    "limitset": (cmd_limitset, ("--L", "--sig", "--orbifold-order", "--gap-min", "--proj",
+                                "--kinds", "--no-timestamp")),
+    "lyapunov": (cmd_lyapunov, ("--sig", "--orbifold-order", "--T", "--ntraj", "--seed",
+                                "--rep", "--rhs-degrees")),
+}
 
 
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = yaml.safe_load(fh) or {}
-        prm = data.get("params", {})
-        cfg.alpha = [str(x) for x in prm.get("alpha", [])]
-        cfg.beta = [str(x) for x in prm.get("beta", [])]
-        for key, val in (data.get("options") or {}).items():
-            key = key.replace("-", "_")
-            if hasattr(cfg, key):
-                setattr(cfg, key, val)
-    if getattr(args, "params", None):
-        cfg.alpha, cfg.beta = _split_params(args.params)
-    for key in (
-        "L", "gap_min", "T", "ntraj", "seed", "proj", "out",
-        "orbifold_order", "no_timestamp", "rep", "sig", "kinds",
-    ):
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            setattr(cfg, key, val)
-    if getattr(args, "rhs_degrees", None):
-        cfg.rhs_degrees = [float(x) for x in args.rhs_degrees.split(",")]
-    cfg.validate()
-    return cfg
+def _parser():
+    parser = argparse.ArgumentParser(prog="hypermono")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, names) in COMMANDS.items():
+        sp = sub.add_parser(name)
+        sp.add_argument("--params", help="exponents 'a1,..,an:b1,..,bn' (exact 'p/q' or decimals)")
+        sp.add_argument("--config", help="YAML config file")
+        sp.add_argument("--out", help="output path (or prefix for multi-file commands)")
+        for opt in names:
+            sp.add_argument(opt, **OPTIONS[opt])
+    return parser
 
 
-def _add_common(sp):
-    sp.add_argument("--params", help="exponents 'a1,..,an:b1,..,bn' (exact 'p/q' or decimals)")
-    sp.add_argument("--config", help="YAML config file")
-    sp.add_argument("--out", help="output path (or prefix for multi-file commands)")
-    sp.add_argument("--orbifold-order", dest="orbifold_order", choices=("gl", "projective"))
-    sp.add_argument("--L", type=int)
-    sp.add_argument("--gap-min", dest="gap_min", type=float)
-    sp.add_argument("--T", type=float)
-    sp.add_argument("--ntraj", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--proj")
-    sp.add_argument("--sig", help="override orbifold signature, e.g. '2,3,inf'")
-    sp.add_argument("--no-timestamp", dest="no_timestamp", action="store_true", default=None)
-    sp.add_argument("--kinds", help="limit-sample kinds to keep: attracting,cusp")
+def _config_tokens(path):
+    """The command-line tokens a YAML config stands for."""
+    with open(path) as fh:
+        data = yaml.safe_load(fh) or {}
+    if not isinstance(data, dict) or not all(isinstance(data.get(k) or {}, dict)
+                                             for k in ("params", "options")):
+        raise ValueError("a config maps params to {alpha, beta} and options to {key: value}")
+    options = dict(data.get("options") or {})
+    if prm := data.get("params"):
+        options["params"] = ":".join(",".join(map(str, prm[k])) for k in ("alpha", "beta"))
+    tokens = []
+    for key, val in options.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(val, list):
+            val = ",".join(map(str, val))
+        if val is True:
+            tokens.append(flag)
+        elif val is not False:
+            tokens += [flag, str(val)]
+    return tokens
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="hypermono")
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "classify": cmd_classify,
-        "monodromy": cmd_monodromy,
-        "certify": cmd_certify,
-        "limitset": cmd_limitset,
-        "lyapunov": cmd_lyapunov,
-    }
-    for name in commands:
-        sp = sub.add_parser(name)
-        _add_common(sp)
-        if name == "lyapunov":
-            sp.add_argument("--rep", choices=("params", "fuchsian", "sym3"))
-            sp.add_argument("--rhs-degrees", dest="rhs_degrees",
-                            help="comma list of extension degrees for the sum formula")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
-        return commands[args.command](cfg)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+        if args.config:
+            # the config goes first, so the command line overrides it
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
+        return COMMANDS[args.command][0](args)
+    except (ValueError, FileNotFoundError, KeyError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:

@@ -333,13 +333,8 @@ def limit_curve_samples(
         if ok:
             pts = ball.mats @ line
             for i in range(len(ball)):
-                word = ball.words[i] + (("1", 1),) + _invert_word(ball.words[i])
-                push(pts[i], word, 0.0, "cusp")
+                push(pts[i], ball.words[i], 0.0, "cusp")
     return out
-
-
-def _invert_word(word):
-    return tuple((s, -k) for s, k in reversed(word))
 
 
 # --- log-Anosov certificate ------------------------------------------------------
@@ -537,7 +532,8 @@ def lyapunov_mc(
 
 
 def sum_formula_report(result: LyapunovResult, chi: float, rhs_degrees=None) -> dict:
-    """Compare the sum of nonnegative exponents against (extension degrees) / chi."""
+    """Compare the sum of nonnegative exponents with 2 * sum(degrees) / |chi|, the
+    Eskin-Kontsevich-Moeller-Zorich sum formula when the Fuchsian top exponent is 1."""
     if chi == 0:
         raise ValueError("chi must be nonzero")
     lam_sum = float(np.sum(result.nonnegative))
@@ -549,8 +545,8 @@ def sum_formula_report(result: LyapunovResult, chi: float, rhs_degrees=None) -> 
     if rhs_degrees is None:
         report["note"] = "not evaluated (no degree data supplied)"
         return report
-    rhs = float(sum(rhs_degrees)) / chi
-    report["rhs_over_chi"] = rhs
+    rhs = 2.0 * float(sum(rhs_degrees)) / abs(chi)
+    report["rhs"] = rhs
     report["abs_discrepancy"] = abs(lam_sum - rhs)
     report["rel_discrepancy"] = abs(lam_sum - rhs) / max(abs(rhs), 1e-300)
     return report

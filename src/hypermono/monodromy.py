@@ -8,12 +8,12 @@ with index 2 in the group generated by three involutions R_A, R_B, R_C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ._linalg import null_space, numerical_rank, projective_normalize
+from ._linalg import null_space, numerical_rank
 from .params import HypergeomParams
 
 IM_TOL = 1e-10

@@ -7,7 +7,6 @@ only (the geometric pipelines require rational exponents).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union

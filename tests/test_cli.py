@@ -52,6 +52,56 @@ class TestExitCodes:
             cli.main(["certify", "--params", QUINTIC, "--depth", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--params", QUINTIC, "--T", "5"],
+        ["classify", "--params", QUINTIC, "--sig", "2,3,7"],
+        ["monodromy", "--params", QUINTIC, "--gap-min", "0"],
+        ["lyapunov", "--rep", "sym3", "--seed", "1", "--L", "3"],
+    ])
+    def test_option_a_command_does_not_read_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    def test_unknown_kind_refused(self, capsys):
+        assert cli.main(["limitset", "--params", QUINTIC, "--L", "2", "--kinds", "attractng"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def _config(tmp_path, options):
+    path = tmp_path / "run.yaml"
+    path.write_text("params: {alpha: [1/5, 2/5, 3/5, 4/5], beta: [0, 0, 0, 0]}\n"
+                    f"options: {options}\n")
+    return str(path)
+
+
+class TestConfig:
+    def test_config_goes_through_argparse_types(self, tmp_path, capsys):
+        # a YAML string value gets the option's type, as on the command line
+        cli.main(["certify", "--config", _config(tmp_path, '{L: "3"}'),
+                  "--out", str(tmp_path / "a")])
+        cli.main(["certify", "--params", QUINTIC, "--L", "3", "--out", str(tmp_path / "b")])
+        for suffix in (".csv", ".json"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+    def test_unknown_config_key_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "--config", _config(tmp_path, "{Lmax: 3}")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", ["params: [1/5,\n", "- L\n- 3\n", "options: [L, 3]\n"])
+    def test_malformed_config_refused(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert cli.main(["certify", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_command_line_overrides_config(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["certify", "--config", _config(tmp_path, "{L: 5}"), "--L", "2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads((tmp_path / "run.json").read_bytes())["L"] == 2
+
 
 class TestLyapunov:
     ARGV = ["lyapunov", "--rep", "sym3", "--T", "200", "--ntraj", "4"]
@@ -76,6 +126,17 @@ class TestLyapunov:
         assert cli.main(argv) == 0
         comparison = json.loads(path.read_bytes())["comparison"]
         assert comparison["evaluated"] is True
+
+    def test_sym3_sum_formula(self, tmp_path, capsys):
+        # Sym^3 of (2,3,inf): deg E^{3,0} = 3 deg L, deg E^{2,1} = deg L, 2 deg L = |chi| = 1/6,
+        # so 2 * (1/4 + 1/12) / (1/6) = 4 = lambda_1 + lambda_2 of (3, 1, -1, -3)
+        path = tmp_path / "lyap.json"
+        argv = self.ARGV + ["--seed", "5", "--rhs-degrees", "0.25,0.08333333333333333",
+                            "--out", str(path)]
+        assert cli.main(argv) == 0
+        comparison = json.loads(path.read_bytes())["comparison"]
+        assert abs(comparison["rhs"] - 4.0) < 1e-12
+        assert abs(comparison["lambda_sum"] - comparison["rhs"]) < 0.05
 
 
 def test_cli_import_leaves_out_scipy():

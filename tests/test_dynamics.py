@@ -9,6 +9,7 @@ from hypermono import fuchsian as fox
 from hypermono import monodromy as mono
 from hypermono import params as par
 from hypermono.fuchsian import IDENT, INF, mat_inv, mat_mul, mat_normalize
+from hypermono.lie import is_log_proximal
 
 OCTIC = par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)
 
@@ -371,6 +372,21 @@ class TestRationalLimitClassify:
         assert reference_classify(gens, orders, v=(1, 1), L=3) is None
 
 
+class TestLimitCurveSamples:
+    def test_sample_words_are_ball_words(self, mq):
+        # a cusp sample is the translate g.l of the cusp line l, so its word is g's
+        ball, std, _ = ball_for(mq, 5)
+        index = {w: i for i, w in enumerate(ball.words)}
+        samples = dyn.limit_curve_samples(ball, 1.0, h1=std.h1)
+        assert {s.kind for s in samples} == {"attracting", "cusp"}
+        _, line, _ = is_log_proximal(std.h1)
+        for s in samples:
+            assert s.word in index
+            if s.kind == "cusp":
+                translate = ball.mats[index[s.word]] @ line
+                assert abs(abs(s.point @ translate) / np.linalg.norm(translate) - 1.0) < 1e-9
+
+
 class TestAnosovCertificate:
     def test_pruned_hull_equals_full_hull(self):
         rng = np.random.default_rng(3)
@@ -539,12 +555,13 @@ class TestSumFormulaReport:
         }
 
     def test_with_degrees(self):
-        report = dyn.sum_formula_report(self.RESULT, 0.5, rhs_degrees=[1.5, 0.5])
+        # right-hand side 2 * sum(degrees) / |chi|; chi < 0 on a hyperbolic signature
+        report = dyn.sum_formula_report(self.RESULT, -0.5, rhs_degrees=[0.75, 0.25])
         assert report["evaluated"] is True and report["lambda_sum"] == 4.0
-        assert report["rhs_over_chi"] == 4.0
+        assert report["rhs"] == 4.0
         assert report["abs_discrepancy"] == 0.0 and report["rel_discrepancy"] == 0.0
-        report = dyn.sum_formula_report(self.RESULT, 0.5, rhs_degrees=[1.0, 0.5])
-        assert report["rhs_over_chi"] == 3.0
+        report = dyn.sum_formula_report(self.RESULT, -0.5, rhs_degrees=[0.5, 0.25])
+        assert report["rhs"] == 3.0
         assert report["abs_discrepancy"] == 1.0
         assert report["rel_discrepancy"] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
