@@ -5,75 +5,68 @@ from __future__ import annotations
 import numpy as np
 
 SIGN_TOL = 1e-12
+RANK_RTOL = 1e-9  # singular values at or below RANK_RTOL * s[0] count as zero
 
 
-def projective_normalize(v, tol=SIGN_TOL):
-    """Unit Euclidean norm, first coordinate of absolute value > tol made positive."""
-    v = np.asarray(v, dtype=v.dtype if np.iscomplexobj(v) else float)
+def projective_normalize(v):
+    """Unit Euclidean norm, first coordinate of absolute value > SIGN_TOL made positive."""
+    v = np.asarray(v, dtype=float)
     n = np.linalg.norm(v)
     if n == 0:
         raise ValueError("cannot normalize the zero vector")
     v = v / n
     for x in np.ravel(v):
-        if abs(x) > tol:
-            if (x.real if np.iscomplexobj(v) else x) < 0:
+        if abs(x) > SIGN_TOL:
+            if x < 0:
                 v = -v
             break
     return v
 
 
-def numerical_rank(a, rtol=1e-9):
-    a = np.asarray(a)
-    if a.size == 0:
+def _rank_cut(s, rtol, atol):
+    """Number of singular values ``s`` (nonincreasing) above the cut.
+
+    The cut is ``atol`` when given, else ``rtol * s[0]``; the count is 0 when
+    ``s`` is empty or ``s[0]`` is 0.
+    """
+    if not s.size or s[0] == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0:
-        return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > (rtol * s[0] if atol is None else atol)))
 
 
-def null_space(a, rtol=1e-9, atol=None):
+def numerical_rank(a, rtol=RANK_RTOL):
+    s = np.linalg.svd(np.asarray(a), compute_uv=False)
+    return _rank_cut(s, rtol, None)
+
+
+def null_space(a, atol=None):
     """Orthonormal basis of the (numerical) kernel, columns of the result.
 
     With ``atol`` set, singular values are cut at an absolute threshold
     instead of relative to the largest one (for matrices whose entries sit
     near a known noise floor).
     """
-    a = np.asarray(a, dtype=float)
-    u, s, vt = np.linalg.svd(a)
-    if atol is not None:
-        r = int(np.sum(s > atol))
-    elif s.size and s[0] > 0:
-        r = int(np.sum(s > rtol * s[0]))
-    else:
-        r = 0
-    return vt[r:].T.copy()
+    _, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
+    return vt[_rank_cut(s, RANK_RTOL, atol):].T.copy()
 
 
-def orth_basis(a, rtol=1e-9, atol=None):
+def orth_basis(a, atol=None):
     """Orthonormal basis of the column space, columns of the result."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0:
-        return np.zeros((a.shape[0], 0))
-    if atol is not None:
-        r = int(np.sum(s > atol))
-    else:
-        r = int(np.sum(s > rtol * s[0]))
-    return u[:, :r].copy()
+    return u[:, :_rank_cut(s, RANK_RTOL, atol)].copy()
 
 
-def subspace_intersection(a, b, rtol=1e-9):
+def subspace_intersection(a, b):
     """Orthonormal basis of span(a) & span(b); a, b hold spanning columns."""
-    a = orth_basis(a, rtol)
-    b = orth_basis(b, rtol)
+    a = orth_basis(a)
+    b = orth_basis(b)
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros((a.shape[0], 0))
     # x in both spans: x = a u = b w, solve [a, -b] [u;w] = 0
-    ns = null_space(np.hstack([a, -b]), rtol)
+    ns = null_space(np.hstack([a, -b]))
     if ns.shape[1] == 0:
         return np.zeros((a.shape[0], 0))
-    return orth_basis(a @ ns[: a.shape[1]], rtol)
-
+    return orth_basis(a @ ns[: a.shape[1]])

@@ -137,6 +137,8 @@ def cmd_classify(args) -> int:
 def cmd_monodromy(args) -> int:
     p = _parse_params(args)
     rep = monodromy.build_rep(p)
+    J = rep.J
+    sym = float(np.linalg.norm(J + J.T)) < 1e-9 * float(np.linalg.norm(J))
     bundle = {
         "alpha": [str(x) for x in p.alpha],
         "beta": [str(x) for x in p.beta],
@@ -144,29 +146,24 @@ def cmd_monodromy(args) -> int:
         "h1": _mat_json(rep.h1),
         "hinf": _mat_json(rep.hinf),
         "h1_report": rep.h1_report,
-    }
-    if rep.R_A is not None:
-        bundle["R_A"] = _mat_json(rep.R_A)
-        bundle["R_B"] = _mat_json(rep.R_B)
-        bundle["R_C"] = _mat_json(rep.R_C)
-        relations = {
+        "R_A": _mat_json(rep.R_A),
+        "R_B": _mat_json(rep.R_B),
+        "R_C": _mat_json(rep.R_C),
+        "reflection_relations": {
             "RC_RB_minus_h0": float(np.linalg.norm(rep.R_C @ rep.R_B - rep.h0)),
             "RC_RA_minus_hinf": float(np.linalg.norm(rep.R_C @ rep.R_A - rep.hinf)),
             "RB_RA_minus_h1": float(np.linalg.norm(rep.R_B @ rep.R_A - rep.h1)),
-        }
-        bundle["reflection_relations"] = relations
-    if rep.J is not None:
-        bundle["J"] = _mat_json(rep.J)
-        sym = float(np.linalg.norm(rep.J + rep.J.T)) < 1e-9 * float(np.linalg.norm(rep.J))
-        bundle["J_antisymmetric"] = bool(sym)
-        if not sym:
-            bundle["J_signature"] = list(form_signature(rep.J))
-        if rep.R_A is not None:
-            # reported, not asserted: the printed reflections need not fix J
-            bundle["reflection_form_report"] = {
-                name: float(np.linalg.norm(R.T @ rep.J @ R - rep.J) / np.linalg.norm(rep.J))
-                for name, R in (("R_A", rep.R_A), ("R_B", rep.R_B), ("R_C", rep.R_C))
-            }
+        },
+        "J": _mat_json(J),
+        "J_antisymmetric": bool(sym),
+        # reported, not asserted: the printed reflections need not fix J
+        "reflection_form_report": {
+            name: float(np.linalg.norm(R.T @ J @ R - J) / np.linalg.norm(J))
+            for name, R in (("R_A", rep.R_A), ("R_B", rep.R_B), ("R_C", rep.R_C))
+        },
+    }
+    if not sym:
+        bundle["J_signature"] = list(form_signature(J))
     _emit_json(bundle, args.out)
     return 0
 
@@ -264,13 +261,15 @@ def cmd_lyapunov(args) -> int:
     if args.seed is None:
         raise ValueError("--seed is mandatory for stochastic commands")
     degrees = [float(x) for x in args.rhs_degrees.split(",")] if args.rhs_degrees else None
-    if args.rep == "params":
-        p = _parse_params(args)
+    p = _parse_params(args) if args.params or args.rep == "params" else None
+    if p is None and not args.sig:
+        sig = fuchsian.OrbifoldSignature(2, 3, fuchsian.INF)
+    else:
         sig = _signature(args, p)
+    if args.rep == "params":
         std, _ = monodromy.build_rep(p).standardized()
         rep_mats = {"0": std.h0, "1": std.h1}
     else:
-        sig = _signature(args, None) if args.sig else fuchsian.OrbifoldSignature(2, 3, fuchsian.INF)
         dom = fuchsian.build_domain(sig)
         g0, g1 = (np.array(g).reshape(2, 2) for g in (dom.gamma0, dom.gamma1))
         if args.rep == "sym3":

@@ -17,8 +17,10 @@ import numpy as np
 from ._linalg import projective_normalize
 from .fuchsian import IDENT, INF, OrbifoldSignature, geodesic_sample, mat_inv
 from .lie import is_log_proximal
+from .params import as_exact
 
 MAT_DEDUP_RES = 1e-7
+LIMIT_DEDUP_RES = 1e-8  # limit samples are deduplicated on this grid of their coordinates
 EXACT_KEY_LIMIT = 2**53  # int64 keys while n * max|g| * max|F| stays below this
 INTEGRAL_TOL = 1e-9  # a generator entry within this (relative) of an integer is that integer
 
@@ -48,7 +50,6 @@ class WordBall:
     words: list
     mats: np.ndarray
     lengths: np.ndarray
-    orders: dict
     fuchs: Optional[np.ndarray] = None
 
     def __len__(self):
@@ -284,7 +285,6 @@ def enumerate_ball(
         words=words,
         mats=np.concatenate(mats),
         lengths=np.concatenate(lengths),
-        orders=dict(orders),
         fuchs=np.concatenate(fuchs) if fuchs_gens is not None else None,
     )
 
@@ -301,7 +301,7 @@ class LimitSample:
 
 
 def limit_curve_samples(
-    ball: WordBall, gap_min: float, h1: Optional[np.ndarray] = None, dedup=1e-8
+    ball: WordBall, gap_min: float, h1: Optional[np.ndarray] = None
 ) -> List[LimitSample]:
     """Boundary-curve samples from a word ball.
 
@@ -316,7 +316,7 @@ def limit_curve_samples(
 
     def push(vec, word, gap, kind):
         v = projective_normalize(vec)
-        key = (kind, tuple(np.round(v / dedup).astype(np.int64)))
+        key = (kind, tuple(np.round(v / LIMIT_DEDUP_RES).astype(np.int64)))
         if key in seen:
             return
         seen.add(key)
@@ -406,7 +406,7 @@ def _hull_value(hull, x):
     return hull[-1][1]
 
 
-def anosov_certificate(ball: WordBall, gap_arr=None) -> AnosovCertificate:
+def anosov_certificate(ball: WordBall) -> AnosovCertificate:
     """Support-line certificate for the singular-value gap against displacement.
 
     The scatter is (dist(x0, gamma x0), mu_1 - mu_2) over the ball.  eps_hat
@@ -419,7 +419,7 @@ def anosov_certificate(ball: WordBall, gap_arr=None) -> AnosovCertificate:
     if ball.fuchs is None:
         raise ValueError("ball was enumerated without Fuchsian matrices")
     s = np.linalg.svd(ball.mats, compute_uv=False)
-    gaps = np.log(s[:, 0]) - np.log(s[:, 1]) if gap_arr is None else gap_arr
+    gaps = np.log(s[:, 0]) - np.log(s[:, 1])
     dists = _frobenius_distances(ball.fuchs)
     keep = _hull_candidates(dists, gaps)
     hull = _lower_hull(dists[keep].tolist(), gaps[keep].tolist())
@@ -556,15 +556,10 @@ def sum_formula_report(result: LyapunovResult, chi: float, rhs_degrees=None) -> 
 
 
 def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**9)
-    raise TypeError(f"cannot coerce {x!r} to a rational")
+    f = as_exact(x)
+    if f is None:
+        raise ValueError(f"target coordinate {x!r} is not rational")
+    return f
 
 
 def _row_reduce(rows):

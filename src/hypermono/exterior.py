@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import numerical_rank, projective_normalize
+from ._linalg import RANK_RTOL, numerical_rank, projective_normalize
 from .monodromy import STANDARD_J4
 
 # index pairs of the 6-dim exterior square, basis order (01, 02, 03, 12, 13, 23)
@@ -61,11 +61,10 @@ class QuadSpaceW:
             object.__setattr__(self, "gram", GRAM_Q.copy())
 
 
-def q_value(w, w2=None):
-    """Q(w, w2), defaulting to the quadratic value Q(w, w)."""
+def q_value(w):
+    """The quadratic value Q(w, w)."""
     w = np.asarray(w, dtype=float)
-    w2 = w if w2 is None else np.asarray(w2, dtype=float)
-    return float(w @ GRAM_Q @ w2)
+    return float(w @ GRAM_Q @ w)
 
 
 def wedge_vec(u, v):
@@ -83,29 +82,29 @@ def _wedge_matrix(g):
     return m
 
 
-def is_symplectic(g, rtol=1e-9):
+def is_symplectic(g):
     g = np.asarray(g, dtype=float)
-    return np.linalg.norm(g.T @ STANDARD_J4 @ g - STANDARD_J4) <= rtol * max(
+    return np.linalg.norm(g.T @ STANDARD_J4 @ g - STANDARD_J4) <= 1e-8 * max(
         1.0, np.linalg.norm(g) ** 2
     )
 
 
-def reduced_exterior_square(g, rtol=1e-8):
+def reduced_exterior_square(g):
     """Action of g on W in the (a, b, c, d, e) coordinates.
 
     Requires g symplectic for the standard form; the result preserves Q.
     """
-    if not is_symplectic(g, rtol):
+    if not is_symplectic(g):
         raise ValueError("matrix is not symplectic for the standard form")
     m6 = _wedge_matrix(g)
     coords = _BASIS6_INV @ m6 @ _W_EMBED
     return coords[:5].copy()
 
 
-def wedge_to_w(x6, rtol=1e-9):
+def wedge_to_w(x6):
     """Coordinates of a Lambda^2 vector on the W basis; errors off W."""
     coords = _BASIS6_INV @ np.asarray(x6, dtype=float)
-    if abs(coords[5]) > rtol * max(1.0, np.linalg.norm(coords)):
+    if abs(coords[5]) > 1e-9 * max(1.0, np.linalg.norm(coords)):
         raise ValueError("vector has a component along the symplectic bivector")
     return coords[:5].copy()
 
@@ -116,15 +115,15 @@ class LagrangianPlane:
 
     span: np.ndarray
 
-    def __init__(self, u, v=None, rtol=1e-9):
+    def __init__(self, u, v=None):
         if v is None:
             m = np.asarray(u, dtype=float).reshape(4, 2)
         else:
             m = np.column_stack([u, v]).astype(float)
-        if numerical_rank(m, rtol) != 2:
+        if numerical_rank(m) != 2:
             raise ValueError("spanning vectors are dependent")
         pairing = float(m[:, 0] @ STANDARD_J4 @ m[:, 1])
-        if abs(pairing) > rtol * np.linalg.norm(m[:, 0]) * np.linalg.norm(m[:, 1]):
+        if abs(pairing) > RANK_RTOL * np.linalg.norm(m[:, 0]) * np.linalg.norm(m[:, 1]):
             raise ValueError(f"not Lagrangian: <u, v> = {pairing}")
         object.__setattr__(self, "span", m)
 

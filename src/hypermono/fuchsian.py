@@ -134,10 +134,6 @@ class OrbifoldSignature:
     def chi(self) -> float:
         return -1.0 + sum(0.0 if e == INF else 1.0 / e for e in (self.e0, self.e1, self.einf))
 
-    @property
-    def orders(self):
-        return {"0": self.e0, "1": self.e1, "inf": self.einf}
-
 
 def _local_order(exps, convention):
     """Cone order of a companion-form local monodromy with the given exponents."""
@@ -222,12 +218,6 @@ class TriangleDomain:
         """Fuchsian generators keyed like the monodromy: rho(0)=gamma0, rho(1)=gamma1,
         rho(inf) = (gamma0 gamma1), matching h0 h1 = hinf."""
         return {"0": self.gamma0, "1": self.gamma1, "inf": mat_mul(self.gamma0, self.gamma1)}
-
-    def contains(self, z, tol=1e-9):
-        for side in self.sides:
-            if _axis_side_value(side.mop, z) < -tol:
-                return False
-        return True
 
 
 def _is_ideal(v):
@@ -396,7 +386,7 @@ def _build_domain_cached(e0, e1, einf):
             mop = mat_mul((-1.0, 0.0, 0.0, 1.0), mop)
         dom.sides.append(Side(name, mop, lo, hi, pull, sym, sgn, deck))
 
-    if not dom.contains(dom.basepoint, tol=-1e-9):
+    if any(_axis_side_value(side.mop, dom.basepoint) < 1e-9 for side in dom.sides):
         raise RuntimeError("basepoint fell outside the fundamental domain")
     return dom
 
@@ -468,10 +458,6 @@ def geodesic_sample(sig: OrbifoldSignature, seed: int, total_time: float) -> Geo
     rng = np.random.default_rng(seed)
     phi = float(rng.uniform(0.0, math.pi))
     state = _rot(phi)
-    return _continue_geodesic(dom, state, seed, total_time)
-
-
-def _continue_geodesic(dom, state, seed, total_time):
     t_now = 0.0
     events = []
     deck = IDENT

@@ -62,10 +62,10 @@ def _matrix_scale(n):
     return float(np.linalg.norm(n)) or 1.0
 
 
-def nilpotent_order(N, tol=NILPOTENT_TOL):
+def nilpotent_order(N):
     """Largest d with N^d != 0 (and N^{dim} must vanish); errors otherwise.
 
-    N^i counts as zero when ||N^i|| <= tol * ||N||^i, a cut that does not
+    N^i counts as zero when ||N^i|| <= NILPOTENT_TOL * ||N||^i, a cut that does not
     depend on the scale of N.
     """
     N = np.asarray(N, dtype=float)
@@ -74,17 +74,17 @@ def nilpotent_order(N, tol=NILPOTENT_TOL):
     powers = [np.eye(dim)]
     for _ in range(dim):
         powers.append(powers[-1] @ N)
-    if np.linalg.norm(powers[dim]) > tol * scale**dim:
+    if np.linalg.norm(powers[dim]) > NILPOTENT_TOL * scale**dim:
         raise ValueError("matrix is not nilpotent")
     d = 0
     for i in range(dim, 0, -1):
-        if np.linalg.norm(powers[i]) > tol * scale**i:
+        if np.linalg.norm(powers[i]) > NILPOTENT_TOL * scale**i:
             d = i
             break
     return d, powers
 
 
-def jordan_chains(N, tol=NILPOTENT_TOL):
+def jordan_chains(N):
     """Jordan chain basis of a nilpotent N.
 
     Returns a list of chains, each a list [w, Nw, ..., N^{s-1} w].  The
@@ -93,7 +93,7 @@ def jordan_chains(N, tol=NILPOTENT_TOL):
     """
     N = np.asarray(N, dtype=float)
     dim = N.shape[0]
-    d, powers = nilpotent_order(N, tol)
+    d, powers = nilpotent_order(N)
     scale = _matrix_scale(N)
     kernels = [np.zeros((dim, 0))]
     for i in range(1, d + 1):
@@ -165,7 +165,7 @@ def weight_filtration_from_chains(chains, dim) -> WeightFiltration:
     return WeightFiltration(order=d, levels=levels)
 
 
-def weight_filtration(N, tol=NILPOTENT_TOL) -> WeightFiltration:
+def weight_filtration(N) -> WeightFiltration:
     """The canonical weight filtration of a nilpotent N.
 
     Characterized by N(W_i) c W_{i-2} together with N^i inducing
@@ -174,18 +174,18 @@ def weight_filtration(N, tol=NILPOTENT_TOL) -> WeightFiltration:
     """
     N = np.asarray(N, dtype=float)
     dim = N.shape[0]
-    d, _ = nilpotent_order(N, tol)
+    d, _ = nilpotent_order(N)
     if d == 0:
         return WeightFiltration(order=0, levels={0: np.eye(dim)})
-    chains = jordan_chains(N, tol)
+    chains = jordan_chains(N)
     return weight_filtration_from_chains(chains, dim)
 
 
-def weight_filtration_kernel_image(N, tol=NILPOTENT_TOL) -> WeightFiltration:
+def weight_filtration_kernel_image(N) -> WeightFiltration:
     """Independent construction: W_k = sum_i ker(N^{k+i+1}) & im(N^i)."""
     N = np.asarray(N, dtype=float)
     dim = N.shape[0]
-    d, powers = nilpotent_order(N, tol)
+    d, powers = nilpotent_order(N)
     scale = _matrix_scale(N)
     kers = {0: np.zeros((dim, 0)), d + 1: np.eye(dim)}
     ims = {0: np.eye(dim), d + 1: np.zeros((dim, 0))}
@@ -211,17 +211,16 @@ def weight_filtration_kernel_image(N, tol=NILPOTENT_TOL) -> WeightFiltration:
     return WeightFiltration(order=d, levels=levels)
 
 
-def unipotent_log(T, tol=1e-8):
+def unipotent_log(T):
     """log T by the finite series for unipotent T; errors if T - id is not nilpotent."""
     T = np.asarray(T, dtype=float)
     dim = T.shape[0]
     M = T - np.eye(dim)
     scale = max(1.0, np.linalg.norm(T))
-    power = np.eye(dim)
     check = M
     for _ in range(dim - 1):
         check = check @ M
-    if np.linalg.norm(check @ M) > tol * scale**dim:
+    if np.linalg.norm(check @ M) > 1e-8 * scale**dim:
         raise ValueError("matrix is not unipotent")
     out = np.zeros_like(M)
     power = M.copy()
@@ -231,7 +230,7 @@ def unipotent_log(T, tol=1e-8):
     return out
 
 
-def is_log_proximal(T, tol=NILPOTENT_TOL):
+def is_log_proximal(T):
     """Log-proximality verdict with the attracting line and repelling hyperplane.
 
     T unipotent with N = log T of order d is log-proximal iff rank(N^d) = 1,
@@ -239,11 +238,11 @@ def is_log_proximal(T, tol=NILPOTENT_TOL):
     W_{d-1} = ker(N^d) a hyperplane.
     """
     N = unipotent_log(T)
-    d, powers = nilpotent_order(N, tol)
+    d, powers = nilpotent_order(N)
     if d == 0:
         return False, None, None
     nd = powers[d]
-    if numerical_rank(nd, rtol=1e-9) != 1:
+    if numerical_rank(nd) != 1:
         return False, None, None
     line = projective_normalize(orth_basis(nd)[:, 0])
     hyperplane = null_space(nd / max(1.0, np.linalg.norm(nd)))
@@ -262,7 +261,7 @@ def chain_basis(chains):
     return P, float(np.linalg.cond(P / np.linalg.norm(P, axis=0)))
 
 
-def jacobson_morozov(N, tol=NILPOTENT_TOL):
+def jacobson_morozov(N):
     """An sl2 triple (Y, N_plus) completing the nilpotent N = N_minus.
 
     Built directly from a Jordan chain basis: on a chain of length s the
@@ -281,10 +280,10 @@ def jacobson_morozov(N, tol=NILPOTENT_TOL):
     """
     N = np.asarray(N, dtype=float)
     dim = N.shape[0]
-    d, _ = nilpotent_order(N, tol)
+    d, _ = nilpotent_order(N)
     if d == 0:
         raise ValueError("need a nonzero nilpotent")
-    chains = jordan_chains(N, tol)
+    chains = jordan_chains(N)
     P, kappa = chain_basis(chains)
     if np.finfo(float).eps * kappa**2 > SL2_TOL:
         raise ValueError(f"ill-conditioned Jordan chain basis: cond(P) = {kappa:.3e}")

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import null_space, numerical_rank
+from ._linalg import RANK_RTOL, null_space, numerical_rank
 from .params import HypergeomParams
 
 IM_TOL = 1e-10
@@ -71,16 +71,16 @@ def levelt_matrices(c: CharPolyCoeffs):
     return h_inf, h_0
 
 
-def monodromy_at_one(h_0, h_inf, rtol=1e-9):
+def monodromy_at_one(h_0, h_inf):
     """h_1 = h_0^{-1} h_inf with a structure report on h_1 - id."""
     h_0 = np.asarray(h_0)
     if abs(np.linalg.det(h_0)) < 1e-14:
         raise ValueError("h_0 is singular")
     h_1 = np.linalg.solve(h_0, np.asarray(h_inf))
     u = h_1 - np.eye(h_1.shape[0])
-    rank = numerical_rank(u, rtol)
+    rank = numerical_rank(u)
     sq = u @ u
-    sq_zero = bool(np.linalg.norm(sq) <= rtol * max(1.0, np.linalg.norm(u)) ** 2)
+    sq_zero = bool(np.linalg.norm(sq) <= RANK_RTOL * max(1.0, np.linalg.norm(u)) ** 2)
     return h_1, {"rank_h1_minus_id": rank, "square_is_zero": sq_zero}
 
 
@@ -117,7 +117,7 @@ def reflection_eigenvector(c: CharPolyCoeffs):
     return v, -A[-1]
 
 
-def invariant_bilinear_form(mats, rtol=1e-9):
+def invariant_bilinear_form(mats):
     """The bilinear form J with h^T J h = J for every generator, by null space.
 
     The solution space must be one-dimensional (irreducibility); J is
@@ -132,7 +132,7 @@ def invariant_bilinear_form(mats, rtol=1e-9):
         # vec(h^T J h) = (h^T kron h^T) vec(J)
         blocks.append(np.kron(h.T, h.T) - eye)
     system = np.vstack(blocks)
-    ns = null_space(system, rtol)
+    ns = null_space(system)
     if ns.shape[1] != 1:
         raise ValueError(
             f"invariant form space has dimension {ns.shape[1]}, expected 1 "
@@ -158,20 +158,20 @@ def invariant_bilinear_form(mats, rtol=1e-9):
     return J
 
 
-def form_signature(J, zero_tol=1e-10):
+def form_signature(J):
     """(n_plus, n_minus) eigenvalue signs of a symmetric form."""
     w = np.linalg.eigvalsh(0.5 * (J + J.T))
     scale = max(1.0, np.max(np.abs(w)))
-    pos = int(np.sum(w > zero_tol * scale))
-    neg = int(np.sum(w < -zero_tol * scale))
+    pos = int(np.sum(w > 1e-10 * scale))
+    neg = int(np.sum(w < -1e-10 * scale))
     return pos, neg
 
 
-def symplectic_basis(J, rtol=1e-9):
+def symplectic_basis(J):
     """Columns (e1, e2, f1, f2) with <e_i, f_i>_J = 1 and all other pairings 0."""
     J = np.asarray(J, dtype=float)
     n = J.shape[0]
-    if n != 4 or np.linalg.norm(J + J.T) > rtol * np.linalg.norm(J):
+    if n != 4 or np.linalg.norm(J + J.T) > RANK_RTOL * np.linalg.norm(J):
         raise ValueError("need an antisymmetric 4x4 form")
     if abs(np.linalg.det(J)) < 1e-14:
         raise ValueError("degenerate form")
@@ -184,14 +184,14 @@ def symplectic_basis(J, rtol=1e-9):
     pool = basis
     for _ in range(2):
         e = pool[0]
-        f = next(v for v in pool[1:] if abs(omega(e, v)) > rtol)
+        f = next(v for v in pool[1:] if abs(omega(e, v)) > RANK_RTOL)
         f = f / omega(e, f)
         rest = []
         for v in pool[1:]:
             if v is f:
                 continue
             w = v - omega(v, f) * e + omega(v, e) * f
-            if np.linalg.norm(w) > rtol:
+            if np.linalg.norm(w) > RANK_RTOL:
                 rest.append(w)
         es.append(e)
         fs.append(f)
@@ -212,16 +212,17 @@ STANDARD_J4 = np.array(
 
 @dataclass
 class MonodromyRep:
-    """Generators h_0, h_1, h_inf (h_0 h_1 = h_inf) with optional reflection data."""
+    """Generators h_0, h_1, h_inf (h_0 h_1 = h_inf), their invariant form J and
+    optional reflection data."""
 
-    params: Optional[HypergeomParams]
+    params: HypergeomParams
     h0: np.ndarray
     h1: np.ndarray
     hinf: np.ndarray
+    J: np.ndarray
     R_A: Optional[np.ndarray] = None
     R_B: Optional[np.ndarray] = None
     R_C: Optional[np.ndarray] = None
-    J: Optional[np.ndarray] = None
     h1_report: Optional[dict] = None
 
     @property
@@ -234,7 +235,7 @@ class MonodromyRep:
         Returns (rep, S) with rep.J = STANDARD_J4 and rep.h = S^{-1} h S.
         Only defined for n = 4 with an antisymmetric invariant form.
         """
-        if self.J is None or self.n != 4:
+        if self.n != 4:
             raise ValueError("standardization needs a 4x4 rep with invariant form")
         S = symplectic_basis(self.J)
         Si = np.linalg.inv(S)
@@ -250,26 +251,22 @@ class MonodromyRep:
         return rep, S
 
 
-def build_rep(p: HypergeomParams, with_form=True) -> MonodromyRep:
-    """Full monodromy package for a parameter set."""
+def build_rep(p: HypergeomParams) -> MonodromyRep:
+    """Full monodromy package for a self-dual parameter set."""
+    if not p.self_dual:
+        raise ValueError("the monodromy package needs self-dual parameters (a real group)")
     c = char_polys(p)
     h_inf, h_0 = levelt_matrices(c)
     h_1, report = monodromy_at_one(h_0, h_inf)
-    R_A = R_B = R_C = None
-    if c.real_A and c.real_B:
-        R_A, R_B, R_C = reflection_matrices(c)
-    J = None
-    if with_form:
-        J = invariant_bilinear_form([h_0.real if c.real_B else h_0,
-                                     h_inf.real if c.real_A else h_inf])
+    R_A, R_B, R_C = reflection_matrices(c)
     return MonodromyRep(
         params=p,
-        h0=h_0.real if c.real_B else h_0,
-        h1=h_1.real if (c.real_A and c.real_B) else h_1,
-        hinf=h_inf.real if c.real_A else h_inf,
+        h0=h_0,
+        h1=h_1,
+        hinf=h_inf,
         R_A=R_A,
         R_B=R_B,
         R_C=R_C,
-        J=J,
+        J=invariant_bilinear_form([h_0, h_inf]),
         h1_report=report,
     )

@@ -15,7 +15,8 @@ Exponent = Union[Fraction, float]
 
 EXACT_TOL = 1e-12
 _DENOM_LIMIT = 10**6
-_SNAP_TOL = 1e-9
+_SNAP_TOL = 1e-9  # a decimal string within this of a small-denominator rational is that rational
+_ROUND_TOL = 1e-15  # a float within this (relative) of one is that rational, up to rounding
 
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -56,11 +57,16 @@ def dual(x: Exponent) -> Exponent:
 
 
 def as_exact(x: Exponent) -> Optional[Fraction]:
-    """Nearby small-denominator rational, or None for (numerically) irrational x."""
+    """The rational p/q (q <= 10**6) that x equals up to rounding, else None.
+
+    The fractions with q <= 10**6 lie within about 1e-12 of every real number,
+    so a float counts as one only within ``_ROUND_TOL`` relative: 3/10 for
+    1 - 0.7, None for math.pi.
+    """
     if isinstance(x, Fraction):
         return x
     f = Fraction(x).limit_denominator(_DENOM_LIMIT)
-    if abs(f - x) <= _SNAP_TOL:
+    if abs(f - x) <= _ROUND_TOL * max(1.0, abs(x)):
         return f
     return None
 

@@ -67,6 +67,12 @@ class TestExitCodes:
         assert cli.main(["limitset", "--params", QUINTIC, "--L", "2", "--kinds", "attractng"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_self_dual_monodromy_refused(self, capsys):
+        # the group is not real: its forms used to be read off the real parts of h0 and hinf
+        assert cli.main(["monodromy", "--params", "3/10,5/8,7/10,7/8:0,1/12,1/8,1/8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err and "self-dual" in captured.err
+
 
 def _config(tmp_path, options):
     path = tmp_path / "run.yaml"
@@ -126,6 +132,17 @@ class TestLyapunov:
         assert cli.main(argv) == 0
         comparison = json.loads(path.read_bytes())["comparison"]
         assert comparison["evaluated"] is True
+
+    def test_params_set_the_signature_under_every_rep(self, tmp_path, capsys):
+        path = tmp_path / "lyap.json"
+        argv = ["lyapunov", "--rep", "fuchsian", "--params", QUINTIC, "--T", "50", "--ntraj", "2",
+                "--seed", "5", "--out", str(path)]
+        assert cli.main(argv) == 0
+        assert json.loads(path.read_bytes())["signature"] == ["inf", "inf", 5]
+
+    def test_params_are_parsed_under_every_rep(self, capsys):
+        assert cli.main(self.ARGV + ["--seed", "1", "--params", "junk"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_sym3_sum_formula(self, tmp_path, capsys):
         # Sym^3 of (2,3,inf): deg E^{3,0} = 3 deg L, deg E^{2,1} = deg L, 2 deg L = |chi| = 1/6,

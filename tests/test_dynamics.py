@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -325,6 +326,12 @@ class TestRationalLimitClassify:
         gens = {"a": np.array([[2.0, 0.0], [0.0, 1.0]]), "b": np.array([[1.0, 1.0], [0.0, 1.0]])}
         with pytest.raises(ValueError, match="integral generator inverses"):
             dyn.rational_limit_classify(gens, {}, v=(1, 0), L=2)
+
+    def test_irrational_target_refused(self):
+        # a float must be a small-denominator rational up to rounding, as for exponents
+        gens = {"a": np.array([[1.0, 1.0], [0.0, 1.0]]), "b": np.array([[0.0, -1.0], [1.0, 0.0]])}
+        with pytest.raises(ValueError, match="not rational"):
+            dyn.rational_limit_classify(gens, {"b": 4}, v=(math.pi, 1), L=1)
 
     def test_unipotent_generator_is_witness(self):
         gens = {"a": np.array([[1.0, 1.0], [0.0, 1.0]]), "b": np.array([[0.0, -1.0], [1.0, 0.0]])}

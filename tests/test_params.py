@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,15 @@ class TestHypergeomParams:
         p = HypergeomParams((mu, "1/2", "1/2", 1 - mu), ("0", "0", "0", "0"))
         assert p.self_dual
         assert not p.is_rational
+
+
+@pytest.mark.parametrize("x,exact", [
+    (1 - 0.7, Fraction(3, 10)), (0.25, Fraction(1, 4)), (1234.567, Fraction(1234567, 1000)),
+    (math.pi, None), (math.sqrt(2), None),
+])
+def test_as_exact_snaps_rounding_only(x, exact):
+    # every real lies within about 1e-12 of a fraction with denominator <= 10**6
+    assert par.as_exact(x) == exact
 
 
 class TestHodgeNumbers:
