@@ -33,15 +33,6 @@ from . import dynamics, fuchsian, monodromy, params
 from .monodromy import form_signature
 
 
-class _FloatText(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        return super().default(o)
-
-
 def _mat_json(m):
     m = np.asarray(m)
     return {"shape": list(m.shape), "data": [float(x) for x in m.ravel()]}
@@ -92,7 +83,7 @@ def _write(path, text):
 
 def _emit_json(obj, path):
     """Print obj as JSON, and write it to path when one is given."""
-    text = json.dumps(obj, indent=2, sort_keys=True, cls=_FloatText)
+    text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
         _write(path, text + "\n")
     print(text)

@@ -468,9 +468,10 @@ def lyapunov_mc(
     """Benettin frame transport along random geodesics of the base orbifold.
 
     The flat frame is pulled back to the fundamental-domain chart at every
-    side crossing (matrix rho(gamma)^{-1}) and QR-renormalized, with the
-    signs fixed so that R has a positive diagonal; exponents are averaged
-    log diagonal growth per unit of flow time.  Time follows the
+    side crossing (matrix rho(gamma)^{-1}) and QR-renormalized; exponents
+    are averaged log |diag R| per unit of flow time.  Householder QR is
+    exactly equivariant under column sign flips, so |diag R| does not depend
+    on the signs of the frame's columns.  Time follows the
     diag(e^t, e^{-t}) convention, under which the geodesic covers hyperbolic
     arc length 2t and the uniformizing representation itself has top exponent
     exactly 1.
@@ -512,9 +513,8 @@ def lyapunov_mc(
             frame, log, start = frames[:k], logs[:k], starts[:k]
             for j in range(ends[k], ends[k - 1]):
                 q, r = np.linalg.qr(steps[flat[start + j]] @ frame)
-                diag = r.diagonal(axis1=1, axis2=2)
-                np.multiply(q, np.copysign(1.0, diag)[:, None, :], out=frame)
-                log += np.log(np.abs(diag))
+                frame[...] = q
+                log += np.log(np.abs(r.diagonal(axis1=1, axis2=2)))
     per = np.empty_like(logs)
     per[order] = logs
     per = per[np.isfinite(per).all(axis=1)] / t_each

@@ -75,18 +75,6 @@ def _translate_to(p):
     return (r, x / r, 0.0, 1.0 / r)
 
 
-def point_at(p, direction, dist):
-    """Endpoint of the geodesic from interior p with tangent angle ``direction``."""
-    g = mat_mul(_translate_to(p), _rot((direction - math.pi / 2) / 2.0))
-    return mobius(g, complex(0.0, math.exp(dist)))
-
-
-def ray_ideal_endpoint(p, direction):
-    g = mat_mul(_translate_to(p), _rot((direction - math.pi / 2) / 2.0))
-    a, _, c, _ = g
-    return a / c if c != 0 else INF
-
-
 def rotation_about(p, angle):
     """Hyperbolic rotation by ``angle`` (counterclockwise) about interior p."""
     t = _translate_to(p)
@@ -124,10 +112,12 @@ class OrbifoldSignature:
     einf: float
 
     def __post_init__(self):
-        for e in (self.e0, self.e1, self.einf):
-            if e != INF and (int(e) != e or e < 2):
+        finite = [e for e in (self.e0, self.e1, self.einf) if e != INF]
+        for e in finite:
+            if int(e) != e or e < 2:
                 raise ValueError(f"cone order must be an integer >= 2 or inf, got {e}")
-        if self.chi >= 0:
+        # decided exactly: the float chi of (2, 3, 6) is -1.1e-16
+        if sum(Fraction(1, int(e)) for e in finite) >= 1:
             raise ValueError(f"signature {self} is not hyperbolic (chi = {self.chi})")
 
     @property
@@ -135,25 +125,15 @@ class OrbifoldSignature:
         return -1.0 + sum(0.0 if e == INF else 1.0 / e for e in (self.e0, self.e1, self.einf))
 
 
-def _local_order(exps, convention):
-    """Cone order of a companion-form local monodromy with the given exponents."""
-    fracs = []
-    for x in exps:
-        f = as_exact(x)
-        if f is None:
-            raise ValueError(f"irrational exponent {x}: no finite-cover orbifold model")
-        fracs.append(f % 1)
+def _local_order(fracs, convention):
+    """Cone order of a companion-form local monodromy with the given rational exponents."""
+    fracs = [f % 1 for f in fracs]
     if len(set(fracs)) != len(fracs):
         return INF  # repeated exponent: nontrivial unipotent part
     if convention == "gl":
-        order = 1
-        for f in fracs:
-            order = order * f.denominator // math.gcd(order, f.denominator)
+        order = math.lcm(*(f.denominator for f in fracs))
     elif convention == "projective":
-        order = 1
-        for f in fracs[1:]:
-            den = (f - fracs[0]).denominator
-            order = order * den // math.gcd(order, den)
+        order = math.lcm(*((f - fracs[0]).denominator for f in fracs[1:]))
     else:
         raise ValueError("convention must be 'gl' or 'projective'")
     if order < 2:
@@ -168,19 +148,19 @@ def orbifold_signature(p: HypergeomParams, convention: str = "gl") -> OrbifoldSi
     unipotent part, else the multiplicative order of the finite-order local
     monodromy.  Exponents must be rational.
     """
-    e0 = _local_order(p.beta, convention)
-    einf = _local_order(p.alpha, convention)
-    # at 1, the monodromy is a pseudo-reflection with special eigenvalue
-    # exp(2 pi i gamma), gamma = (n-1) - sum(alpha) - sum(beta)
-    total = Fraction(0)
-    for x in p.alpha + p.beta:
+    exact = []
+    for x in p.beta + p.alpha:
         f = as_exact(x)
         if f is None:
             raise ValueError(f"irrational exponent {x}: no finite-cover orbifold model")
-        total += f
-    gamma = (Fraction(p.rank - 1) - total) % 1
-    e1 = INF if gamma == 0 else gamma.denominator
-    return OrbifoldSignature(e0=e0, e1=float(e1) if e1 != INF else INF, einf=einf)
+        exact.append(f)
+    e0 = _local_order(exact[: p.rank], convention)
+    einf = _local_order(exact[p.rank :], convention)
+    # at 1, the monodromy is a pseudo-reflection with special eigenvalue
+    # exp(2 pi i gamma), gamma = (n-1) - sum(alpha) - sum(beta)
+    gamma = (p.rank - 1 - sum(exact)) % 1
+    e1 = INF if gamma == 0 else float(gamma.denominator)
+    return OrbifoldSignature(e0=e0, e1=e1, einf=einf)
 
 
 # --- triangle domain ----------------------------------------------------------
@@ -259,21 +239,16 @@ def _axis_side_value(mop, z):
     return val.real if val != INF else 0.0
 
 
-def _position_on_axis(mop, z):
-    """log|mop(z)| for z on (or near) the geodesic."""
-    val = mobius(mop, complex(z))
+def _endpoint_position(mop, endpoint, p, q):
+    """log|mop(endpoint)|, the position of a side's endpoint along the axis."""
+    if endpoint == p:
+        return -INF
+    if endpoint == q:
+        return INF
+    val = mobius(mop, complex(endpoint))
     if val == INF:
         return INF
     return math.log(abs(val)) if val != 0 else -INF
-
-
-def _endpoint_position(mop, endpoint, p, q):
-    if _is_ideal(endpoint):
-        if endpoint == p:
-            return -INF
-        if endpoint == q:
-            return INF
-    return _position_on_axis(mop, endpoint)
 
 
 def _solve_ideal_ideal_vertex(ainf):
@@ -292,78 +267,61 @@ def _acosh_law(cos_a, cos_b, cos_c, sin_b, sin_c):
     return math.acosh((cos_a + cos_b * cos_c) / (sin_b * sin_c))
 
 
+def _far_vertex(v, direction, a_opp, a_v, ainf):
+    """The right vertex, seen from the interior vertex v (angle a_v) along ``direction``.
+
+    It lies at the side length opposite a_opp, or at the ray's ideal end when
+    its own angle ainf is 0.
+    """
+    g = mat_mul(_translate_to(v), _rot((direction - math.pi / 2) / 2.0))
+    if ainf == 0.0:
+        return mobius(g, INF)
+    dist = _acosh_law(math.cos(a_opp), math.cos(a_v), math.cos(ainf), math.sin(a_v), math.sin(ainf))
+    return mobius(g, complex(0.0, math.exp(dist)))
+
+
+def _side_pairing(candidates, src, dst):
+    """The first candidate that maps src to dst, to 1e-8 relative."""
+    src, dst = complex(src), complex(dst)
+    for m in candidates:
+        if abs(mobius(m, src) - dst) < 1e-8 * max(1.0, abs(dst)):
+            return m
+    raise RuntimeError(f"no side pairing maps {src} to {dst}")
+
+
 @lru_cache(maxsize=None)
 def _build_domain_cached(e0, e1, einf):
     sig = OrbifoldSignature(e0, e1, einf)
     a0, a1, ainf = (0.0 if e == INF else math.pi / e for e in (e0, e1, einf))
 
-    # vertices v0 (bottom) and v1 (top) on the imaginary axis, w to the right
+    # vertices v0 (bottom) and v1 (top) on the imaginary axis, w to the right;
+    # a cusp sits at 0 or inf
     if e0 != INF and e1 != INF:
         l01 = _acosh_law(math.cos(ainf), math.cos(a0), math.cos(a1), math.sin(a0), math.sin(a1))
         v0 = complex(0.0, math.exp(-l01 / 2.0))
         v1 = complex(0.0, math.exp(l01 / 2.0))
-    elif e0 == INF and e1 != INF:
-        v0 = 0.0
-        v1 = complex(0.0, math.e)
-    elif e0 != INF and e1 == INF:
-        v0 = complex(0.0, 1.0 / math.e)
-        v1 = INF
     else:
-        v0, v1 = 0.0, INF
-
-    if not _is_ideal(v0):
-        direction = math.pi / 2 - a0
-        if ainf > 0:
-            dist = _acosh_law(math.cos(a1), math.cos(a0), math.cos(ainf), math.sin(a0), math.sin(ainf))
-            w = point_at(v0, direction, dist)
-        else:
-            w = ray_ideal_endpoint(v0, direction)
-    elif not _is_ideal(v1):
-        direction = -math.pi / 2 + a1
-        if ainf > 0:
-            dist = _acosh_law(math.cos(a0), math.cos(a1), math.cos(ainf), math.sin(a1), math.sin(ainf))
-            w = point_at(v1, direction, dist)
-        else:
-            w = ray_ideal_endpoint(v1, direction)
+        v0 = 0.0 if e0 == INF else complex(0.0, 1.0 / math.e)
+        v1 = INF if e1 == INF else complex(0.0, math.e)
+    if e0 != INF:
+        w = _far_vertex(v0, math.pi / 2 - a0, a1, a0, ainf)
+    elif e1 != INF:
+        w = _far_vertex(v1, -math.pi / 2 + a1, a0, a1, ainf)
     else:
         w = _solve_ideal_ideal_vertex(ainf)
-
-    w_m = -w if _is_ideal(w) else complex(-w.real, w.imag)
+    w_m = -w.conjugate()  # mirror image in the imaginary axis
 
     # side pairings: gamma0 maps (v0, w_m) to (v0, w); gamma1 maps (v1, w) to (v1, w_m)
-    if _is_ideal(v0):
-        pA, qA = _geodesic_ideal_endpoints(v0, w)
-        x_a = qA if abs(pA) < 1e-12 else pA
-        gamma0 = mat_normalize((1.0, 0.0, 2.0 / x_a, 1.0))
-        img = mobius(gamma0, w_m if not _is_ideal(w_m) else complex(w_m, 0.0))
-        target = w if not _is_ideal(w) else complex(w, 0.0)
-        if abs(img - target) > 1e-8 * max(1.0, abs(target)):
-            gamma0 = mat_inv(gamma0)
+    if e0 == INF:
+        _, x_a = _geodesic_ideal_endpoints(v0, w)
+        parabolic = mat_normalize((1.0, 0.0, 2.0 / x_a, 1.0))
+        gamma0 = _side_pairing([parabolic, mat_inv(parabolic)], w_m, w)
     else:
-        gamma0 = None
-        for sgn in (1.0, -1.0):
-            cand = rotation_about(v0, sgn * 2.0 * a0)
-            img = mobius(cand, w_m if not _is_ideal(w_m) else complex(w_m, 0.0))
-            target = w if not _is_ideal(w) else complex(w, 0.0)
-            if abs(img - target) < 1e-8 * max(1.0, abs(target)):
-                gamma0 = cand
-                break
-        if gamma0 is None:
-            raise RuntimeError("could not orient the rotation at v0")
-    if _is_ideal(v1):
-        x_b = w.real if not _is_ideal(w) else float(w)
-        gamma1 = (1.0, -2.0 * x_b, 0.0, 1.0)
+        gamma0 = _side_pairing([rotation_about(v0, s * 2.0 * a0) for s in (1.0, -1.0)], w_m, w)
+    if e1 == INF:
+        gamma1 = _side_pairing([(1.0, -2.0 * w.real, 0.0, 1.0)], w, w_m)
     else:
-        gamma1 = None
-        for sgn in (1.0, -1.0):
-            cand = rotation_about(v1, sgn * 2.0 * a1)
-            img = mobius(cand, w if not _is_ideal(w) else complex(w, 0.0))
-            target = w_m if not _is_ideal(w_m) else complex(w_m, 0.0)
-            if abs(img - target) < 1e-8 * max(1.0, abs(target)):
-                gamma1 = cand
-                break
-        if gamma1 is None:
-            raise RuntimeError("could not orient the rotation at v1")
+        gamma1 = _side_pairing([rotation_about(v1, s * 2.0 * a1) for s in (1.0, -1.0)], w, w_m)
 
     dom = TriangleDomain(sig=sig, v0=v0, v1=v1, w=w, gamma0=gamma0, gamma1=gamma1)
 

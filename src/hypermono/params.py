@@ -15,7 +15,6 @@ Exponent = Union[Fraction, float]
 
 EXACT_TOL = 1e-12
 _DENOM_LIMIT = 10**6
-_SNAP_TOL = 1e-9  # a decimal string within this of a small-denominator rational is that rational
 _ROUND_TOL = 1e-15  # a float within this (relative) of one is that rational, up to rounding
 
 HALF = Fraction(1, 2)
@@ -35,8 +34,8 @@ def parse_exponent(x) -> Exponent:
             v = Fraction(int(num), int(den))
         else:
             f = float(x)
-            v = Fraction(f).limit_denominator(_DENOM_LIMIT)
-            if abs(v - f) > _SNAP_TOL:
+            v = as_exact(f)
+            if v is None:
                 v = f
     elif isinstance(x, float):
         v = x

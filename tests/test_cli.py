@@ -73,6 +73,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err and "self-dual" in captured.err
 
+    def test_euclidean_signature_refused(self, capsys):
+        # the float chi of (2, 3, 6) is -1.1e-16: this used to run and print eps_hat 4e7
+        assert cli.main(["certify", "--params", QUINTIC, "--sig", "2,3,6", "--L", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not hyperbolic" in captured.err
+
+
+class TestClassify:
+    def test_long_decimals_stay_decimals(self, tmp_path, capsys):
+        # a 14-digit decimal is within 1e-9 of a fraction with q <= 10**6, but not a rounding of one
+        path = tmp_path / "classify.json"
+        argv = ["classify", "--params", "0.14159265358979,1/2,1/2,0.85840734641021:0,0,0,0",
+                "--out", str(path)]
+        assert cli.main(argv) == 0
+        report = json.loads(path.read_bytes())
+        assert report["alpha"] == ["0.14159265358979", "1/2", "1/2", "0.85840734641021"]
+        assert report["orbifold_signature"].startswith("unavailable: irrational exponent")
+
 
 def _config(tmp_path, options):
     path = tmp_path / "run.yaml"

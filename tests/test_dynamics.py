@@ -537,10 +537,14 @@ class TestLyapunovMC:
         fuchs = dyn.lyapunov_mc(*lyap_reps["fuchsian"], 400, 8, 3).per_trajectory
         assert np.abs(sym3 - np.outer(fuchs[:, 0], [3, 1, -1, -3])).max() < 1e-5
 
-    def test_fuchsian_top_exponent_is_one(self, lyap_reps):
+    @pytest.mark.parametrize("e", [(2, 3, fox.INF), (13, fox.INF, 8), (fox.INF, 3, 4)],
+                             ids=["2-3-inf", "13-inf-8", "inf-3-4"])
+    def test_fuchsian_top_exponent_is_one(self, e):
         # finite-time estimates sit about 1e-3 below 1, one to two stderrs
         # (ROADMAP item 1), so the check uses a fixed 0.01, not the stderr
-        result = dyn.lyapunov_mc(*lyap_reps["fuchsian"], 2000, 20, 7)
+        dom = fox.build_domain(fox.OrbifoldSignature(*e))
+        gens = {"0": np.array(dom.gamma0).reshape(2, 2), "1": np.array(dom.gamma1).reshape(2, 2)}
+        result = dyn.lyapunov_mc(gens, dom.sig, 2000, 20, 7)
         assert abs(result.exponents[0] - 1.0) < 0.01
 
 

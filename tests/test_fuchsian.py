@@ -6,13 +6,29 @@ from scipy.optimize import brentq
 
 from hypermono import dynamics as dyn
 from hypermono import fuchsian as fox
+from hypermono import params as par
 from hypermono.fuchsian import INF, IDENT, mat_inv, mat_mul
 
-SIGNATURES = [(2, 3, INF), (2, 3, 7), (3, 3, 4), (INF, INF, 5), (INF, INF, INF)]
+# (13, INF, 8) is the family 1/8,3/8,5/8,7/8:5/13,6/13,7/13,8/13; with (INF, 3, 4), it
+# places one vertex at a cusp and the other at a cone point
+SIGNATURES = [(2, 3, INF), (2, 3, 7), (3, 3, 4), (INF, INF, 5), (INF, INF, INF), (13, INF, 8),
+              (INF, 3, 4)]
 
 
 def _sig(e):
     return fox.OrbifoldSignature(*e)
+
+
+class TestOrbifoldSignature:
+    @pytest.mark.parametrize("e", [(2, 3, 6), (3, 2, 6), (6, 3, 2), (2, 4, 4), (3, 3, 3)])
+    def test_euclidean_refused(self, e):
+        # decided on exact 1/e sums: the float chi of (2, 3, 6) is -1.1e-16
+        with pytest.raises(ValueError, match="not hyperbolic"):
+            _sig(e)
+
+    def test_table_family_signature(self):
+        p = par.HypergeomParams("1/8,3/8,5/8,7/8".split(","), "5/13,6/13,7/13,8/13".split(","))
+        assert fox.orbifold_signature(p) == _sig((13, INF, 8))
 
 
 class TestGeodesicSample:
