@@ -45,7 +45,7 @@ from .fuchsian import (
 )
 from .dynamics import (
     AnosovCertificate,
-    LimitSample,
+    LimitSamples,
     WordBall,
     anosov_certificate,
     enumerate_ball,

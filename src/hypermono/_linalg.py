@@ -9,18 +9,21 @@ RANK_RTOL = 1e-9  # singular values at or below RANK_RTOL * s[0] count as zero
 
 
 def projective_normalize(v):
-    """Unit Euclidean norm, first coordinate of absolute value > SIGN_TOL made positive."""
+    """Unit Euclidean norm, first coordinate of absolute value > SIGN_TOL made positive.
+
+    ``v`` is one vector (n,) or a stack of rows (N, n), each row normalized
+    alone.  The norm is a stacked matmul on a C-contiguous copy, which gives
+    ``np.linalg.norm`` of each row bit for bit; on a strided stack it does not.
+    """
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0:
+    rows = np.ascontiguousarray(v.reshape(-1, v.shape[-1]))
+    norm = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    if np.any(norm == 0):
         raise ValueError("cannot normalize the zero vector")
-    v = v / n
-    for x in np.ravel(v):
-        if abs(x) > SIGN_TOL:
-            if x < 0:
-                v = -v
-            break
-    return v
+    rows = rows / norm[:, None]
+    lead = rows[np.arange(len(rows)), np.argmax(np.abs(rows) > SIGN_TOL, axis=1)]
+    rows[lead < 0] *= -1.0
+    return rows.reshape(v.shape)
 
 
 def _rank_cut(s, rtol, atol):

@@ -202,16 +202,17 @@ def _svg_scatter(points, kinds, proj_desc, timestamp):
     )
     lines.append(f'<rect width="{int(w)}" height="{int(h)}" fill="white"/>')
     if len(points):
-        pts = np.asarray(points, dtype=float)
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
+        lo = points.min(axis=0)
+        hi = points.max(axis=0)
         span = np.maximum(hi - lo, 1e-9)
         scale = min((w - 2 * pad) / span[0], (h - 2 * pad) / span[1])
-        for (x, y), kind in zip(pts, kinds):
-            px = pad + (x - lo[0]) * scale
-            py = h - pad - (y - lo[1]) * scale
-            color = "#1f77b4" if kind == "attracting" else "#d62728"
-            lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.4" fill="{color}"/>')
+        px = pad + (points[:, 0] - lo[0]) * scale
+        py = h - pad - (points[:, 1] - lo[1]) * scale
+        color = np.where(kinds == "attracting", "#1f77b4", "#d62728")
+        lines += map(
+            '<circle cx="%.2f" cy="%.2f" r="1.4" fill="%s"/>'.__mod__,
+            zip(px.tolist(), py.tolist(), color.tolist()),
+        )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -226,25 +227,20 @@ def cmd_limitset(args) -> int:
     ball = dynamics.enumerate_ball(gen_mats, orders, args.L)
     h1 = std.h1 if "cusp" in kinds else None
     samples = dynamics.limit_curve_samples(ball, args.gap_min, h1=h1)
-    samples = [s for s in samples if s.kind in kinds]
-    rows = ["x0,x1,x2,x3,gap,kind"]
-    for s in samples:
-        coords = ",".join(map(repr, s.point.tolist()))
-        rows.append(f"{coords},{s.gap!r},{s.kind}")
-    csv_text = "\n".join(rows) + "\n"
-    pts2 = [proj @ s.point for s in samples]
-    svg_text = _svg_scatter(
-        pts2,
-        [s.kind for s in samples],
-        args.proj,
-        timestamp=not args.no_timestamp,
-    )
+    keep = np.isin(samples.kinds, list(kinds))
+    points, gaps, sample_kinds = samples.points[keep], samples.gaps[keep], samples.kinds[keep]
+    columns = [map(repr, col) for col in points.T.tolist()]
+    columns += [map(repr, gaps.tolist()), sample_kinds.tolist()]
+    csv_text = "\n".join(["x0,x1,x2,x3,gap,kind", *map(",".join, zip(*columns))]) + "\n"
+    # the stacked matmul gives proj @ p of each row bit for bit; points @ proj.T does not
+    pts2 = (proj[None] @ points[:, :, None])[:, :, 0]
+    svg_text = _svg_scatter(pts2, sample_kinds, args.proj, timestamp=not args.no_timestamp)
     if args.out:
         _write(args.out + ".csv", csv_text)
         _write(args.out + ".svg", svg_text)
     else:
         print(csv_text, end="")
-    print(f"# {len(samples)} samples", file=sys.stderr)
+    print(f"# {len(points)} samples", file=sys.stderr)
     return 0
 
 

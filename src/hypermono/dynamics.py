@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -95,6 +95,8 @@ class _KeySet:
 
     def admit(self, keys):
         """Indices (increasing) of the rows of ``keys`` not seen before, first copies only."""
+        if not len(keys):
+            return np.empty(0, dtype=np.int64)
         if self.tuples is None and keys.dtype == np.int64:
             first = self._admit_hashed(keys)
             if first is not None:
@@ -292,49 +294,56 @@ def enumerate_ball(
 # --- limit curve ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LimitSample:
-    point: np.ndarray
-    word: tuple
-    gap: float
-    kind: str  # "attracting" | "cusp"
+@dataclass
+class LimitSamples:
+    """Limit-curve samples, one row each.
+
+    ``points`` (N, n) are unit vectors, ``gaps`` (N,) the alpha_1-gaps (0.0
+    for a cusp sample), ``kinds`` (N,) "attracting" or "cusp", and ``index``
+    (N,) the ball word of each sample: sample i is ``ball.words[index[i]]``.
+    """
+
+    points: np.ndarray
+    gaps: np.ndarray
+    kinds: np.ndarray
+    index: np.ndarray
+
+    def __len__(self):
+        return len(self.index)
 
 
 def limit_curve_samples(
     ball: WordBall, gap_min: float, h1: Optional[np.ndarray] = None
-) -> List[LimitSample]:
+) -> LimitSamples:
     """Boundary-curve samples from a word ball.
 
     Attracting points are top left-singular directions of elements with
     alpha_1-gap >= gap_min; cusp points are the ball translates of the line
-    ker(h1 - id) & im(h1 - id) when h1 is log-proximal.
+    ker(h1 - id) & im(h1 - id) when h1 is log-proximal, all put through
+    ``projective_normalize``.
+
+    Order: the attracting samples in ball order, then the cusp samples in
+    ball order.  Each kind is deduplicated on its own: of several points of
+    one kind that round to the same point of the ``LIMIT_DEDUP_RES`` grid,
+    only the first is kept.  ``index[i]`` is the position in ``ball.words``
+    of the word whose matrix gave sample i.
     """
     if gap_min <= 0:
         raise ValueError("gap_min must be positive")
-    out = []
-    seen = set()
-
-    def push(vec, word, gap, kind):
-        v = projective_normalize(vec)
-        key = (kind, tuple(np.round(v / LIMIT_DEDUP_RES).astype(np.int64)))
-        if key in seen:
-            return
-        seen.add(key)
-        out.append(LimitSample(point=v, word=word, gap=float(gap), kind=kind))
-
-    if len(ball):
-        u, s, _ = np.linalg.svd(ball.mats)
-        gaps = np.log(s[:, 0]) - np.log(s[:, 1])
-        for i in range(len(ball)):
-            if gaps[i] >= gap_min:
-                push(u[i][:, 0], ball.words[i], gaps[i], "attracting")
+    u, s, _ = np.linalg.svd(ball.mats)
+    gaps = np.log(s[:, 0]) - np.log(s[:, 1])
+    idx = np.flatnonzero(gaps >= gap_min)
+    parts = [("attracting", idx, u[idx, :, 0], gaps[idx])]
     if h1 is not None:
         ok, line, _ = is_log_proximal(h1)
         if ok:
-            pts = ball.mats @ line
-            for i in range(len(ball)):
-                push(pts[i], ball.words[i], 0.0, "cusp")
-    return out
+            parts.append(("cusp", np.arange(len(ball)), ball.mats @ line, np.zeros(len(ball))))
+    columns = []  # (points, gaps, kinds, index) of each kind
+    for kind, idx, vecs, kind_gaps in parts:
+        v = projective_normalize(vecs)
+        first = _KeySet(v.shape[1]).admit(np.round(v / LIMIT_DEDUP_RES).astype(np.int64))
+        columns.append((v[first], kind_gaps[first], np.full(len(first), kind), idx[first]))
+    return LimitSamples(*map(np.concatenate, zip(*columns)))
 
 
 # --- log-Anosov certificate ------------------------------------------------------

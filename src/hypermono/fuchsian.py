@@ -116,9 +116,10 @@ class OrbifoldSignature:
         for e in finite:
             if int(e) != e or e < 2:
                 raise ValueError(f"cone order must be an integer >= 2 or inf, got {e}")
-        # decided exactly: the float chi of (2, 3, 6) is -1.1e-16
-        if sum(Fraction(1, int(e)) for e in finite) >= 1:
-            raise ValueError(f"signature {self} is not hyperbolic (chi = {self.chi})")
+        # decided and printed exactly: the float chi of (2, 3, 6) is -1.1e-16
+        chi = -1 + sum(Fraction(1, int(e)) for e in finite)
+        if chi >= 0:
+            raise ValueError(f"signature {self} is not hyperbolic (chi = {chi})")
 
     @property
     def chi(self) -> float:
@@ -132,10 +133,8 @@ def _local_order(fracs, convention):
         return INF  # repeated exponent: nontrivial unipotent part
     if convention == "gl":
         order = math.lcm(*(f.denominator for f in fracs))
-    elif convention == "projective":
-        order = math.lcm(*((f - fracs[0]).denominator for f in fracs[1:]))
     else:
-        raise ValueError("convention must be 'gl' or 'projective'")
+        order = math.lcm(*((f - fracs[0]).denominator for f in fracs[1:]))
     if order < 2:
         raise ValueError("trivial local monodromy: no cone point")
     return order
@@ -148,6 +147,8 @@ def orbifold_signature(p: HypergeomParams, convention: str = "gl") -> OrbifoldSi
     unipotent part, else the multiplicative order of the finite-order local
     monodromy.  Exponents must be rational.
     """
+    if convention not in ("gl", "projective"):
+        raise ValueError("convention must be 'gl' or 'projective'")
     exact = []
     for x in p.beta + p.alpha:
         f = as_exact(x)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -39,6 +40,25 @@ class TestDeterminism:
         )
         assert first == second
         assert first[".csv"].startswith(b"x0,x1,x2,x3,gap,kind\n")
+
+    # sha256 of (csv, svg), recorded from the per-sample writer before limit
+    # samples became arrays: a rerun-equality check passes a uniform change
+    @pytest.mark.parametrize("extra, csv_sha, svg_sha", [
+        ([], "2702cce2a249622a511f6d4d780f798d6fbd7511a3a7e1d93e5e83347c8f970e",
+         "0d88933937a4ad007a9b1396b07631409bec7de53b38577f7fec53d9f30c2a74"),
+        (["--proj", "0.3,-1.7,2.2,0.9;0.333,0.25,-5,0.001"],
+         "2702cce2a249622a511f6d4d780f798d6fbd7511a3a7e1d93e5e83347c8f970e",
+         "15bff50eeac215cd991a66d75f2c51474871434b1487419f37d6759c686a0ded"),
+        (["--kinds", "cusp"], "b43b71d3d8488d65d3d42a166becc07b3248b4cf3908c6e4b9e7722f10ea639d",
+         "b3b186038ad9d19ac84d16f0b55cfb500c13807dd65ab769998051ed05af2631"),
+    ], ids=["default", "proj", "cusp"])
+    def test_limitset_bytes_pinned(self, tmp_path, capsys, extra, csv_sha, svg_sha):
+        prefix = tmp_path / "out"
+        argv = ["limitset", "--params", QUINTIC, "--L", "6", "--no-timestamp", *extra]
+        assert cli.main(argv + ["--out", str(prefix)]) == 0
+        digest = {s: hashlib.sha256((tmp_path / f"out{s}").read_bytes()).hexdigest()
+                  for s in (".csv", ".svg")}
+        assert digest == {".csv": csv_sha, ".svg": svg_sha}
 
 
 class TestExitCodes:

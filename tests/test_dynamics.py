@@ -10,6 +10,7 @@ from hypermono import fuchsian as fox
 from hypermono import monodromy as mono
 from hypermono import params as par
 from hypermono.fuchsian import IDENT, INF, mat_inv, mat_mul, mat_normalize
+from hypermono._linalg import SIGN_TOL, projective_normalize
 from hypermono.lie import is_log_proximal
 
 OCTIC = par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)
@@ -379,19 +380,110 @@ class TestRationalLimitClassify:
         assert reference_classify(gens, orders, v=(1, 1), L=3) is None
 
 
+def per_vector_normalize(v):
+    """The single-vector normalization: np.linalg.norm, then the sign of the first |x| > SIGN_TOL."""
+    v = np.asarray(v, dtype=float)
+    v = v / np.linalg.norm(v)
+    for x in v:
+        if abs(x) > SIGN_TOL:
+            return -v if x < 0 else v
+    return v
+
+
+def per_sample_limit_curve(ball, gap_min, h1=None):
+    """The per-sample reference loop: (point, word, gap, kind) tuples, deduplicated through a set."""
+    out, seen = [], set()
+
+    def push(vec, word, gap, kind):
+        v = per_vector_normalize(vec)
+        key = (kind, tuple(np.round(v / dyn.LIMIT_DEDUP_RES).astype(np.int64)))
+        if key in seen:
+            return
+        seen.add(key)
+        out.append((v, word, float(gap), kind))
+
+    u, s, _ = np.linalg.svd(ball.mats)
+    gaps = np.log(s[:, 0]) - np.log(s[:, 1])
+    for i in range(len(ball)):
+        if gaps[i] >= gap_min:
+            push(u[i][:, 0], ball.words[i], gaps[i], "attracting")
+    if h1 is not None:
+        ok, line, _ = is_log_proximal(h1)
+        if ok:
+            pts = ball.mats @ line
+            for i in range(len(ball)):
+                push(pts[i], ball.words[i], 0.0, "cusp")
+    return out
+
+
+LIMIT_FAMILIES = {
+    "quintic": par.MIRROR_QUINTIC,
+    "octic": OCTIC,
+    "half": par.HypergeomParams(("1/2",) * 4, ("0",) * 4),
+}
+
+
+@pytest.fixture(scope="module")
+def limit_balls():
+    return {name: ball_for(p, 7)[:2] for name, p in LIMIT_FAMILIES.items()}
+
+
 class TestLimitCurveSamples:
     def test_sample_words_are_ball_words(self, mq):
         # a cusp sample is the translate g.l of the cusp line l, so its word is g's
         ball, std, _ = ball_for(mq, 5)
-        index = {w: i for i, w in enumerate(ball.words)}
         samples = dyn.limit_curve_samples(ball, 1.0, h1=std.h1)
-        assert {s.kind for s in samples} == {"attracting", "cusp"}
+        assert set(samples.kinds.tolist()) == {"attracting", "cusp"}
+        assert 0 <= samples.index.min() and samples.index.max() < len(ball)
         _, line, _ = is_log_proximal(std.h1)
-        for s in samples:
-            assert s.word in index
-            if s.kind == "cusp":
-                translate = ball.mats[index[s.word]] @ line
-                assert abs(abs(s.point @ translate) / np.linalg.norm(translate) - 1.0) < 1e-9
+        for point, i, kind in zip(samples.points, samples.index, samples.kinds):
+            if kind == "cusp":
+                translate = ball.mats[i] @ line
+                assert abs(abs(point @ translate) / np.linalg.norm(translate) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("family", list(LIMIT_FAMILIES))
+    @pytest.mark.parametrize("gap_min", [1.0, 2.0, 1e3])
+    @pytest.mark.parametrize("cusp", [False, True])
+    def test_matches_per_sample_loop(self, limit_balls, family, gap_min, cusp):
+        ball, std = limit_balls[family]
+        got = dyn.limit_curve_samples(ball, gap_min, h1=std.h1 if cusp else None)
+        want = per_sample_limit_curve(ball, gap_min, h1=std.h1 if cusp else None)
+        assert len(got) == len(want) and got.points.shape == (len(want), 4)
+        assert got.points.tobytes() == np.array([w[0] for w in want]).tobytes()
+        assert got.gaps.tobytes() == np.array([w[2] for w in want], dtype=float).tobytes()
+        assert got.kinds.tolist() == [w[3] for w in want]
+        assert [ball.words[i] for i in got.index] == [w[1] for w in want]
+        attracting = got.kinds == "attracting"
+        if gap_min == 1e3:  # above every gap of the ball
+            assert not attracting.any()
+        else:
+            assert attracting.sum() > 100
+        assert (not attracting.all()) == cusp
+
+    def test_dedup_is_per_kind_first_copy(self, limit_balls):
+        # two copies of one matrix whose attracting point is the cusp line l, which
+        # it fixes: each kind keeps its first copy, and the kinds do not share keys
+        _, std = limit_balls["quintic"]
+        _, line, _ = is_log_proximal(std.h1)
+        q, _ = np.linalg.qr(np.column_stack([line, np.eye(4)[:, :3]]))
+        m = q @ np.diag([20.0, 2.0, 0.5, 0.05]) @ q.T
+        ball = dyn.WordBall(words=[("a",), ("b",)], mats=np.stack([m, m]), lengths=np.ones(2))
+        got = dyn.limit_curve_samples(ball, 1.0, h1=std.h1)
+        assert got.kinds.tolist() == ["attracting", "cusp"] and got.index.tolist() == [0, 0]
+        assert got.points.tobytes() == np.array([w[0] for w in per_sample_limit_curve(
+            ball, 1.0, h1=std.h1)]).tobytes()
+        assert np.abs(got.points[0] - got.points[1]).max() < dyn.LIMIT_DEDUP_RES
+
+    def test_strided_stack_normalizes_row_by_row(self, limit_balls):
+        # the stacked norm of the strided view u[:, :, 0] differs from the
+        # per-row norm in the last bit on some rows, unless the helper copies
+        # the stack to C order first
+        ball, _ = limit_balls["octic"]
+        u = np.linalg.svd(ball.mats)[0]
+        stacked = projective_normalize(u[:, :, 0])
+        for i, row in enumerate(stacked):
+            one = projective_normalize(u[i, :, 0])
+            assert row.tobytes() == one.tobytes() == per_vector_normalize(u[i, :, 0]).tobytes()
 
 
 class TestAnosovCertificate:

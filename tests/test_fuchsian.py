@@ -26,6 +26,18 @@ class TestOrbifoldSignature:
         with pytest.raises(ValueError, match="not hyperbolic"):
             _sig(e)
 
+    @pytest.mark.parametrize("e, chi", [((2, 3, 6), "0"), ((2, 3, 5), "1/30")])
+    def test_refusal_prints_exact_chi(self, e, chi):
+        # the float chi of (2, 3, 6), -1.1e-16, would contradict the refusal by its sign
+        with pytest.raises(ValueError, match=f"not hyperbolic \\(chi = {chi}\\)$"):
+            _sig(e)
+
+    def test_unknown_convention_refused_before_exponents(self):
+        # repeated exponents used to return (inf, inf, inf) before the convention was read
+        p = par.HypergeomParams(["1/2"] * 4, ["0"] * 4)
+        with pytest.raises(ValueError, match="convention"):
+            fox.orbifold_signature(p, "bogus")
+
     def test_table_family_signature(self):
         p = par.HypergeomParams("1/8,3/8,5/8,7/8".split(","), "5/13,6/13,7/13,8/13".split(","))
         assert fox.orbifold_signature(p) == _sig((13, INF, 8))
@@ -93,10 +105,10 @@ class TestVeronese:
         fuchs = {"0": dom.gens["0"], "inf": dom.gens["inf"]}
         gens = {s: dyn.sym_cube(np.array(g).reshape(2, 2)) for s, g in fuchs.items()}
         ball = dyn.enumerate_ball(gens, {"0": sig.e0, "inf": sig.einf}, 8, fuchs_gens=fuchs)
-        index = {w: i for i, w in enumerate(ball.words)}
-        samples = [s for s in dyn.limit_curve_samples(ball, 1.0) if s.kind == "attracting"]
-        assert len(samples) > 100
-        for s in samples:
-            u, _, _ = np.linalg.svd(ball.fuchs[index[s.word]].reshape(2, 2))
+        samples = dyn.limit_curve_samples(ball, 1.0)
+        attracting = samples.kinds == "attracting"
+        assert attracting.sum() > 100
+        for point, i in zip(samples.points[attracting], samples.index[attracting]):
+            u, _, _ = np.linalg.svd(ball.fuchs[i].reshape(2, 2))
             on_curve = dyn.veronese(u[:, 0])
-            assert abs(abs(float(on_curve @ s.point)) - 1.0) < 1e-9
+            assert abs(abs(float(on_curve @ point)) - 1.0) < 1e-9
