@@ -27,15 +27,7 @@ from .exterior import (
     pluecker,
     reduced_exterior_square,
 )
-from .lie import (
-    CartanData,
-    alpha1_gap,
-    is_log_proximal,
-    jacobson_morozov,
-    kak,
-    strictly_adapted_norm,
-    weight_filtration,
-)
+from .lie import is_log_proximal
 from .fuchsian import (
     GeodesicTrajectory,
     OrbifoldSignature,

@@ -26,50 +26,31 @@ def projective_normalize(v):
     return rows.reshape(v.shape)
 
 
-def _rank_cut(s, rtol, atol):
-    """Number of singular values ``s`` (nonincreasing) above the cut.
+def _rank_cut(s):
+    """Number of singular values ``s`` (nonincreasing) above ``RANK_RTOL * s[0]``.
 
-    The cut is ``atol`` when given, else ``rtol * s[0]``; the count is 0 when
-    ``s`` is empty or ``s[0]`` is 0.
+    The count is 0 when ``s`` is empty or ``s[0]`` is 0.
     """
     if not s.size or s[0] == 0:
         return 0
-    return int(np.sum(s > (rtol * s[0] if atol is None else atol)))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def numerical_rank(a, rtol=RANK_RTOL):
+def numerical_rank(a):
     s = np.linalg.svd(np.asarray(a), compute_uv=False)
-    return _rank_cut(s, rtol, None)
+    return _rank_cut(s)
 
 
-def null_space(a, atol=None):
-    """Orthonormal basis of the (numerical) kernel, columns of the result.
-
-    With ``atol`` set, singular values are cut at an absolute threshold
-    instead of relative to the largest one (for matrices whose entries sit
-    near a known noise floor).
-    """
+def null_space(a):
+    """Orthonormal basis of the (numerical) kernel, columns of the result."""
     _, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
-    return vt[_rank_cut(s, RANK_RTOL, atol):].T.copy()
+    return vt[_rank_cut(s):].T.copy()
 
 
-def orth_basis(a, atol=None):
+def orth_basis(a):
     """Orthonormal basis of the column space, columns of the result."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, :_rank_cut(s, RANK_RTOL, atol)].copy()
-
-
-def subspace_intersection(a, b):
-    """Orthonormal basis of span(a) & span(b); a, b hold spanning columns."""
-    a = orth_basis(a)
-    b = orth_basis(b)
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    # x in both spans: x = a u = b w, solve [a, -b] [u;w] = 0
-    ns = null_space(np.hstack([a, -b]))
-    if ns.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    return orth_basis(a @ ns[: a.shape[1]])
+    return u[:, :_rank_cut(s)].copy()

@@ -335,7 +335,7 @@ def limit_curve_samples(
     idx = np.flatnonzero(gaps >= gap_min)
     parts = [("attracting", idx, u[idx, :, 0], gaps[idx])]
     if h1 is not None:
-        ok, line, _ = is_log_proximal(h1)
+        ok, line = is_log_proximal(h1)
         if ok:
             parts.append(("cusp", np.arange(len(ball)), ball.mats @ line, np.zeros(len(ball))))
     columns = []  # (points, gaps, kinds, index) of each kind

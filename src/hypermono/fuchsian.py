@@ -191,10 +191,6 @@ class TriangleDomain:
     basepoint: complex = 1j
 
     @property
-    def gamma_inf(self):
-        return mat_inv(mat_mul(self.gamma0, self.gamma1))
-
-    @property
     def gens(self):
         """Fuchsian generators keyed like the monodromy: rho(0)=gamma0, rho(1)=gamma1,
         rho(inf) = (gamma0 gamma1), matching h0 h1 = hinf."""

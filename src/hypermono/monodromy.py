@@ -110,13 +110,6 @@ def reflection_matrices(c: CharPolyCoeffs):
     return R_A, R_B, R_C
 
 
-def reflection_eigenvector(c: CharPolyCoeffs):
-    """The distinguished eigenvector (A_{n-1},...,A_1,2) of R_A, eigenvalue -A_n."""
-    A = np.asarray(c.A, dtype=float)
-    v = np.concatenate([A[:-1][::-1], [2.0]])
-    return v, -A[-1]
-
-
 def invariant_bilinear_form(mats):
     """The bilinear form J with h^T J h = J for every generator, by null space.
 

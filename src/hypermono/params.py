@@ -120,13 +120,6 @@ class HypergeomParams:
     def self_dual(self) -> bool:
         return is_self_dual(self.alpha) and is_self_dual(self.beta)
 
-    @property
-    def is_rational(self) -> bool:
-        return all(isinstance(x, Fraction) for x in self.alpha + self.beta)
-
-    def swapped(self) -> "HypergeomParams":
-        return HypergeomParams(self.beta, self.alpha)
-
     def __repr__(self):
         fmt = lambda t: "(" + ", ".join(str(x) for x in t) + ")"
         return f"HypergeomParams(alpha={fmt(self.alpha)}, beta={fmt(self.beta)})"

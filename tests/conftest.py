@@ -76,15 +76,3 @@ def random_symplectic(rng, scale=0.4):
     c = (c + c.T) / 2
     x = np.block([[a, b], [c, -a.T]])
     return scipy.linalg.expm(x)
-
-
-def random_nilpotent(rng, n=4):
-    """Random nilpotent q m q^T: m strictly upper triangular Gaussian, q orthogonal.
-
-    No conditioning bound: draws can be close to a nilpotent of lower rank
-    (sigma_3 near 1e-3), whose unit-column Jordan chain bases have condition
-    number 1e6 or more.
-    """
-    m = np.triu(rng.normal(size=(n, n)), k=1)
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return q @ m @ q.T

@@ -408,7 +408,7 @@ def per_sample_limit_curve(ball, gap_min, h1=None):
         if gaps[i] >= gap_min:
             push(u[i][:, 0], ball.words[i], gaps[i], "attracting")
     if h1 is not None:
-        ok, line, _ = is_log_proximal(h1)
+        ok, line = is_log_proximal(h1)
         if ok:
             pts = ball.mats @ line
             for i in range(len(ball)):
@@ -435,7 +435,7 @@ class TestLimitCurveSamples:
         samples = dyn.limit_curve_samples(ball, 1.0, h1=std.h1)
         assert set(samples.kinds.tolist()) == {"attracting", "cusp"}
         assert 0 <= samples.index.min() and samples.index.max() < len(ball)
-        _, line, _ = is_log_proximal(std.h1)
+        _, line = is_log_proximal(std.h1)
         for point, i, kind in zip(samples.points, samples.index, samples.kinds):
             if kind == "cusp":
                 translate = ball.mats[i] @ line
@@ -464,7 +464,7 @@ class TestLimitCurveSamples:
         # two copies of one matrix whose attracting point is the cusp line l, which
         # it fixes: each kind keeps its first copy, and the kinds do not share keys
         _, std = limit_balls["quintic"]
-        _, line, _ = is_log_proximal(std.h1)
+        _, line = is_log_proximal(std.h1)
         q, _ = np.linalg.qr(np.column_stack([line, np.eye(4)[:, :3]]))
         m = q @ np.diag([20.0, 2.0, 0.5, 0.05]) @ q.T
         ball = dyn.WordBall(words=[("a",), ("b",)], mats=np.stack([m, m]), lengths=np.ones(2))

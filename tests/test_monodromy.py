@@ -13,7 +13,6 @@ from hypermono.monodromy import (
     invariant_bilinear_form,
     levelt_matrices,
     monodromy_at_one,
-    reflection_eigenvector,
     reflection_matrices,
     symplectic_basis,
 )
@@ -129,14 +128,6 @@ class TestReflections:
         _, R_B, _ = reflection_matrices(char_polys(MQ))
         # integer coefficients: exact in float arithmetic
         assert np.array_equal(R_B @ R_B, np.eye(4))
-
-    def test_distinguished_eigenvector(self):
-        c = char_polys(MQ)
-        R_A, _, _ = reflection_matrices(c)
-        v, lam = reflection_eigenvector(c)
-        assert np.allclose(v, [1, 1, 1, 2])
-        assert lam == -1.0
-        assert np.allclose(R_A @ v, lam * v)
 
     def test_complex_coefficients_rejected(self):
         c = char_polys(par.HypergeomParams(("1/5", "1/3", "2/5", "3/5"), ("0",) * 4))
