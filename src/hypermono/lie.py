@@ -1,12 +1,44 @@
-"""Unipotent logarithms and the log-proximality test for cusp lines."""
+"""Cartan projections, unipotent logarithms and log-proximal cusp lines."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import numerical_rank, orth_basis, projective_normalize
 
 NILPOTENT_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class CartanData:
+    """g = k_minus . exp(diag mu) . k_plus with orthogonal factors, mu nonincreasing."""
+
+    k_minus: np.ndarray
+    mu: np.ndarray
+    k_plus: np.ndarray
+
+
+def kak(g) -> CartanData:
+    """SVD-based Cartan decomposition with a deterministic sign convention."""
+    g = np.asarray(g, dtype=float)
+    u, s, vt = np.linalg.svd(g)
+    if s[-1] <= 0:
+        raise ValueError("singular matrix has no KAK decomposition")
+    # fix signs: largest entry of each left singular vector made positive
+    for i in range(u.shape[1]):
+        j = int(np.argmax(np.abs(u[:, i])))
+        if u[j, i] < 0:
+            u[:, i] = -u[:, i]
+            vt[i, :] = -vt[i, :]
+    return CartanData(k_minus=u, mu=np.log(s), k_plus=vt)
+
+
+def alpha1_gap(g) -> float:
+    """mu_1 - mu_2, the first simple-root value of the Cartan projection."""
+    d = kak(g)
+    return float(d.mu[0] - d.mu[1])
 
 
 def _matrix_scale(n):

@@ -11,7 +11,7 @@ from hypermono import monodromy as mono
 from hypermono import params as par
 from hypermono.fuchsian import IDENT, INF, mat_inv, mat_mul, mat_normalize
 from hypermono._linalg import SIGN_TOL, projective_normalize
-from hypermono.lie import is_log_proximal
+from hypermono.lie import alpha1_gap, is_log_proximal
 
 OCTIC = par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)
 
@@ -516,6 +516,12 @@ class TestAnosovCertificate:
         ball, _, _ = ball_for(mq, 6, with_fuchs=True)
         want = [fox.frobenius_distance(tuple(f)) for f in ball.fuchs.tolist()]
         assert dyn._frobenius_distances(ball.fuchs).tolist() == want
+
+    def test_gaps_match_cartan_projection(self, mq):
+        ball, _, _ = ball_for(mq, 6, with_fuchs=True)
+        cert = dyn.anosov_certificate(ball)
+        want = [alpha1_gap(g) for g in ball.mats]
+        assert np.allclose(cert.gaps, want, rtol=1e-12, atol=1e-12)
 
     def test_sym3_gap_equals_distance(self):
         # For Sym^3 of a Fuchsian group, mu_1 - mu_2 = 2 log sigma_1 = dist(i, g i).

@@ -129,6 +129,16 @@ class TestReflections:
         # integer coefficients: exact in float arithmetic
         assert np.array_equal(R_B @ R_B, np.eye(4))
 
+    def test_distinguished_eigenvector(self):
+        # R_A fixes the line of (A_{n-1}, ..., A_1, 2), with eigenvalue -A_n
+        c = char_polys(MQ)
+        R_A, _, _ = reflection_matrices(c)
+        A = np.asarray(c.A, dtype=float)
+        v, lam = np.concatenate([A[:-1][::-1], [2.0]]), -A[-1]
+        assert np.allclose(v, [1, 1, 1, 2])
+        assert lam == -1.0
+        assert np.allclose(R_A @ v, lam * v)
+
     def test_complex_coefficients_rejected(self):
         c = char_polys(par.HypergeomParams(("1/5", "1/3", "2/5", "3/5"), ("0",) * 4))
         assert not c.real_A

@@ -11,6 +11,10 @@ KEEP = {
     "veronese": "test oracle: Sym^3 attracting points lie on the twisted cubic",
     "hyp_distance": "test oracle for frobenius_distance",
     "frobenius_distance": "test oracle for the certificate's vectorised distances",
+    **dict.fromkeys(
+        ["CartanData", "kak", "alpha1_gap"],
+        "test oracle: the per-matrix Cartan projection for the certificate's batched gaps",
+    ),
     "enumerate_good_families": "the paper's family table, to become a command",
     **dict.fromkeys(
         ["QuadSpaceW", "q_value", "reduced_exterior_square", "transformed", "pluecker"],
