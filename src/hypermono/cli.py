@@ -164,10 +164,9 @@ def cmd_certify(args) -> int:
     sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
     ball = dynamics.enumerate_ball(gen_mats, orders, args.L, fuchs_gens=fuchs)
     cert = dynamics.anosov_certificate(ball)
-    rows = ["dist,gap,word"]
-    for d, g, w in zip(map(float, cert.dists), map(float, cert.gaps), cert.words):
-        rows.append(f"{d!r},{g!r},{_word_str(w)}")
-    csv_text = "\n".join(rows) + "\n"
+    columns = [map(repr, map(float, cert.dists)), map(repr, map(float, cert.gaps)),
+               map(_word_str, ball.words)]
+    csv_text = "\n".join(["dist,gap,word", *map(",".join, zip(*columns))]) + "\n"
     summary = {
         "L": args.L,
         "ball_size": len(ball),

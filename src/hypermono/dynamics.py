@@ -355,7 +355,6 @@ class AnosovCertificate:
     c_hat: float
     dists: np.ndarray
     gaps: np.ndarray
-    words: list
 
 
 def _lower_hull(xs, ys):
@@ -442,7 +441,7 @@ def anosov_certificate(ball: WordBall) -> AnosovCertificate:
         else:
             eps = (_hull_value(hull, x_hi) - _hull_value(hull, x_lo)) / (x_hi - x_lo)
     c = float(np.max(eps * dists - gaps)) if len(dists) else 0.0
-    return AnosovCertificate(eps_hat=float(eps), c_hat=c, dists=dists, gaps=gaps, words=ball.words)
+    return AnosovCertificate(eps_hat=float(eps), c_hat=c, dists=dists, gaps=gaps)
 
 
 # --- Lyapunov exponents -----------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence, Union
 
 Exponent = Union[Fraction, float]
@@ -46,7 +47,8 @@ def parse_exponent(x) -> Exponent:
 
 def mod1(x: Exponent) -> Exponent:
     if isinstance(x, Fraction):
-        return x % 1
+        # most exponents are already reduced, and x % 1 builds a new Fraction
+        return x if 0 <= x < 1 else x % 1
     return x % 1.0
 
 
@@ -259,47 +261,11 @@ def satisfies_assumption_a(p: HypergeomParams):
 # --- assumption B (rank 5, maximal) ----------------------------------------
 
 
-def maximal_alpha(N: Optional[int] = None, k_N: Optional[int] = None,
-                  mu: Optional[Exponent] = None):
-    """A first-column rank-5 pattern: (mu,1/2,1/2,1/2,1-mu) or the (N,k_N) one."""
-    if mu is not None:
-        mu = parse_exponent(mu)
-        if not 0 < float(mu) < 0.5:
-            raise ValueError("mu must lie in (0, 1/2)")
-        return (mu, HALF, HALF, HALF, dual(mu))
-    if not (isinstance(N, int) and isinstance(k_N, int)):
-        raise ValueError("need integers N, k_N or a real mu")
-    if not 1 < k_N < N:
-        raise ValueError(f"need 1 < k_N < N, got k_N={k_N}, N={N}")
-    return tuple(
-        Fraction(N + s, 2 * N) for s in (-k_N, -1, 0, 1, k_N)
-    )
-
-
-def maximal_beta(M: int, k_M: Optional[int] = None):
-    """A second-column rank-5 pattern: (0,0,0,M/(2M+1),(M+1)/(2M+1)) or the k_M one."""
-    if not isinstance(M, int) or M < 1:
-        raise ValueError("M must be a positive integer")
-    if k_M is None:
-        return (ZERO, ZERO, ZERO, Fraction(M, 2 * M + 1), Fraction(M + 1, 2 * M + 1))
-    if not isinstance(k_M, int) or k_M < 1:
-        raise ValueError("k_M must be a positive integer")
-    if not 2 * (k_M + 1) < M:
-        raise ValueError(f"need 2(k_M+1) < M, got k_M={k_M}, M={M}")
-    return (
-        ZERO,
-        Fraction(k_M, M),
-        Fraction(k_M + 1, M),
-        Fraction(M - (k_M + 1), M),
-        Fraction(M - k_M, M),
-    )
-
-
 def _match_maximal_alpha(a):
     """Return alpha_min for a first-column match, None if no match.
 
-    Raises when the quadruple has the integer-pattern shape but the inferred
-    integers violate 1 < k_N < N.
+    A quintuple of the integer pattern's shape whose inferred integers break
+    1 < k_N < N does not match.
     """
     a1, a2, a3, a4, a5 = a
     if not _close(a3, HALF):
@@ -319,14 +285,9 @@ def _match_maximal_alpha(a):
     nn = 1 / (1 - 2 * x2)
     if nn.denominator != 1:
         return None
-    N = int(nn)
-    kk = N * (1 - 2 * x1)
-    if kk.denominator != 1:
+    kk = nn * (1 - 2 * x1)
+    if kk.denominator != 1 or not 1 < kk < nn:
         return None
-    k_N = int(kk)
-    if not 1 < k_N < N:
-        raise ValueError(f"alpha matches the maximal pattern with k_N={k_N}, N={N}, "
-                         "violating 1 < k_N < N")
     return a1
 
 
@@ -355,16 +316,10 @@ def _match_maximal_beta(b):
     mm = 1 / (x3 - x2)
     if mm.denominator != 1:
         return None
-    M = int(mm)
-    kk = x2 * M
-    if kk.denominator != 1:
+    kk = x2 * mm
+    # 2(k_M+1) < M is (k_M+1)/M = b3 < 1/2, checked above
+    if kk.denominator != 1 or kk < 1:
         return None
-    k_M = int(kk)
-    if k_M < 1:
-        return None
-    if not 2 * (k_M + 1) < M:
-        raise ValueError(f"beta matches the maximal pattern with k_M={k_M}, M={M}, "
-                         "violating 2(k_M+1) < M")
     return b3
 
 
@@ -372,8 +327,7 @@ def satisfies_assumption_b(p: HypergeomParams) -> bool:
     """Decide assumption B (maximality) for rank-5 self-dual parameters.
 
     True iff alpha matches a first-column pattern, beta a second-column
-    pattern, and alpha_min > beta_med.  Pattern-shaped inputs with invalid
-    integer parameters raise.
+    pattern, and alpha_min > beta_med, in either orientation of (alpha, beta).
     """
     if p.rank != 5:
         raise ValueError(f"assumption B is a rank-5 condition, got rank {p.rank}")
@@ -390,94 +344,43 @@ def satisfies_assumption_b(p: HypergeomParams) -> bool:
     return float(amin) > float(bmed)
 
 
-# --- table enumeration ------------------------------------------------------
+# --- the family table ---------------------------------------------------------
 
 
-def elliptic_alpha(N: int, k: int):
-    """The ((N-(2k+1))/2N, (N-1)/2N, (N+1)/2N, (N+(2k+1))/2N) quadruple."""
-    if not (k >= 1 and N > 2 * k + 1):
-        raise ValueError(f"need k >= 1 and N > 2k+1, got N={N}, k={k}")
-    return tuple(Fraction(N + s, 2 * N) for s in (-(2 * k + 1), -1, 1, 2 * k + 1))
+def enumerate_good_families(rank: int, grid):
+    """The parameter sets on a grid of exponents that satisfy the paper's assumption.
 
-
-def _try_params(alpha, beta):
-    try:
-        return HypergeomParams(alpha, beta)
-    except ValueError:
-        return None
-
-
-def enumerate_good_families(max_N: int, max_k: int, mu_grid=(), rank: int = 4):
-    """Exhaust the good-parameter table patterns within the given bounds.
-
-    Real parameters are drawn from mu_grid; integer parameters range over
-    N <= max_N (the same bound caps the second elliptic index M) and
-    k <= max_k.  Every returned parameter set satisfies assumption A
-    (rank 4) resp. assumption B (rank 5).
+    The grid is closed under x -> (1 - x) mod 1 first, so it need not be
+    self-dual itself (0 and 1/2 are only in it if given).  Every irreducible
+    pair of self-dual multisets of ``rank`` values from the closed grid is
+    decided by ``satisfies_assumption_a`` (rank 4) or ``satisfies_assumption_b``
+    (rank 5), and the table holds exactly the pairs the decider accepts.  Both
+    deciders are symmetric in alpha and beta, so each set is returned once,
+    oriented with alpha > beta lexicographically (the mirror quintic reads
+    (1/5, 2/5, 3/5, 4/5 : 0, 0, 0, 0)), in increasing order of (alpha, beta).
     """
-    if max_N <= 0 or max_k <= 0:
-        raise ValueError("bounds must be positive")
-    grid = sorted({parse_exponent(m) for m in mu_grid}, key=float)
-    grid = [m for m in grid if 0 < float(m)]
+    deciders = {4: lambda p: satisfies_assumption_a(p)[0], 5: satisfies_assumption_b}
+    if rank not in deciders:
+        raise ValueError("rank must be 4 or 5")
+    values = {parse_exponent(x) for x in grid}
+    values |= {dual(x) for x in values}
+    # a self-dual multiset is j pairs {x, 1 - x} with 0 < x < 1/2 and rank - 2j of 0 and 1/2
+    lower = _sorted_key(x for x in values if float(x) < float(dual(x)))
+    fixed = _sorted_key(x for x in values if _close(x, dual(x)))
+    multisets = sorted(
+        tuple(_sorted_key(pairs + tuple(map(dual, pairs)) + rest))
+        for j in range(rank // 2 + 1)
+        for pairs in combinations_with_replacement(lower, j)
+        for rest in combinations_with_replacement(fixed, rank - 2 * j)
+    )
     out = []
-
-    def push(alpha, beta):
-        p = _try_params(alpha, beta)
-        if p is not None:
-            out.append(p)
-
-    if rank == 4:
-        zeros4 = (ZERO,) * 4
-        halves4 = (HALF,) * 4
-        # real table: alpha = (mu, 1/2, 1/2, 1-mu)
-        for mu in grid:
-            if not float(mu) <= 0.5:
-                continue
-            alpha = (mu, HALF, HALF, dual(mu))
-            push(alpha, zeros4)
-            for nu in grid:
-                if 0 < float(nu) < float(mu):
-                    push(alpha, (ZERO, ZERO, nu, dual(nu)))
-        # integer table: alpha elliptic (N, k)
-        for N in range(2, max_N + 1):
-            for k in range(1, max_k + 1):
-                if N <= 2 * k + 1:
-                    continue
-                alpha = elliptic_alpha(N, k)
-                push(alpha, halves4)
-                push(alpha, zeros4)
-                for mu in grid:
-                    if 0 < float(mu) < (2 * k - 1) / (2 * N):
-                        push(alpha, (ZERO, ZERO, mu, dual(mu)))
-                    if (N - 1) / (2 * N) < float(mu) < 0.5:
-                        push(alpha, (mu, HALF, HALF, dual(mu)))
-                for M in range(2, max_N + 1):
-                    for kM in range(1, max_k + 1):
-                        if M <= 2 * kM + 1:
-                            continue
-                        if Fraction(2 * kM + 1, M) < Fraction(1, N):
-                            push(alpha, elliptic_alpha(M, kM))
-        out = [p for p in out if satisfies_assumption_a(p)[0]]
-        return out
-
-    if rank == 5:
-        alphas = [maximal_alpha(mu=m) for m in grid if float(m) < 0.5]
-        for N in range(3, max_N + 1):
-            for kN in range(2, min(max_k, N - 1) + 1):
-                alphas.append(maximal_alpha(N=N, k_N=kN))
-        betas = [maximal_beta(M) for M in range(1, max_N + 1)]
-        for M in range(2, max_N + 1):
-            for kM in range(1, max_k + 1):
-                if 2 * (kM + 1) < M:
-                    betas.append(maximal_beta(M, kM))
-        for a in alphas:
-            for b in betas:
-                p = _try_params(a, b)
-                if p is not None and satisfies_assumption_b(p):
+    for i, alpha in enumerate(multisets):
+        for beta in multisets[:i]:
+            if set(alpha).isdisjoint(beta):
+                p = HypergeomParams(alpha, beta)
+                if deciders[rank](p):
                     out.append(p)
-        return out
-
-    raise ValueError("rank must be 4 or 5")
+    return out
 
 
 MIRROR_QUINTIC = HypergeomParams(

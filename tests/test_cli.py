@@ -31,6 +31,11 @@ class TestDeterminism:
         summary = json.loads(first[".json"])
         assert summary["ball_size"] == first[".csv"].count(b"\n") - 1
         assert summary["eps_hat"] > 0
+        # sha256 recorded from the per-row CSV writer: rerun equality passes a uniform change
+        assert {s: hashlib.sha256(b).hexdigest() for s, b in first.items()} == {
+            ".csv": "c52c599cf737aa46c1f264dc06ae32f860d07aec4e43ca2c9b2f612327cb8be8",
+            ".json": "4b40e93160fb9579dca42a620979d6598b72d1bbab4eacfc45cafe3bb5a49f96",
+        }
 
     def test_limitset_rerun_identical(self, tmp_path, capsys):
         first, second = _run_twice(
@@ -110,6 +115,11 @@ class TestClassify:
         report = json.loads(path.read_bytes())
         assert report["alpha"] == ["0.14159265358979", "1/2", "1/2", "0.85840734641021"]
         assert report["orbifold_signature"].startswith("unavailable: irrational exponent")
+
+    def test_non_maximal_pattern_shape_is_decided(self, capsys):
+        # (1/4,1/4,1/2,3/4,3/4) has the (N, k_N) shape with k_N = 1, N = 2: not maximal, not invalid
+        assert cli.main(["classify", "--params", "0,0,0,0,0:1/4,1/4,1/2,3/4,3/4"]) == 0
+        assert json.loads(capsys.readouterr().out)["assumption_b"] is False
 
 
 def _config(tmp_path, options):

@@ -1,5 +1,7 @@
+import functools
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -155,44 +157,54 @@ class TestAssumptionB:
         )
         assert not satisfies_assumption_b(p)
 
-    def test_invalid_integers_raise(self):
-        with pytest.raises(ValueError, match="k_N"):
-            par.maximal_alpha(N=5, k_N=5)
-        with pytest.raises(ValueError, match="k_M"):
-            par.maximal_beta(M=7, k_M=3)
+    def test_pattern_inference_bad_kn_is_false(self):
+        # shapes that match the (N, k_N) pattern with k_N = 1 (N = 7, N = 2): not maximal
+        for alpha, beta in [
+            (("3/7", "3/7", "1/2", "4/7", "4/7"), ("0", "0", "0", "1/3", "2/3")),
+            (("1/4", "1/4", "1/2", "3/4", "3/4"), ("0",) * 5),
+        ]:
+            assert satisfies_assumption_b(HypergeomParams(alpha, beta)) is False
+            assert satisfies_assumption_b(HypergeomParams(beta, alpha)) is False
 
-    def test_pattern_inference_raises_on_bad_kn(self):
-        # shape matches the (N, k_N) pattern with N = 7 but k_N = 1
-        p = HypergeomParams(
-            ("3/7", "3/7", "1/2", "4/7", "4/7"), ("0", "0", "0", "1/3", "2/3")
-        )
-        with pytest.raises(ValueError, match="k_N"):
-            satisfies_assumption_b(p)
+
+def _grid(dens):
+    return sorted({F(p, q) for q in dens for p in range(q)})
+
+
+def _key(p):
+    return tuple(map(str, p.alpha)), tuple(map(str, p.beta))
+
+
+@functools.cache
+def _table(rank, max_den):
+    return enumerate_good_families(rank, _grid(range(1, max_den + 1)))
+
+
+_DECIDERS = {4: lambda p: satisfies_assumption_a(p)[0], 5: satisfies_assumption_b}
 
 
 class TestEnumeration:
     def test_n5_k1_contains_expected(self):
-        fams = enumerate_good_families(5, 1, mu_grid=())
-        keys = {(tuple(map(str, f.alpha)), tuple(map(str, f.beta))) for f in fams}
+        keys = {_key(f) for f in enumerate_good_families(4, (0, F(1, 5), F(2, 5), F(1, 2)))}
         a5 = ("1/5", "2/5", "3/5", "4/5")
         assert (a5, ("0", "0", "0", "0")) in keys
-        assert (a5, ("1/2", "1/2", "1/2", "1/2")) in keys
+        # oriented alpha > beta lexicographically
+        assert (("1/2", "1/2", "1/2", "1/2"), a5) in keys
 
     def test_small_bound_excludes_elliptic(self):
-        assert enumerate_good_families(3, 1, mu_grid=()) == []
+        # an elliptic (N, k) quadruple has denominator N >= 5 (N odd) or 2N >= 8
+        def elliptic(max_den):
+            certs = (satisfies_assumption_a(f)[1] for f in _table(4, max_den))
+            return [c for c in certs if par.ELLIPTIC_GOOD in (c.class_alpha.tag, c.class_beta.tag)]
+        assert _table(4, 4) and not elliptic(4)
+        assert elliptic(5)
 
     def test_grid_table1(self):
-        fams = enumerate_good_families(5, 1, mu_grid=(F(1, 4),))
-        hit = [
-            f
-            for f in fams
-            if tuple(map(str, f.alpha)) == ("1/4", "1/2", "1/2", "3/4")
-            and all(x == 0 for x in f.beta)
-        ]
-        assert hit
+        keys = {_key(f) for f in enumerate_good_families(4, (0, F(1, 4), F(1, 2)))}
+        assert (("1/4", "1/2", "1/2", "3/4"), ("0",) * 4) in keys
 
     def test_all_returned_satisfy_a(self):
-        fams = enumerate_good_families(6, 2, mu_grid=(F(1, 4), F(1, 3), F(9, 20)))
+        fams = _table(4, 8)
         assert fams
         for f in fams:
             ok, cert = satisfies_assumption_a(f)
@@ -200,11 +212,62 @@ class TestEnumeration:
             assert cert.hodge == (1, 1, 1, 1)
 
     def test_rank5_families(self):
-        fams = enumerate_good_families(7, 3, mu_grid=(F(9, 20),), rank=5)
+        fams = _table(5, 8)
         assert fams
         for f in fams:
             assert satisfies_assumption_b(f)
             assert hodge_numbers(f) == (1, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize("rank", [4, 5])
+    def test_table_is_exactly_what_the_decider_accepts(self, rank):
+        grid = _grid(range(1, 7))
+        multisets = [c for c in combinations_with_replacement(grid, rank) if par.is_self_dual(c)]
+        accepted = {
+            frozenset(((a, b), (b, a)))
+            for a in multisets for b in multisets
+            if set(a).isdisjoint(b) and _DECIDERS[rank](HypergeomParams(a, b))
+        }
+        table = _table(rank, 6)
+        assert {frozenset(((f.alpha, f.beta), (f.beta, f.alpha))) for f in table} == accepted
+        assert len(table) == len(accepted)
+        assert all(f.alpha > f.beta for f in table)
+
+    def test_counts(self):
+        assert (len(_table(4, 8)), len(_table(5, 8))) == (86, 86)
+
+    @pytest.mark.parametrize("rank, alpha, beta", [
+        # elliptic alpha(5, 1) against (0, 0, mu, 1 - mu) with (2k - 1)/2N <= mu < alpha_1
+        (4, ("1/5", "2/5", "3/5", "4/5"), ("0", "0", "1/8", "7/8")),
+        # (N, k_N) = (5, 3) against (M, k_M) = (56, 7): small denominators, large M
+        (5, ("1/5", "2/5", "1/2", "3/5", "4/5"), ("0", "1/8", "1/7", "6/7", "7/8")),
+    ])
+    def test_contains_known_members(self, rank, alpha, beta):
+        assert (alpha, beta) in {_key(f) for f in _table(rank, 8)}
+
+    @pytest.mark.parametrize("grid", [(0, F(1, 3), F(9, 20), F(1, 2)), (0, F(2, 3), F(11, 20), F(1, 2))])
+    def test_grid_is_closed_under_duality(self, grid):
+        key = (("9/20", "1/2", "1/2", "1/2", "11/20"), ("0", "0", "0", "1/3", "2/3"))
+        assert key in {_key(f) for f in enumerate_good_families(5, grid)}
+
+    def test_doran_morgan_thin_families(self):
+        # the 14 families alpha = (a1, a2, 1 - a2, 1 - a1), beta = 0^4: the seven thin
+        # ones satisfy assumption A (Brav-Thomas), the seven arithmetic ones do not
+        # (Singh-Venkataramana)
+        keys = {_key(f) for f in enumerate_good_families(4, _grid((1, 2, 3, 4, 5, 6, 8, 10, 12)))}
+
+        def family(a1, a2):
+            a1, a2 = Fraction(a1), Fraction(a2)
+            return tuple(map(str, (a1, a2, 1 - a2, 1 - a1))), ("0",) * 4
+
+        thin = ["1/5,2/5", "1/2,1/2", "1/4,1/2", "1/8,3/8", "1/12,5/12", "1/3,1/2", "1/6,1/2"]
+        arithmetic = ["1/10,3/10", "1/3,1/3", "1/6,1/3", "1/4,1/4", "1/6,1/6", "1/4,1/3",
+                      "1/6,1/4"]
+        assert all(family(*a.split(",")) in keys for a in thin)
+        assert not any(family(*a.split(",")) in keys for a in arithmetic)
+
+    def test_rank_checked(self):
+        with pytest.raises(ValueError, match="rank"):
+            enumerate_good_families(3, (0, F(1, 2)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,6 +290,7 @@ def test_table1_family_property(mu, nu):
 def test_elliptic_classify_roundtrip(k, N):
     if N <= 2 * k + 1:
         return
-    cls = classify_local_degeneration(par.elliptic_alpha(N, k))
+    quadruple = [F(N + s, 2 * N) for s in (-(2 * k + 1), -1, 1, 2 * k + 1)]
+    cls = classify_local_degeneration(quadruple)
     assert cls.tag == par.ELLIPTIC_GOOD
     assert (cls.N, cls.k) == (N, k)
