@@ -23,7 +23,6 @@ from .monodromy import (
 )
 from .exterior import (
     LagrangianPlane,
-    QuadSpaceW,
     pluecker,
     reduced_exterior_square,
 )

@@ -5,8 +5,8 @@ reads (the table ``COMMANDS``):
 
   classify   --orbifold-order
   monodromy  (none)
-  certify    --L --sig --orbifold-order
-  limitset   --L --sig --orbifold-order --gap-min --proj --kinds --no-timestamp
+  certify    --L --orbifold-order
+  limitset   --L --orbifold-order --gap-min --proj --kinds --no-timestamp
   lyapunov   --sig --orbifold-order --T --ntraj --seed --rep --rhs-degrees
 
 A YAML --config (``params: {alpha, beta}``, ``options: {key: value}``) stands
@@ -58,16 +58,15 @@ def _parse_params(args) -> params.HypergeomParams:
     return params.HypergeomParams(a.split(","), b.split(","))
 
 
-def _signature(args, p):
-    if args.sig:
-        parts = [x.strip() for x in args.sig.split(",")]
-        vals = [fuchsian.INF if x in ("inf", "oo") else int(x) for x in parts]
-        return fuchsian.OrbifoldSignature(*vals)
-    return fuchsian.orbifold_signature(p, convention=args.orbifold_order)
+def _parse_sig(text):
+    orders = [fuchsian.INF if x.strip() in ("inf", "oo") else int(x) for x in text.split(",")]
+    if len(orders) != 3:
+        raise ValueError(f"--sig expects three orders 'e0,e1,einf', got {text!r}")
+    return fuchsian.OrbifoldSignature(*orders)
 
 
 def _ball_inputs(args, p):
-    sig = _signature(args, p)
+    sig = fuchsian.orbifold_signature(p, convention=args.orbifold_order)
     std, _ = monodromy.build_rep(p).standardized()
     dom = fuchsian.build_domain(sig)
     gen_mats = {"0": std.h0, "inf": std.hinf}
@@ -101,7 +100,7 @@ def cmd_classify(args) -> int:
         "self_dual": p.self_dual,
         "hodge_numbers": list(params.hodge_numbers(p)),
     }
-    if p.rank == 4 and p.self_dual:
+    if p.rank == 4 and report["self_dual"]:
         ok, cert = params.satisfies_assumption_a(p)
         report["assumption_a"] = ok
         report["certificate"] = {
@@ -110,7 +109,7 @@ def cmd_classify(args) -> int:
             "hodge": list(cert.hodge),
             "failed_clause": cert.failed_clause,
         }
-    if p.rank == 5 and p.self_dual:
+    if p.rank == 5 and report["self_dual"]:
         report["assumption_b"] = params.satisfies_assumption_b(p)
     try:
         sig = fuchsian.orbifold_signature(p, convention=args.orbifold_order)
@@ -248,10 +247,14 @@ def cmd_lyapunov(args) -> int:
         raise ValueError("--seed is mandatory for stochastic commands")
     degrees = [float(x) for x in args.rhs_degrees.split(",")] if args.rhs_degrees else None
     p = _parse_params(args) if args.params or args.rep == "params" else None
-    if p is None and not args.sig:
-        sig = fuchsian.OrbifoldSignature(2, 3, fuchsian.INF)
+    if p is not None:
+        if args.sig:
+            raise ValueError("--sig conflicts with --params, whose exponents fix the signature")
+        sig = fuchsian.orbifold_signature(p, convention=args.orbifold_order)
+    elif args.sig:
+        sig = _parse_sig(args.sig)
     else:
-        sig = _signature(args, p)
+        sig = fuchsian.OrbifoldSignature(2, 3, fuchsian.INF)
     if args.rep == "params":
         std, _ = monodromy.build_rep(p).standardized()
         rep_mats = {"0": std.h0, "1": std.h1}
@@ -283,7 +286,7 @@ def cmd_lyapunov(args) -> int:
 
 OPTIONS = {
     "--L": dict(type=int, default=8, help="word length of the ball"),
-    "--sig": dict(help="override orbifold signature, e.g. '2,3,inf'"),
+    "--sig": dict(help="signature for --rep fuchsian/sym3 without --params, e.g. '2,3,inf'"),
     "--orbifold-order": dict(choices=("gl", "projective"), default="gl"),
     "--gap-min": dict(type=float, default=2.0, help="least alpha_1-gap of an attracting sample"),
     "--proj": dict(default="1,0,0,0;0,1,0,0", help="2x4 projection of the SVG"),
@@ -299,9 +302,9 @@ OPTIONS = {
 COMMANDS = {
     "classify": (cmd_classify, ("--orbifold-order",)),
     "monodromy": (cmd_monodromy, ()),
-    "certify": (cmd_certify, ("--L", "--sig", "--orbifold-order")),
-    "limitset": (cmd_limitset, ("--L", "--sig", "--orbifold-order", "--gap-min", "--proj",
-                                "--kinds", "--no-timestamp")),
+    "certify": (cmd_certify, ("--L", "--orbifold-order")),
+    "limitset": (cmd_limitset, ("--L", "--orbifold-order", "--gap-min", "--proj", "--kinds",
+                                "--no-timestamp")),
     "lyapunov": (cmd_lyapunov, ("--sig", "--orbifold-order", "--T", "--ntraj", "--seed",
                                 "--rep", "--rhs-degrees")),
 }

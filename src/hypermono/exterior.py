@@ -49,18 +49,6 @@ GRAM_Q = np.array(
 )
 
 
-@dataclass(frozen=True)
-class QuadSpaceW:
-    """Basis labels and Gram matrix of Q on the reduced exterior square."""
-
-    labels: tuple = ("a", "b", "c", "d", "e")
-    gram: np.ndarray = None
-
-    def __post_init__(self):
-        if self.gram is None:
-            object.__setattr__(self, "gram", GRAM_Q.copy())
-
-
 def q_value(w):
     """The quadratic value Q(w, w)."""
     w = np.asarray(w, dtype=float)

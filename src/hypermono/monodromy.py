@@ -2,8 +2,9 @@
 
 Generators follow the companion-matrix normal form: h_inf has characteristic
 polynomial prod(t - exp(2 pi i alpha_j)), h_0 the conjugate-beta one, and
-h_1 = h_0^{-1} h_inf.  For self-dual parameters the group is real and embeds
-with index 2 in the group generated by three involutions R_A, R_B, R_C.
+h_1 = h_0^{-1} h_inf.  Only self-dual parameters are taken: their group is
+real, and it embeds with index 2 in the group generated by three involutions
+R_A, R_B, R_C.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ import numpy as np
 from ._linalg import RANK_RTOL, null_space, numerical_rank
 from .params import HypergeomParams
 
-IM_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CharPolyCoeffs:
-    """Coefficients (A_1..A_n), (B_1..B_n) of the two characteristic polynomials."""
+    """Real coefficients (A_1..A_n), (B_1..B_n) of the two characteristic polynomials."""
 
     A: np.ndarray
     B: np.ndarray
-    real_A: bool
-    real_B: bool
 
     @property
     def n(self) -> int:
@@ -35,27 +32,27 @@ class CharPolyCoeffs:
 
 def _poly_from_exponents(exps):
     roots = np.exp(2j * np.pi * np.array([float(x) for x in exps]))
-    coeffs = np.poly(roots)[1:]  # drop the leading 1
-    real = bool(np.max(np.abs(coeffs.imag)) < IM_TOL)
-    if real:
-        c = coeffs.real.copy()
-        # snap coefficients that are integers up to roundoff (exact parameter sets)
-        snapped = np.rint(c)
-        c[np.abs(c - snapped) < 1e-12] = snapped[np.abs(c - snapped) < 1e-12]
-        return c, True
-    return coeffs, False
+    # drop the leading 1; a self-dual multiset of roots gives real coefficients
+    c = np.poly(roots)[1:].real.copy()
+    # snap coefficients that are integers up to roundoff (exact parameter sets)
+    snapped = np.rint(c)
+    c[np.abs(c - snapped) < 1e-12] = snapped[np.abs(c - snapped) < 1e-12]
+    return c
 
 
 def char_polys(p: HypergeomParams) -> CharPolyCoeffs:
-    """Coefficients of prod(t - e^{2 pi i alpha_j}) and prod(t - e^{2 pi i beta_j})."""
-    A, real_A = _poly_from_exponents(p.alpha)
-    B, real_B = _poly_from_exponents(p.beta)
-    return CharPolyCoeffs(A=A, B=B, real_A=real_A, real_B=real_B)
+    """Coefficients of prod(t - e^{2 pi i alpha_j}) and prod(t - e^{2 pi i beta_j}).
+
+    Refuses parameters that are not self-dual, whose coefficients are not real.
+    """
+    if not p.self_dual:
+        raise ValueError("the monodromy package needs self-dual parameters (a real group)")
+    return CharPolyCoeffs(A=_poly_from_exponents(p.alpha), B=_poly_from_exponents(p.beta))
 
 
 def _companion(last_col):
     n = len(last_col)
-    m = np.zeros((n, n), dtype=np.asarray(last_col).dtype)
+    m = np.zeros((n, n))
     for i in range(1, n):
         m[i, i - 1] = 1.0
     m[:, -1] = last_col
@@ -63,11 +60,12 @@ def _companion(last_col):
 
 
 def levelt_matrices(c: CharPolyCoeffs):
-    """(h_inf, h_0) in companion form: last columns (-A_n..-A_1), (-conj(B_n)..-conj(B_1))."""
-    A = np.asarray(c.A)
-    B = np.conjugate(np.asarray(c.B))
-    h_inf = _companion(-A[::-1])
-    h_0 = _companion(-B[::-1])
+    """(h_inf, h_0) in companion form: last columns (-A_n..-A_1), (-B_n..-B_1).
+
+    (The normal form conjugates B, which is real: ``char_polys`` refuses the rest.)
+    """
+    h_inf = _companion(-c.A[::-1])
+    h_0 = _companion(-c.B[::-1])
     return h_inf, h_0
 
 
@@ -88,14 +86,10 @@ def reflection_matrices(c: CharPolyCoeffs):
     """The three involutions with R_C R_B = h_0, R_C R_A = h_inf, R_B R_A = h_1.
 
     Shapes: R_A and R_B carry antidiagonal ones over the first n-1 columns
-    and last column -(A_1..A_n) resp. -(conj B_1..conj B_n); R_C is the full
-    antidiagonal identity.  Requires real coefficients (self-dual parameters).
+    and last column -(A_1..A_n) resp. -(B_1..B_n); R_C is the full
+    antidiagonal identity.
     """
-    if not (c.real_A and c.real_B):
-        raise ValueError("reflection matrices need real coefficients (self-dual parameters)")
     n = c.n
-    A = np.asarray(c.A, dtype=float)
-    B = np.asarray(c.B, dtype=float)
 
     def refl(coeffs):
         m = np.zeros((n, n))
@@ -104,8 +98,8 @@ def reflection_matrices(c: CharPolyCoeffs):
         m[:, -1] = -coeffs
         return m
 
-    R_A = refl(A)
-    R_B = refl(B)  # real B, conjugation is a no-op
+    R_A = refl(c.A)
+    R_B = refl(c.B)
     R_C = np.fliplr(np.eye(n))
     return R_A, R_B, R_C
 
@@ -246,8 +240,6 @@ class MonodromyRep:
 
 def build_rep(p: HypergeomParams) -> MonodromyRep:
     """Full monodromy package for a self-dual parameter set."""
-    if not p.self_dual:
-        raise ValueError("the monodromy package needs self-dual parameters (a real group)")
     c = char_polys(p)
     h_inf, h_0 = levelt_matrices(c)
     h_1, report = monodromy_at_one(h_0, h_inf)

@@ -175,14 +175,27 @@ class DegenerationClass:
         return f"DegenerationClass({self.tag})"
 
 
+_PATTERN_TAGS = {(4,): MUM, (2, 2): RANK1_LAGRANGIAN, (2, 1, 1): RANK1_LINE}
+
+
+def _integer(form, *exponents) -> Optional[int]:
+    """form(*exponents) as an int; None for an irrational exponent or a non-integer."""
+    exact = [as_exact(x) for x in exponents]
+    if None in exact:
+        return None
+    value = form(*exact)
+    return int(value) if value.denominator == 1 else None
+
+
 def classify_local_degeneration(exponents) -> DegenerationClass:
     """Classify a self-dual quadruple of local exponents in [0, 1).
 
-    Case table: (0,0,0,0) or (1/2)^4 -> MUM; (0,0,mu,1-mu) or
-    (mu,1/2,1/2,1-mu) with 0<mu<1/2 -> rank-1 unipotent with invariant line;
-    (mu,mu,1-mu,1-mu) incl. (0,0,1/2,1/2) -> rank-1 with invariant
-    Lagrangian; strictly increasing quadruples are elliptic and good exactly
-    for the ((N-(2k+1))/2N, (N-1)/2N, (N+1)/2N, (N+(2k+1))/2N) pattern.
+    A companion matrix has one Jordan block per distinct eigenvalue (Levelt),
+    so the class is the multiplicity pattern: (4) MUM; (2,2) rank-1 with
+    invariant Lagrangian, e.g. (mu,mu,1-mu,1-mu); (2,1,1) rank-1 unipotent
+    with invariant line, e.g. (0,0,mu,1-mu).  Four distinct nonzero exponents
+    are elliptic, good exactly for ((N-(2k+1))/2N, (N-1)/2N, (N+1)/2N,
+    (N+(2k+1))/2N) with k >= 1 and N > 2k+1.
     """
     e = [parse_exponent(x) for x in exponents]
     if len(e) != 4:
@@ -190,36 +203,20 @@ def classify_local_degeneration(exponents) -> DegenerationClass:
     e = _sorted_key(e)
     if not is_self_dual(e):
         raise ValueError(f"exponents {e} are not invariant under x -> 1-x mod 1")
-    m1, m2, m3, m4 = e
-
-    def eq(x, y):
-        return _close(x, y)
-
-    if all(eq(x, ZERO) for x in e) or all(eq(x, HALF) for x in e):
-        return DegenerationClass(MUM)
-    if eq(m1, ZERO) and eq(m2, ZERO) and eq(m3, HALF) and eq(m4, HALF):
-        return DegenerationClass(RANK1_LAGRANGIAN)
-    if eq(m1, ZERO) and eq(m2, ZERO) and 0 < float(m3) < 0.5:
-        return DegenerationClass(RANK1_LINE)
-    if eq(m2, HALF) and eq(m3, HALF) and 0 < float(m1) < 0.5:
-        return DegenerationClass(RANK1_LINE)
-    if eq(m1, m2) and eq(m3, m4) and 0 < float(m1) < 0.5:
-        return DegenerationClass(RANK1_LAGRANGIAN)
-    if 0 < float(m1) < float(m2) < 0.5:
-        # elliptic: match mu2 = (N-1)/2N, mu1 = (N-(2k+1))/2N
-        x2 = as_exact(m2)
-        x1 = as_exact(m1)
-        if x1 is None or x2 is None:
-            return DegenerationClass(ELLIPTIC_BAD)
-        nn = 1 / (1 - 2 * x2)
-        if nn.denominator != 1:
-            return DegenerationClass(ELLIPTIC_BAD)
-        N = int(nn)
-        kk = (N * (1 - 2 * x1) - 1) / 2
-        if kk.denominator != 1:
-            return DegenerationClass(ELLIPTIC_BAD)
-        k = int(kk)
-        if k >= 1 and N > 2 * k + 1:
+    counts = [1]
+    for x, y in zip(e, e[1:]):
+        if _close(x, y):
+            counts[-1] += 1
+        else:
+            counts.append(1)
+    pattern = tuple(sorted(counts, reverse=True))
+    if pattern in _PATTERN_TAGS:
+        return DegenerationClass(_PATTERN_TAGS[pattern])
+    if pattern == (1, 1, 1, 1) and float(e[0]) > 0:
+        # mu2 = (N-1)/2N, mu1 = (N-(2k+1))/2N
+        N = _integer(lambda x2: 1 / (1 - 2 * x2), e[1])
+        k = None if N is None else _integer(lambda x1: (N * (1 - 2 * x1) - 1) / 2, e[0])
+        if k is not None and k >= 1 and N > 2 * k + 1:
             return DegenerationClass(ELLIPTIC_GOOD, N=N, k=k)
         return DegenerationClass(ELLIPTIC_BAD)
     return DegenerationClass(UNCLASSIFIED)
@@ -238,12 +235,11 @@ def satisfies_assumption_a(p: HypergeomParams):
     """Decide assumption A for rank-4 self-dual parameters.
 
     Holds iff both local degenerations are good and the Hodge numbers are
-    (1,1,1,1).  Returns (verdict, certificate).
+    (1,1,1,1).  Returns (verdict, certificate).  A side that is not self-dual
+    is refused by ``classify_local_degeneration``.
     """
     if p.rank != 4:
         raise ValueError(f"assumption A is a rank-4 condition, got rank {p.rank}")
-    if not p.self_dual:
-        raise ValueError("assumption A requires self-dual parameters")
     ca = classify_local_degeneration(p.alpha)
     cb = classify_local_degeneration(p.beta)
     h = hodge_numbers(p)
@@ -264,63 +260,39 @@ def satisfies_assumption_a(p: HypergeomParams):
 def _match_maximal_alpha(a):
     """Return alpha_min for a first-column match, None if no match.
 
-    A quintuple of the integer pattern's shape whose inferred integers break
-    1 < k_N < N does not match.
+    ``a`` is sorted and self-dual, so its lower half decides: (mu, 1/2, 1/2, ..)
+    with 0 < mu < 1/2, or ((N-k_N)/2N, (N-1)/2N, 1/2, ..) with 1 < k_N < N.
     """
-    a1, a2, a3, a4, a5 = a
-    if not _close(a3, HALF):
+    a1, a2, a3 = a[:3]
+    if not (_close(a3, HALF) and 0 < float(a1) < 0.5):
         return None
-    if _close(a2, HALF) and _close(a4, HALF):
-        if 0 < float(a1) < 0.5 and _close(a5, dual(a1)):
-            return a1
-        return None
-    # integer pattern: a2 = (N-1)/2N, a1 = (N-k_N)/2N
-    if not (_close(a4, dual(a2)) and _close(a5, dual(a1))):
-        return None
-    if not 0 < float(a1) <= float(a2) < 0.5:
-        return None
-    x1, x2 = as_exact(a1), as_exact(a2)
-    if x1 is None or x2 is None:
-        return None
-    nn = 1 / (1 - 2 * x2)
-    if nn.denominator != 1:
-        return None
-    kk = nn * (1 - 2 * x1)
-    if kk.denominator != 1 or not 1 < kk < nn:
-        return None
-    return a1
+    if _close(a2, HALF):
+        return a1
+    N = _integer(lambda x2: 1 / (1 - 2 * x2), a2)
+    k = None if N is None else _integer(lambda x1: N * (1 - 2 * x1), a1)
+    return a1 if k is not None and 1 < k < N else None
 
 
 def _match_maximal_beta(b):
-    """Return beta_med for a second-column match, None if no match."""
-    b1, b2, b3, b4, b5 = b
+    """Return beta_med for a second-column match, None if no match.
+
+    ``b`` is sorted and self-dual, so its lower half decides: (0, 0, 0,
+    M/(2M+1), ..) with M >= 1, or (0, k_M/M, (k_M+1)/M, ..) with k_M >= 1.
+    """
+    b1, b2, b3, b4 = b[:4]
     if not _close(b1, ZERO):
         return None
     if _close(b2, ZERO) and _close(b3, ZERO):
-        # (0,0,0,M/(2M+1),(M+1)/(2M+1))
-        x4 = as_exact(b4)
-        if x4 is None or not 0 < float(b4) < 0.5 or not _close(b5, dual(b4)):
+        if not 0 < float(b4) < 0.5:
             return None
-        mm = x4 / (1 - 2 * x4)
-        if mm.denominator != 1 or mm < 1:
-            return None
-        return b4
-    # (0, k/M, (k+1)/M, (M-k-1)/M, (M-k)/M)
-    if not (_close(b4, dual(b3)) and _close(b5, dual(b2))):
-        return None
+        M = _integer(lambda x4: x4 / (1 - 2 * x4), b4)
+        return b4 if M is not None and M >= 1 else None
     if not 0 < float(b2) < float(b3) < 0.5:
         return None
-    x2, x3 = as_exact(b2), as_exact(b3)
-    if x2 is None or x3 is None:
-        return None
-    mm = 1 / (x3 - x2)
-    if mm.denominator != 1:
-        return None
-    kk = x2 * mm
+    M = _integer(lambda x2, x3: 1 / (x3 - x2), b2, b3)
+    k = None if M is None else _integer(lambda x2: x2 * M, b2)
     # 2(k_M+1) < M is (k_M+1)/M = b3 < 1/2, checked above
-    if kk.denominator != 1 or kk < 1:
-        return None
-    return b3
+    return b3 if k is not None and k >= 1 else None
 
 
 def satisfies_assumption_b(p: HypergeomParams) -> bool:

@@ -82,6 +82,9 @@ class TestExitCodes:
         ["classify", "--params", QUINTIC, "--sig", "2,3,7"],
         ["monodromy", "--params", QUINTIC, "--gap-min", "0"],
         ["lyapunov", "--rep", "sym3", "--seed", "1", "--L", "3"],
+        # the parameters fix the orbifold, which a --sig would replace
+        ["certify", "--params", QUINTIC, "--sig", "2,3,7"],
+        ["limitset", "--params", QUINTIC, "--sig", "2,3,7"],
     ])
     def test_option_a_command_does_not_read_is_refused(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -99,10 +102,28 @@ class TestExitCodes:
         assert captured.out == "" and "error:" in captured.err and "self-dual" in captured.err
 
     def test_euclidean_signature_refused(self, capsys):
-        # the float chi of (2, 3, 6) is -1.1e-16: this used to run and print eps_hat 4e7
-        assert cli.main(["certify", "--params", QUINTIC, "--sig", "2,3,6", "--L", "4"]) == 2
+        # the float chi of (2, 3, 6) is -1.1e-16, whose sign says hyperbolic
+        argv = ["lyapunov", "--rep", "fuchsian", "--sig", "2,3,6", "--T", "10", "--ntraj", "2",
+                "--seed", "1"]
+        assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "not hyperbolic" in captured.err
+
+    @pytest.mark.parametrize("sig", ["2,3", "2,3,7,9"])
+    def test_signature_needs_three_orders(self, sig, capsys):
+        argv = ["lyapunov", "--rep", "sym3", "--sig", sig, "--T", "10", "--ntraj", "2",
+                "--seed", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "'e0,e1,einf'" in captured.err
+
+    def test_signature_and_params_conflict(self, capsys):
+        # the exponents fix the orbifold, which a --sig would replace
+        argv = ["lyapunov", "--rep", "params", "--params", QUINTIC, "--sig", "2,3,7", "--T", "10",
+                "--ntraj", "2", "--seed", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--sig" in captured.err
 
 
 class TestClassify:
@@ -202,6 +223,16 @@ class TestLyapunov:
         comparison = json.loads(path.read_bytes())["comparison"]
         assert abs(comparison["rhs"] - 4.0) < 1e-12
         assert abs(comparison["lambda_sum"] - comparison["rhs"]) < 0.05
+
+
+def test_docstring_option_table_is_commands():
+    # the table at the top of cli.py, one "command  --opt --opt" or "command  (none)" per line
+    lines = cli.__doc__.split("(the table ``COMMANDS``):\n\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for line in lines.splitlines():
+        name, *opts = line.split()
+        table[name] = tuple(opts) if opts != ["(none)"] else ()
+    assert table == {name: opts for name, (_, opts) in cli.COMMANDS.items()}
 
 
 def test_cli_import_leaves_out_scipy():

@@ -5,7 +5,6 @@ from conftest import random_symplectic
 from hypermono.exterior import (
     GRAM_Q,
     LagrangianPlane,
-    QuadSpaceW,
     pluecker,
     q_value,
     reduced_exterior_square,
@@ -25,9 +24,6 @@ class TestQuadSpace:
         ev = np.linalg.eigvalsh(GRAM_Q)
         assert int((ev > 1e-10).sum()) == 2
         assert int((ev < -1e-10).sum()) == 3
-
-    def test_labels(self):
-        assert QuadSpaceW().labels == ("a", "b", "c", "d", "e")
 
 
 class TestReducedExteriorSquare:

@@ -28,7 +28,6 @@ class TestCharPolys:
         c = char_polys(MQ)
         # (t^5 - 1)/(t - 1) = t^4 + t^3 + t^2 + t + 1
         assert np.allclose(c.A, [1, 1, 1, 1], atol=1e-12)
-        assert c.real_A
 
     def test_mum_B(self):
         c = char_polys(MQ)
@@ -48,6 +47,11 @@ class TestCharPolys:
             n = p.rank
             for l in range(n + 1):
                 assert abs(A[l] - A[n] * np.conj(A[n - l])) < 1e-12
+
+    def test_non_self_dual_refused(self):
+        # their coefficients are complex, and so is the group
+        with pytest.raises(ValueError, match="self-dual"):
+            char_polys(par.HypergeomParams(("1/5", "1/3", "2/5", "3/5"), ("0",) * 4))
 
 
 class TestLevelt:
@@ -138,12 +142,6 @@ class TestReflections:
         assert np.allclose(v, [1, 1, 1, 2])
         assert lam == -1.0
         assert np.allclose(R_A @ v, lam * v)
-
-    def test_complex_coefficients_rejected(self):
-        c = char_polys(par.HypergeomParams(("1/5", "1/3", "2/5", "3/5"), ("0",) * 4))
-        assert not c.real_A
-        with pytest.raises(ValueError):
-            reflection_matrices(c)
 
 
 class TestInvariantForm:

@@ -1,13 +1,18 @@
 import functools
+import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermono import params as par
+from hypermono._linalg import numerical_rank
+from hypermono.monodromy import char_polys, levelt_matrices
 from hypermono.params import (
     HypergeomParams,
     classify_local_degeneration,
@@ -268,6 +273,51 @@ class TestEnumeration:
     def test_rank_checked(self):
         with pytest.raises(ValueError, match="rank"):
             enumerate_good_families(3, (0, F(1, 2)))
+
+
+def _self_dual_quadruples(max_den):
+    """Every self-dual quadruple with denominators <= max_den, sorted."""
+    lower = [x for x in _grid(range(1, max_den + 1)) if 0 < x < F(1, 2)]
+    return sorted(
+        tuple(sorted(pairs + tuple(1 - x for x in pairs) + rest))
+        for j in range(3)
+        for pairs in combinations_with_replacement(lower, j)
+        for rest in combinations_with_replacement((F(0, 1), F(1, 2)), 4 - 2 * j)
+    )
+
+
+def _sha(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestClassificationPinned:
+    # sha256 recorded from the classifier that spelled each class as a shape test,
+    # before the classes were read off the multiplicities
+    def test_local_classes(self):
+        quadruples = _self_dual_quadruples(12)
+        assert len(quadruples) == 324
+        assert _sha(repr(classify_local_degeneration(q)) for q in quadruples) == (
+            "5e607f4b55679ba497a875d0e4b2cb057825091f8fe7a5c80626327ae6d7d94e")
+
+    def test_tables(self):
+        tables = _table(4, 8) + _table(5, 8)
+        assert _sha(map(repr, tables)) == (
+            "65a42005f5016f263e67f67aeb18f35b565adf8c6f20249b6f3af2d7b1f8df6c")
+
+    def test_one_jordan_block_per_exponent(self):
+        # the premise of reading classes off multiplicities: h_inf has one block of
+        # size m per exponent x of multiplicity m, i.e. rank (h_inf - e^{2 pi i x}) = 3
+        # and rank (h_inf - e^{2 pi i x})^m = 4 - m
+        beta = tuple(F(k, 13) for k in (1, 2, 11, 12))
+        # e^{i pi} is -1 only up to 1.2e-16, which a block of size 4 raises to rank 1
+        exact = {F(0, 1): 1.0, F(1, 2): -1.0}
+        for q in _self_dual_quadruples(12):
+            hinf, _ = levelt_matrices(char_polys(HypergeomParams(q, beta)))
+            for x, m in Counter(q).items():
+                lam = exact.get(x, np.exp(2j * np.pi * float(x)))
+                shifted = hinf - lam * np.eye(4)
+                assert numerical_rank(shifted) == 3, (q, x)
+                assert numerical_rank(np.linalg.matrix_power(shifted, m)) == 4 - m, (q, x)
 
 
 @settings(max_examples=40, deadline=None)

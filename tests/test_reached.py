@@ -17,7 +17,7 @@ KEEP = {
     ),
     "enumerate_good_families": "the paper's family table, to become a command",
     **dict.fromkeys(
-        ["QuadSpaceW", "q_value", "reduced_exterior_square", "transformed", "pluecker"],
+        ["q_value", "reduced_exterior_square", "transformed", "pluecker"],
         "exterior.py, the wedge/Pluecker path to be given a caller",
     ),
 }
