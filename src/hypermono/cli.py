@@ -127,6 +127,7 @@ def cmd_classify(args) -> int:
 def cmd_monodromy(args) -> int:
     p = _parse_params(args)
     rep = monodromy.build_rep(p)
+    R_A, R_B, R_C = monodromy.reflection_matrices(monodromy.char_polys(p))
     J = rep.J
     sym = float(np.linalg.norm(J + J.T)) < 1e-9 * float(np.linalg.norm(J))
     bundle = {
@@ -135,21 +136,21 @@ def cmd_monodromy(args) -> int:
         "h0": _mat_json(rep.h0),
         "h1": _mat_json(rep.h1),
         "hinf": _mat_json(rep.hinf),
-        "h1_report": rep.h1_report,
-        "R_A": _mat_json(rep.R_A),
-        "R_B": _mat_json(rep.R_B),
-        "R_C": _mat_json(rep.R_C),
+        "h1_report": monodromy.monodromy_at_one(rep.h0, rep.hinf)[1],
+        "R_A": _mat_json(R_A),
+        "R_B": _mat_json(R_B),
+        "R_C": _mat_json(R_C),
         "reflection_relations": {
-            "RC_RB_minus_h0": float(np.linalg.norm(rep.R_C @ rep.R_B - rep.h0)),
-            "RC_RA_minus_hinf": float(np.linalg.norm(rep.R_C @ rep.R_A - rep.hinf)),
-            "RB_RA_minus_h1": float(np.linalg.norm(rep.R_B @ rep.R_A - rep.h1)),
+            "RC_RB_minus_h0": float(np.linalg.norm(R_C @ R_B - rep.h0)),
+            "RC_RA_minus_hinf": float(np.linalg.norm(R_C @ R_A - rep.hinf)),
+            "RB_RA_minus_h1": float(np.linalg.norm(R_B @ R_A - rep.h1)),
         },
         "J": _mat_json(J),
         "J_antisymmetric": bool(sym),
         # reported, not asserted: the printed reflections need not fix J
         "reflection_form_report": {
             name: float(np.linalg.norm(R.T @ J @ R - J) / np.linalg.norm(J))
-            for name, R in (("R_A", rep.R_A), ("R_B", rep.R_B), ("R_C", rep.R_C))
+            for name, R in (("R_A", R_A), ("R_B", R_B), ("R_C", R_C))
         },
     }
     if not sym:
@@ -251,19 +252,20 @@ def cmd_lyapunov(args) -> int:
         if args.sig:
             raise ValueError("--sig conflicts with --params, whose exponents fix the signature")
         sig = fuchsian.orbifold_signature(p, convention=args.orbifold_order)
+    elif args.orbifold_order != "gl":
+        raise ValueError("--orbifold-order needs --params, whose exponents it reads")
     elif args.sig:
         sig = _parse_sig(args.sig)
     else:
         sig = fuchsian.OrbifoldSignature(2, 3, fuchsian.INF)
     if args.rep == "params":
         std, _ = monodromy.build_rep(p).standardized()
-        rep_mats = {"0": std.h0, "1": std.h1}
+        rep_mats = [std.h0, std.h1]
     else:
         dom = fuchsian.build_domain(sig)
-        g0, g1 = (np.array(g).reshape(2, 2) for g in (dom.gamma0, dom.gamma1))
+        rep_mats = [np.array(g).reshape(2, 2) for g in (dom.gamma0, dom.gamma1)]
         if args.rep == "sym3":
-            g0, g1 = dynamics.sym_cube(g0), dynamics.sym_cube(g1)
-        rep_mats = {"0": g0, "1": g1}
+            rep_mats = [dynamics.sym_cube(g) for g in rep_mats]
     result = dynamics.lyapunov_mc(rep_mats, sig, args.T, args.ntraj, args.seed)
     out = {
         "rep": args.rep,

@@ -42,14 +42,13 @@ class WordBall:
     """Reduced words of bounded length with their matrices, one word per matrix key.
 
     ``words[i]`` is a tuple of syllables ``(symbol, exponent)``, leftmost
-    first; ``mats`` is (N, n, n), ``lengths`` (N,), and ``fuchs``, when the
-    ball was built with Fuchsian generators, the (N, 4) array of normalized
-    2x2 matrices (a, b, c, d) of the same words.
+    first, of length sum |exponent|; ``mats`` is (N, n, n), and ``fuchs``,
+    when the ball was built with Fuchsian generators, the (N, 4) array of
+    normalized 2x2 matrices (a, b, c, d) of the same words.
     """
 
     words: list
     mats: np.ndarray
-    lengths: np.ndarray
     fuchs: Optional[np.ndarray] = None
 
     def __len__(self):
@@ -275,18 +274,14 @@ def enumerate_ball(
     leave the int64 range raises ``ArithmeticError``.  ``mats`` are always
     the float products of the given generators.
     """
-    words, mats, lengths, fuchs = [], [], [], []
-    for ell, (level_words, F, _, FQ) in enumerate(
-        _ball_levels(gen_mats, orders, L, fuchs_gens, alphabet)
-    ):
+    words, mats, fuchs = [], [], []
+    for level_words, F, _, FQ in _ball_levels(gen_mats, orders, L, fuchs_gens, alphabet):
         words += level_words
         mats.append(F)
-        lengths.append(np.full(len(F), ell, dtype=np.int64))
         fuchs.append(FQ)
     return WordBall(
         words=words,
         mats=np.concatenate(mats),
-        lengths=np.concatenate(lengths),
         fuchs=np.concatenate(fuchs) if fuchs_gens is not None else None,
     )
 
@@ -452,7 +447,6 @@ class LyapunovResult:
     exponents: np.ndarray
     stderr: np.ndarray
     per_trajectory: np.ndarray
-    total_time: float
     n_discarded: int = 0
 
     @property
@@ -467,7 +461,7 @@ class LyapunovResult:
 
 
 def lyapunov_mc(
-    rep_mats: Dict[str, np.ndarray],
+    rep_mats: Sequence[np.ndarray],
     sig: OrbifoldSignature,
     T: float,
     n_traj: int,
@@ -475,14 +469,16 @@ def lyapunov_mc(
 ) -> LyapunovResult:
     """Benettin frame transport along random geodesics of the base orbifold.
 
-    The flat frame is pulled back to the fundamental-domain chart at every
-    side crossing (matrix rho(gamma)^{-1}) and QR-renormalized; exponents
-    are averaged log |diag R| per unit of flow time.  Householder QR is
-    exactly equivariant under column sign flips, so |diag R| does not depend
-    on the signs of the frame's columns.  Time follows the
-    diag(e^t, e^{-t}) convention, under which the geodesic covers hyperbolic
-    arc length 2t and the uniformizing representation itself has top exponent
-    exactly 1.
+    ``rep_mats`` is the pair (rho(gamma0), rho(gamma1)).  The flat frame is
+    pulled back to the fundamental-domain chart at every side crossing and
+    QR-renormalized: a crossing with step code c = 2k + (sgn < 0), whose deck
+    letter is gamma_k^sgn, multiplies the frame by ``steps[c]`` =
+    rho(gamma_k)^{-sgn}.  Exponents are averaged log |diag R| per unit of
+    flow time.  Householder QR is exactly equivariant under column sign
+    flips, so |diag R| does not depend on the signs of the frame's columns.
+    Time follows the diag(e^t, e^{-t}) convention, under which the geodesic
+    covers hyperbolic arc length 2t and the uniformizing representation
+    itself has top exponent exactly 1.
 
     All trajectories are transported in lock step: each step is one stacked
     matmul and one stacked QR over the trajectories that still have events,
@@ -495,19 +491,16 @@ def lyapunov_mc(
     """
     if T <= 0 or n_traj <= 0:
         raise ValueError("T and n_traj must be positive")
-    mats = [np.asarray(m, dtype=float) for m in rep_mats.values()]
+    mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
-    # step code 2k + (sgn < 0) for generator k: the deck gains gamma^sgn and
-    # the frame gains rho(gamma)^{-sgn}
     steps = np.stack([x for m in mats for x in (np.linalg.inv(m), m)])
-    code = {(s, sgn): 2 * k + (sgn < 0) for k, s in enumerate(rep_mats) for sgn in (1, -1)}
     t_each = T / n_traj
     codes = bytearray()
     lengths = np.zeros(n_traj, dtype=np.int64)
     for i, sq in enumerate(np.random.SeedSequence(seed).spawn(n_traj)):
         # trajectories are sampled by arc length 2 t_each (flow-time t_each)
         events = geodesic_sample(sig, sq, 2.0 * t_each).events
-        codes.extend(code[e[1:]] for e in events)
+        codes += events
         lengths[i] = len(events)
     flat = np.frombuffer(codes, dtype=np.uint8)
     order = np.argsort(-lengths, kind="stable")
@@ -534,7 +527,6 @@ def lyapunov_mc(
         exponents=lam,
         stderr=err,
         per_trajectory=per,
-        total_time=t_each * len(per),
         n_discarded=n_traj - len(per),
     )
 

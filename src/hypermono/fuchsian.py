@@ -4,9 +4,13 @@ The base orbifold of a rank-n hypergeometric local system is the sphere with
 three cone/cusp points of orders (e0, e1, einf).  The orientation-preserving
 triangle group is realized in PSL(2, R), acting on the upper half-plane, with
 a quadrilateral fundamental domain (a triangle and its mirror image) whose
-four sides are paired by the rotations/parabolics around the vertices over
-0 and 1.  Geodesics are flowed analytically and reduced to the domain at
-every side crossing.
+four sides are paired by the rotations/parabolics gamma0, gamma1 around the
+vertices over 0 and 1.  Geodesics are flowed analytically and reduced to the
+domain at every side crossing.
+
+A crossing is recorded as one step code c = 2k + (sgn < 0): the geodesic
+leaves through the side whose deck letter is gamma_k^sgn, with k = c // 2 and
+sgn = +1 exactly when c is even.
 """
 
 from __future__ import annotations
@@ -169,22 +173,21 @@ def orbifold_signature(p: HypergeomParams, convention: str = "gl") -> OrbifoldSi
 
 @dataclass
 class Side:
-    name: str
+    """A side of the fundamental domain, crossed outwards.
+
+    ``code`` = 2k + (sgn < 0) names the side's deck letter gamma_k^sgn;
+    ``pull`` is that letter's inverse, which maps the state back inside.
+    """
+
     mop: tuple  # maps the side geodesic to the imaginary axis
     s_lo: float
     s_hi: float
-    pull: tuple  # applied to the local state when crossing out
-    sym: str
-    sgn: int
-    deck: tuple  # deck generator appended on crossing (gamma_sym^sgn)
+    pull: tuple
+    code: int
 
 
 @dataclass
 class TriangleDomain:
-    sig: OrbifoldSignature
-    v0: object  # complex (interior) or 0.0 (ideal)
-    v1: object  # complex (interior) or INF
-    w: object  # right vertex: complex or positive real (ideal)
     gamma0: tuple
     gamma1: tuple
     sides: List[Side] = field(default_factory=list)
@@ -288,7 +291,6 @@ def _side_pairing(candidates, src, dst):
 
 @lru_cache(maxsize=None)
 def _build_domain_cached(e0, e1, einf):
-    sig = OrbifoldSignature(e0, e1, einf)
     a0, a1, ainf = (0.0 if e == INF else math.pi / e for e in (e0, e1, einf))
 
     # vertices v0 (bottom) and v1 (top) on the imaginary axis, w to the right;
@@ -320,17 +322,16 @@ def _build_domain_cached(e0, e1, einf):
     else:
         gamma1 = _side_pairing([rotation_about(v1, s * 2.0 * a1) for s in (1.0, -1.0)], w, w_m)
 
-    dom = TriangleDomain(sig=sig, v0=v0, v1=v1, w=w, gamma0=gamma0, gamma1=gamma1)
+    dom = TriangleDomain(gamma0=gamma0, gamma1=gamma1)
 
-    g0i = mat_inv(gamma0)
-    g1i = mat_inv(gamma1)
+    # (u, v, pull, code): the side from u to v, left through the letter that code names
     specs = [
-        ("A", v0, w, g0i, "0", +1, gamma0),
-        ("D", v0, w_m, gamma0, "0", -1, g0i),
-        ("B", v1, w, gamma1, "1", -1, g1i),
-        ("C", v1, w_m, g1i, "1", +1, gamma1),
+        (v0, w, mat_inv(gamma0), 0),
+        (v0, w_m, gamma0, 1),
+        (v1, w, gamma1, 3),
+        (v1, w_m, mat_inv(gamma1), 2),
     ]
-    for name, u, v, pull, sym, sgn, deck in specs:
+    for u, v, pull, code in specs:
         p, q = _geodesic_ideal_endpoints(u, v)
         mop = _mob_to_axis(p, q)
         s_u = _endpoint_position(mop, u, p, q)
@@ -339,7 +340,7 @@ def _build_domain_cached(e0, e1, einf):
         # orient mop so that the basepoint is on the positive side
         if _axis_side_value(mop, dom.basepoint) < 0:
             mop = mat_mul((-1.0, 0.0, 0.0, 1.0), mop)
-        dom.sides.append(Side(name, mop, lo, hi, pull, sym, sgn, deck))
+        dom.sides.append(Side(mop, lo, hi, pull, code))
 
     if any(_axis_side_value(side.mop, dom.basepoint) < 1e-9 for side in dom.sides):
         raise RuntimeError("basepoint fell outside the fundamental domain")
@@ -355,11 +356,9 @@ def build_domain(sig: OrbifoldSignature) -> TriangleDomain:
 
 @dataclass
 class GeodesicTrajectory:
-    seed: int
-    total_time: float
-    events: list  # (timestamp, symbol, sign)
-    deck: tuple  # accumulated deck transformation, 2x2
-    end_state: tuple  # SL(2,R) state of the endpoint inside the domain
+    """The step code of each side crossing, in order (see the module docstring)."""
+
+    events: bytes
 
 
 _BACK_TOL = 1e-9
@@ -404,8 +403,8 @@ def geodesic_sample(sig: OrbifoldSignature, seed: int, total_time: float) -> Geo
     """Unit-speed geodesic from the basepoint with a seeded random direction.
 
     The geodesic is flowed in closed form; each exit through a side of the
-    fundamental domain emits that side's deck generator and maps the state
-    back inside.  Deterministic per seed.
+    fundamental domain before ``total_time`` records that side's step code
+    and maps the state back inside.  Deterministic per seed.
     """
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
@@ -414,8 +413,7 @@ def geodesic_sample(sig: OrbifoldSignature, seed: int, total_time: float) -> Geo
     phi = float(rng.uniform(0.0, math.pi))
     state = _rot(phi)
     t_now = 0.0
-    events = []
-    deck = IDENT
+    codes = bytearray()
     sides = dom.sides
     seg_tol = 1e-9
     while t_now < total_time:
@@ -433,14 +431,9 @@ def geodesic_sample(sig: OrbifoldSignature, seed: int, total_time: float) -> Geo
         if best_t is None:
             raise RuntimeError("geodesic found no exit side (corner hit?)")
         if t_now + best_t >= total_time:
-            state = _flow(state, total_time - t_now)
-            t_now = total_time
             break
         state = _flow(state, best_t)
         t_now += best_t
         state = mat_normalize(mat_mul(best_side.pull, state))
-        deck = mat_mul(deck, best_side.deck)
-        events.append((t_now, best_side.sym, best_side.sgn))
-    return GeodesicTrajectory(
-        seed=seed, total_time=total_time, events=events, deck=deck, end_state=state
-    )
+        codes.append(best_side.code)
+    return GeodesicTrajectory(events=bytes(codes))

@@ -10,7 +10,6 @@ R_A, R_B, R_C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -199,18 +198,12 @@ STANDARD_J4 = np.array(
 
 @dataclass
 class MonodromyRep:
-    """Generators h_0, h_1, h_inf (h_0 h_1 = h_inf), their invariant form J and
-    optional reflection data."""
+    """Generators h_0, h_1, h_inf (h_0 h_1 = h_inf) and their invariant form J."""
 
-    params: HypergeomParams
     h0: np.ndarray
     h1: np.ndarray
     hinf: np.ndarray
     J: np.ndarray
-    R_A: Optional[np.ndarray] = None
-    R_B: Optional[np.ndarray] = None
-    R_C: Optional[np.ndarray] = None
-    h1_report: Optional[dict] = None
 
     @property
     def n(self) -> int:
@@ -228,30 +221,21 @@ class MonodromyRep:
         Si = np.linalg.inv(S)
         conj = lambda m: Si @ m @ S
         rep = MonodromyRep(
-            params=self.params,
             h0=conj(self.h0),
             h1=conj(self.h1),
             hinf=conj(self.hinf),
             J=STANDARD_J4.copy(),
-            h1_report=self.h1_report,
         )
         return rep, S
 
 
 def build_rep(p: HypergeomParams) -> MonodromyRep:
-    """Full monodromy package for a self-dual parameter set."""
-    c = char_polys(p)
-    h_inf, h_0 = levelt_matrices(c)
-    h_1, report = monodromy_at_one(h_0, h_inf)
-    R_A, R_B, R_C = reflection_matrices(c)
+    """Generators and invariant form of a self-dual parameter set."""
+    h_inf, h_0 = levelt_matrices(char_polys(p))
+    h_1, _ = monodromy_at_one(h_0, h_inf)
     return MonodromyRep(
-        params=p,
         h0=h_0,
         h1=h_1,
         hinf=h_inf,
-        R_A=R_A,
-        R_B=R_B,
-        R_C=R_C,
         J=invariant_bilinear_form([h_0, h_inf]),
-        h1_report=report,
     )

@@ -49,7 +49,9 @@ def mod1(x: Exponent) -> Exponent:
     if isinstance(x, Fraction):
         # most exponents are already reduced, and x % 1 builds a new Fraction
         return x if 0 <= x < 1 else x % 1
-    return x % 1.0
+    x %= 1.0
+    # within EXACT_TOL of 0 = 1, on either side, is exactly 0: _close does not wrap around
+    return ZERO if min(x, 1.0 - x) <= EXACT_TOL else x
 
 
 def dual(x: Exponent) -> Exponent:

@@ -44,15 +44,10 @@ def ideal_sig():
     return fox.OrbifoldSignature(fox.INF, fox.INF, fox.INF)
 
 
-def ball_for(p_or_rep, L, with_fuchs=False, params=None):
+def ball_for(p, L, with_fuchs=False):
     """Word ball of a rank-4 parameter set in the standardized frame."""
-    if isinstance(p_or_rep, par.HypergeomParams):
-        rep = mono.build_rep(p_or_rep)
-        params = p_or_rep
-    else:
-        rep = p_or_rep
-    std, _ = rep.standardized()
-    sig = fox.orbifold_signature(params if params is not None else rep.params)
+    std, _ = mono.build_rep(p).standardized()
+    sig = fox.orbifold_signature(p)
     gens = {"0": std.h0, "inf": std.hinf}
     orders = {"0": sig.e0, "inf": sig.einf}
     fuchs = None
@@ -63,8 +58,8 @@ def ball_for(p_or_rep, L, with_fuchs=False, params=None):
 
 
 @pytest.fixture(scope="session")
-def mq_ball8(mq_rep, mq):
-    ball, std, sig = ball_for(mq_rep, 8, params=mq)
+def mq_ball8(mq):
+    ball, std, sig = ball_for(mq, 8)
     return ball
 
 

@@ -11,6 +11,7 @@ import hypermono
 from hypermono import cli
 
 QUINTIC = "1/5,2/5,3/5,4/5:0,0,0,0"
+OCTIC = "1/8,3/8,5/8,7/8:0,0,0,0"
 
 
 def _run_twice(tmp_path, argv, suffixes):
@@ -117,6 +118,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "'e0,e1,einf'" in captured.err
 
+    @pytest.mark.parametrize("rep", ["sym3", "fuchsian"])
+    def test_orbifold_order_needs_params(self, rep, capsys):
+        # without --params the signature comes from --sig, and the convention has nothing to read
+        argv = ["lyapunov", "--rep", rep, "--orbifold-order", "projective", "--seed", "1",
+                "--T", "10", "--ntraj", "2"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--params" in captured.err
+
     def test_signature_and_params_conflict(self, capsys):
         # the exponents fix the orbifold, which a --sig would replace
         argv = ["lyapunov", "--rep", "params", "--params", QUINTIC, "--sig", "2,3,7", "--T", "10",
@@ -126,7 +136,30 @@ class TestExitCodes:
         assert captured.out == "" and "--sig" in captured.err
 
 
+class TestPinnedStdout:
+    # sha256 of stdout, recorded before the reflection data left MonodromyRep and
+    # the step code became the only record of a geodesic crossing
+    @pytest.mark.parametrize("argv, sha", [
+        (["monodromy", "--params", QUINTIC],
+         "31ed325220a607b2e847fc45f38dd170b8bd0800f4501ac1243d289b4fd29390"),
+        # a symmetric J: the J_signature branch
+        (["monodromy", "--params", "9/20,1/2,1/2,1/2,11/20:0,0,0,1/3,2/3"],
+         "05dd76375e9c54793a95647eedbbb89806be3670ff61249da8d6d8138579a27a"),
+        (["lyapunov", "--rep", "params", "--params", QUINTIC, "--T", "50", "--ntraj", "2",
+          "--seed", "1"], "fdd49cc878676c3a87c7f73cd1f53d856e35bf029050d8e9d457667f5d9dcf50"),
+    ], ids=["monodromy-quintic", "monodromy-rank5", "lyapunov-params"])
+    def test_stdout_pinned(self, argv, sha, capsys):
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
 class TestClassify:
+    @pytest.mark.parametrize("order, einf", [("gl", 8), ("projective", 4)])
+    def test_orbifold_order(self, order, einf, capsys):
+        # the exponents at infinity are 1/8 + j/4: order 8 in GL, 4 up to scalars
+        assert cli.main(["classify", "--params", OCTIC, "--orbifold-order", order]) == 0
+        assert json.loads(capsys.readouterr().out)["orbifold_signature"] == ["inf", "inf", einf]
+
     def test_long_decimals_stay_decimals(self, tmp_path, capsys):
         # a 14-digit decimal is within 1e-9 of a fraction with q <= 10**6, but not a rounding of one
         path = tmp_path / "classify.json"

@@ -78,6 +78,11 @@ def per_word_ball(gen_mats, orders, L, fuchs_gens=None):
     return words, np.array(out_mats), np.array(lengths), out_fuchs
 
 
+def _word_length(word):
+    """The length of a reduced word: sum |k| over its syllables (s, k)."""
+    return sum(abs(k) for _, k in word)
+
+
 def _frac_matmul(a, b):
     n = len(a)
     return tuple(
@@ -228,7 +233,7 @@ class TestEnumerateBall:
         words, mats, lengths, out_fuchs = per_word_ball(gens, orders, 8, fuchs_gens=fuchs)
         assert len(ball) == size
         assert ball.words == words
-        assert ball.lengths.tobytes() == lengths.tobytes()
+        assert [_word_length(w) for w in ball.words] == lengths.tolist()
         assert ball.mats.tobytes() == mats.tobytes()
         if with_fuchs:
             assert ball.fuchs.shape == (size, 4)
@@ -239,13 +244,13 @@ class TestEnumerateBall:
     def test_length_zero(self):
         gens, orders, fuchs = _inputs(par.MIRROR_QUINTIC, True)
         ball = dyn.enumerate_ball(gens, orders, 0, fuchs_gens=fuchs)
-        assert ball.words == [()] and ball.lengths.tolist() == [0]
+        assert ball.words == [()]
         assert np.array_equal(ball.mats, np.eye(4)[None])
         assert ball.fuchs.tolist() == [list(IDENT)]
 
     def test_conftest_ball(self, mq_ball8):
         assert len(mq_ball8) == 10269
-        assert mq_ball8.lengths.max() == 8
+        assert max(map(_word_length, mq_ball8.words)) == 8
 
     def test_exact_keys_past_int64(self):
         # Products of entries 2**32 wrap to the same int64 matrix for ab and ba
@@ -467,7 +472,7 @@ class TestLimitCurveSamples:
         _, line = is_log_proximal(std.h1)
         q, _ = np.linalg.qr(np.column_stack([line, np.eye(4)[:, :3]]))
         m = q @ np.diag([20.0, 2.0, 0.5, 0.05]) @ q.T
-        ball = dyn.WordBall(words=[("a",), ("b",)], mats=np.stack([m, m]), lengths=np.ones(2))
+        ball = dyn.WordBall(words=[("a",), ("b",)], mats=np.stack([m, m]))
         got = dyn.limit_curve_samples(ball, 1.0, h1=std.h1)
         assert got.kinds.tolist() == ["attracting", "cusp"] and got.index.tolist() == [0, 0]
         assert got.points.tobytes() == np.array([w[0] for w in per_sample_limit_curve(
@@ -542,19 +547,19 @@ class TestAnosovCertificate:
 
 def per_event_lyapunov(rep_mats, sig, T, n_traj, seed):
     """The per-event reference loop: one trajectory at a time, one 2-D QR per crossing."""
-    mats = {s: np.asarray(m, dtype=float) for s, m in rep_mats.items()}
-    n = next(iter(mats.values())).shape[0]
-    step = {}
-    for s, m in mats.items():
-        step[(s, 1)] = np.linalg.inv(m)
-        step[(s, -1)] = m
+    mats = [np.asarray(m, dtype=float) for m in rep_mats]
+    invs = [np.linalg.inv(m) for m in mats]
+    n = mats[0].shape[0]
     t_each = T / n_traj
     rows, discarded = [], 0
     for sq in np.random.SeedSequence(seed).spawn(n_traj):
         traj = fox.geodesic_sample(sig, sq, 2.0 * t_each)
         frame, logs, bad = np.eye(n), np.zeros(n), False
-        for _, sym, sgn in traj.events:
-            q, r = np.linalg.qr(step[(sym, sgn)] @ frame)
+        for c in traj.events:
+            # code c crosses through gamma_k^sgn, k = c // 2, sgn = +1 for even c,
+            # and the frame gains rho(gamma_k)^{-sgn}
+            k, sgn = c // 2, 1 if c % 2 == 0 else -1
+            q, r = np.linalg.qr((invs[k] if sgn > 0 else mats[k]) @ frame)
             d = np.sign(np.diag(r))
             d[d == 0] = 1.0
             frame = q * d
@@ -575,22 +580,20 @@ def per_event_lyapunov(rep_mats, sig, T, n_traj, seed):
         exponents=per.mean(axis=0),
         stderr=err,
         per_trajectory=per,
-        total_time=t_each * len(rows),
         n_discarded=discarded,
     )
 
 
 @pytest.fixture(scope="module")
-def lyap_reps(modular_dom, mq_std, mq_sig):
+def lyap_reps(modular_dom, modular_sig, mq_std, mq_sig):
     g0 = np.array(modular_dom.gamma0).reshape(2, 2)
     g1 = np.array(modular_dom.gamma1).reshape(2, 2)
-    sig = modular_dom.sig
     return {
-        "sym3": ({"0": dyn.sym_cube(g0), "1": dyn.sym_cube(g1)}, sig),
-        "fuchsian": ({"0": g0, "1": g1}, sig),
-        "quintic": ({"0": mq_std.h0, "1": mq_std.h1}, mq_sig),
+        "sym3": ((dyn.sym_cube(g0), dyn.sym_cube(g1)), modular_sig),
+        "fuchsian": ((g0, g1), modular_sig),
+        "quintic": ((mq_std.h0, mq_std.h1), mq_sig),
         # inv(1e-310 I) is not finite: trajectories that cross side 1 forwards are discarded
-        "partial_discard": ({"0": g0, "1": 1e-310 * np.eye(2)}, sig),
+        "partial_discard": ((g0, 1e-310 * np.eye(2)), modular_sig),
     }
 
 
@@ -613,10 +616,9 @@ class TestLyapunovMC:
         assert got.per_trajectory.tobytes() == want.per_trajectory.tobytes()
         assert got.exponents.tobytes() == want.exponents.tobytes()
         assert got.stderr.tobytes() == want.stderr.tobytes()
-        assert got.total_time == want.total_time
 
     def test_all_discarded_raises(self, modular_sig):
-        rep_mats = {"0": 1e-310 * np.eye(2), "1": np.eye(2)}
+        rep_mats = (1e-310 * np.eye(2), np.eye(2))
         for run in (dyn.lyapunov_mc, per_event_lyapunov):
             with pytest.raises(RuntimeError, match="all trajectories were discarded"):
                 run(rep_mats, modular_sig, 4, 3, 0)
@@ -640,9 +642,10 @@ class TestLyapunovMC:
     def test_fuchsian_top_exponent_is_one(self, e):
         # finite-time estimates sit about 1e-3 below 1, one to two stderrs
         # (ROADMAP item 1), so the check uses a fixed 0.01, not the stderr
-        dom = fox.build_domain(fox.OrbifoldSignature(*e))
-        gens = {"0": np.array(dom.gamma0).reshape(2, 2), "1": np.array(dom.gamma1).reshape(2, 2)}
-        result = dyn.lyapunov_mc(gens, dom.sig, 2000, 20, 7)
+        sig = fox.OrbifoldSignature(*e)
+        dom = fox.build_domain(sig)
+        gens = [np.array(g).reshape(2, 2) for g in (dom.gamma0, dom.gamma1)]
+        result = dyn.lyapunov_mc(gens, sig, 2000, 20, 7)
         assert abs(result.exponents[0] - 1.0) < 0.01
 
 
@@ -651,7 +654,6 @@ class TestSumFormulaReport:
         exponents=np.array([3.0, 1.0, -1.0, -3.0]),
         stderr=np.zeros(4),
         per_trajectory=np.array([[3.0, 1.0, -1.0, -3.0]]),
-        total_time=1.0,
     )
 
     def test_without_degrees(self):

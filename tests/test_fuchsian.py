@@ -48,21 +48,22 @@ class TestGeodesicSample:
     def test_deterministic_per_seed(self, e):
         sig = _sig(e)
         a, b = fox.geodesic_sample(sig, 7, 30.0), fox.geodesic_sample(sig, 7, 30.0)
-        assert len(a.events) > 0
-        assert (a.events, a.deck, a.end_state) == (b.events, b.deck, b.end_state)
+        assert len(a.events) > 0 and set(a.events) <= {0, 1, 2, 3}
+        assert a.events == b.events
         assert fox.geodesic_sample(sig, 8, 30.0).events != a.events
 
     @pytest.mark.parametrize("e", SIGNATURES)
     def test_deck_is_product_of_side_generators(self, e):
-        # each event (sym, sgn) appends the side's deck generator gamma_sym^sgn
+        # a crossing's code c names the deck letter gamma_k^sgn, k = c // 2, sgn = +1
+        # for even c; the side's pull must be that letter's inverse, since transport
+        # multiplies the frame by rho(gamma_k)^{-sgn} for each code
         dom = fox.build_domain(_sig(e))
-        gamma = {"0": dom.gamma0, "1": dom.gamma1}
-        for seed in range(3):
-            traj = fox.geodesic_sample(dom.sig, seed, 20.0)
-            deck = IDENT
-            for _, sym, sgn in traj.events:
-                deck = mat_mul(deck, gamma[sym] if sgn > 0 else mat_inv(gamma[sym]))
-            assert len(traj.events) > 0 and deck == traj.deck
+        gamma = (dom.gamma0, dom.gamma1)
+        assert sorted(side.code for side in dom.sides) == [0, 1, 2, 3]
+        for side in dom.sides:
+            g = gamma[side.code // 2]
+            letter = g if side.code % 2 == 0 else mat_inv(g)
+            assert np.abs(np.subtract(mat_mul(side.pull, letter), IDENT)).max() < 1e-12
 
 
 class TestDistances:

@@ -106,7 +106,7 @@ class TestMonodromyAtOne:
 
     def test_rank5_pseudo_reflection(self):
         rep = build_rep(RANK5)
-        assert rep.h1_report["rank_h1_minus_id"] == 1
+        assert monodromy_at_one(rep.h0, rep.hinf)[1]["rank_h1_minus_id"] == 1
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
@@ -121,12 +121,13 @@ class TestReflections:
 
     def test_involutions_and_relations(self):
         rep = build_rep(MQ)
+        R_A, R_B, R_C = reflection_matrices(char_polys(MQ))
         eye = np.eye(4)
-        for R in (rep.R_A, rep.R_B, rep.R_C):
+        for R in (R_A, R_B, R_C):
             assert np.allclose(R @ R, eye, atol=1e-12)
-        assert np.allclose(rep.R_C @ rep.R_B, rep.h0, atol=1e-12)
-        assert np.allclose(rep.R_C @ rep.R_A, rep.hinf, atol=1e-12)
-        assert np.allclose(rep.R_B @ rep.R_A, rep.h1, atol=1e-12)
+        assert np.allclose(R_C @ R_B, rep.h0, atol=1e-12)
+        assert np.allclose(R_C @ R_A, rep.hinf, atol=1e-12)
+        assert np.allclose(R_B @ R_A, rep.h1, atol=1e-12)
 
     def test_rb_exact_involution_for_mum(self):
         _, R_B, _ = reflection_matrices(char_polys(MQ))

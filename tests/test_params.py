@@ -103,6 +103,10 @@ class TestClassifyLocal:
         cls = classify_local_degeneration(("1/5", "2/5", "3/5", "4/5"))
         assert (cls.N, cls.k) == (5, 1)
 
+    def test_float_exponents_wrap_at_zero(self):
+        # (0, 0, 5e-13, 1 - 5e-13) is (0, 0, 0, 0) within EXACT_TOL mod 1
+        assert classify_local_degeneration((0, 0, 5e-13, 1 - 5e-13)).tag == par.MUM
+
     def test_irrational_elliptic_is_bad(self):
         mu1, mu2 = 0.1234567891234, 0.2345678912345
         cls = classify_local_degeneration((mu1, mu2, 1 - mu2, 1 - mu1))

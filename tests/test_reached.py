@@ -20,6 +20,13 @@ KEEP = {
         ["q_value", "reduced_exterior_square", "transformed", "pluecker"],
         "exterior.py, the wedge/Pluecker path to be given a caller",
     ),
+    # dataclass fields, as "Class.field"
+    "CuspWitness.unipotent": "evidence: the witness's matrix, checked by the tests exactly",
+    "LyapunovResult.per_trajectory": "test oracle: rows matched bit for bit against the per-event loop",
+    **dict.fromkeys(
+        ["CartanData.k_minus", "CartanData.k_plus"],
+        "test oracle: the KAK factors that reconstruct each matrix from its Cartan projection",
+    ),
 }
 
 
@@ -83,6 +90,43 @@ def test_every_definition_is_reached():
     for path in sorted(PERFBENCH.rglob("*.py")):
         bench.visit(ast.parse(path.read_text()))
     roots = package.uses.pop(None).union(*bench.uses.values())
-    assert KEEP.keys() <= defined
-    assert sorted(KEEP.keys() & _closure(roots, package.uses)) == []
-    assert sorted(defined - _closure(roots | KEEP.keys(), package.uses)) == []
+    kept = {name for name in KEEP if "." not in name}
+    assert kept <= defined
+    assert sorted(kept & _closure(roots, package.uses)) == []
+    assert sorted(defined - _closure(roots | kept, package.uses)) == []
+
+
+def _attributes(paths, ctx):
+    """Attribute names used in ``ctx`` (ast.Load or ast.Store) in the files, except off ``args``."""
+    return {
+        node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "args")
+    }
+
+
+def _fields(paths):
+    """"Class.field" of every field of every @dataclass in the files."""
+    return {
+        f"{cls.name}.{stmt.target.id}" for path in paths
+        for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+    }
+
+
+def test_every_dataclass_field_is_read():
+    # a field no command or benchmark reads is a record nobody consults.  A read
+    # is an attribute read of the field's name in the package or in perfbench,
+    # except reads off the CLI's parsed options (``args.x``) and, in perfbench,
+    # reads of names that perfbench's own objects carry (``Span.name``).
+    modules = sorted(PACKAGE.glob("*.py"))
+    bench = sorted(PERFBENCH.rglob("*.py"))
+    bench_own = {f.split(".")[1] for f in _fields(bench)} | _attributes(bench, ast.Store)
+    read = _attributes(modules, ast.Load) | (_attributes(bench, ast.Load) - bench_own)
+    fields = _fields(modules)
+    unread = {f for f in fields if f.split(".")[1] not in read}
+    kept = {name for name in KEEP if "." in name}
+    assert kept <= fields
+    assert sorted(kept - unread) == []
+    assert sorted(unread - kept) == []
