@@ -218,7 +218,7 @@ def _svg_scatter(points, kinds, proj_desc, timestamp):
 
 def cmd_limitset(args) -> int:
     kinds = {k.strip() for k in args.kinds.split(",") if k.strip()}
-    if not kinds <= {"attracting", "cusp"}:
+    if not kinds or not kinds <= {"attracting", "cusp"}:
         raise ValueError(f"--kinds takes attracting and cusp, not {args.kinds!r}")
     proj = _parse_proj(args.proj)
     p = _parse_params(args)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ def canonical_exponent(k, order):
 
     ``k`` is an int or an integer array (reduced elementwise).
     """
-    if order == INF or order is None:
+    if order == INF:
         return k
     e = int(order)
     k = k % e
@@ -555,60 +554,30 @@ def sum_formula_report(result: LyapunovResult, chi: float, rhs_degrees=None) -> 
 # --- rational limit points --------------------------------------------------------
 
 
-def _as_fraction(x):
-    f = as_exact(x)
-    if f is None:
-        raise ValueError(f"target coordinate {x!r} is not rational")
-    return f
-
-
-def _row_reduce(rows):
-    """Reduced row echelon form over Q, exactly: (nonzero rows as Fractions, pivot columns)."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
+def _rank(rows):
+    """Rank over Q of a list of integer rows, by fraction-free elimination."""
+    rows = list(rows)  # rows are replaced, never changed in place
+    rank = 0
     for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return rows[: len(pivots)], pivots
-
-
-def _rank(rows):
-    return len(_row_reduce(rows)[1])
-
-
-def _kernel(d):
-    """Basis of {x : d x = 0} for a rational matrix ``d`` (a list of rows)."""
-    reduced, pivots = _row_reduce(d)
-    n = len(d[0])
-    basis = []
-    for free in (c for c in range(n) if c not in pivots):
-        vec = [Fraction(int(c == free)) for c in range(n)]
-        for row, c in zip(reduced, pivots):
-            vec[c] = -row[free]
-        basis.append(vec)
-    return basis
-
-
-def _kernel_image(d):
-    """Spanning vectors of ker(d) & im(d): the image d(ker d^2)."""
-    d2 = (d @ d).tolist()
-    return [v for v in (d @ np.array(k, dtype=object) for k in _kernel(d2)) if any(v)]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c] != 0:
+                rows[i] = [p[c] * x - rows[i][c] * y for x, y in zip(rows[i], p)]
+        rank += 1
+    return rank
 
 
 def _integral_vector(x):
     """The rational vector ``x`` times the lcm of its denominators, as Python ints."""
-    x = [_as_fraction(t) for t in x]
-    scale = math.lcm(*(t.denominator for t in x))
-    return [int(t * scale) for t in x]
+    exact = [as_exact(t) for t in x]
+    if None in exact:
+        raise ValueError(f"target coordinate {x[exact.index(None)]!r} is not rational")
+    scale = math.lcm(*(f.denominator for f in exact))
+    return [int(f * scale) for f in exact]
 
 
 @dataclass(frozen=True)
@@ -620,13 +589,12 @@ class CuspWitness:
     unipotent: tuple
 
 
-def rational_limit_classify(gen_mats, orders, v=None, lagrangian=None, L=6):
-    """Search the word ball for a unipotent certifying a rational limit point.
+def rational_limit_classify(gen_mats, orders, v, L=6):
+    """Search the word ball for a unipotent u with v in ker(u - id) & im(u - id).
 
-    For a vector: a witness u with v in ker(u - id) & im(u - id).  For a
-    Lagrangian: a witness whose fixed cusp line lies in the plane.  Returns a
-    CuspWitness or None (meaning: no witness within length L, no claim of
-    nonexistence).
+    Such a u fixes the limit point [v].  Returns a CuspWitness or None
+    (meaning: no witness within length L, no claim of nonexistence).  The
+    rational vector ``v`` is searched as its integral multiple.
 
     Search order: a word ``((s_1, k_1), ..., (s_m, k_m))`` stands for the
     product ``g_{s_1}^{k_1} ... g_{s_m}^{k_m}`` and grows at its right end.
@@ -638,23 +606,15 @@ def rational_limit_classify(gen_mats, orders, v=None, lagrangian=None, L=6):
 
     Arithmetic is exact: every generator and its inverse must be integral
     (det +-1, as for hypergeometric monodromy groups), else a ``ValueError``
-    is raised.  An integer prefilter over each level ((u - id) v = 0 and
-    u != id for a vector, tr u = n for a Lagrangian; int64 while
-    n * max|u - id| * max|v| < 2**63, Python ints past that) picks the
-    matrices that get the full rational test.
+    is raised.  An integer prefilter over each level decides (u - id) v = 0
+    and u != id (int64 while n * max|u - id| * max|v| < 2**63, Python ints
+    past that); ``_is_witness`` decides the rest for the matrices it passes.
     """
-    if (v is None) == (lagrangian is None):
-        raise ValueError("pass exactly one of v, lagrangian")
     for s, m in gen_mats.items():
         if _integer_matrix(np.asarray(m, dtype=float)) is None:
             raise ValueError(f"generator {s} is not integral")
-    if v is not None:
-        target = _integral_vector(np.ravel(np.asarray(v, dtype=object)).tolist())
-        scale = max(map(abs, target))
-    else:
-        cols = np.asarray(lagrangian, dtype=object).T.tolist()
-        target = [[_as_fraction(x) for x in col] for col in cols]
-        scale = 1
+    target = _integral_vector(np.ravel(np.asarray(v, dtype=object)).tolist())
+    scale = max(map(abs, target))
     transposed = {s: np.asarray(m, dtype=float).T for s, m in gen_mats.items()}
     for words, _, exact, _ in _ball_levels(transposed, orders, L):
         if exact is None:
@@ -663,31 +623,28 @@ def rational_limit_classify(gen_mats, orders, v=None, lagrangian=None, L=6):
         D = exact - np.eye(n, dtype=np.int64)  # (u - id)^T for each word's u
         if D.dtype != object and n * max(1, int(np.abs(D).max())) * scale >= 2**63:
             D = D.astype(object)  # Python ints: the products below would leave int64
-        if v is not None:
-            hits = ~np.any(np.array(target, dtype=D.dtype) @ D, axis=1) & np.any(D, axis=(1, 2))
-        else:
-            hits = np.trace(D, axis1=1, axis2=2) == 0
+        hits = ~np.any(np.array(target, dtype=D.dtype) @ D, axis=1) & np.any(D, axis=(1, 2))
         for k in np.flatnonzero(hits).tolist():
             d = np.array(D[k].T.tolist(), dtype=object)
-            if _is_witness(d, v is not None, target):
+            if _is_witness(d, target):
                 u = (d + np.eye(n, dtype=int)).tolist()
                 return CuspWitness(word=tuple(reversed(words[k])), unipotent=tuple(map(tuple, u)))
     return None
 
 
-def _is_witness(d, for_vector, target):
-    """The exact witness test on d = u - id (Python ints)."""
+def _is_witness(d, v):
+    """Whether d = u - id (Python ints) is nilpotent with v in im(d).
+
+    The prefilter has already decided d v = 0 and d != 0 exactly; with these,
+    u is a unipotent other than id and v lies in ker(u - id) & im(u - id).
+    """
     power = d
     for _ in range(len(d) - 1):
         power = power @ d
-    if any(power.ravel()) or not any(d.ravel()):
-        return False  # not unipotent, or the identity
-    if for_vector:  # v in ker(d) & im(d)
-        cols = d.T.tolist()
-        return not any(d @ np.array(target, dtype=object)) and _rank(cols + [target]) == _rank(cols)
-    ker_im = _kernel_image(d)
-    k = _rank(ker_im)
-    return k > 0 and _rank(ker_im + target) < k + _rank(target)
+    if any(power.ravel()):
+        return False  # not unipotent
+    cols = d.T.tolist()
+    return _rank(cols + [v]) == _rank(cols)
 
 
 # --- auxiliary representations ----------------------------------------------------

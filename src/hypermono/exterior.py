@@ -103,11 +103,10 @@ class LagrangianPlane:
 
     span: np.ndarray
 
-    def __init__(self, u, v=None):
-        if v is None:
-            m = np.asarray(u, dtype=float).reshape(4, 2)
-        else:
-            m = np.column_stack([u, v]).astype(float)
+    def __init__(self, span):
+        m = np.asarray(span, dtype=float)
+        if m.shape != (4, 2):
+            raise ValueError(f"span must be a 4x2 array of column vectors, not {m.shape}")
         if numerical_rank(m) != 2:
             raise ValueError("spanning vectors are dependent")
         pairing = float(m[:, 0] @ STANDARD_J4 @ m[:, 1])

@@ -16,7 +16,7 @@ sgn = +1 exactly when c is even.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List
@@ -26,6 +26,7 @@ import numpy as np
 from .params import HypergeomParams, as_exact
 
 INF = math.inf
+BASEPOINT = 1j  # every geodesic starts here, inside the fundamental domain
 
 # --- 2x2 real matrices as tuples (a, b, c, d) --------------------------------
 
@@ -190,8 +191,7 @@ class Side:
 class TriangleDomain:
     gamma0: tuple
     gamma1: tuple
-    sides: List[Side] = field(default_factory=list)
-    basepoint: complex = 1j
+    sides: List[Side]
 
     @property
     def gens(self):
@@ -322,8 +322,6 @@ def _build_domain_cached(e0, e1, einf):
     else:
         gamma1 = _side_pairing([rotation_about(v1, s * 2.0 * a1) for s in (1.0, -1.0)], w, w_m)
 
-    dom = TriangleDomain(gamma0=gamma0, gamma1=gamma1)
-
     # (u, v, pull, code): the side from u to v, left through the letter that code names
     specs = [
         (v0, w, mat_inv(gamma0), 0),
@@ -331,6 +329,7 @@ def _build_domain_cached(e0, e1, einf):
         (v1, w, gamma1, 3),
         (v1, w_m, mat_inv(gamma1), 2),
     ]
+    sides = []
     for u, v, pull, code in specs:
         p, q = _geodesic_ideal_endpoints(u, v)
         mop = _mob_to_axis(p, q)
@@ -338,13 +337,13 @@ def _build_domain_cached(e0, e1, einf):
         s_v = _endpoint_position(mop, v, p, q)
         lo, hi = min(s_u, s_v), max(s_u, s_v)
         # orient mop so that the basepoint is on the positive side
-        if _axis_side_value(mop, dom.basepoint) < 0:
+        if _axis_side_value(mop, BASEPOINT) < 0:
             mop = mat_mul((-1.0, 0.0, 0.0, 1.0), mop)
-        dom.sides.append(Side(mop, lo, hi, pull, code))
+        sides.append(Side(mop, lo, hi, pull, code))
 
-    if any(_axis_side_value(side.mop, dom.basepoint) < 1e-9 for side in dom.sides):
+    if any(_axis_side_value(side.mop, BASEPOINT) < 1e-9 for side in sides):
         raise RuntimeError("basepoint fell outside the fundamental domain")
-    return dom
+    return TriangleDomain(gamma0=gamma0, gamma1=gamma1, sides=sides)
 
 
 def build_domain(sig: OrbifoldSignature) -> TriangleDomain:

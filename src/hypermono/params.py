@@ -7,6 +7,7 @@ only (the geometric pipelines require rational exponents).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -23,7 +24,10 @@ ZERO = Fraction(0)
 
 
 def parse_exponent(x) -> Exponent:
-    """Coerce a user-facing exponent ("p/q", int, float, Fraction) into [0, 1)."""
+    """Coerce a user-facing exponent ("p/q", int, float, Fraction) into [0, 1).
+
+    A zero denominator or a value that is not finite raises ``ValueError``.
+    """
     if isinstance(x, Fraction):
         v: Exponent = x
     elif isinstance(x, int):
@@ -32,16 +36,20 @@ def parse_exponent(x) -> Exponent:
         x = x.strip()
         if "/" in x:
             num, den = x.split("/")
+            if int(den) == 0:
+                raise ValueError(f"exponent {x!r} has denominator 0")
             v = Fraction(int(num), int(den))
         else:
             f = float(x)
-            v = as_exact(f)
+            v = as_exact(f) if math.isfinite(f) else None
             if v is None:
                 v = f
     elif isinstance(x, float):
         v = x
     else:
         raise TypeError(f"cannot parse exponent {x!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"exponent {x!r} is not a finite number")
     return mod1(v)
 
 

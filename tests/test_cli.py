@@ -68,7 +68,12 @@ class TestDeterminism:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("params", ["1/5,2/5", "1/5,2/5,3/5:0,0", "a,b:c,d"])
+    @pytest.mark.parametrize("params", [
+        "1/5,2/5", "1/5,2/5,3/5:0,0", "a,b:c,d",
+        # a zero denominator and non-finite decimals used to exit 3, and nan exited 2 by accident
+        "1/0,2/5,3/5,4/5:0,0,0,0", "inf,2/5,3/5,4/5:0,0,0,0", "1e400,2/5,3/5,4/5:0,0,0,0",
+        "nan,2/5,3/5,4/5:0,0,0,0",
+    ])
     def test_invalid_params(self, params, capsys):
         assert cli.main(["certify", "--params", params, "--L", "2"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -92,9 +97,11 @@ class TestExitCodes:
             cli.main(argv)
         assert exc.value.code == 2
 
-    def test_unknown_kind_refused(self, capsys):
-        assert cli.main(["limitset", "--params", QUINTIC, "--L", "2", "--kinds", "attractng"]) == 2
-        assert "error:" in capsys.readouterr().err
+    # an empty kind set used to print an empty CSV and exit 0
+    @pytest.mark.parametrize("kinds", ["attractng", ",", ""], ids=["typo", "comma", "empty"])
+    def test_unknown_kind_refused(self, kinds, capsys):
+        assert cli.main(["limitset", "--params", QUINTIC, "--L", "2", "--kinds", kinds]) == 2
+        assert "--kinds takes attracting and cusp" in capsys.readouterr().err
 
     def test_non_self_dual_monodromy_refused(self, capsys):
         # the group is not real: its forms used to be read off the real parts of h0 and hinf
@@ -269,10 +276,11 @@ def test_docstring_option_table_is_commands():
 
 
 def test_cli_import_leaves_out_scipy():
-    # numpy and pyyaml are the only runtime dependencies
+    # numpy and pyyaml are the only runtime dependencies, and no command uses exterior.py
     env = dict(os.environ, PYTHONPATH=str(Path(hypermono.__file__).parents[1]))
-    code = "import hypermono.cli, sys; print('scipy' in sys.modules)"
+    code = ("import hypermono.cli, sys; "
+            "print('scipy' in sys.modules, 'hypermono.exterior' in sys.modules)")
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

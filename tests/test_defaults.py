@@ -4,7 +4,8 @@ from pathlib import Path
 import hypermono
 
 PACKAGE = Path(hypermono.__file__).parent
-CALLERS = [PACKAGE.parents[1] / d for d in ("src", "tests", "perfbench")]
+# the commands and the benchmark; a default that only tests vary is an option nothing runs
+CALLERS = [PACKAGE.parents[1] / d for d in ("src", "perfbench")]
 
 # perfbench/spans.py reads this argument by name off every enumerate_ball call
 EXEMPT = {("enumerate_ball", "alphabet")}
@@ -24,11 +25,26 @@ def _defaulted(fn, is_method):
     return out
 
 
+def _field_defaults(tree):
+    """{(class, field): call position} of the defaulted fields of each @dataclass."""
+    out = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in cls.decorator_list
+        ):
+            fields = [stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+            out.update({
+                (cls.name, f.target.id): i for i, f in enumerate(fields) if f.value is not None
+            })
+    return out
+
+
 def _package_defaults():
-    """{(function key, parameter): call position} over every def in the package."""
+    """{(function or class key, parameter or field): call position} over the package."""
     out = {}
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text())
+        out.update(_field_defaults(tree))
         methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                    for f in c.body if isinstance(f, ast.FunctionDef)}
         for fn in ast.walk(tree):
@@ -79,7 +95,8 @@ class _Calls(ast.NodeVisitor):
 
 
 def test_every_defaulted_parameter_is_passed():
-    # a default no call overrides is a setting that no test or workload runs
+    # a default that no command or workload overrides is a setting nothing runs; a
+    # dataclass field default counts as varied when a construction passes the field
     defaults = _package_defaults()
     assert EXEMPT <= defaults.keys()
     calls = _Calls()

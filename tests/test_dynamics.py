@@ -17,7 +17,7 @@ OCTIC = par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)
 
 
 def _canonical_exponent(k, order):
-    if order == INF or order is None:
+    if order == INF:
         return k
     e = int(order)
     k = k % e
@@ -112,40 +112,13 @@ def _frac_rank(rows):
     return len(_frac_rref(rows)[1])
 
 
-def _frac_nullspace(rows, ncols):
-    red, pivots = _frac_rref(rows)
-    out = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(int(c == fc)) for c in range(ncols)]
-        for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][fc]
-        out.append(vec)
-    return out
-
-
 def _frac_inv(m):
     n = len(m)
     red, _ = _frac_rref([list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)])
     return tuple(tuple(row[n:]) for row in red)
 
 
-def _frac_kernel_image(d, n):
-    """ker(d) & im(d) by solving sum a_i kernel_i = sum b_j image_j."""
-    kernel = _frac_nullspace(d, n)
-    image = [c for c in ([d[i][j] for i in range(n)] for j in range(n)) if any(c)]
-    if not kernel or not image:
-        return []
-    k, m = len(kernel), len(image)
-    system = [[kv[c] for kv in kernel] + [-iv[c] for iv in image] for c in range(n)]
-    out = []
-    for sol in _frac_nullspace(system, k + m):
-        vec = [sum(sol[i] * kernel[i][c] for i in range(k)) for c in range(n)]
-        if any(vec):
-            out.append(vec)
-    return out
-
-
-def reference_classify(gen_mats, orders, v=None, lagrangian=None, L=6):
+def reference_classify(gen_mats, orders, v, L=6):
     """The per-word reference search: right multiplication in Fractions, a
     frontier that keeps duplicate matrices."""
     gens = {
@@ -155,11 +128,7 @@ def reference_classify(gen_mats, orders, v=None, lagrangian=None, L=6):
     n = len(next(iter(gens.values())))
     ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
     inv = {s: _frac_inv(m) for s, m in gens.items()}
-    if v is not None:
-        target = [Fraction(x) for x in v]
-    else:
-        cols = np.asarray(lagrangian, dtype=object).T.tolist()
-        target = [[Fraction(x) for x in col] for col in cols]
+    target = [Fraction(x) for x in v]
 
     def is_witness(u):
         d = tuple(tuple(u[i][j] - ident[i][j] for j in range(n)) for i in range(n))
@@ -171,14 +140,9 @@ def reference_classify(gen_mats, orders, v=None, lagrangian=None, L=6):
         cols = [c for c in ([d[i][j] for i in range(n)] for j in range(n)) if any(c)]
         if not cols:
             return False
-        if v is not None:
-            if any(sum(d[i][j] * target[j] for j in range(n)) for i in range(n)):
-                return False
-            return _frac_rank(cols + [target]) == _frac_rank(cols)
-        ker_im = _frac_kernel_image(d, n)
-        if not ker_im:
+        if any(sum(d[i][j] * target[j] for j in range(n)) for i in range(n)):
             return False
-        return _frac_rank(ker_im + target) < _frac_rank(ker_im) + _frac_rank(target)
+        return _frac_rank(cols + [target]) == _frac_rank(cols)
 
     frontier = [((), ident)]
     seen = {ident}
@@ -298,21 +262,13 @@ class TestEnumerateBall:
 
 
 def _quintic_cusp_targets(count):
-    """(v, Lagrangian) for the cusp lines g.ker(h0 - id) of the first ``count`` ball words g.
-
-    The Lagrangian is g.im((h0 - id)^2), which holds that line.
-    """
+    """The cusp lines g.ker(h0 - id) of the first ``count`` ball words g."""
     gens, orders, _ = _inputs(par.MIRROR_QUINTIC, False)
     N = np.rint(gens["0"]).astype(np.int64) - np.eye(4, dtype=np.int64)
-    N2, N3 = N @ N, N @ N @ N
+    N3 = N @ N @ N
     line = N3[:, np.flatnonzero(N3.any(axis=0))[0]]
-    plane = N2[:, np.flatnonzero(N2.any(axis=0))[:2]]
     ball = dyn.enumerate_ball(gens, orders, 3)
-    out = []
-    for g in ball.mats[:count]:
-        g = np.rint(g).astype(np.int64)
-        out.append(((g @ line).tolist(), (g @ plane).tolist()))
-    return gens, orders, out
+    return gens, orders, [(np.rint(g).astype(np.int64) @ line).tolist() for g in ball.mats[:count]]
 
 
 def _same(witness, reference):
@@ -347,14 +303,12 @@ class TestRationalLimitClassify:
     def test_quintic_cusp_lines_match_reference(self):
         gens, orders, targets = _quintic_cusp_targets(12)
         words = set()
-        for v, plane in targets:
+        for v in targets:
             w = dyn.rational_limit_classify(gens, orders, v=v, L=5)
             assert _same(w, reference_classify(gens, orders, v=v, L=5))
             words.add(w.word)
             u = np.array(w.unipotent, dtype=object)
             assert np.array_equal(u @ np.array(v, dtype=object), np.array(v, dtype=object))
-            wl = dyn.rational_limit_classify(gens, orders, lagrangian=plane, L=5)
-            assert _same(wl, reference_classify(gens, orders, lagrangian=plane, L=5))
         assert len(words) >= 3  # conjugates of h0 at several word lengths, not h0 alone
 
     def test_quintic_no_witness(self):
@@ -364,7 +318,7 @@ class TestRationalLimitClassify:
 
     def test_rational_vector_scales(self):
         gens, orders, targets = _quintic_cusp_targets(6)
-        v = targets[5][0]
+        v = targets[5]
         w = dyn.rational_limit_classify(gens, orders, v=v, L=5)
         assert w is not None
         for scaled in ([Fraction(x, 6) for x in v], [-3 * x for x in v], [x / 4 for x in v]):

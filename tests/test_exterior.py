@@ -10,8 +10,7 @@ from hypermono.exterior import (
     reduced_exterior_square,
 )
 
-E = np.eye(4)
-E1, E2, F1, F2 = E[:, 0], E[:, 1], E[:, 2], E[:, 3]
+E = np.eye(4)  # columns e1, e2, f1, f2
 
 
 class TestQuadSpace:
@@ -56,22 +55,27 @@ class TestReducedExteriorSquare:
 
 class TestPluecker:
     def test_basis_planes(self):
-        assert np.allclose(pluecker(LagrangianPlane(E1, E2)), [1, 0, 0, 0, 0])
-        assert np.allclose(pluecker(LagrangianPlane(F1, F2)), [0, 0, 0, 0, 1])
+        assert np.allclose(pluecker(LagrangianPlane(E[:, :2])), [1, 0, 0, 0, 0])
+        assert np.allclose(pluecker(LagrangianPlane(E[:, 2:])), [0, 0, 0, 0, 1])
 
     def test_non_lagrangian_rejected(self):
         with pytest.raises(ValueError, match="Lagrangian"):
-            LagrangianPlane(E1, F1)
+            LagrangianPlane(E[:, [0, 2]])
+
+    def test_rows_are_not_a_span(self):
+        # a 2x4 array of row vectors used to be reshaped into the columns e1, f1
+        with pytest.raises(ValueError, match="4x2"):
+            LagrangianPlane(E[:2])
 
     def test_isotropy_and_equivariance(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             g = random_symplectic(rng)
-            plane = LagrangianPlane(E1, E2).transformed(g)
+            plane = LagrangianPlane(E[:, :2]).transformed(g)
             w = pluecker(plane)
             assert abs(q_value(w)) < 1e-10
             # pluecker(g L) = Lambda^2 g . pluecker(L) up to normalization
-            img = reduced_exterior_square(g) @ pluecker(LagrangianPlane(E1, E2))
+            img = reduced_exterior_square(g) @ pluecker(LagrangianPlane(E[:, :2]))
             img = img / np.linalg.norm(img)
             assert min(np.linalg.norm(w - img), np.linalg.norm(w + img)) < 1e-9
 

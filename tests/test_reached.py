@@ -35,14 +35,18 @@ class _Uses(ast.NodeVisitor):
 
     A name is read as a bare name, an attribute, or a dotted name spelled in a
     string, since perfbench reaches the functions it times by name
-    ("MonodromyRep.standardized").
+    ("MonodromyRep.standardized").  ``loads`` and ``stores`` hold, per body,
+    the attribute names loaded and stored, except off the CLI's parsed
+    options (``args.x``); ``defined`` holds the names of the defs and classes.
     """
 
     def __init__(self):
         self.scope = [None]
-        self.uses = {}
+        self.uses, self.loads, self.stores = {}, {}, {}
+        self.defined = set()
 
     def _enter(self, node):
+        self.defined.add(node.name)
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
@@ -57,11 +61,18 @@ class _Uses(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         self._read(node.attr)
+        if not (isinstance(node.value, ast.Name) and node.value.id == "args"):
+            kind = self.loads if isinstance(node.ctx, ast.Load) else self.stores
+            kind.setdefault(self.scope[-1], set()).add(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node):
         if isinstance(node.value, str):
             self._read(*(part for part in node.value.split(".") if part.isidentifier()))
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _closure(names, uses):
@@ -74,35 +85,36 @@ def _closure(names, uses):
     return seen
 
 
+def _scan(paths):
+    uses = _Uses()
+    for path in paths:
+        uses.visit(ast.parse(path.read_text()))
+    return uses
+
+
+MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = sorted(PERFBENCH.rglob("*.py"))
+
+
+def _roots(package, bench):
+    """Names read in the package's module-level code (the CLI entry point) and in perfbench."""
+    return package.uses.get(None, set()).union(*bench.uses.values())
+
+
+def _reached(package, bench):
+    """The names reached from the roots and from ``KEEP`` through the package's defs."""
+    return _closure(_roots(package, bench) | {n for n in KEEP if "." not in n}, package.uses)
+
+
 def test_every_definition_is_reached():
     # a def or class that only tests reach is code no command runs; the package's
     # module-level code (the CLI entry point) and all of perfbench are the roots
-    package, bench = _Uses(), _Uses()
-    defined = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        package.visit(tree)
-        defined |= {
-            node.name for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-        }
-    for path in sorted(PERFBENCH.rglob("*.py")):
-        bench.visit(ast.parse(path.read_text()))
-    roots = package.uses.pop(None).union(*bench.uses.values())
+    package, bench = _scan(MODULES), _scan(BENCH)
+    defined = {name for name in package.defined if not _dunder(name)}
     kept = {name for name in KEEP if "." not in name}
     assert kept <= defined
-    assert sorted(kept & _closure(roots, package.uses)) == []
-    assert sorted(defined - _closure(roots | kept, package.uses)) == []
-
-
-def _attributes(paths, ctx):
-    """Attribute names used in ``ctx`` (ast.Load or ast.Store) in the files, except off ``args``."""
-    return {
-        node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
-        and not (isinstance(node.value, ast.Name) and node.value.id == "args")
-    }
+    assert sorted(kept & _closure(_roots(package, bench), package.uses)) == []
+    assert sorted(defined - _reached(package, bench)) == []
 
 
 def _fields(paths):
@@ -117,14 +129,18 @@ def _fields(paths):
 
 def test_every_dataclass_field_is_read():
     # a field no command or benchmark reads is a record nobody consults.  A read
-    # is an attribute read of the field's name in the package or in perfbench,
-    # except reads off the CLI's parsed options (``args.x``) and, in perfbench,
-    # reads of names that perfbench's own objects carry (``Span.name``).
-    modules = sorted(PACKAGE.glob("*.py"))
-    bench = sorted(PERFBENCH.rglob("*.py"))
-    bench_own = {f.split(".")[1] for f in _fields(bench)} | _attributes(bench, ast.Store)
-    read = _attributes(modules, ast.Load) | (_attributes(bench, ast.Load) - bench_own)
-    fields = _fields(modules)
+    # is an attribute load of the field's name, in the package from module-level
+    # code, a reached or kept def, or a dunder method (``__repr__``, ``__len__``),
+    # and anywhere in perfbench except of names that perfbench's own objects
+    # carry: its fields, stored attributes, defs and classes (``tracer.span``).
+    package, bench = _scan(MODULES), _scan(BENCH)
+    reached = _reached(package, bench)
+    read = set().union(*(names for scope, names in package.loads.items()
+                         if scope is None or scope in reached or _dunder(scope)))
+    bench_own = ({f.split(".")[1] for f in _fields(BENCH)} | bench.defined
+                 | set().union(*bench.stores.values()))
+    read |= set().union(*bench.loads.values()) - bench_own
+    fields = _fields(MODULES)
     unread = {f for f in fields if f.split(".")[1] not in read}
     kept = {name for name in KEEP if "." in name}
     assert kept <= fields
