@@ -46,11 +46,3 @@ def null_space(a):
     _, s, vt = np.linalg.svd(np.asarray(a, dtype=float))
     return vt[_rank_cut(s):].T.copy()
 
-
-def orth_basis(a):
-    """Orthonormal basis of the column space, columns of the result."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, :_rank_cut(s)].copy()

@@ -13,9 +13,8 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import projective_normalize
+from ._linalg import _rank_cut, projective_normalize
 from .fuchsian import IDENT, INF, OrbifoldSignature, geodesic_sample, mat_inv
-from .lie import is_log_proximal
 from .params import as_exact
 
 MAT_DEDUP_RES = 1e-7
@@ -312,9 +311,13 @@ def limit_curve_samples(
     """Boundary-curve samples from a word ball.
 
     Attracting points are top left-singular directions of elements with
-    alpha_1-gap >= gap_min; cusp points are the ball translates of the line
-    ker(h1 - id) & im(h1 - id) when h1 is log-proximal, all put through
-    ``projective_normalize``.
+    alpha_1-gap >= gap_min.  Cusp points, when ``h1`` is given, are the ball
+    translates of the cusp line im(h1 - id), taken as the top left-singular
+    vector of h1 - id: h1 is a transvection (Levelt: h1 - id has rank 1), so
+    the line is fixed by h1 and attracts under its powers.  A ``ValueError``
+    is raised unless ``_rank_cut`` counts exactly one singular value of
+    h1 - id, the rank ``monodromy_at_one`` reports.  Every point is put
+    through ``projective_normalize``.
 
     Order: the attracting samples in ball order, then the cusp samples in
     ball order.  Each kind is deduplicated on its own: of several points of
@@ -322,16 +325,18 @@ def limit_curve_samples(
     only the first is kept.  ``index[i]`` is the position in ``ball.words``
     of the word whose matrix gave sample i.
     """
-    if gap_min <= 0:
+    if not gap_min > 0:
         raise ValueError("gap_min must be positive")
     u, s, _ = np.linalg.svd(ball.mats)
     gaps = np.log(s[:, 0]) - np.log(s[:, 1])
     idx = np.flatnonzero(gaps >= gap_min)
     parts = [("attracting", idx, u[idx, :, 0], gaps[idx])]
     if h1 is not None:
-        ok, line = is_log_proximal(h1)
-        if ok:
-            parts.append(("cusp", np.arange(len(ball)), ball.mats @ line, np.zeros(len(ball))))
+        u1, s1, _ = np.linalg.svd(h1 - np.eye(len(h1)))
+        if (rank := _rank_cut(s1)) != 1:
+            raise ValueError(f"h1 - id has rank {rank}, not 1: h1 is no transvection")
+        line = projective_normalize(u1[:, 0])
+        parts.append(("cusp", np.arange(len(ball)), ball.mats @ line, np.zeros(len(ball))))
     columns = []  # (points, gaps, kinds, index) of each kind
     for kind, idx, vecs, kind_gaps in parts:
         v = projective_normalize(vecs)
@@ -389,7 +394,10 @@ def _hull_candidates(xs, ys):
 
 
 def _frobenius_distances(fuchs):
-    """``frobenius_distance`` of each row of an (N, 4) array, bit for bit."""
+    """dist(i, m . i) = arccosh(||m||_F^2 / 2) of each row m of an (N, 4) array.
+
+    Bit for bit the per-row ``frobenius_distance`` of ``tests/oracles.py``.
+    """
     q = (fuchs[:, 0] * fuchs[:, 0] + fuchs[:, 1] * fuchs[:, 1]
          + fuchs[:, 2] * fuchs[:, 2] + fuchs[:, 3] * fuchs[:, 3]) / 2.0
     # math.acosh, not np.arccosh: the two differ in the last bit on ~2.5% of inputs
@@ -488,8 +496,8 @@ def lyapunov_mc(
     exactly when its log sum ends non-finite; the kept rows of
     ``per_trajectory`` stay in seed order.
     """
-    if T <= 0 or n_traj <= 0:
-        raise ValueError("T and n_traj must be positive")
+    if not 0 < T < math.inf or n_traj <= 0:
+        raise ValueError("T must be positive and finite, and n_traj positive")
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
     steps = np.stack([x for m in mats for x in (np.linalg.inv(m), m)])
@@ -544,6 +552,8 @@ def sum_formula_report(result: LyapunovResult, chi: float, rhs_degrees=None) -> 
     if rhs_degrees is None:
         report["note"] = "not evaluated (no degree data supplied)"
         return report
+    if not all(map(math.isfinite, rhs_degrees)):
+        raise ValueError(f"degrees must be finite numbers, not {rhs_degrees!r}")
     rhs = 2.0 * float(sum(rhs_degrees)) / abs(chi)
     report["rhs"] = rhs
     report["abs_discrepancy"] = abs(lam_sum - rhs)
@@ -667,9 +677,3 @@ def sym_cube(g):
         ]
     )
 
-
-def veronese(v):
-    """Image of a plane direction on the twisted cubic in the sym_cube basis."""
-    s, t = float(v[0]), float(v[1])
-    r3 = math.sqrt(3.0)
-    return projective_normalize(np.array([s**3, r3 * s * s * t, r3 * s * t * t, t**3]))

@@ -86,25 +86,6 @@ def rotation_about(p, angle):
     return mat_mul(mat_mul(t, _rot(angle / 2.0)), mat_inv(t))
 
 
-# --- distances ----------------------------------------------------------------
-
-
-def hyp_distance(tau1, tau2):
-    """Hyperbolic distance in the upper half-plane: cosh d = 1 + |dt|^2/(2 y1 y2)."""
-    t1, t2 = complex(tau1), complex(tau2)
-    if t1.imag <= 0 or t2.imag <= 0:
-        raise ValueError("points must have positive imaginary part")
-    x = 1.0 + abs(t1 - t2) ** 2 / (2.0 * t1.imag * t2.imag)
-    return math.acosh(max(1.0, x))
-
-
-def frobenius_distance(m):
-    """dist(i, m . i) = arccosh(||m||_F^2 / 2) for m in SL(2, R)."""
-    a, b, c, d = m
-    q = (a * a + b * b + c * c + d * d) / 2.0
-    return math.acosh(max(1.0, q))
-
-
 # --- orbifold signature -------------------------------------------------------
 
 
@@ -398,12 +379,16 @@ def _flow(state, t):
     return (a * e, b / e, c * e, d / e)
 
 
-def geodesic_sample(sig: OrbifoldSignature, seed: int, total_time: float) -> GeodesicTrajectory:
+def geodesic_sample(
+    sig: OrbifoldSignature, seed: np.random.SeedSequence, total_time: float
+) -> GeodesicTrajectory:
     """Unit-speed geodesic from the basepoint with a seeded random direction.
 
     The geodesic is flowed in closed form; each exit through a side of the
     fundamental domain before ``total_time`` records that side's step code
-    and maps the state back inside.  Deterministic per seed.
+    and maps the state back inside.  Deterministic per seed: ``seed`` goes to
+    ``np.random.default_rng``, and ``lyapunov_mc`` passes one spawned
+    ``SeedSequence`` per trajectory.
     """
     if total_time < 0:
         raise ValueError("total_time must be >= 0")

@@ -1,0 +1,63 @@
+"""Per-item reference implementations that the package's batched paths are tested against."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from hypermono._linalg import projective_normalize
+
+
+@dataclass(frozen=True)
+class CartanData:
+    """g = k_minus . exp(diag mu) . k_plus with orthogonal factors, mu nonincreasing."""
+
+    k_minus: np.ndarray
+    mu: np.ndarray
+    k_plus: np.ndarray
+
+
+def kak(g) -> CartanData:
+    """SVD-based Cartan decomposition with a deterministic sign convention."""
+    g = np.asarray(g, dtype=float)
+    u, s, vt = np.linalg.svd(g)
+    if s[-1] <= 0:
+        raise ValueError("singular matrix has no KAK decomposition")
+    # fix signs: largest entry of each left singular vector made positive
+    for i in range(u.shape[1]):
+        j = int(np.argmax(np.abs(u[:, i])))
+        if u[j, i] < 0:
+            u[:, i] = -u[:, i]
+            vt[i, :] = -vt[i, :]
+    return CartanData(k_minus=u, mu=np.log(s), k_plus=vt)
+
+
+def alpha1_gap(g) -> float:
+    """mu_1 - mu_2, the first simple-root value of the Cartan projection."""
+    d = kak(g)
+    return float(d.mu[0] - d.mu[1])
+
+
+def hyp_distance(tau1, tau2):
+    """Hyperbolic distance in the upper half-plane: cosh d = 1 + |dt|^2/(2 y1 y2)."""
+    t1, t2 = complex(tau1), complex(tau2)
+    if t1.imag <= 0 or t2.imag <= 0:
+        raise ValueError("points must have positive imaginary part")
+    x = 1.0 + abs(t1 - t2) ** 2 / (2.0 * t1.imag * t2.imag)
+    return math.acosh(max(1.0, x))
+
+
+def frobenius_distance(m):
+    """dist(i, m . i) = arccosh(||m||_F^2 / 2) for m in SL(2, R)."""
+    a, b, c, d = m
+    q = (a * a + b * b + c * c + d * d) / 2.0
+    return math.acosh(max(1.0, q))
+
+
+def veronese(v):
+    """Image of a plane direction on the twisted cubic in the sym_cube basis."""
+    s, t = float(v[0]), float(v[1])
+    r3 = math.sqrt(3.0)
+    return projective_normalize(np.array([s**3, r3 * s * s * t, r3 * s * t * t, t**3]))

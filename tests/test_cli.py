@@ -48,19 +48,24 @@ class TestDeterminism:
         assert first[".csv"].startswith(b"x0,x1,x2,x3,gap,kind\n")
 
     # sha256 of (csv, svg), recorded from the per-sample writer before limit
-    # samples became arrays: a rerun-equality check passes a uniform change
-    @pytest.mark.parametrize("extra, csv_sha, svg_sha", [
-        ([], "2702cce2a249622a511f6d4d780f798d6fbd7511a3a7e1d93e5e83347c8f970e",
+    # samples became arrays: a rerun-equality check passes a uniform change.  The
+    # octic's cusp rows depend in their last bits on how im(h1 - id) is computed.
+    @pytest.mark.parametrize("params, extra, csv_sha, svg_sha", [
+        (QUINTIC, [], "2702cce2a249622a511f6d4d780f798d6fbd7511a3a7e1d93e5e83347c8f970e",
          "0d88933937a4ad007a9b1396b07631409bec7de53b38577f7fec53d9f30c2a74"),
-        (["--proj", "0.3,-1.7,2.2,0.9;0.333,0.25,-5,0.001"],
+        (QUINTIC, ["--proj", "0.3,-1.7,2.2,0.9;0.333,0.25,-5,0.001"],
          "2702cce2a249622a511f6d4d780f798d6fbd7511a3a7e1d93e5e83347c8f970e",
          "15bff50eeac215cd991a66d75f2c51474871434b1487419f37d6759c686a0ded"),
-        (["--kinds", "cusp"], "b43b71d3d8488d65d3d42a166becc07b3248b4cf3908c6e4b9e7722f10ea639d",
+        (QUINTIC, ["--kinds", "cusp"],
+         "b43b71d3d8488d65d3d42a166becc07b3248b4cf3908c6e4b9e7722f10ea639d",
          "b3b186038ad9d19ac84d16f0b55cfb500c13807dd65ab769998051ed05af2631"),
-    ], ids=["default", "proj", "cusp"])
-    def test_limitset_bytes_pinned(self, tmp_path, capsys, extra, csv_sha, svg_sha):
+        (OCTIC, ["--kinds", "cusp"],
+         "14038a5156e2d4f0769fe9b79b32e9bac2b999e609c204dcb809afd4d942f5bb",
+         "3ea46c452756850e7c0203291649c81b1ee7977b74d94220139fea41a869919f"),
+    ], ids=["default", "proj", "cusp", "octic-cusp"])
+    def test_limitset_bytes_pinned(self, tmp_path, capsys, params, extra, csv_sha, svg_sha):
         prefix = tmp_path / "out"
-        argv = ["limitset", "--params", QUINTIC, "--L", "6", "--no-timestamp", *extra]
+        argv = ["limitset", "--params", params, "--L", "6", "--no-timestamp", *extra]
         assert cli.main(argv + ["--out", str(prefix)]) == 0
         digest = {s: hashlib.sha256((tmp_path / f"out{s}").read_bytes()).hexdigest()
                   for s in (".csv", ".svg")}
@@ -133,6 +138,21 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--params" in captured.err
+
+    # --T inf never returned, and the others printed NaN or Infinity and exited 0
+    @pytest.mark.parametrize("argv", [
+        ["lyapunov", "--rep", "sym3", "--T", "inf", "--ntraj", "2", "--seed", "1"],
+        ["lyapunov", "--rep", "sym3", "--T", "nan", "--ntraj", "2", "--seed", "1"],
+        ["lyapunov", "--rep", "sym3", "--T", "10", "--ntraj", "2", "--seed", "1",
+         "--rhs-degrees", "nan"],
+        ["lyapunov", "--rep", "sym3", "--T", "10", "--ntraj", "2", "--seed", "1",
+         "--rhs-degrees", "1,inf"],
+        ["limitset", "--params", QUINTIC, "--L", "2", "--gap-min", "nan"],
+    ], ids=["T-inf", "T-nan", "rhs-nan", "rhs-inf", "gap-min-nan"])
+    def test_non_finite_option_refused(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
 
     def test_signature_and_params_conflict(self, capsys):
         # the exponents fix the orbifold, which a --sig would replace

@@ -10,8 +10,8 @@ from hypermono import fuchsian as fox
 from hypermono import monodromy as mono
 from hypermono import params as par
 from hypermono.fuchsian import IDENT, INF, mat_inv, mat_mul, mat_normalize
-from hypermono._linalg import SIGN_TOL, projective_normalize
-from hypermono.lie import alpha1_gap, is_log_proximal
+from hypermono._linalg import SIGN_TOL, numerical_rank, projective_normalize
+from oracles import alpha1_gap, frobenius_distance
 
 OCTIC = par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)
 
@@ -349,6 +349,11 @@ def per_vector_normalize(v):
     return v
 
 
+def cusp_line(h1):
+    """im(h1 - id) of a transvection h1: the top left-singular vector of h1 - id."""
+    return per_vector_normalize(np.linalg.svd(h1 - np.eye(len(h1)))[0][:, 0])
+
+
 def per_sample_limit_curve(ball, gap_min, h1=None):
     """The per-sample reference loop: (point, word, gap, kind) tuples, deduplicated through a set."""
     out, seen = [], set()
@@ -367,11 +372,9 @@ def per_sample_limit_curve(ball, gap_min, h1=None):
         if gaps[i] >= gap_min:
             push(u[i][:, 0], ball.words[i], gaps[i], "attracting")
     if h1 is not None:
-        ok, line = is_log_proximal(h1)
-        if ok:
-            pts = ball.mats @ line
-            for i in range(len(ball)):
-                push(pts[i], ball.words[i], 0.0, "cusp")
+        pts = ball.mats @ cusp_line(h1)
+        for i in range(len(ball)):
+            push(pts[i], ball.words[i], 0.0, "cusp")
     return out
 
 
@@ -394,7 +397,7 @@ class TestLimitCurveSamples:
         samples = dyn.limit_curve_samples(ball, 1.0, h1=std.h1)
         assert set(samples.kinds.tolist()) == {"attracting", "cusp"}
         assert 0 <= samples.index.min() and samples.index.max() < len(ball)
-        _, line = is_log_proximal(std.h1)
+        line = cusp_line(std.h1)
         for point, i, kind in zip(samples.points, samples.index, samples.kinds):
             if kind == "cusp":
                 translate = ball.mats[i] @ line
@@ -423,7 +426,7 @@ class TestLimitCurveSamples:
         # two copies of one matrix whose attracting point is the cusp line l, which
         # it fixes: each kind keeps its first copy, and the kinds do not share keys
         _, std = limit_balls["quintic"]
-        _, line = is_log_proximal(std.h1)
+        line = cusp_line(std.h1)
         q, _ = np.linalg.qr(np.column_stack([line, np.eye(4)[:, :3]]))
         m = q @ np.diag([20.0, 2.0, 0.5, 0.05]) @ q.T
         ball = dyn.WordBall(words=[("a",), ("b",)], mats=np.stack([m, m]))
@@ -443,6 +446,42 @@ class TestLimitCurveSamples:
         for i, row in enumerate(stacked):
             one = projective_normalize(u[i, :, 0])
             assert row.tobytes() == one.tobytes() == per_vector_normalize(u[i, :, 0]).tobytes()
+
+
+# the 14 Doran-Morgan families alpha = (a1, a2, 1 - a2, 1 - a1), beta = 0^4
+DORAN_MORGAN = ["1/5,2/5", "1/2,1/2", "1/4,1/2", "1/8,3/8", "1/12,5/12", "1/3,1/2", "1/6,1/2",
+                "1/10,3/10", "1/3,1/3", "1/6,1/3", "1/4,1/4", "1/6,1/6", "1/4,1/3", "1/6,1/4"]
+
+# a unipotent with two Jordan blocks of size 2: e_i -> e_i + f_i, so h1 - id has rank 2
+TWO_BLOCK = np.eye(4)
+TWO_BLOCK[2, 0] = TWO_BLOCK[3, 1] = 1.0
+
+
+def library_cusp_line(h1):
+    """The cusp line of ``limit_curve_samples``: its one cusp sample of the identity word."""
+    ball = dyn.WordBall(words=[()], mats=np.eye(len(h1))[None])
+    samples = dyn.limit_curve_samples(ball, 1.0, h1=h1)
+    assert samples.kinds.tolist() == ["cusp"]
+    return samples.points[0]
+
+
+class TestCuspLine:
+    @pytest.mark.parametrize("a", DORAN_MORGAN)
+    def test_line_is_fixed_and_spans_the_image(self, a):
+        a1, a2 = map(Fraction, a.split(","))
+        p = par.HypergeomParams(tuple(map(str, (a1, a2, 1 - a2, 1 - a1))), ("0",) * 4)
+        std, _ = mono.build_rep(p).standardized()
+        line = library_cusp_line(std.h1)
+        # the identity word's sample is the line, up to the sign of a zero entry
+        assert np.array_equal(line, cusp_line(std.h1))
+        assert np.linalg.norm(std.h1 @ line - line) <= 1e-12
+        assert numerical_rank(np.column_stack([std.h1 - np.eye(4), line])) == 1
+
+    @pytest.mark.parametrize("h1", [np.eye(4), TWO_BLOCK], ids=["identity", "two-block"])
+    def test_non_transvection_refused(self, h1):
+        # at rank 0 or 2 there is no one cusp line, and no cusp sample is made up
+        with pytest.raises(ValueError, match="h1 - id has rank [02], not 1"):
+            library_cusp_line(h1)
 
 
 class TestAnosovCertificate:
@@ -473,7 +512,7 @@ class TestAnosovCertificate:
 
     def test_distances_match_scalar(self, mq):
         ball, _, _ = ball_for(mq, 6, with_fuchs=True)
-        want = [fox.frobenius_distance(tuple(f)) for f in ball.fuchs.tolist()]
+        want = [frobenius_distance(tuple(f)) for f in ball.fuchs.tolist()]
         assert dyn._frobenius_distances(ball.fuchs).tolist() == want
 
     def test_gaps_match_cartan_projection(self, mq):

@@ -5,7 +5,9 @@ import pytest
 
 import hypermono
 
+# the package, and the oracles its batched paths are tested against
 MODULES = sorted(p for p in Path(hypermono.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES.append(Path(__file__).with_name("oracles.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,20 +1,16 @@
+"""The Cartan-projection oracles of ``oracles.py``: KAK factors and the alpha_1-gap."""
+
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from hypermono.lie import alpha1_gap, is_log_proximal, kak, nilpotent_order, unipotent_log
+from oracles import alpha1_gap, kak
 
-# canonical nilpotents: rank-1 line type, two Jordan blocks, Sym^3 principal
+# the canonical rank-1 nilpotent, of line type
 N_RANK1 = np.zeros((4, 4))
 N_RANK1[2, 0] = -1.0  # e1 -> -f1 in basis (e1, e2, f1, f2)
-N_TWOBLOCK = np.zeros((4, 4))
-N_TWOBLOCK[2, 0] = 1.0
-N_TWOBLOCK[3, 1] = 1.0  # e_i -> f_i
-N_SYM3 = np.zeros((4, 4))
-for j in range(1, 4):
-    N_SYM3[j - 1, j] = j  # lowering operator on binary cubics
 
 
 def _reconstruct(d):
@@ -74,41 +70,3 @@ class TestAlpha1Gap:
             errs.append(alpha1_gap(g) - math.log(k))
         assert max(errs) - min(errs) < 0.5
         assert all(abs(e) < 2.0 for e in errs)
-
-
-class TestLogProximal:
-    def test_mum(self):
-        T = scipy.linalg.expm(N_SYM3)
-        ok, line = is_log_proximal(T)
-        assert ok
-        # attracting line = im(N^3)
-        im3 = N_SYM3 @ N_SYM3 @ N_SYM3
-        im3 = im3[:, np.argmax(np.abs(im3).sum(axis=0))]
-        im3 = im3 / np.linalg.norm(im3)
-        assert min(np.linalg.norm(line - im3), np.linalg.norm(line + im3)) < 1e-9
-
-    def test_rank1(self):
-        T = scipy.linalg.expm(N_RANK1)
-        ok, line = is_log_proximal(T)
-        assert ok
-        f1 = np.eye(4)[:, 2]
-        assert min(np.linalg.norm(line - f1), np.linalg.norm(line + f1)) < 1e-12
-
-    def test_two_block_not_proximal(self):
-        ok, _ = is_log_proximal(scipy.linalg.expm(N_TWOBLOCK))
-        assert not ok
-        # log T = 0 has order 0, so the identity has no attracting line
-        assert is_log_proximal(np.eye(4)) == (False, None)
-
-    def test_non_unipotent_rejected(self):
-        with pytest.raises(ValueError):
-            is_log_proximal(np.diag([2.0, 0.5]))
-
-
-def test_unipotent_log_matches_series():
-    T = scipy.linalg.expm(N_SYM3)
-    assert np.linalg.norm(unipotent_log(T) - N_SYM3) < 1e-10
-    with pytest.raises(ValueError):
-        unipotent_log(np.diag([2.0, 1.0]))
-    with pytest.raises(ValueError, match="not nilpotent"):
-        nilpotent_order(np.eye(3))

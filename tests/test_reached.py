@@ -8,13 +8,6 @@ PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 # names defined in the package that no command or benchmark reaches, kept on purpose
 KEEP = {
-    "veronese": "test oracle: Sym^3 attracting points lie on the twisted cubic",
-    "hyp_distance": "test oracle for frobenius_distance",
-    "frobenius_distance": "test oracle for the certificate's vectorised distances",
-    **dict.fromkeys(
-        ["CartanData", "kak", "alpha1_gap"],
-        "test oracle: the per-matrix Cartan projection for the certificate's batched gaps",
-    ),
     "enumerate_good_families": "the paper's family table, to become a command",
     **dict.fromkeys(
         ["q_value", "reduced_exterior_square", "transformed", "pluecker"],
@@ -23,10 +16,6 @@ KEEP = {
     # dataclass fields, as "Class.field"
     "CuspWitness.unipotent": "evidence: the witness's matrix, checked by the tests exactly",
     "LyapunovResult.per_trajectory": "test oracle: rows matched bit for bit against the per-event loop",
-    **dict.fromkeys(
-        ["CartanData.k_minus", "CartanData.k_plus"],
-        "test oracle: the KAK factors that reconstruct each matrix from its Cartan projection",
-    ),
 }
 
 
