@@ -129,7 +129,7 @@ def cmd_monodromy(args) -> int:
     rep = monodromy.build_rep(p)
     R_A, R_B, R_C = monodromy.reflection_matrices(monodromy.char_polys(p))
     J = rep.J
-    sym = float(np.linalg.norm(J + J.T)) < 1e-9 * float(np.linalg.norm(J))
+    antisymmetric = np.array_equal(J, -J.T)  # J is exactly its (anti)symmetric part
     bundle = {
         "alpha": [str(x) for x in p.alpha],
         "beta": [str(x) for x in p.beta],
@@ -146,14 +146,14 @@ def cmd_monodromy(args) -> int:
             "RB_RA_minus_h1": float(np.linalg.norm(R_B @ R_A - rep.h1)),
         },
         "J": _mat_json(J),
-        "J_antisymmetric": bool(sym),
+        "J_antisymmetric": antisymmetric,
         # reported, not asserted: the printed reflections need not fix J
         "reflection_form_report": {
             name: float(np.linalg.norm(R.T @ J @ R - J) / np.linalg.norm(J))
             for name, R in (("R_A", R_A), ("R_B", R_B), ("R_C", R_C))
         },
     }
-    if not sym:
+    if not antisymmetric:
         bundle["J_signature"] = list(form_signature(J))
     _emit_json(bundle, args.out)
     return 0
@@ -183,8 +183,8 @@ def cmd_certify(args) -> int:
 def _parse_proj(text):
     rows = [r for r in text.split(";") if r.strip()]
     mat = np.array([[float(x) for x in r.split(",")] for r in rows])
-    if mat.shape != (2, 4):
-        raise ValueError("projection must be a 2x4 matrix: 'a,b,c,d;e,f,g,h'")
+    if mat.shape != (2, 4) or not np.isfinite(mat).all():
+        raise ValueError("projection must be a finite 2x4 matrix: 'a,b,c,d;e,f,g,h'")
     return mat
 
 

@@ -19,7 +19,7 @@ from .params import as_exact
 
 MAT_DEDUP_RES = 1e-7
 LIMIT_DEDUP_RES = 1e-8  # limit samples are deduplicated on this grid of their coordinates
-EXACT_KEY_LIMIT = 2**53  # int64 keys while n * max|g| * max|F| stays below this
+EXACT_KEY_LIMIT = 2**53  # exact products in int64 while n * max|g| * max|X| stays below this
 INTEGRAL_TOL = 1e-9  # a generator entry within this (relative) of an integer is that integer
 
 
@@ -40,9 +40,11 @@ class WordBall:
     """Reduced words of bounded length with their matrices, one word per matrix key.
 
     ``words[i]`` is a tuple of syllables ``(symbol, exponent)``, leftmost
-    first, of length sum |exponent|; ``mats`` is (N, n, n), and ``fuchs``,
-    when the ball was built with Fuchsian generators, the (N, 4) array of
-    normalized 2x2 matrices (a, b, c, d) of the same words.
+    first, of length sum |exponent|; ``mats`` is (N, n, n): the exact
+    products, as floats, when every generator and its inverse is integral,
+    else the float products.  ``fuchs`` is, when the ball was built with
+    Fuchsian generators, the (N, 4) array of normalized 2x2 matrices
+    (a, b, c, d) of the same words.
     """
 
     words: list
@@ -74,64 +76,34 @@ def _exact_steps(steps):
 
 
 class _KeySet:
-    """Exact set of integer key rows; ``admit`` keeps the first copy of each new row.
+    """Exact set of key rows; ``admit`` keeps the first copy of each new row.
 
-    int64 rows are indexed by a 64-bit row hash, and rows whose hashes agree
-    are compared in full.  On a hash collision between distinct rows, or for
-    rows of Python ints (an object array), the set moves to a Python set of
-    row tuples for good: slower, equally exact.
+    int64 rows are held as their bytes.  At the first batch of Python ints
+    (an object array) the held rows are re-keyed once as tuples of ints, and
+    every later row is held as a tuple.  The set only tests membership, so
+    the hash seed cannot change which rows are admitted.
     """
 
-    def __init__(self, width):
-        # fixed odd multipliers; any work, as rows with equal hashes are compared in full
-        self.mult = np.random.default_rng(width).integers(1, 2**62, size=width) | 1
-        self.levels = []  # admitted int64 rows, one array per admit()
-        self.hashes = np.empty(0, dtype=np.int64)  # sorted, one per admitted row
-        self.at = np.empty(0, dtype=np.int64)  # row index of each sorted hash
-        self.tuples = None
+    def __init__(self):
+        self.seen = set()
+        self.tuples = False
 
     def admit(self, keys):
         """Indices (increasing) of the rows of ``keys`` not seen before, first copies only."""
-        if not len(keys):
-            return np.empty(0, dtype=np.int64)
-        if self.tuples is None and keys.dtype == np.int64:
-            first = self._admit_hashed(keys)
-            if first is not None:
-                return first
-        if self.tuples is None:
-            self.tuples = {tuple(r) for rows in self.levels for r in rows.tolist()}
-            self.levels = self.hashes = self.at = None
-        first = []
-        for i, row in enumerate(map(tuple, keys.tolist())):
-            if row not in self.tuples:
-                self.tuples.add(row)
+        if keys.dtype == object and not self.tuples:
+            self.seen = {tuple(np.frombuffer(b, dtype=np.int64).tolist()) for b in self.seen}
+            self.tuples = True
+        if self.tuples:
+            rows = map(tuple, keys.tolist())
+        else:
+            keys = np.ascontiguousarray(keys)
+            rows = keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel().tolist()
+        seen, first = self.seen, []
+        for i, row in enumerate(rows):
+            if row not in seen:
+                seen.add(row)
                 first.append(i)
         return np.array(first, dtype=np.int64)
-
-    def _admit_hashed(self, keys):
-        h = keys @ self.mult  # wraps modulo 2**64
-        order = np.argsort(h, kind="stable")
-        same = h[order[1:]] == h[order[:-1]]
-        if not np.array_equal(keys[order[1:][same]], keys[order[:-1][same]]):
-            return None
-        first = np.sort(order[np.concatenate(([True], ~same))])
-        pos = np.searchsorted(self.hashes, h[first])
-        hit = np.zeros(len(first), dtype=bool)
-        inside = pos < len(self.hashes)
-        hit[inside] = self.hashes[pos[inside]] == h[first[inside]]
-        if hit.any():
-            stored = np.concatenate(self.levels)[self.at[pos[hit]]]
-            if not np.array_equal(stored, keys[first[hit]]):
-                return None
-            first = first[~hit]
-        new_h = h[first]
-        by_hash = np.argsort(new_h, kind="stable")
-        where = np.searchsorted(self.hashes, new_h[by_hash])
-        base = sum(len(rows) for rows in self.levels)
-        self.hashes = np.insert(self.hashes, where, new_h[by_hash])
-        self.at = np.insert(self.at, where, base + by_hash)
-        self.levels.append(_rows(keys, first))
-        return first
 
 
 def _rows(a, idx):
@@ -164,11 +136,11 @@ def _fuchs_step(m, fq):
 def _ball_levels(gen_mats, orders, L, fuchs_gens=None, alphabet=None):
     """The word ball a level at a time, as ``enumerate_ball`` orders and keys it.
 
-    Yields, for each length 0..L that has new words, ``(words, mats, exact,
-    fuchs)``: the level's words, float matrices (m, n, n), exact integer
-    matrices (int64 or Python ints; None unless every generator and its
-    inverse is integral) and Fuchsian rows (m, 4) or None.  Only the current
-    level's arrays are kept.
+    Yields, for each length 0..L that has new words, ``(words, X, fuchs)``:
+    the level's words, their matrices X (m, n, n) and Fuchsian rows (m, 4) or
+    None.  X holds the exact integer products (int64, then Python ints past
+    ``EXACT_KEY_LIMIT``) when every generator and its inverse is integral,
+    else the float products.  Only the current level's arrays are kept.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
@@ -181,27 +153,30 @@ def _ball_levels(gen_mats, orders, L, fuchs_gens=None, alphabet=None):
     n = steps[0][2].shape[0]
     exact = _exact_steps([g for _, _, g in steps])
     if exact is not None:
+        steps = [(i, sgn, g) for (i, sgn, _), g in zip(steps, exact)]
         g_max = max(int(np.abs(g).max()) for g in exact)
     f_steps = None
     if fuchs_gens is not None:
         f_gens = [tuple(map(float, fuchs_gens[s])) for s in alphabet]
         f_steps = [f for g in f_gens for f in (g, mat_inv(g))]
 
-    # the frontier, the words of the last level: float matrices F, exact
-    # integer matrices E, Fuchsian rows FQ, and first syllables
-    F = np.eye(n)[None]
-    E = np.eye(n, dtype=np.int64)[None] if exact is not None else None
+    def key_rows(X, ell):
+        return _float_keys(X, ell) if X.dtype == float else X.reshape(len(X), -1)
+
+    # the frontier, the words of the last level: matrices X, Fuchsian rows FQ
+    # and first syllables
+    X = np.eye(n, dtype=np.int64 if exact is not None else float)[None]
     FQ = np.array([IDENT]) if f_steps is not None else None
     first_letter = np.array([-1])
     first_exp = np.array([0])
     frontier_words = [()]
 
-    keys = _KeySet(n * n)
-    keys.admit(E.reshape(1, -1) if E is not None else _float_keys(F, 0))
-    yield frontier_words, F, E, FQ
+    keys = _KeySet()
+    keys.admit(key_rows(X, 0))
+    yield frontier_words, X, FQ
     for ell in range(1, L + 1):
-        valid = np.zeros((len(F), len(steps)), dtype=bool)
-        nets = np.empty((len(F), len(steps)), dtype=np.int64)
+        valid = np.zeros((len(X), len(steps)), dtype=bool)
+        nets = np.empty((len(X), len(steps)), dtype=np.int64)
         for t, (i, sgn, _) in enumerate(steps):
             same = first_letter == i  # extend the first syllable, away from 0
             net = np.where(same, first_exp + sgn, sgn)
@@ -212,20 +187,14 @@ def _ball_levels(gen_mats, orders, L, fuchs_gens=None, alphabet=None):
         parent, step = np.nonzero(valid)  # candidates in (parent, step) order
         if not len(parent):
             return
-        M = np.empty((len(parent), n, n))  # candidate matrices, exact ones in C
-        C = None
-        if E is not None:
-            if E.dtype != object and g_max * n * int(np.abs(E).max()) >= EXACT_KEY_LIMIT:
-                E = E.astype(object)  # Python ints from here on
-            C = np.empty((len(parent), n, n), dtype=E.dtype)
+        if X.dtype == np.int64 and g_max * n * int(np.abs(X).max()) >= EXACT_KEY_LIMIT:
+            X = X.astype(object)  # Python ints from here on
+        Y = np.empty((len(parent), n, n), dtype=X.dtype)  # the candidates' matrices
         for t, (_, _, g) in enumerate(steps):
             at = np.flatnonzero(step == t)
-            M[at] = g @ F[parent[at]]
-            if C is not None:
-                C[at] = exact[t].astype(E.dtype) @ E[parent[at]]
-        new = keys.admit(C.reshape(len(C), -1) if C is not None else _float_keys(M, ell))
-        parent, step, F = parent[new], step[new], _rows(M, new)
-        E = _rows(C, new) if C is not None else None
+            Y[at] = g.astype(X.dtype) @ X[parent[at]]
+        new = keys.admit(key_rows(Y, ell))
+        parent, step, X = parent[new], step[new], _rows(Y, new)
         if FQ is not None:
             fq = np.empty((len(new), 4))
             for t, f in enumerate(f_steps):
@@ -243,7 +212,7 @@ def _ball_levels(gen_mats, orders, L, fuchs_gens=None, alphabet=None):
                 map(frontier_words.__getitem__, parent.tolist()),
             )
         ]
-        yield frontier_words, F, E, FQ
+        yield frontier_words, X, FQ
 
 
 def enumerate_ball(
@@ -266,16 +235,17 @@ def enumerate_ball(
     Keys: when every generator and its inverse is integral (entries within
     ``INTEGRAL_TOL`` of integers that multiply to the identity), words are
     deduplicated on their exact integer matrices, in int64 while
-    n * max|g| * max|F| < ``EXACT_KEY_LIMIT`` = 2**53 (F the frontier) and in
-    Python ints from the first level past that bound.  Otherwise keys are the
-    entries rounded to the ``MAT_DEDUP_RES`` grid, and a level whose keys would
-    leave the int64 range raises ``ArithmeticError``.  ``mats`` are always
-    the float products of the given generators.
+    n * max|g| * max|X| < ``EXACT_KEY_LIMIT`` = 2**53 (X the frontier) and in
+    Python ints from the first level past that bound, and ``mats`` are these
+    exact products, as floats.  Otherwise ``mats`` are the float products of
+    the given generators, keyed by their entries rounded to the
+    ``MAT_DEDUP_RES`` grid, and a level whose keys would leave the int64
+    range raises ``ArithmeticError``.
     """
     words, mats, fuchs = [], [], []
-    for level_words, F, _, FQ in _ball_levels(gen_mats, orders, L, fuchs_gens, alphabet):
+    for level_words, X, FQ in _ball_levels(gen_mats, orders, L, fuchs_gens, alphabet):
         words += level_words
-        mats.append(F)
+        mats.append(np.asarray(X, dtype=float))
         fuchs.append(FQ)
     return WordBall(
         words=words,
@@ -340,7 +310,7 @@ def limit_curve_samples(
     columns = []  # (points, gaps, kinds, index) of each kind
     for kind, idx, vecs, kind_gaps in parts:
         v = projective_normalize(vecs)
-        first = _KeySet(v.shape[1]).admit(np.round(v / LIMIT_DEDUP_RES).astype(np.int64))
+        first = _KeySet().admit(np.round(v / LIMIT_DEDUP_RES).astype(np.int64))
         columns.append((v[first], kind_gaps[first], np.full(len(first), kind), idx[first]))
     return LimitSamples(*map(np.concatenate, zip(*columns)))
 
@@ -626,11 +596,11 @@ def rational_limit_classify(gen_mats, orders, v, L=6):
     target = _integral_vector(np.ravel(np.asarray(v, dtype=object)).tolist())
     scale = max(map(abs, target))
     transposed = {s: np.asarray(m, dtype=float).T for s, m in gen_mats.items()}
-    for words, _, exact, _ in _ball_levels(transposed, orders, L):
-        if exact is None:
+    for words, X, _ in _ball_levels(transposed, orders, L):
+        if X.dtype == float:
             raise ValueError("the exact search needs integral generator inverses (det +-1)")
-        n = exact.shape[1]
-        D = exact - np.eye(n, dtype=np.int64)  # (u - id)^T for each word's u
+        n = X.shape[1]
+        D = X - np.eye(n, dtype=np.int64)  # (u - id)^T for each word's u
         if D.dtype != object and n * max(1, int(np.abs(D).max())) * scale >= 2**63:
             D = D.astype(object)  # Python ints: the products below would leave int64
         hits = ~np.any(np.array(target, dtype=D.dtype) @ D, axis=1) & np.any(D, axis=(1, 2))

@@ -271,7 +271,8 @@ def _side_pairing(candidates, src, dst):
 
 
 @lru_cache(maxsize=None)
-def _build_domain_cached(e0, e1, einf):
+def build_domain(sig: OrbifoldSignature) -> TriangleDomain:
+    e0, e1, einf = sig.e0, sig.e1, sig.einf
     a0, a1, ainf = (0.0 if e == INF else math.pi / e for e in (e0, e1, einf))
 
     # vertices v0 (bottom) and v1 (top) on the imaginary axis, w to the right;
@@ -325,10 +326,6 @@ def _build_domain_cached(e0, e1, einf):
     if any(_axis_side_value(side.mop, BASEPOINT) < 1e-9 for side in sides):
         raise RuntimeError("basepoint fell outside the fundamental domain")
     return TriangleDomain(gamma0=gamma0, gamma1=gamma1, sides=sides)
-
-
-def build_domain(sig: OrbifoldSignature) -> TriangleDomain:
-    return _build_domain_cached(sig.e0, sig.e1, sig.einf)
 
 
 # --- geodesic sampling ----------------------------------------------------------

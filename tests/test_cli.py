@@ -32,10 +32,11 @@ class TestDeterminism:
         summary = json.loads(first[".json"])
         assert summary["ball_size"] == first[".csv"].count(b"\n") - 1
         assert summary["eps_hat"] > 0
-        # sha256 recorded from the per-row CSV writer: rerun equality passes a uniform change
+        # sha256 recorded from the per-row CSV writer: rerun equality passes a uniform change.
+        # Re-recorded when the quintic's ball matrices became its exact integer products.
         assert {s: hashlib.sha256(b).hexdigest() for s, b in first.items()} == {
-            ".csv": "c52c599cf737aa46c1f264dc06ae32f860d07aec4e43ca2c9b2f612327cb8be8",
-            ".json": "4b40e93160fb9579dca42a620979d6598b72d1bbab4eacfc45cafe3bb5a49f96",
+            ".csv": "d8fe27dbd33150a82c623c4ac746a97490c2d59c39f300eb6b08e0f59b856a26",
+            ".json": "51ec1114c2a7b2914f3d85483f6cea712e4b2bb74e5446b04caa141d042ea9d0",
         }
 
     def test_limitset_rerun_identical(self, tmp_path, capsys):
@@ -50,14 +51,16 @@ class TestDeterminism:
     # sha256 of (csv, svg), recorded from the per-sample writer before limit
     # samples became arrays: a rerun-equality check passes a uniform change.  The
     # octic's cusp rows depend in their last bits on how im(h1 - id) is computed.
+    # The quintic CSVs were re-recorded when its ball matrices became its exact
+    # integer products; their SVGs did not move.
     @pytest.mark.parametrize("params, extra, csv_sha, svg_sha", [
-        (QUINTIC, [], "2702cce2a249622a511f6d4d780f798d6fbd7511a3a7e1d93e5e83347c8f970e",
+        (QUINTIC, [], "663e0a580182bdd7f01dd82275b28870f5ee38dc8ac4852f8de444c0a8674ee1",
          "0d88933937a4ad007a9b1396b07631409bec7de53b38577f7fec53d9f30c2a74"),
         (QUINTIC, ["--proj", "0.3,-1.7,2.2,0.9;0.333,0.25,-5,0.001"],
-         "2702cce2a249622a511f6d4d780f798d6fbd7511a3a7e1d93e5e83347c8f970e",
+         "663e0a580182bdd7f01dd82275b28870f5ee38dc8ac4852f8de444c0a8674ee1",
          "15bff50eeac215cd991a66d75f2c51474871434b1487419f37d6759c686a0ded"),
         (QUINTIC, ["--kinds", "cusp"],
-         "b43b71d3d8488d65d3d42a166becc07b3248b4cf3908c6e4b9e7722f10ea639d",
+         "3054d2be59f3b5493c71db9dbf760b27085db3019a6abde1c6cd55fbe508f241",
          "b3b186038ad9d19ac84d16f0b55cfb500c13807dd65ab769998051ed05af2631"),
         (OCTIC, ["--kinds", "cusp"],
          "14038a5156e2d4f0769fe9b79b32e9bac2b999e609c204dcb809afd4d942f5bb",
@@ -148,7 +151,10 @@ class TestExitCodes:
         ["lyapunov", "--rep", "sym3", "--T", "10", "--ntraj", "2", "--seed", "1",
          "--rhs-degrees", "1,inf"],
         ["limitset", "--params", QUINTIC, "--L", "2", "--gap-min", "nan"],
-    ], ids=["T-inf", "T-nan", "rhs-nan", "rhs-inf", "gap-min-nan"])
+        # a non-finite projection wrote cx="nan" cy="nan" into every SVG circle
+        ["limitset", "--params", QUINTIC, "--L", "2", "--proj", "nan,0,0,0;0,1,0,0"],
+        ["limitset", "--params", QUINTIC, "--L", "2", "--proj", "1,0,0,0;0,-inf,0,0"],
+    ], ids=["T-inf", "T-nan", "rhs-nan", "rhs-inf", "gap-min-nan", "proj-nan", "proj-inf"])
     def test_non_finite_option_refused(self, argv, capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
