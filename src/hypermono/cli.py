@@ -42,12 +42,6 @@ def _sig_json(sig):
     return ["inf" if e == fuchsian.INF else int(e) for e in (sig.e0, sig.e1, sig.einf)]
 
 
-def _word_str(word):
-    if not word:
-        return "e"
-    return ".".join(f"{s}^{k}" for s, k in word)
-
-
 def _parse_params(args) -> params.HypergeomParams:
     if not args.params:
         raise ValueError("no parameters given (use --params or a config file)")
@@ -164,8 +158,8 @@ def cmd_certify(args) -> int:
     sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
     ball = dynamics.enumerate_ball(gen_mats, orders, args.L, fuchs_gens=fuchs)
     cert = dynamics.anosov_certificate(ball)
-    columns = [map(repr, map(float, cert.dists)), map(repr, map(float, cert.gaps)),
-               map(_word_str, ball.words)]
+    columns = [map(repr, cert.dists.tolist()), map(repr, cert.gaps.tolist()),
+               ball.unfold("e", lambda s, k, w: f"{s}^{k}" if w == "e" else f"{s}^{k}.{w}")]
     csv_text = "\n".join(["dist,gap,word", *map(",".join, zip(*columns))]) + "\n"
     summary = {
         "L": args.L,

@@ -39,20 +39,31 @@ def canonical_exponent(k, order):
 class WordBall:
     """Reduced words of bounded length with their matrices, one word per matrix key.
 
-    ``words[i]`` is a tuple of syllables ``(symbol, exponent)``, leftmost
-    first, of length sum |exponent|; ``mats`` is (N, n, n): the exact
-    products, as floats, when every generator and its inverse is integral,
-    else the float products.  ``fuchs`` is, when the ball was built with
-    Fuchsian generators, the (N, 4) array of normalized 2x2 matrices
-    (a, b, c, d) of the same words.
+    Word i is the syllable ``(alphabet[letter[i]], exponent[i])`` followed by
+    word ``rest[i] < i``; word 0, the identity, has letter -1, exponent 0 and
+    rest -1.  ``mats`` is (N, n, n): the exact products, as floats, when every
+    generator and its inverse is integral, else the float products.  ``fuchs``
+    is, when the ball was built with Fuchsian generators, the (N, 4) array of
+    normalized 2x2 matrices (a, b, c, d) of the same words.
     """
 
-    words: list
+    alphabet: list
+    letter: np.ndarray
+    exponent: np.ndarray
+    rest: np.ndarray
     mats: np.ndarray
     fuchs: Optional[np.ndarray] = None
 
     def __len__(self):
-        return len(self.words)
+        return len(self.rest)
+
+    def unfold(self, identity, prepend):
+        """Values in index order: ``identity``, then ``prepend(s, k, values[rest[i]])``
+        for each word i, of head s^k."""
+        values = [identity]
+        for i, k, r in zip(*(a[1:].tolist() for a in (self.letter, self.exponent, self.rest))):
+            values.append(prepend(self.alphabet[i], k, values[r]))
+        return values
 
 
 def _integer_matrix(m):
@@ -106,11 +117,6 @@ class _KeySet:
         return np.array(first, dtype=np.int64)
 
 
-def _rows(a, idx):
-    """a[idx] for increasing indices ``idx``, without a copy when it takes every row."""
-    return a if len(idx) == len(a) else a[idx]
-
-
 def _float_keys(m, ell):
     scaled = m.reshape(len(m), -1) / MAT_DEDUP_RES
     np.round(scaled, out=scaled)
@@ -133,18 +139,18 @@ def _fuchs_step(m, fq):
     return out / np.sqrt(np.abs(det))[:, None]
 
 
-def _ball_levels(gen_mats, orders, L, fuchs_gens=None, alphabet=None):
+def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
     """The word ball a level at a time, as ``enumerate_ball`` orders and keys it.
 
-    Yields, for each length 0..L that has new words, ``(words, X, fuchs)``:
-    the level's words, their matrices X (m, n, n) and Fuchsian rows (m, 4) or
-    None.  X holds the exact integer products (int64, then Python ints past
-    ``EXACT_KEY_LIMIT``) when every generator and its inverse is integral,
-    else the float products.  Only the current level's arrays are kept.
+    Yields, for each length 0..L that has new words, ``(letter, exponent,
+    rest, X, fuchs)``: the level's words as ``WordBall`` stores them, their
+    matrices X (m, n, n) and Fuchsian rows (m, 4) or None.  X holds the exact
+    integer products (int64, then Python ints past ``EXACT_KEY_LIMIT``) when
+    every generator and its inverse is integral, else the float products.
+    Only the current level's arrays are kept.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
-    alphabet = list(alphabet or gen_mats.keys())
     steps = []  # (letter index, sign, matrix) in the order words are extended
     for i, s in enumerate(alphabet):
         g = np.asarray(gen_mats[s], dtype=float)
@@ -163,25 +169,23 @@ def _ball_levels(gen_mats, orders, L, fuchs_gens=None, alphabet=None):
     def key_rows(X, ell):
         return _float_keys(X, ell) if X.dtype == float else X.reshape(len(X), -1)
 
-    # the frontier, the words of the last level: matrices X, Fuchsian rows FQ
-    # and first syllables
+    # the frontier, the last level: matrices X, Fuchsian rows FQ, words; offset: ball index of X[0]
     X = np.eye(n, dtype=np.int64 if exact is not None else float)[None]
     FQ = np.array([IDENT]) if f_steps is not None else None
-    first_letter = np.array([-1])
-    first_exp = np.array([0])
-    frontier_words = [()]
+    letter, exponent, rest = np.array([-1]), np.array([0]), np.array([-1])
+    offset = 0
 
     keys = _KeySet()
     keys.admit(key_rows(X, 0))
-    yield frontier_words, X, FQ
+    yield letter, exponent, rest, X, FQ
     for ell in range(1, L + 1):
         valid = np.zeros((len(X), len(steps)), dtype=bool)
         nets = np.empty((len(X), len(steps)), dtype=np.int64)
         for t, (i, sgn, _) in enumerate(steps):
-            same = first_letter == i  # extend the first syllable, away from 0
-            net = np.where(same, first_exp + sgn, sgn)
+            same = letter == i  # extend the first syllable, away from 0
+            net = np.where(same, exponent + sgn, sgn)
             valid[:, t] = (canonical_exponent(net, orders.get(alphabet[i], INF)) == net) & (
-                ~same | (np.abs(net) > np.abs(first_exp))
+                ~same | (np.abs(net) > np.abs(exponent))
             )
             nets[:, t] = net
         parent, step = np.nonzero(valid)  # candidates in (parent, step) order
@@ -194,25 +198,18 @@ def _ball_levels(gen_mats, orders, L, fuchs_gens=None, alphabet=None):
             at = np.flatnonzero(step == t)
             Y[at] = g.astype(X.dtype) @ X[parent[at]]
         new = keys.admit(key_rows(Y, ell))
-        parent, step, X = parent[new], step[new], _rows(Y, new)
+        parent, step = parent[new], step[new]
+        X = Y if len(new) == len(Y) else Y[new]  # no copy when every candidate is new
         if FQ is not None:
             fq = np.empty((len(new), 4))
             for t, f in enumerate(f_steps):
                 at = np.flatnonzero(step == t)
                 fq[at] = _fuchs_step(f, FQ[parent[at]])
             FQ = fq
-        letter = step_letter[step]
-        same = first_letter[parent] == letter
-        first_exp = nets[parent, step]
-        first_letter = letter
-        frontier_words = [
-            ((alphabet[i], k),) + (w[1:] if sm else w)
-            for i, k, sm, w in zip(
-                letter.tolist(), first_exp.tolist(), same.tolist(),
-                map(frontier_words.__getitem__, parent.tolist()),
-            )
-        ]
-        yield frontier_words, X, FQ
+        rest = np.where(letter[parent] == step_letter[step], rest[parent], offset + parent)
+        offset += len(letter)
+        letter, exponent = step_letter[step], nets[parent, step]
+        yield letter, exponent, rest, X, FQ
 
 
 def enumerate_ball(
@@ -230,7 +227,8 @@ def enumerate_ball(
 
     Order: words of length ell come after all shorter words, in the order of
     (parent in the previous level, generator in ``alphabet``, sign +1 then -1),
-    and of several words with the same matrix only the first is kept.
+    and of several words with the same matrix only the first is kept.  A word's
+    ``rest`` is its parent's rest if it extends the parent's first syllable, else its parent.
 
     Keys: when every generator and its inverse is integral (entries within
     ``INTEGRAL_TOL`` of integers that multiply to the identity), words are
@@ -242,14 +240,14 @@ def enumerate_ball(
     ``MAT_DEDUP_RES`` grid, and a level whose keys would leave the int64
     range raises ``ArithmeticError``.
     """
-    words, mats, fuchs = [], [], []
-    for level_words, X, FQ in _ball_levels(gen_mats, orders, L, fuchs_gens, alphabet):
-        words += level_words
-        mats.append(np.asarray(X, dtype=float))
-        fuchs.append(FQ)
+    alphabet = list(alphabet or gen_mats)
+    levels = [
+        (*syllables, np.asarray(X, dtype=float), FQ)
+        for *syllables, X, FQ in _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens)
+    ]
+    letter, exponent, rest, mats, fuchs = zip(*levels)
     return WordBall(
-        words=words,
-        mats=np.concatenate(mats),
+        alphabet, *map(np.concatenate, (letter, exponent, rest, mats)),
         fuchs=np.concatenate(fuchs) if fuchs_gens is not None else None,
     )
 
@@ -263,7 +261,7 @@ class LimitSamples:
 
     ``points`` (N, n) are unit vectors, ``gaps`` (N,) the alpha_1-gaps (0.0
     for a cusp sample), ``kinds`` (N,) "attracting" or "cusp", and ``index``
-    (N,) the ball word of each sample: sample i is ``ball.words[index[i]]``.
+    (N,) the ball index of the word whose matrix gave each sample.
     """
 
     points: np.ndarray
@@ -292,8 +290,7 @@ def limit_curve_samples(
     Order: the attracting samples in ball order, then the cusp samples in
     ball order.  Each kind is deduplicated on its own: of several points of
     one kind that round to the same point of the ``LIMIT_DEDUP_RES`` grid,
-    only the first is kept.  ``index[i]`` is the position in ``ball.words``
-    of the word whose matrix gave sample i.
+    only the first is kept.
     """
     if not gap_min > 0:
         raise ValueError("gap_min must be positive")
@@ -595,10 +592,13 @@ def rational_limit_classify(gen_mats, orders, v, L=6):
             raise ValueError(f"generator {s} is not integral")
     target = _integral_vector(np.ravel(np.asarray(v, dtype=object)).tolist())
     scale = max(map(abs, target))
+    alphabet = list(gen_mats)
     transposed = {s: np.asarray(m, dtype=float).T for s, m in gen_mats.items()}
-    for words, X, _ in _ball_levels(transposed, orders, L):
+    levels = []  # (letter, exponent, rest) of each level so far
+    for *syllables, X, _ in _ball_levels(transposed, orders, L, alphabet):
         if X.dtype == float:
             raise ValueError("the exact search needs integral generator inverses (det +-1)")
+        levels.append(syllables)
         n = X.shape[1]
         D = X - np.eye(n, dtype=np.int64)  # (u - id)^T for each word's u
         if D.dtype != object and n * max(1, int(np.abs(D).max())) * scale >= 2**63:
@@ -607,8 +607,13 @@ def rational_limit_classify(gen_mats, orders, v, L=6):
         for k in np.flatnonzero(hits).tolist():
             d = np.array(D[k].T.tolist(), dtype=object)
             if _is_witness(d, target):
+                letter, exponent, rest = (np.concatenate(a).tolist() for a in zip(*levels))
+                word, i = [], len(rest) - len(X) + k
+                while i > 0:  # the transposed product's syllables, leftmost first
+                    word.append((alphabet[letter[i]], exponent[i]))
+                    i = rest[i]
                 u = (d + np.eye(n, dtype=int)).tolist()
-                return CuspWitness(word=tuple(reversed(words[k])), unipotent=tuple(map(tuple, u)))
+                return CuspWitness(word=tuple(reversed(word)), unipotent=tuple(map(tuple, u)))
     return None
 
 

@@ -57,6 +57,11 @@ def ball_for(p, L, with_fuchs=False):
     return dyn.enumerate_ball(gens, orders, L, fuchs_gens=fuchs), std, sig
 
 
+def ball_words(ball):
+    """The ball's words as tuples of syllables (symbol, exponent), leftmost first."""
+    return ball.unfold((), lambda s, k, rest: ((s, k),) + rest)
+
+
 @pytest.fixture(scope="session")
 def mq_ball8(mq):
     ball, std, sig = ball_for(mq, 8)

@@ -56,6 +56,12 @@ def frobenius_distance(m):
     return math.acosh(max(1.0, q))
 
 
+def _word_str(word):
+    if not word:
+        return "e"
+    return ".".join(f"{s}^{k}" for s, k in word)
+
+
 def veronese(v):
     """Image of a plane direction on the twisted cubic in the sym_cube basis."""
     s, t = float(v[0]), float(v[1])

@@ -39,6 +39,19 @@ class TestDeterminism:
             ".json": "51ec1114c2a7b2914f3d85483f6cea712e4b2bb74e5446b04caa141d042ea9d0",
         }
 
+    def test_octic_certify_bytes_pinned(self, tmp_path, capsys):
+        # sha256 recorded from the word-tuple writer, before ball words became pointers.
+        # h_inf has order 8, so exponents run -3..4 (inf^4.0^1), and the octic's
+        # generators are not integral: its ball is keyed on floats.
+        prefix = tmp_path / "out"
+        assert cli.main(["certify", "--params", OCTIC, "--L", "6", "--out", str(prefix)]) == 0
+        digest = {s: hashlib.sha256((tmp_path / f"out{s}").read_bytes()).hexdigest()
+                  for s in (".csv", ".json")}
+        assert digest == {
+            ".csv": "2021158485e26f4964d0a15389f7de0b8fa4018f1c9735758941fc698e916bad",
+            ".json": "b344086491ea90c5359806d3443c4a9f6a171faba54ae73e606e9797a839d161",
+        }
+
     def test_limitset_rerun_identical(self, tmp_path, capsys):
         first, second = _run_twice(
             tmp_path,

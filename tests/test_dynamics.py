@@ -4,14 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ball_for
+from conftest import ball_for, ball_words
+from hypermono import cli
 from hypermono import dynamics as dyn
 from hypermono import fuchsian as fox
 from hypermono import monodromy as mono
 from hypermono import params as par
 from hypermono.fuchsian import IDENT, INF, mat_inv, mat_mul, mat_normalize
 from hypermono._linalg import SIGN_TOL, numerical_rank, projective_normalize
-from oracles import alpha1_gap, frobenius_distance
+from oracles import _word_str, alpha1_gap, frobenius_distance
 
 OCTIC = par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)
 
@@ -185,23 +186,35 @@ def _inputs(p, with_fuchs):
     return gens, orders, fuchs
 
 
-class TestEnumerateBall:
-    @pytest.mark.parametrize(
-        "p, with_fuchs, size",
-        [(par.MIRROR_QUINTIC, True, 10269), (OCTIC, False, 10440)],
-        ids=["quintic", "octic"],
-    )
-    def test_matches_per_word_loop(self, p, with_fuchs, size):
-        gens, orders, fuchs = _inputs(p, with_fuchs)
-        ball = dyn.enumerate_ball(gens, orders, 8, fuchs_gens=fuchs)
+# the L=8 balls the per-word loop is run on, and the --params of their certify runs
+BALLS8 = {"quintic": (par.MIRROR_QUINTIC, "1/5,2/5,3/5,4/5:0,0,0,0"),
+          "octic": (OCTIC, "1/8,3/8,5/8,7/8:0,0,0,0")}
+
+
+@pytest.fixture(scope="module")
+def balls8():
+    """name -> (ball, per-word loop) at L=8: the quintic with Fuchsian matrices, the octic without."""
+    out = {}
+    for name, (p, _) in BALLS8.items():
+        gens, orders, fuchs = _inputs(p, name == "quintic")
         # the quintic's generators are integral: its mats are the exact integer products
-        ref_gens = {s: np.rint(g) for s, g in gens.items()} if p is par.MIRROR_QUINTIC else gens
-        words, mats, lengths, out_fuchs = per_word_ball(ref_gens, orders, 8, fuchs_gens=fuchs)
+        ref_gens = {s: np.rint(g) for s, g in gens.items()} if name == "quintic" else gens
+        out[name] = (dyn.enumerate_ball(gens, orders, 8, fuchs_gens=fuchs),
+                     per_word_ball(ref_gens, orders, 8, fuchs_gens=fuchs))
+    return out
+
+
+class TestEnumerateBall:
+    @pytest.mark.parametrize("family, size", [("quintic", 10269), ("octic", 10440)],
+                             ids=["quintic", "octic"])
+    def test_matches_per_word_loop(self, balls8, family, size):
+        ball, (words, mats, lengths, out_fuchs) = balls8[family]
         assert len(ball) == size
-        assert ball.words == words
-        assert [_word_length(w) for w in ball.words] == lengths.tolist()
+        got = ball_words(ball)
+        assert got == words
+        assert [_word_length(w) for w in got] == lengths.tolist()
         assert ball.mats.tobytes() == mats.tobytes()
-        if with_fuchs:
+        if family == "quintic":
             assert ball.fuchs.shape == (size, 4)
             assert ball.fuchs.tobytes() == np.array(out_fuchs).tobytes()
         else:
@@ -210,13 +223,13 @@ class TestEnumerateBall:
     def test_length_zero(self):
         gens, orders, fuchs = _inputs(par.MIRROR_QUINTIC, True)
         ball = dyn.enumerate_ball(gens, orders, 0, fuchs_gens=fuchs)
-        assert ball.words == [()]
+        assert ball_words(ball) == [()]
         assert np.array_equal(ball.mats, np.eye(4)[None])
         assert ball.fuchs.tolist() == [list(IDENT)]
 
     def test_conftest_ball(self, mq_ball8):
         assert len(mq_ball8) == 10269
-        assert max(map(_word_length, mq_ball8.words)) == 8
+        assert max(map(_word_length, ball_words(mq_ball8))) == 8
 
     def test_exact_keys_past_int64(self):
         # Products of entries 2**32 wrap to the same int64 matrix for ab and ba
@@ -225,16 +238,31 @@ class TestEnumerateBall:
         gens = {"a": np.array([[1.0, big], [0.0, 1.0]]), "b": np.array([[1.0, 0.0], [big, 1.0]])}
         ball = dyn.enumerate_ball(gens, {"a": INF, "b": INF}, 2)
         assert len(ball) == 1 + 4 + 12
-        assert (("a", 1), ("b", 1)) in ball.words and (("b", 1), ("a", 1)) in ball.words
+        words = ball_words(ball)
+        assert (("a", 1), ("b", 1)) in words and (("b", 1), ("a", 1)) in words
         exact = {"a": [[1, big], [0, 1]], "b": [[1, 0], [big, 1]]}
         exact_inv = {"a": [[1, -big], [0, 1]], "b": [[1, 0], [-big, 1]]}
-        for word, m in zip(ball.words, ball.mats):
+        for word, m in zip(words, ball.mats):
             prod = np.eye(2, dtype=int).astype(object)
             for s, k in reversed(word):
                 g = np.array(exact[s] if k > 0 else exact_inv[s], dtype=object)
                 for _ in range(abs(k)):
                     prod = g @ prod
             assert np.array_equal(m, prod.astype(float))
+
+    @pytest.mark.parametrize("family", list(BALLS8))
+    def test_words_are_pointers_into_the_ball(self, balls8, family, tmp_path, capsys):
+        # each word is its first syllable and an earlier word; certify prints them unfolded
+        ball, (words, *_) = balls8[family]
+        rest = ball.rest.tolist()
+        assert rest[0] == -1
+        for i in range(1, len(words)):
+            assert rest[i] < i and words[i][1:] == words[rest[i]]
+        argv = ["certify", "--params", BALLS8[family][1], "--L", "8", "--out", str(tmp_path / "b")]
+        assert cli.main(argv) == 0
+        rows = (tmp_path / "b.csv").read_text().splitlines()
+        assert rows[0] == "dist,gap,word"
+        assert [row.rsplit(",", 1)[1] for row in rows[1:]] == list(map(_word_str, words))
 
     def test_key_set_keeps_first_copies(self):
         # repeats within one admit and across two
@@ -362,27 +390,34 @@ def cusp_line(h1):
 
 
 def per_sample_limit_curve(ball, gap_min, h1=None):
-    """The per-sample reference loop: (point, word, gap, kind) tuples, deduplicated through a set."""
+    """The per-sample reference loop: (point, ball index, gap, kind) tuples, deduplicated
+    through a set."""
     out, seen = [], set()
 
-    def push(vec, word, gap, kind):
+    def push(vec, i, gap, kind):
         v = per_vector_normalize(vec)
         key = (kind, tuple(np.round(v / dyn.LIMIT_DEDUP_RES).astype(np.int64)))
         if key in seen:
             return
         seen.add(key)
-        out.append((v, word, float(gap), kind))
+        out.append((v, i, float(gap), kind))
 
     u, s, _ = np.linalg.svd(ball.mats)
     gaps = np.log(s[:, 0]) - np.log(s[:, 1])
     for i in range(len(ball)):
         if gaps[i] >= gap_min:
-            push(u[i][:, 0], ball.words[i], gaps[i], "attracting")
+            push(u[i][:, 0], i, gaps[i], "attracting")
     if h1 is not None:
         pts = ball.mats @ cusp_line(h1)
         for i in range(len(ball)):
-            push(pts[i], ball.words[i], 0.0, "cusp")
+            push(pts[i], i, 0.0, "cusp")
     return out
+
+
+def mats_ball(mats):
+    """A ball of the given matrices, for ``limit_curve_samples``, which reads no word."""
+    blank = np.full(len(mats), -1)
+    return dyn.WordBall([], blank, np.zeros(len(mats), dtype=int), blank, mats)
 
 
 LIMIT_FAMILIES = {
@@ -421,7 +456,7 @@ class TestLimitCurveSamples:
         assert got.points.tobytes() == np.array([w[0] for w in want]).tobytes()
         assert got.gaps.tobytes() == np.array([w[2] for w in want], dtype=float).tobytes()
         assert got.kinds.tolist() == [w[3] for w in want]
-        assert [ball.words[i] for i in got.index] == [w[1] for w in want]
+        assert got.index.tolist() == [w[1] for w in want]
         attracting = got.kinds == "attracting"
         if gap_min == 1e3:  # above every gap of the ball
             assert not attracting.any()
@@ -436,7 +471,7 @@ class TestLimitCurveSamples:
         line = cusp_line(std.h1)
         q, _ = np.linalg.qr(np.column_stack([line, np.eye(4)[:, :3]]))
         m = q @ np.diag([20.0, 2.0, 0.5, 0.05]) @ q.T
-        ball = dyn.WordBall(words=[("a",), ("b",)], mats=np.stack([m, m]))
+        ball = mats_ball(np.stack([m, m]))
         got = dyn.limit_curve_samples(ball, 1.0, h1=std.h1)
         assert got.kinds.tolist() == ["attracting", "cusp"] and got.index.tolist() == [0, 0]
         assert got.points.tobytes() == np.array([w[0] for w in per_sample_limit_curve(
@@ -466,7 +501,7 @@ TWO_BLOCK[2, 0] = TWO_BLOCK[3, 1] = 1.0
 
 def library_cusp_line(h1):
     """The cusp line of ``limit_curve_samples``: its one cusp sample of the identity word."""
-    ball = dyn.WordBall(words=[()], mats=np.eye(len(h1))[None])
+    ball = mats_ball(np.eye(len(h1))[None])
     samples = dyn.limit_curve_samples(ball, 1.0, h1=h1)
     assert samples.kinds.tolist() == ["cusp"]
     return samples.points[0]
