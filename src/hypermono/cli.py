@@ -121,7 +121,7 @@ def cmd_classify(args) -> int:
 def cmd_monodromy(args) -> int:
     p = _parse_params(args)
     rep = monodromy.build_rep(p)
-    R_A, R_B, R_C = monodromy.reflection_matrices(monodromy.char_polys(p))
+    R_A, R_B, R_C = monodromy.reflection_matrices(rep.hinf, rep.h0)
     J = rep.J
     antisymmetric = np.array_equal(J, -J.T)  # J is exactly its (anti)symmetric part
     bundle = {
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
             # the config goes first, so the command line overrides it
             args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
         return COMMANDS[args.command][0](args)
-    except (ValueError, FileNotFoundError, KeyError, yaml.YAMLError) as exc:
+    except (ValueError, OSError, KeyError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:

@@ -17,18 +17,6 @@ from ._linalg import RANK_RTOL, null_space, numerical_rank
 from .params import HypergeomParams
 
 
-@dataclass(frozen=True)
-class CharPolyCoeffs:
-    """Real coefficients (A_1..A_n), (B_1..B_n) of the two characteristic polynomials."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.A)
-
-
 def _poly_from_exponents(exps):
     roots = np.exp(2j * np.pi * np.array([float(x) for x in exps]))
     # drop the leading 1; a self-dual multiset of roots gives real coefficients
@@ -39,33 +27,22 @@ def _poly_from_exponents(exps):
     return c
 
 
-def char_polys(p: HypergeomParams) -> CharPolyCoeffs:
-    """Coefficients of prod(t - e^{2 pi i alpha_j}) and prod(t - e^{2 pi i beta_j}).
+def levelt_matrices(p: HypergeomParams):
+    """(h_inf, h_0): companion matrices of prod(t - e^{2 pi i alpha_j}) and the beta one.
 
-    Refuses parameters that are not self-dual, whose coefficients are not real.
+    Ones below the diagonal, and last columns (-A_n..-A_1), (-B_n..-B_1) for the
+    polynomials t^n + A_1 t^{n-1} + ... + A_n.  Refuses parameters that are not
+    self-dual, whose coefficients are not real.
     """
     if not p.self_dual:
         raise ValueError("the monodromy package needs self-dual parameters (a real group)")
-    return CharPolyCoeffs(A=_poly_from_exponents(p.alpha), B=_poly_from_exponents(p.beta))
 
+    def companion(exps):
+        m = np.eye(p.rank, k=-1)
+        m[:, -1] = -_poly_from_exponents(exps)[::-1]
+        return m
 
-def _companion(last_col):
-    n = len(last_col)
-    m = np.zeros((n, n))
-    for i in range(1, n):
-        m[i, i - 1] = 1.0
-    m[:, -1] = last_col
-    return m
-
-
-def levelt_matrices(c: CharPolyCoeffs):
-    """(h_inf, h_0) in companion form: last columns (-A_n..-A_1), (-B_n..-B_1).
-
-    (The normal form conjugates B, which is real: ``char_polys`` refuses the rest.)
-    """
-    h_inf = _companion(-c.A[::-1])
-    h_0 = _companion(-c.B[::-1])
-    return h_inf, h_0
+    return companion(p.alpha), companion(p.beta)
 
 
 def monodromy_at_one(h_0, h_inf):
@@ -81,26 +58,13 @@ def monodromy_at_one(h_0, h_inf):
     return h_1, {"rank_h1_minus_id": rank, "square_is_zero": sq_zero}
 
 
-def reflection_matrices(c: CharPolyCoeffs):
+def reflection_matrices(h_inf, h_0):
     """The three involutions with R_C R_B = h_0, R_C R_A = h_inf, R_B R_A = h_1.
 
-    Shapes: R_A and R_B carry antidiagonal ones over the first n-1 columns
-    and last column -(A_1..A_n) resp. -(B_1..B_n); R_C is the full
-    antidiagonal identity.
+    R_C is the antidiagonal identity, an involution, so R_A = R_C h_inf and
+    R_B = R_C h_0: the Levelt matrices with their rows reversed.
     """
-    n = c.n
-
-    def refl(coeffs):
-        m = np.zeros((n, n))
-        for i in range(n - 1):
-            m[i, n - 2 - i] = 1.0
-        m[:, -1] = -coeffs
-        return m
-
-    R_A = refl(c.A)
-    R_B = refl(c.B)
-    R_C = np.fliplr(np.eye(n))
-    return R_A, R_B, R_C
+    return np.flipud(h_inf), np.flipud(h_0), np.flipud(np.eye(len(h_inf)))
 
 
 def invariant_bilinear_form(mats):
@@ -231,7 +195,7 @@ class MonodromyRep:
 
 def build_rep(p: HypergeomParams) -> MonodromyRep:
     """Generators and invariant form of a self-dual parameter set."""
-    h_inf, h_0 = levelt_matrices(char_polys(p))
+    h_inf, h_0 = levelt_matrices(p)
     h_1, _ = monodromy_at_one(h_0, h_inf)
     return MonodromyRep(
         h0=h_0,

@@ -130,6 +130,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err and "self-dual" in captured.err
 
+    @pytest.mark.parametrize("option", ["--config", "--out"])
+    def test_directory_path_refused(self, option, tmp_path, capsys):
+        # opening a directory used to exit 1 with an IsADirectoryError traceback
+        argv = ["monodromy", "--params", QUINTIC, option, str(tmp_path)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
     def test_euclidean_signature_refused(self, capsys):
         # the float chi of (2, 3, 6) is -1.1e-16, whose sign says hyperbolic
         argv = ["lyapunov", "--rep", "fuchsian", "--sig", "2,3,6", "--T", "10", "--ntraj", "2",
@@ -193,7 +201,15 @@ class TestPinnedStdout:
          "05dd76375e9c54793a95647eedbbb89806be3670ff61249da8d6d8138579a27a"),
         (["lyapunov", "--rep", "params", "--params", QUINTIC, "--T", "50", "--ntraj", "2",
           "--seed", "1"], "fdd49cc878676c3a87c7f73cd1f53d856e35bf029050d8e9d457667f5d9dcf50"),
-    ], ids=["monodromy-quintic", "monodromy-rank5", "lyapunov-params"])
+        # the reflections are the Levelt matrices' rows reversed, bit for bit (R_C @ h is
+        # not: it flips zeros to -0.0); the octic prints nine -0.0 entries, and the
+        # second family has irrational coefficients
+        (["monodromy", "--params", OCTIC],
+         "18bbe9d787c926d80fbe8cf22a278bd74f4a141115bd610e5f2f30de2dc10fb8"),
+        (["monodromy", "--params", "1/7,1/2,1/2,6/7:0,0,0,0"],
+         "7c9a91cee0ba51ea539ddb0b5e3f5bcd2ed8bc0017f28dcc5c36ac853543c2bd"),
+    ], ids=["monodromy-quintic", "monodromy-rank5", "lyapunov-params", "monodromy-octic",
+            "monodromy-sevenths"])
     def test_stdout_pinned(self, argv, sha, capsys):
         assert cli.main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
@@ -315,11 +331,10 @@ def test_docstring_option_table_is_commands():
 
 
 def test_cli_import_leaves_out_scipy():
-    # numpy and pyyaml are the only runtime dependencies, and no command uses exterior.py
+    # numpy and pyyaml are the only runtime dependencies
     env = dict(os.environ, PYTHONPATH=str(Path(hypermono.__file__).parents[1]))
-    code = ("import hypermono.cli, sys; "
-            "print('scipy' in sys.modules, 'hypermono.exterior' in sys.modules)")
+    code = "import hypermono.cli, sys; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False"

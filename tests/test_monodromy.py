@@ -8,7 +8,6 @@ from hypermono._linalg import numerical_rank
 from hypermono.monodromy import (
     STANDARD_J4,
     build_rep,
-    char_polys,
     form_signature,
     invariant_bilinear_form,
     levelt_matrices,
@@ -23,27 +22,31 @@ RANK5 = par.HypergeomParams(
 )
 
 
+def _coeffs(p):
+    """(A_1..A_n), (B_1..B_n), read off the last columns of the Levelt matrices."""
+    return tuple(-h[::-1, -1] for h in levelt_matrices(p))
+
+
 class TestCharPolys:
     def test_mirror_quintic_A(self):
-        c = char_polys(MQ)
+        A, _ = _coeffs(MQ)
         # (t^5 - 1)/(t - 1) = t^4 + t^3 + t^2 + t + 1
-        assert np.allclose(c.A, [1, 1, 1, 1], atol=1e-12)
+        assert np.allclose(A, [1, 1, 1, 1], atol=1e-12)
 
     def test_mum_B(self):
-        c = char_polys(MQ)
+        _, B = _coeffs(MQ)
         # (t - 1)^4 = t^4 - 4 t^3 + 6 t^2 - 4 t + 1
-        assert np.allclose(c.B, [-4, 6, -4, 1], atol=1e-12)
+        assert np.allclose(B, [-4, 6, -4, 1], atol=1e-12)
 
     def test_rank_one(self):
-        c = char_polys(par.HypergeomParams(("1/2",), ("0",)))
-        assert np.allclose(c.A, [1.0])  # t + 1
-        assert np.allclose(c.B, [-1.0])  # t - 1
+        A, B = _coeffs(par.HypergeomParams(("1/2",), ("0",)))
+        assert np.allclose(A, [1.0])  # t + 1
+        assert np.allclose(B, [-1.0])  # t - 1
 
     def test_coefficient_identity(self):
         # A_l = A_n conj(A_{n-l}) with A_0 = 1, for self-dual parameters
         for p in (MQ, RANK5, par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)):
-            c = char_polys(p)
-            A = np.concatenate([[1.0], np.asarray(c.A, dtype=complex)])
+            A = np.concatenate([[1.0], np.asarray(_coeffs(p)[0], dtype=complex)])
             n = p.rank
             for l in range(n + 1):
                 assert abs(A[l] - A[n] * np.conj(A[n - l])) < 1e-12
@@ -51,18 +54,18 @@ class TestCharPolys:
     def test_non_self_dual_refused(self):
         # their coefficients are complex, and so is the group
         with pytest.raises(ValueError, match="self-dual"):
-            char_polys(par.HypergeomParams(("1/5", "1/3", "2/5", "3/5"), ("0",) * 4))
+            levelt_matrices(par.HypergeomParams(("1/5", "1/3", "2/5", "3/5"), ("0",) * 4))
 
 
 class TestLevelt:
     def test_mirror_quintic_columns(self):
-        hinf, h0 = levelt_matrices(char_polys(MQ))
+        hinf, h0 = levelt_matrices(MQ)
         assert np.allclose(hinf[:, -1], [-1, -1, -1, -1])
         assert np.allclose(h0[:, -1], [-1, 4, -6, 4])
         assert np.allclose(np.diag(hinf[1:, :-1]), 1.0)
 
     def test_eigenvalues(self):
-        hinf, h0 = levelt_matrices(char_polys(MQ))
+        hinf, h0 = levelt_matrices(MQ)
         got = list(np.linalg.eigvals(hinf))
         for k in range(1, 5):  # fifth roots of unity minus 1
             want = np.exp(2j * np.pi * k / 5)
@@ -82,7 +85,7 @@ class TestLevelt:
         # m, rank (M - e^{2 pi i x})^m = n - m, a well-conditioned check; as the
         # multiplicities add up to n, this pins the spectrum with multiplicity.
         for p in (RANK5, par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0", "1/4", "1/2", "3/4"))):
-            hinf, h0 = levelt_matrices(char_polys(p))
+            hinf, h0 = levelt_matrices(p)
             n = p.rank
             for mat, exps in ((hinf, p.alpha), (h0, p.beta)):
                 mult = Counter(exps)
@@ -93,14 +96,14 @@ class TestLevelt:
 
 class TestMonodromyAtOne:
     def test_mirror_quintic_rank_one(self):
-        hinf, h0 = levelt_matrices(char_polys(MQ))
+        hinf, h0 = levelt_matrices(MQ)
         h1, report = monodromy_at_one(h0, hinf)
         assert report["rank_h1_minus_id"] == 1
         assert report["square_is_zero"]
         assert np.allclose(h0 @ h1, hinf)
 
     def test_rank_one_scalar(self):
-        hinf, h0 = levelt_matrices(char_polys(par.HypergeomParams(("1/2",), ("0",))))
+        hinf, h0 = levelt_matrices(par.HypergeomParams(("1/2",), ("0",)))
         h1, _ = monodromy_at_one(h0, hinf)
         assert np.allclose(h1, hinf / h0)
 
@@ -116,12 +119,12 @@ class TestMonodromyAtOne:
 class TestReflections:
     def test_rc_antidiagonal(self):
         for p in (MQ, RANK5):
-            _, _, R_C = reflection_matrices(char_polys(p))
+            _, _, R_C = reflection_matrices(*levelt_matrices(p))
             assert np.allclose(R_C, np.fliplr(np.eye(p.rank)))
 
     def test_involutions_and_relations(self):
         rep = build_rep(MQ)
-        R_A, R_B, R_C = reflection_matrices(char_polys(MQ))
+        R_A, R_B, R_C = reflection_matrices(*levelt_matrices(MQ))
         eye = np.eye(4)
         for R in (R_A, R_B, R_C):
             assert np.allclose(R @ R, eye, atol=1e-12)
@@ -130,15 +133,14 @@ class TestReflections:
         assert np.allclose(R_B @ R_A, rep.h1, atol=1e-12)
 
     def test_rb_exact_involution_for_mum(self):
-        _, R_B, _ = reflection_matrices(char_polys(MQ))
+        _, R_B, _ = reflection_matrices(*levelt_matrices(MQ))
         # integer coefficients: exact in float arithmetic
         assert np.array_equal(R_B @ R_B, np.eye(4))
 
     def test_distinguished_eigenvector(self):
         # R_A fixes the line of (A_{n-1}, ..., A_1, 2), with eigenvalue -A_n
-        c = char_polys(MQ)
-        R_A, _, _ = reflection_matrices(c)
-        A = np.asarray(c.A, dtype=float)
+        R_A, _, _ = reflection_matrices(*levelt_matrices(MQ))
+        A, _ = _coeffs(MQ)
         v, lam = np.concatenate([A[:-1][::-1], [2.0]]), -A[-1]
         assert np.allclose(v, [1, 1, 1, 2])
         assert lam == -1.0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hypermono import params as par
 from hypermono._linalg import numerical_rank
-from hypermono.monodromy import char_polys, levelt_matrices
+from hypermono.monodromy import levelt_matrices
 from hypermono.params import (
     HypergeomParams,
     classify_local_degeneration,
@@ -316,7 +316,7 @@ class TestClassificationPinned:
         # e^{i pi} is -1 only up to 1.2e-16, which a block of size 4 raises to rank 1
         exact = {F(0, 1): 1.0, F(1, 2): -1.0}
         for q in _self_dual_quadruples(12):
-            hinf, _ = levelt_matrices(char_polys(HypergeomParams(q, beta)))
+            hinf, _ = levelt_matrices(HypergeomParams(q, beta))
             for x, m in Counter(q).items():
                 lam = exact.get(x, np.exp(2j * np.pi * float(x)))
                 shifted = hinf - lam * np.eye(4)

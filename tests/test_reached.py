@@ -9,10 +9,6 @@ PERFBENCH = PACKAGE.parents[1] / "perfbench"
 # names defined in the package that no command or benchmark reaches, kept on purpose
 KEEP = {
     "enumerate_good_families": "the paper's family table, to become a command",
-    **dict.fromkeys(
-        ["q_value", "reduced_exterior_square", "transformed", "pluecker"],
-        "exterior.py, the wedge/Pluecker path to be given a caller",
-    ),
     # dataclass fields, as "Class.field"
     "CuspWitness.unipotent": "evidence: the witness's matrix, checked by the tests exactly",
     "LyapunovResult.per_trajectory": "test oracle: rows matched bit for bit against the per-event loop",
@@ -91,19 +87,21 @@ def _roots(package, bench):
 
 
 def _reached(package, bench):
-    """The names reached from the roots and from ``KEEP`` through the package's defs."""
-    return _closure(_roots(package, bench) | {n for n in KEEP if "." not in n}, package.uses)
+    """The names reached from the roots through the package's defs (``KEEP`` is no root)."""
+    return _closure(_roots(package, bench), package.uses)
 
 
 def test_every_definition_is_reached():
     # a def or class that only tests reach is code no command runs; the package's
-    # module-level code (the CLI entry point) and all of perfbench are the roots
+    # module-level code (the CLI entry point) and all of perfbench are the roots.
+    # A kept def is exempt itself, but what it reads must be reached on its own.
     package, bench = _scan(MODULES), _scan(BENCH)
     defined = {name for name in package.defined if not _dunder(name)}
     kept = {name for name in KEEP if "." not in name}
+    reached = _reached(package, bench)
     assert kept <= defined
-    assert sorted(kept & _closure(_roots(package, bench), package.uses)) == []
-    assert sorted(defined - _reached(package, bench)) == []
+    assert sorted(kept & reached) == []
+    assert sorted(defined - reached - kept) == []
 
 
 def _fields(paths):
@@ -119,7 +117,7 @@ def _fields(paths):
 def test_every_dataclass_field_is_read():
     # a field no command or benchmark reads is a record nobody consults.  A read
     # is an attribute load of the field's name, in the package from module-level
-    # code, a reached or kept def, or a dunder method (``__repr__``, ``__len__``),
+    # code, a reached def (not a kept one), or a dunder method (``__repr__``, ``__len__``),
     # and anywhere in perfbench except of names that perfbench's own objects
     # carry: its fields, stored attributes, defs and classes (``tracer.span``).
     package, bench = _scan(MODULES), _scan(BENCH)
