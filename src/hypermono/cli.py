@@ -27,7 +27,6 @@ import json
 import sys
 
 import numpy as np
-import yaml
 
 from . import dynamics, fuchsian, monodromy, params
 from .monodromy import form_signature
@@ -321,8 +320,13 @@ def _parser():
 
 def _config_tokens(path):
     """The command-line tokens a YAML config stands for."""
+    import yaml  # only a --config run pays for the import
+
     with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+        try:
+            data = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(str(exc)) from exc
     if not isinstance(data, dict) or not all(isinstance(data.get(k) or {}, dict)
                                              for k in ("params", "options")):
         raise ValueError("a config maps params to {alpha, beta} and options to {key: value}")
@@ -350,7 +354,7 @@ def main(argv=None) -> int:
             # the config goes first, so the command line overrides it
             args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
         return COMMANDS[args.command][0](args)
-    except (ValueError, OSError, KeyError, yaml.YAMLError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:

@@ -23,18 +23,6 @@ EXACT_KEY_LIMIT = 2**53  # exact products in int64 while n * max|g| * max|X| sta
 INTEGRAL_TOL = 1e-9  # a generator entry within this (relative) of an integer is that integer
 
 
-def canonical_exponent(k, order):
-    """Reduce an exponent into (-order/2, order/2] for a finite-order generator.
-
-    ``k`` is an int or an integer array (reduced elementwise).
-    """
-    if order == INF:
-        return k
-    e = int(order)
-    k = k % e
-    return k - e * (k > e / 2)
-
-
 @dataclass
 class WordBall:
     """Reduced words of bounded length with their matrices, one word per matrix key.
@@ -52,7 +40,7 @@ class WordBall:
     exponent: np.ndarray
     rest: np.ndarray
     mats: np.ndarray
-    fuchs: Optional[np.ndarray] = None
+    fuchs: Optional[np.ndarray]
 
     def __len__(self):
         return len(self.rest)
@@ -66,23 +54,20 @@ class WordBall:
         return values
 
 
-def _integer_matrix(m):
-    """``m`` as an object array of Python ints if every entry is an integer, else None."""
-    r = np.round(m)
-    if not np.all(np.abs(m - r) <= INTEGRAL_TOL * np.maximum(1.0, np.abs(r))):
-        return None
-    return np.array([[int(x) for x in row] for row in r.tolist()], dtype=object)
-
-
 def _exact_steps(steps):
-    """Exact integer step matrices, or None unless every generator and its inverse is integral."""
-    exact = [_integer_matrix(g) for g in steps]
-    if any(g is None for g in exact):
+    """The (2k, n, n) step table as an object array of Python ints, or None.
+
+    Steps 2i and 2i + 1 are a generator and its inverse.  The table is exact
+    when every entry lies within ``INTEGRAL_TOL`` (relative) of an integer and
+    each pair of rounded matrices multiplies to the identity, decided in Python
+    ints, which no entry size can wrap.
+    """
+    r = np.round(steps)
+    if not np.all(np.abs(steps - r) <= INTEGRAL_TOL * np.maximum(1.0, np.abs(r))):
         return None
-    eye = np.eye(len(exact[0]), dtype=int)
-    for g, g_inv in zip(exact[::2], exact[1::2]):
-        if not np.array_equal(g @ g_inv, eye):
-            return None
+    exact = np.frompyfunc(int, 1, 1)(r)
+    if not np.all(exact[::2] @ exact[1::2] == np.eye(steps.shape[1], dtype=int)):
+        return None
     return exact
 
 
@@ -144,23 +129,28 @@ def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
 
     Yields, for each length 0..L that has new words, ``(letter, exponent,
     rest, X, fuchs)``: the level's words as ``WordBall`` stores them, their
-    matrices X (m, n, n) and Fuchsian rows (m, 4) or None.  X holds the exact
-    integer products (int64, then Python ints past ``EXACT_KEY_LIMIT``) when
-    every generator and its inverse is integral, else the float products.
-    Only the current level's arrays are kept.
+    matrices X (m, n, n) and Fuchsian rows (m, 4) or None.
+
+    The words are extended by one step table: ``steps`` (2k, n, n) holds
+    generator i at step t = 2i and its inverse at t = 2i + 1, the step code
+    c = 2k + (sgn < 0) of ``geodesic_sample``, with ``step_letter`` and
+    ``step_sign`` the letter index and sign of each step.  ``_exact_steps``
+    decides once whether the table is integral; if so it is held as Python
+    ints and X holds the exact integer products (int64, then Python ints past
+    ``EXACT_KEY_LIMIT``), else the float products.  Only the current level's
+    arrays are kept.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
-    steps = []  # (letter index, sign, matrix) in the order words are extended
-    for i, s in enumerate(alphabet):
-        g = np.asarray(gen_mats[s], dtype=float)
-        steps += [(i, 1, g), (i, -1, np.linalg.inv(g))]
-    step_letter = np.array([i for i, _, _ in steps])
-    n = steps[0][2].shape[0]
-    exact = _exact_steps([g for _, _, g in steps])
+    gens = [np.asarray(gen_mats[s], dtype=float) for s in alphabet]
+    steps = np.stack([x for g in gens for x in (g, np.linalg.inv(g))])
+    step_letter = np.repeat(np.arange(len(alphabet)), 2)
+    step_sign = np.tile([1, -1], len(alphabet))
+    step_order = np.array([orders.get(s, INF) for s in alphabet], dtype=float)[step_letter]
+    n = steps.shape[1]
+    exact = _exact_steps(steps)
     if exact is not None:
-        steps = [(i, sgn, g) for (i, sgn, _), g in zip(steps, exact)]
-        g_max = max(int(np.abs(g).max()) for g in exact)
+        steps, g_max = exact, int(np.abs(exact).max())
     f_steps = None
     if fuchs_gens is not None:
         f_gens = [tuple(map(float, fuchs_gens[s])) for s in alphabet]
@@ -179,22 +169,20 @@ def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
     keys.admit(key_rows(X, 0))
     yield letter, exponent, rest, X, FQ
     for ell in range(1, L + 1):
-        valid = np.zeros((len(X), len(steps)), dtype=bool)
-        nets = np.empty((len(X), len(steps)), dtype=np.int64)
-        for t, (i, sgn, _) in enumerate(steps):
-            same = letter == i  # extend the first syllable, away from 0
-            net = np.where(same, exponent + sgn, sgn)
-            valid[:, t] = (canonical_exponent(net, orders.get(alphabet[i], INF)) == net) & (
-                ~same | (np.abs(net) > np.abs(exponent))
-            )
-            nets[:, t] = net
+        # (word, step) -> the net exponent of the first syllable; a step extends a word
+        # whose first letter is its own away from 0, and a finite order e keeps the net
+        # exponent in (-e/2, e/2]
+        same = letter[:, None] == step_letter
+        nets = np.where(same, exponent[:, None] + step_sign, step_sign)
+        valid = ((-step_order < 2 * nets) & (2 * nets <= step_order)
+                 & (~same | (np.abs(nets) > np.abs(exponent)[:, None])))
         parent, step = np.nonzero(valid)  # candidates in (parent, step) order
         if not len(parent):
             return
         if X.dtype == np.int64 and g_max * n * int(np.abs(X).max()) >= EXACT_KEY_LIMIT:
             X = X.astype(object)  # Python ints from here on
         Y = np.empty((len(parent), n, n), dtype=X.dtype)  # the candidates' matrices
-        for t, (_, _, g) in enumerate(steps):
+        for t, g in enumerate(steps):
             at = np.flatnonzero(step == t)
             Y[at] = g.astype(X.dtype) @ X[parent[at]]
         new = keys.admit(key_rows(Y, ell))
@@ -222,16 +210,17 @@ def enumerate_ball(
     """All reduced words of length <= L over the alphabet, by left multiplication.
 
     Exponents of a finite-order generator stay in (-e/2, e/2].  The ball is
-    grown a level at a time: each (generator, sign) step multiplies the
-    frontier words it may extend in one stacked matmul.
+    grown a level at a time from one step table, each generator in
+    ``alphabet`` followed by its inverse: each step multiplies the frontier
+    words it may extend in one stacked matmul.
 
     Order: words of length ell come after all shorter words, in the order of
     (parent in the previous level, generator in ``alphabet``, sign +1 then -1),
     and of several words with the same matrix only the first is kept.  A word's
     ``rest`` is its parent's rest if it extends the parent's first syllable, else its parent.
 
-    Keys: when every generator and its inverse is integral (entries within
-    ``INTEGRAL_TOL`` of integers that multiply to the identity), words are
+    Keys: when the step table is integral (entries within ``INTEGRAL_TOL``
+    of integers, each generator times its inverse the identity), words are
     deduplicated on their exact integer matrices, in int64 while
     n * max|g| * max|X| < ``EXACT_KEY_LIMIT`` = 2**53 (X the frontier) and in
     Python ints from the first level past that bound, and ``mats`` are these
@@ -273,9 +262,7 @@ class LimitSamples:
         return len(self.index)
 
 
-def limit_curve_samples(
-    ball: WordBall, gap_min: float, h1: Optional[np.ndarray] = None
-) -> LimitSamples:
+def limit_curve_samples(ball: WordBall, gap_min: float, h1: Optional[np.ndarray]) -> LimitSamples:
     """Boundary-curve samples from a word ball.
 
     Attracting points are top left-singular directions of elements with
@@ -421,7 +408,7 @@ class LyapunovResult:
     exponents: np.ndarray
     stderr: np.ndarray
     per_trajectory: np.ndarray
-    n_discarded: int = 0
+    n_discarded: int
 
     @property
     def nonnegative(self):
@@ -505,7 +492,7 @@ def lyapunov_mc(
     )
 
 
-def sum_formula_report(result: LyapunovResult, chi: float, rhs_degrees=None) -> dict:
+def sum_formula_report(result: LyapunovResult, chi: float, rhs_degrees) -> dict:
     """Compare the sum of nonnegative exponents with 2 * sum(degrees) / |chi|, the
     Eskin-Kontsevich-Moeller-Zorich sum formula when the Fuchsian top exponent is 1."""
     if chi == 0:
@@ -566,7 +553,7 @@ class CuspWitness:
     unipotent: tuple
 
 
-def rational_limit_classify(gen_mats, orders, v, L=6):
+def rational_limit_classify(gen_mats, orders, v, L):
     """Search the word ball for a unipotent u with v in ker(u - id) & im(u - id).
 
     Such a u fixes the limit point [v].  Returns a CuspWitness or None
@@ -581,15 +568,13 @@ def rational_limit_classify(gen_mats, orders, v, L=6):
     length.  The search runs ``enumerate_ball``'s engine on the transposed
     generators, as (w g)^T = g^T w^T.
 
-    Arithmetic is exact: every generator and its inverse must be integral
-    (det +-1, as for hypergeometric monodromy groups), else a ``ValueError``
-    is raised.  An integer prefilter over each level decides (u - id) v = 0
+    Arithmetic is exact: the engine's step table must be integral (every
+    generator and its inverse, det +-1, as for hypergeometric monodromy
+    groups), else a ``ValueError`` is raised when the engine yields its first,
+    float, level.  An integer prefilter over each level decides (u - id) v = 0
     and u != id (int64 while n * max|u - id| * max|v| < 2**63, Python ints
     past that); ``_is_witness`` decides the rest for the matrices it passes.
     """
-    for s, m in gen_mats.items():
-        if _integer_matrix(np.asarray(m, dtype=float)) is None:
-            raise ValueError(f"generator {s} is not integral")
     target = _integral_vector(np.ravel(np.asarray(v, dtype=object)).tolist())
     scale = max(map(abs, target))
     alphabet = list(gen_mats)
@@ -597,7 +582,7 @@ def rational_limit_classify(gen_mats, orders, v, L=6):
     levels = []  # (letter, exponent, rest) of each level so far
     for *syllables, X, _ in _ball_levels(transposed, orders, L, alphabet):
         if X.dtype == float:
-            raise ValueError("the exact search needs integral generator inverses (det +-1)")
+            raise ValueError("the exact search needs integral generators and inverses (det +-1)")
         levels.append(syllables)
         n = X.shape[1]
         D = X - np.eye(n, dtype=np.int64)  # (u - id)^T for each word's u

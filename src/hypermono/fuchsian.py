@@ -98,18 +98,20 @@ class OrbifoldSignature:
     einf: float
 
     def __post_init__(self):
-        finite = [e for e in (self.e0, self.e1, self.einf) if e != INF]
-        for e in finite:
-            if int(e) != e or e < 2:
+        for e in (self.e0, self.e1, self.einf):
+            if e != INF and (int(e) != e or e < 2):
                 raise ValueError(f"cone order must be an integer >= 2 or inf, got {e}")
         # decided and printed exactly: the float chi of (2, 3, 6) is -1.1e-16
-        chi = -1 + sum(Fraction(1, int(e)) for e in finite)
-        if chi >= 0:
+        if (chi := self._exact_chi()) >= 0:
             raise ValueError(f"signature {self} is not hyperbolic (chi = {chi})")
+
+    def _exact_chi(self) -> Fraction:
+        return -1 + sum(Fraction(1, int(e)) for e in (self.e0, self.e1, self.einf) if e != INF)
 
     @property
     def chi(self) -> float:
-        return -1.0 + sum(0.0 if e == INF else 1.0 / e for e in (self.e0, self.e1, self.einf))
+        """The orbifold Euler characteristic, rounded once from its exact value."""
+        return float(self._exact_chi())
 
 
 def _local_order(fracs, convention):

@@ -238,7 +238,7 @@ class AssumptionACertificate:
     class_alpha: DegenerationClass
     class_beta: DegenerationClass
     hodge: tuple
-    failed_clause: Optional[str] = None
+    failed_clause: Optional[str]
 
 
 def satisfies_assumption_a(p: HypergeomParams):

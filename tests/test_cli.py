@@ -331,10 +331,10 @@ def test_docstring_option_table_is_commands():
 
 
 def test_cli_import_leaves_out_scipy():
-    # numpy and pyyaml are the only runtime dependencies
+    # numpy and pyyaml are the only runtime dependencies, and only --config imports yaml
     env = dict(os.environ, PYTHONPATH=str(Path(hypermono.__file__).parents[1]))
-    code = "import hypermono.cli, sys; print('scipy' in sys.modules)"
+    code = "import hypermono.cli, sys; print('scipy' in sys.modules, 'yaml' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

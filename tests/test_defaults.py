@@ -56,7 +56,7 @@ def _package_defaults():
 
 
 class _Calls(ast.NodeVisitor):
-    """Each argument a call passes: (callee, parameter or position, forwarded parameter or None).
+    """Each call: (callee, [(parameter or position, forwarded parameter or None), ...]).
 
     An argument is forwarded when it is a bare name of a defaulted parameter of the
     enclosing def, which passes on that parameter's value rather than choosing one.
@@ -64,7 +64,7 @@ class _Calls(ast.NodeVisitor):
 
     def __init__(self):
         self.scope = [set()]
-        self.passed = []
+        self.calls = []
 
     def visit_FunctionDef(self, fn):
         cls = getattr(fn, "cls", None)
@@ -81,11 +81,10 @@ class _Calls(ast.NodeVisitor):
     def visit_Call(self, call):
         f = call.func
         callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-        for i, arg in enumerate(call.args):
-            self.passed.append((callee, "*" if isinstance(arg, ast.Starred) else i,
-                                self._forward(arg)))
-        for kw in call.keywords:
-            self.passed.append((callee, kw.arg or "**", self._forward(kw.value)))
+        args = [("*" if isinstance(arg, ast.Starred) else i, self._forward(arg))
+                for i, arg in enumerate(call.args)]
+        args += [(kw.arg or "**", self._forward(kw.value)) for kw in call.keywords]
+        self.calls.append((callee, args))
         self.generic_visit(call)
 
     def _forward(self, node):
@@ -94,24 +93,43 @@ class _Calls(ast.NodeVisitor):
         return None
 
 
+def _caller_calls():
+    calls = _Calls()
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            calls.visit(ast.parse(path.read_text()))
+    return calls.calls
+
+
 def test_every_defaulted_parameter_is_passed():
     # a default that no command or workload overrides is a setting nothing runs; a
     # dataclass field default counts as varied when a construction passes the field
     defaults = _package_defaults()
     assert EXEMPT <= defaults.keys()
-    calls = _Calls()
-    for root in CALLERS:
-        for path in sorted(root.rglob("*.py")):
-            calls.visit(ast.parse(path.read_text()))
+    passed = [(c, slot, fwd) for c, args in _caller_calls() for slot, fwd in args]
     varied = set(EXEMPT)
     while True:
         new = {
             (callee, name)
             for (callee, name), at in defaults.items()
-            for c, slot, fwd in calls.passed
+            for c, slot, fwd in passed
             if c == callee and slot in (name, at, "*", "**") and (fwd is None or fwd in varied)
         } - varied
         if not new:
             break
         varied |= new
     assert sorted(defaults.keys() - varied) == []
+
+
+def test_no_default_is_passed_by_every_call():
+    # the mirror: a default that every command and workload call overrides is never
+    # taken, so the parameter is required; a call that passes *args or **kwargs may
+    # leave it out, so only a parameter it names counts
+    defaults = _package_defaults()
+    calls = _caller_calls()
+    always = []
+    for (callee, name), at in defaults.items():
+        slots = [{slot for slot, _ in args} for c, args in calls if c == callee]
+        if slots and all(name in s or at in s for s in slots):
+            always.append((callee, name))
+    assert sorted(always) == []

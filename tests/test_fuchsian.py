@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,10 @@ class TestOrbifoldSignature:
         # the float chi of (2, 3, 6), -1.1e-16, would contradict the refusal by its sign
         with pytest.raises(ValueError, match=f"not hyperbolic \\(chi = {chi}\\)$"):
             _sig(e)
+
+    def test_chi_rounded_once_from_exact(self):
+        # summing the float 1/e terms gave -0.023809523809523947, 5.8e-15 off -1/42
+        assert _sig((2, 3, 7)).chi == float(Fraction(-1, 42))
 
     def test_unknown_convention_refused_before_exponents(self):
         # repeated exponents used to return (inf, inf, inf) before the convention was read
@@ -107,7 +112,7 @@ class TestVeronese:
         fuchs = {"0": dom.gens["0"], "inf": dom.gens["inf"]}
         gens = {s: dyn.sym_cube(np.array(g).reshape(2, 2)) for s, g in fuchs.items()}
         ball = dyn.enumerate_ball(gens, {"0": sig.e0, "inf": sig.einf}, 8, fuchs_gens=fuchs)
-        samples = dyn.limit_curve_samples(ball, 1.0)
+        samples = dyn.limit_curve_samples(ball, 1.0, None)
         attracting = samples.kinds == "attracting"
         assert attracting.sum() > 100
         for point, i in zip(samples.points[attracting], samples.index[attracting]):
