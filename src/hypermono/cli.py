@@ -252,13 +252,11 @@ def cmd_lyapunov(args) -> int:
     else:
         sig = fuchsian.OrbifoldSignature(2, 3, fuchsian.INF)
     if args.rep == "params":
-        std, _ = monodromy.build_rep(p).standardized()
-        rep_mats = [std.h0, std.h1]
+        rep_mats = monodromy.reflection_matrices(*monodromy.levelt_matrices(p))
     else:
-        dom = fuchsian.build_domain(sig)
-        rep_mats = [np.array(g).reshape(2, 2) for g in (dom.gamma0, dom.gamma1)]
+        rep_mats = [np.array(r).reshape(2, 2) for r in fuchsian.build_domain(sig).reflections]
         if args.rep == "sym3":
-            rep_mats = [dynamics.sym_cube(g) for g in rep_mats]
+            rep_mats = [dynamics.sym_cube(r) for r in rep_mats]
     result = dynamics.lyapunov_mc(rep_mats, sig, args.T, args.ntraj, args.seed)
     out = {
         "rep": args.rep,

@@ -1,8 +1,9 @@
 """Word-ball dynamics: limit curves, log-Anosov certificates, Lyapunov exponents.
 
-All pipelines work on matrices in the standard symplectic frame; the word
-alphabet is {h0^{+-1}, hinf^{+-1}} with exponents of finite-order generators
-confined to (-e/2, e/2].
+The word-ball pipelines work on matrices in the standard symplectic frame; the
+word alphabet is {h0^{+-1}, hinf^{+-1}} with exponents of finite-order
+generators confined to (-e/2, e/2].  The Lyapunov transport takes the three
+reflections in any frame.
 """
 
 from __future__ import annotations
@@ -430,19 +431,21 @@ def lyapunov_mc(
 ) -> LyapunovResult:
     """Benettin frame transport along random geodesics of the base orbifold.
 
-    ``rep_mats`` is the pair (rho(gamma0), rho(gamma1)).  The flat frame is
-    pulled back to the fundamental-domain chart at every side crossing and
-    QR-renormalized: a crossing with step code c = 2k + (sgn < 0), whose deck
-    letter is gamma_k^sgn, multiplies the frame by ``steps[c]`` =
-    rho(gamma_k)^{-sgn}.  Exponents are averaged log |diag R| per unit of
-    flow time.  Householder QR is exactly equivariant under column sign
-    flips, so |diag R| does not depend on the signs of the frame's columns.
-    Time follows the diag(e^t, e^{-t}) convention, under which the geodesic
-    covers hyperbolic arc length 2t and the uniformizing representation
-    itself has top exponent exactly 1.
+    ``rep_mats`` is (rho(r_a), rho(r_b), rho(r_c)), the images of the mirror
+    reflections of ``geodesic_sample``.  A crossing with code i folds the
+    geodesic back by r_i, so the frame gains rho(r_i) on the left: a
+    reflection is its own inverse.  Consecutive codes i, j of a trajectory are
+    paired into one step rho(r_j) rho(r_i), an element of the rotation half,
+    from a table of 3 single steps and 9 products; an odd last code is one
+    single step.  Every step is followed by a QR, and the exponents are the
+    averaged log |diag R| per unit of flow time.  Householder QR is exactly
+    equivariant under column sign flips, so |diag R| does not depend on the
+    signs of the frame's columns.  Time follows the diag(e^t, e^{-t})
+    convention, under which the geodesic covers hyperbolic arc length 2t and
+    the uniformizing representation itself has top exponent exactly 1.
 
     All trajectories are transported in lock step: each step is one stacked
-    matmul and one stacked QR over the trajectories that still have events,
+    matmul and one stacked QR over the trajectories that still have steps,
     which, sorted longest first, are a prefix of the stack.  Stacked ``@``
     and ``np.linalg.qr`` act on each matrix as the 2-D calls do, so the
     results equal one-at-a-time transport bit for bit.  A trajectory is
@@ -454,19 +457,19 @@ def lyapunov_mc(
         raise ValueError("T must be positive and finite, and n_traj positive")
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
-    steps = np.stack([x for m in mats for x in (np.linalg.inv(m), m)])
+    # step 3 + 3i + j is the pair (i, j): rho(r_j) rho(r_i)
+    steps = np.stack(mats + [mats[j] @ mats[i] for i in range(3) for j in range(3)])
     t_each = T / n_traj
-    codes = bytearray()
-    lengths = np.zeros(n_traj, dtype=np.int64)
-    for i, sq in enumerate(np.random.SeedSequence(seed).spawn(n_traj)):
+    paired = []
+    for sq in np.random.SeedSequence(seed).spawn(n_traj):
         # trajectories are sampled by arc length 2 t_each (flow-time t_each)
-        events = geodesic_sample(sig, sq, 2.0 * t_each).events
-        codes += events
-        lengths[i] = len(events)
-    flat = np.frombuffer(codes, dtype=np.uint8)
+        codes = np.frombuffer(geodesic_sample(sig, sq, 2.0 * t_each).events, dtype=np.uint8)
+        paired.append(np.append(3 + 3 * codes[:-1:2] + codes[1::2], codes[len(codes) // 2 * 2:]))
+    flat = np.concatenate(paired)
+    lengths = np.array([len(p) for p in paired])
     order = np.argsort(-lengths, kind="stable")
     starts = (np.cumsum(lengths) - lengths)[order]
-    # at steps ends[k] <= j < ends[k - 1], exactly the first k trajectories have events left
+    # at steps ends[k] <= j < ends[k - 1], exactly the first k trajectories have steps left
     ends = np.append(lengths[order], 0).tolist()
     frames = np.tile(np.eye(n), (n_traj, 1, 1))
     logs = np.zeros((n_traj, n))

@@ -2,15 +2,18 @@
 
 The base orbifold of a rank-n hypergeometric local system is the sphere with
 three cone/cusp points of orders (e0, e1, einf).  The orientation-preserving
-triangle group is realized in PSL(2, R), acting on the upper half-plane, with
-a quadrilateral fundamental domain (a triangle and its mirror image) whose
-four sides are paired by the rotations/parabolics gamma0, gamma1 around the
-vertices over 0 and 1.  Geodesics are flowed analytically and reduced to the
-domain at every side crossing.
+triangle group is realized in PSL(2, R), acting on the upper half-plane, as
+the rotation half of the group generated by the reflections in the sides of a
+triangle: vertices v0 and v1 on the imaginary axis, with angles pi/e0 and
+pi/e1, and w to their right with angle pi/einf (a cusp has angle 0).  The
+reflections (r_a, r_b, r_c) in the sides v1-w, v0-v1 and v0-w give the
+rotations gamma0 = r_c r_b and gamma1 = r_b r_a, as the Levelt reflections
+give h0 = R_C R_B and h1 = R_B R_A.  A reflection z -> M(conj z) is the real
+2x2 matrix M of determinant -1; such maps compose as matrix products.
 
-A crossing is recorded as one step code c = 2k + (sgn < 0): the geodesic
-leaves through the side whose deck letter is gamma_k^sgn, with k = c // 2 and
-sgn = +1 exactly when c is even.
+Geodesics are flowed in the hyperboloid model and folded back into the
+triangle at every mirror crossing, which is recorded as the mirror's code:
+0, 1 or 2 for r_a, r_b or r_c.
 """
 
 from __future__ import annotations
@@ -19,14 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List
 
 import numpy as np
 
 from .params import HypergeomParams, as_exact
 
 INF = math.inf
-BASEPOINT = 1j  # every geodesic starts here, inside the fundamental domain
 
 # --- 2x2 real matrices as tuples (a, b, c, d) --------------------------------
 
@@ -156,82 +157,19 @@ def orbifold_signature(p: HypergeomParams, convention: str = "gl") -> OrbifoldSi
 
 
 @dataclass
-class Side:
-    """A side of the fundamental domain, crossed outwards.
-
-    ``code`` = 2k + (sgn < 0) names the side's deck letter gamma_k^sgn;
-    ``pull`` is that letter's inverse, which maps the state back inside.
-    """
-
-    mop: tuple  # maps the side geodesic to the imaginary axis
-    s_lo: float
-    s_hi: float
-    pull: tuple
-    code: int
-
-
-@dataclass
 class TriangleDomain:
+    """The rotations gamma0, gamma1 about v0, v1 and the reflections (r_a, r_b, r_c)
+    in the mirrors v1-w, v0-v1 and v0-w, with gamma0 = r_c r_b and gamma1 = r_b r_a."""
+
     gamma0: tuple
     gamma1: tuple
-    sides: List[Side]
+    reflections: tuple
 
     @property
     def gens(self):
         """Fuchsian generators keyed like the monodromy: rho(0)=gamma0, rho(1)=gamma1,
         rho(inf) = (gamma0 gamma1), matching h0 h1 = hinf."""
         return {"0": self.gamma0, "1": self.gamma1, "inf": mat_mul(self.gamma0, self.gamma1)}
-
-
-def _is_ideal(v):
-    return not isinstance(v, complex)
-
-
-def _geodesic_ideal_endpoints(u, v):
-    """Ideal endpoints (p, q) of the geodesic through u, v (interior or ideal)."""
-    if _is_ideal(u) and _is_ideal(v):
-        return u, v
-    if _is_ideal(u) or _is_ideal(v):
-        x, z = (u, v) if _is_ideal(u) else (v, u)
-        if x == INF:
-            return z.real, INF
-        c = (abs(z) ** 2 - x * x) / (2.0 * (z.real - x))
-        return x, 2.0 * c - x
-    if abs(u.real - v.real) < 1e-14:
-        return u.real, INF
-    c = (abs(u) ** 2 - abs(v) ** 2) / (2.0 * (u.real - v.real))
-    r = abs(u - c)
-    return c - r, c + r
-
-
-def _mob_to_axis(p, q):
-    """SL(2,R) element sending the geodesic (p, q) to the imaginary axis, p->0, q->inf."""
-    if q == INF:
-        return (1.0, -p, 0.0, 1.0)
-    if p == INF:
-        return (0.0, -1.0, 1.0, -q)
-    m = (1.0, -p, 1.0, -q)
-    if mat_det(m) < 0:
-        m = (1.0, -p, -1.0, q)
-    return mat_normalize(m)
-
-
-def _axis_side_value(mop, z):
-    """Signed side value Re(mop(z)) of a point against an axis-mapped geodesic."""
-    val = mobius(mop, complex(z))
-    return val.real if val != INF else 0.0
-
-
-def _endpoint_position(mop, endpoint, p, q):
-    """log|mop(endpoint)|, the position of a side's endpoint along the axis."""
-    if endpoint == p:
-        return -INF
-    if endpoint == q:
-        return INF
-    val = mobius(mop, complex(endpoint))
-    if val == INF:
-        return INF
-    return math.log(abs(val)) if val != 0 else -INF
 
 
 def _solve_ideal_ideal_vertex(ainf):
@@ -296,7 +234,8 @@ def build_domain(sig: OrbifoldSignature) -> TriangleDomain:
 
     # side pairings: gamma0 maps (v0, w_m) to (v0, w); gamma1 maps (v1, w) to (v1, w_m)
     if e0 == INF:
-        _, x_a = _geodesic_ideal_endpoints(v0, w)
+        # the far end of the geodesic from the cusp 0 through w
+        x_a = abs(w) ** 2 / w.real if isinstance(w, complex) else w
         parabolic = mat_normalize((1.0, 0.0, 2.0 / x_a, 1.0))
         gamma0 = _side_pairing([parabolic, mat_inv(parabolic)], w_m, w)
     else:
@@ -306,28 +245,11 @@ def build_domain(sig: OrbifoldSignature) -> TriangleDomain:
     else:
         gamma1 = _side_pairing([rotation_about(v1, s * 2.0 * a1) for s in (1.0, -1.0)], w, w_m)
 
-    # (u, v, pull, code): the side from u to v, left through the letter that code names
-    specs = [
-        (v0, w, mat_inv(gamma0), 0),
-        (v0, w_m, gamma0, 1),
-        (v1, w, gamma1, 3),
-        (v1, w_m, mat_inv(gamma1), 2),
-    ]
-    sides = []
-    for u, v, pull, code in specs:
-        p, q = _geodesic_ideal_endpoints(u, v)
-        mop = _mob_to_axis(p, q)
-        s_u = _endpoint_position(mop, u, p, q)
-        s_v = _endpoint_position(mop, v, p, q)
-        lo, hi = min(s_u, s_v), max(s_u, s_v)
-        # orient mop so that the basepoint is on the positive side
-        if _axis_side_value(mop, BASEPOINT) < 0:
-            mop = mat_mul((-1.0, 0.0, 0.0, 1.0), mop)
-        sides.append(Side(mop, lo, hi, pull, code))
-
-    if any(_axis_side_value(side.mop, BASEPOINT) < 1e-9 for side in sides):
-        raise RuntimeError("basepoint fell outside the fundamental domain")
-    return TriangleDomain(gamma0=gamma0, gamma1=gamma1, sides=sides)
+    # v0 and v1 lie on the imaginary axis, the mirror of r_b: z -> -conj(z); r_b only
+    # flips signs, so r_c r_b == gamma0 and r_b r_a == gamma1 exactly
+    r_b = (1.0, 0.0, 0.0, -1.0)
+    reflections = (mat_mul(r_b, gamma1), r_b, mat_mul(gamma0, r_b))
+    return TriangleDomain(gamma0=gamma0, gamma1=gamma1, reflections=reflections)
 
 
 # --- geodesic sampling ----------------------------------------------------------
@@ -335,88 +257,71 @@ def build_domain(sig: OrbifoldSignature) -> TriangleDomain:
 
 @dataclass
 class GeodesicTrajectory:
-    """The step code of each side crossing, in order (see the module docstring)."""
+    """The code of each mirror crossing, in order (see the module docstring)."""
 
     events: bytes
 
 
-_BACK_TOL = 1e-9
+def _mirror(r):
+    """The unit normal (a, (b + c)/2, (b - c)/2) of the mirror of r = (a, b, c, -a), det -1.
 
-
-def _crossing_time(mop, state):
-    """Next outward crossing of the axis-mapped geodesic along state . (e^t i).
-
-    The side value Re(mop . state (e^t i)) is proportional to ac e^{2t} + bd;
-    with the basepoint on the positive side, an outward crossing requires
-    ac < 0.  Crossings a roundoff behind the present time (down to -1e-9,
-    e.g. re-entry exactly on a paired side) are clipped to t = 0; inward
-    re-detections have ac > 0 and are rejected by the sign test alone.
+    It lives in the hyperboloid model, with the form <x, y> = x0 y0 + x1 y1 - x2 y2,
+    where the point i is (0, 0, 1).
     """
-    a, b, c, d = mat_mul(mop, state)
-    ac = a * c
-    bd = b * d
-    if ac >= 0.0:
-        return None, None
-    ratio = -bd / ac
-    if ratio <= 0.0:
-        return None, None
-    t = 0.5 * math.log(ratio)
-    if t < -_BACK_TOL:
-        return None, None
-    t = max(t, 0.0)
-    y = math.exp(t)
-    num = math.hypot(a * y, b)
-    den = math.hypot(c * y, d)
-    if den == 0.0 or num == 0.0:
-        return None, None
-    return t, math.log(num / den)
-
-
-def _flow(state, t):
-    a, b, c, d = state
-    e = math.exp(t / 2.0)
-    return (a * e, b / e, c * e, d / e)
+    a, b, c, _ = r
+    return a, (b + c) / 2.0, (b - c) / 2.0
 
 
 def geodesic_sample(
     sig: OrbifoldSignature, seed: np.random.SeedSequence, total_time: float
 ) -> GeodesicTrajectory:
-    """Unit-speed geodesic from the basepoint with a seeded random direction.
+    """Unit-speed geodesic from i with a seeded random direction into the triangle.
 
-    The geodesic is flowed in closed form; each exit through a side of the
-    fundamental domain before ``total_time`` records that side's step code
-    and maps the state back inside.  Deterministic per seed: ``seed`` goes to
-    ``np.random.default_rng``, and ``lyapunov_mc`` passes one spawned
-    ``SeedSequence`` per trajectory.
+    A state is a point x and a unit tangent v of the hyperboloid model.  The
+    geodesic meets the mirror with normal n at arc length atanh(-<x,n>/<v,n>)
+    when that ratio lies in (0, 1).  At the first crossing before
+    ``total_time``, v is reflected in that mirror, x and v are renormalized,
+    and the mirror's code is recorded; the mirror just crossed is not tested
+    again.  Deterministic per seed: ``seed`` goes to ``np.random.default_rng``,
+    and ``lyapunov_mc`` passes one spawned ``SeedSequence`` per trajectory.
     """
     if total_time < 0:
         raise ValueError("total_time must be >= 0")
-    dom = build_domain(sig)
+    mirrors = [_mirror(r) for r in build_domain(sig).reflections]
     rng = np.random.default_rng(seed)
     phi = float(rng.uniform(0.0, math.pi))
-    state = _rot(phi)
+    # i lies on the mirror of r_b; the tangent points into Re z > 0
+    x0, x1, x2 = 0.0, 0.0, 1.0
+    v0, v1, v2 = -math.sin(phi), math.cos(phi), 0.0
+    last = 1
     t_now = 0.0
     codes = bytearray()
-    sides = dom.sides
-    seg_tol = 1e-9
-    while t_now < total_time:
-        best_t = None
-        best_side = None
-        for side in sides:
-            t, s = _crossing_time(side.mop, state)
-            if t is None:
+    while True:
+        best_t = INF
+        for code, (n0, n1, n2) in enumerate(mirrors):
+            if code == last or (vn := v0 * n0 + v1 * n1 - v2 * n2) == 0.0:
                 continue
-            if s < side.s_lo - seg_tol or s > side.s_hi + seg_tol:
-                continue
-            if best_t is None or t < best_t:
-                best_t = t
-                best_side = side
-        if best_t is None:
-            raise RuntimeError("geodesic found no exit side (corner hit?)")
-        if t_now + best_t >= total_time:
-            break
-        state = _flow(state, best_t)
+            ratio = -(x0 * n0 + x1 * n1 - x2 * n2) / vn
+            if 0.0 < ratio < 1.0 and (t := math.atanh(ratio)) < best_t:
+                best_t, best = t, code
+        if best_t == INF:
+            raise RuntimeError("geodesic found no exit mirror (corner hit?)")
+        last = best
         t_now += best_t
-        state = mat_normalize(mat_mul(best_side.pull, state))
-        codes.append(best_side.code)
+        if t_now >= total_time:
+            break
+        ch, sh = math.cosh(best_t), math.sinh(best_t)
+        x0, x1, x2, v0, v1, v2 = (ch * x0 + sh * v0, ch * x1 + sh * v1, ch * x2 + sh * v2,
+                                  sh * x0 + ch * v0, sh * x1 + ch * v1, sh * x2 + ch * v2)
+        n0, n1, n2 = mirrors[last]
+        s = 2.0 * (v0 * n0 + v1 * n1 - v2 * n2)
+        v0, v1, v2 = v0 - s * n0, v1 - s * n1, v2 - s * n2
+        # back onto <x, x> = -1, <x, v> = 0, <v, v> = 1
+        k = 1.0 / math.sqrt(x2 * x2 - x0 * x0 - x1 * x1)
+        x0, x1, x2 = k * x0, k * x1, k * x2
+        s = x0 * v0 + x1 * v1 - x2 * v2
+        v0, v1, v2 = v0 + s * x0, v1 + s * x1, v2 + s * x2
+        k = 1.0 / math.sqrt(v0 * v0 + v1 * v1 - v2 * v2)
+        v0, v1, v2 = k * v0, k * v1, k * v2
+        codes.append(last)
     return GeodesicTrajectory(events=bytes(codes))

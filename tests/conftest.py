@@ -7,6 +7,11 @@ from hypermono import fuchsian as fox
 from hypermono import monodromy as mono
 from hypermono import params as par
 
+# (13, INF, 8) is the family 1/8,3/8,5/8,7/8:5/13,6/13,7/13,8/13; with (INF, 3, 4), it
+# places one vertex at a cusp and the other at a cone point
+SIGNATURES = [(2, 3, fox.INF), (2, 3, 7), (3, 3, 4), (fox.INF, fox.INF, 5),
+              (fox.INF, fox.INF, fox.INF), (13, fox.INF, 8), (fox.INF, 3, 4)]
+
 
 @pytest.fixture(scope="session")
 def mq():

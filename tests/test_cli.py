@@ -199,8 +199,12 @@ class TestPinnedStdout:
         # a symmetric J: the J_signature branch
         (["monodromy", "--params", "9/20,1/2,1/2,1/2,11/20:0,0,0,1/3,2/3"],
          "05dd76375e9c54793a95647eedbbb89806be3670ff61249da8d6d8138579a27a"),
+        # re-recorded when geodesics began to cross the triangle's three mirrors
         (["lyapunov", "--rep", "params", "--params", QUINTIC, "--T", "50", "--ntraj", "2",
-          "--seed", "1"], "fdd49cc878676c3a87c7f73cd1f53d856e35bf029050d8e9d457667f5d9dcf50"),
+          "--seed", "1"], "1776ff16942dbeaad0dd77c45a7f2cf012ba13be30828308350e952bdafdf848"),
+        # a faster sampler must keep the mirror codes of the 2x2 path bit for bit
+        (["lyapunov", "--rep", "sym3", "--sig", "2,3,inf", "--T", "200", "--ntraj", "4",
+          "--seed", "5"], "f4cef297811157b93cf001d09be276d63ede7496405a69a1e217fbd3afd3d06d"),
         # the reflections are the Levelt matrices' rows reversed, bit for bit (R_C @ h is
         # not: it flips zeros to -0.0); the octic prints nine -0.0 entries, and the
         # second family has irrational coefficients
@@ -208,8 +212,8 @@ class TestPinnedStdout:
          "18bbe9d787c926d80fbe8cf22a278bd74f4a141115bd610e5f2f30de2dc10fb8"),
         (["monodromy", "--params", "1/7,1/2,1/2,6/7:0,0,0,0"],
          "7c9a91cee0ba51ea539ddb0b5e3f5bcd2ed8bc0017f28dcc5c36ac853543c2bd"),
-    ], ids=["monodromy-quintic", "monodromy-rank5", "lyapunov-params", "monodromy-octic",
-            "monodromy-sevenths"])
+    ], ids=["monodromy-quintic", "monodromy-rank5", "lyapunov-params", "lyapunov-sym3",
+            "monodromy-octic", "monodromy-sevenths"])
     def test_stdout_pinned(self, argv, sha, capsys):
         assert cli.main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
@@ -307,6 +311,18 @@ class TestLyapunov:
     def test_params_are_parsed_under_every_rep(self, capsys):
         assert cli.main(self.ARGV + ["--seed", "1", "--params", "junk"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_params_run_at_rank_five(self, tmp_path, capsys):
+        # an SO(2,3) family satisfying assumption B: the Levelt reflections need no
+        # invariant form, so its spectrum is symmetric about a zero middle exponent
+        path = tmp_path / "lyap.json"
+        argv = ["lyapunov", "--params", "9/20,1/2,1/2,1/2,11/20:0,0,0,1/3,2/3", "--T", "2000",
+                "--ntraj", "10", "--seed", "5", "--out", str(path)]
+        assert cli.main(argv) == 0
+        lam = json.loads(path.read_bytes())["exponents"]
+        assert len(lam) == 5
+        assert abs(sum(lam)) < 1e-10
+        assert max(abs(a + b) for a, b in zip(lam, reversed(lam))) <= 0.02
 
     def test_sym3_sum_formula(self, tmp_path, capsys):
         # Sym^3 of (2,3,inf): deg E^{3,0} = 3 deg L, deg E^{2,1} = deg L, 2 deg L = |chi| = 1/6,

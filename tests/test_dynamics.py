@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ball_for, ball_words
+from conftest import SIGNATURES, ball_for, ball_words
 from hypermono import cli
 from hypermono import dynamics as dyn
 from hypermono import fuchsian as fox
@@ -15,6 +15,7 @@ from hypermono._linalg import SIGN_TOL, numerical_rank, projective_normalize
 from oracles import _word_str, alpha1_gap, frobenius_distance
 
 OCTIC = par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)
+RANK5 = par.HypergeomParams(("9/20", "1/2", "1/2", "1/2", "11/20"), ("0", "0", "0", "1/3", "2/3"))
 
 
 def _canonical_exponent(k, order):
@@ -578,20 +579,20 @@ class TestAnosovCertificate:
 
 
 def per_event_lyapunov(rep_mats, sig, T, n_traj, seed):
-    """The per-event reference loop: one trajectory at a time, one 2-D QR per crossing."""
+    """The per-event reference loop: one trajectory at a time, one 2-D QR per pair of crossings."""
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
-    invs = [np.linalg.inv(m) for m in mats]
     n = mats[0].shape[0]
     t_each = T / n_traj
     rows, discarded = [], 0
     for sq in np.random.SeedSequence(seed).spawn(n_traj):
-        traj = fox.geodesic_sample(sig, sq, 2.0 * t_each)
+        codes = list(fox.geodesic_sample(sig, sq, 2.0 * t_each).events)
         frame, logs, bad = np.eye(n), np.zeros(n), False
-        for c in traj.events:
-            # code c crosses through gamma_k^sgn, k = c // 2, sgn = +1 for even c,
-            # and the frame gains rho(gamma_k)^{-sgn}
-            k, sgn = c // 2, 1 if c % 2 == 0 else -1
-            q, r = np.linalg.qr((invs[k] if sgn > 0 else mats[k]) @ frame)
+        for k in range(0, len(codes), 2):
+            # code i folds the geodesic back by r_i, so the frame gains rho(r_i);
+            # codes i, j make one step rho(r_j) rho(r_i), and an odd last code one rho(r_i)
+            pair = codes[k:k + 2]
+            step = mats[pair[1]] @ mats[pair[0]] if len(pair) == 2 else mats[pair[0]]
+            q, r = np.linalg.qr(step @ frame)
             d = np.sign(np.diag(r))
             d[d == 0] = 1.0
             frame = q * d
@@ -617,15 +618,18 @@ def per_event_lyapunov(rep_mats, sig, T, n_traj, seed):
 
 
 @pytest.fixture(scope="module")
-def lyap_reps(modular_dom, modular_sig, mq_std, mq_sig):
-    g0 = np.array(modular_dom.gamma0).reshape(2, 2)
-    g1 = np.array(modular_dom.gamma1).reshape(2, 2)
+def lyap_reps(modular_dom, modular_sig, mq, mq_sig):
+    r_a, r_b, r_c = (np.array(r).reshape(2, 2) for r in modular_dom.reflections)
+    tiny = 1e-310 * np.eye(2)
     return {
-        "sym3": ((dyn.sym_cube(g0), dyn.sym_cube(g1)), modular_sig),
-        "fuchsian": ((g0, g1), modular_sig),
-        "quintic": ((mq_std.h0, mq_std.h1), mq_sig),
-        # inv(1e-310 I) is not finite: trajectories that cross side 1 forwards are discarded
-        "partial_discard": ((g0, 1e-310 * np.eye(2)), modular_sig),
+        "sym3": ([dyn.sym_cube(r) for r in (r_a, r_b, r_c)], modular_sig),
+        "fuchsian": ((r_a, r_b, r_c), modular_sig),
+        "quintic": (mono.reflection_matrices(*mono.levelt_matrices(mq)), mq_sig),
+        "rank5": (mono.reflection_matrices(*mono.levelt_matrices(RANK5)),
+                  fox.orbifold_signature(RANK5)),
+        # the pair steps of mirrors a and c underflow to the zero matrix: trajectories
+        # that cross a and c one after the other in a pair are discarded
+        "partial_discard": ((tiny, r_b, tiny), modular_sig),
     }
 
 
@@ -637,7 +641,7 @@ class TestLyapunovMC:
             ("fuchsian", 300, 5, 11, 0),
             ("quintic", 200, 4, 2, 0),
             ("fuchsian", 50, 1, 4, 0),
-            ("partial_discard", 4, 8, 0, 3),
+            ("partial_discard", 4, 8, 0, 5),
         ],
     )
     def test_matches_per_event_loop(self, lyap_reps, rep, T, n_traj, seed, discarded):
@@ -650,14 +654,15 @@ class TestLyapunovMC:
         assert got.stderr.tobytes() == want.stderr.tobytes()
 
     def test_all_discarded_raises(self, modular_sig):
-        rep_mats = (1e-310 * np.eye(2), np.eye(2))
+        # every trajectory here makes a pair step, and every pair step underflows to 0
+        rep_mats = (1e-310 * np.eye(2),) * 3
         for run in (dyn.lyapunov_mc, per_event_lyapunov):
             with pytest.raises(RuntimeError, match="all trajectories were discarded"):
                 run(rep_mats, modular_sig, 4, 3, 0)
 
-    @pytest.mark.parametrize("rep", ["sym3", "fuchsian", "quintic"])
+    @pytest.mark.parametrize("rep", ["sym3", "fuchsian", "quintic", "rank5"])
     def test_rows_sum_to_zero(self, lyap_reps, rep):
-        # every generator has determinant 1, so the log growths of a frame cancel
+        # every reflection has determinant -1, so the log growths of a frame cancel
         rep_mats, sig = lyap_reps[rep]
         per = dyn.lyapunov_mc(rep_mats, sig, 400, 8, 3).per_trajectory
         assert np.abs(per.sum(axis=1)).max() < 1e-10
@@ -669,14 +674,13 @@ class TestLyapunovMC:
         fuchs = dyn.lyapunov_mc(*lyap_reps["fuchsian"], 400, 8, 3).per_trajectory
         assert np.abs(sym3 - np.outer(fuchs[:, 0], [3, 1, -1, -3])).max() < 1e-5
 
-    @pytest.mark.parametrize("e", [(2, 3, fox.INF), (13, fox.INF, 8), (fox.INF, 3, 4)],
-                             ids=["2-3-inf", "13-inf-8", "inf-3-4"])
+    @pytest.mark.parametrize("e", SIGNATURES, ids=lambda e: "-".join(map(str, e)))
     def test_fuchsian_top_exponent_is_one(self, e):
         # finite-time estimates sit about 1e-3 below 1, one to two stderrs
-        # (ROADMAP item 1), so the check uses a fixed 0.01, not the stderr
+        # (ROADMAP item 12), so the check uses a fixed 0.01, not the stderr
         sig = fox.OrbifoldSignature(*e)
         dom = fox.build_domain(sig)
-        gens = [np.array(g).reshape(2, 2) for g in (dom.gamma0, dom.gamma1)]
+        gens = [np.array(r).reshape(2, 2) for r in dom.reflections]
         result = dyn.lyapunov_mc(gens, sig, 2000, 20, 7)
         assert abs(result.exponents[0] - 1.0) < 0.01
 

@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import SIGNATURES
 from hypermono import dynamics as dyn
 from hypermono import fuchsian as fox
 from hypermono import params as par
-from hypermono.fuchsian import INF, IDENT, mat_inv, mat_mul
+from hypermono.fuchsian import INF, IDENT, mat_det, mat_mul
 from oracles import frobenius_distance, hyp_distance, veronese
-
-# (13, INF, 8) is the family 1/8,3/8,5/8,7/8:5/13,6/13,7/13,8/13; with (INF, 3, 4), it
-# places one vertex at a cusp and the other at a cone point
-SIGNATURES = [(2, 3, INF), (2, 3, 7), (3, 3, 4), (INF, INF, 5), (INF, INF, INF), (13, INF, 8),
-              (INF, 3, 4)]
 
 
 def _sig(e):
@@ -54,22 +50,25 @@ class TestGeodesicSample:
     def test_deterministic_per_seed(self, e):
         sig = _sig(e)
         a, b = fox.geodesic_sample(sig, 7, 30.0), fox.geodesic_sample(sig, 7, 30.0)
-        assert len(a.events) > 0 and set(a.events) <= {0, 1, 2, 3}
+        assert len(a.events) > 0 and set(a.events) <= {0, 1, 2}
         assert a.events == b.events
         assert fox.geodesic_sample(sig, 8, 30.0).events != a.events
 
     @pytest.mark.parametrize("e", SIGNATURES)
-    def test_deck_is_product_of_side_generators(self, e):
-        # a crossing's code c names the deck letter gamma_k^sgn, k = c // 2, sgn = +1
-        # for even c; the side's pull must be that letter's inverse, since transport
-        # multiplies the frame by rho(gamma_k)^{-sgn} for each code
+    def test_mirrors_are_reflections_of_the_rotations(self, e):
+        # code i folds the geodesic back by reflections[i], an involution of det -1;
+        # r_b only flips signs, so the rotations are the products exactly
         dom = fox.build_domain(_sig(e))
-        gamma = (dom.gamma0, dom.gamma1)
-        assert sorted(side.code for side in dom.sides) == [0, 1, 2, 3]
-        for side in dom.sides:
-            g = gamma[side.code // 2]
-            letter = g if side.code % 2 == 0 else mat_inv(g)
-            assert np.abs(np.subtract(mat_mul(side.pull, letter), IDENT)).max() < 1e-12
+        r_a, r_b, r_c = dom.reflections
+        for r in dom.reflections:
+            assert abs(mat_det(r) + 1.0) <= 1e-15
+            assert np.abs(np.subtract(mat_mul(r, r), IDENT)).max() <= 1e-15
+        assert mat_mul(r_c, r_b) == dom.gamma0
+        assert mat_mul(r_b, r_a) == dom.gamma1
+        # the mirror just crossed is never crossed again at once
+        events = fox.geodesic_sample(_sig(e), 3, 200.0).events
+        assert set(events) == {0, 1, 2}
+        assert all(a != b for a, b in zip(events, events[1:]))
 
 
 class TestDistances:

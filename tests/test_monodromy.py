@@ -1,8 +1,10 @@
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from hypermono import fuchsian as fox
 from hypermono import params as par
 from hypermono._linalg import numerical_rank
 from hypermono.monodromy import (
@@ -15,8 +17,10 @@ from hypermono.monodromy import (
     reflection_matrices,
     symplectic_basis,
 )
+from oracles import frobenius_distance
 
 MQ = par.MIRROR_QUINTIC
+OCTIC = par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)
 RANK5 = par.HypergeomParams(
     ("9/20", "1/2", "1/2", "1/2", "11/20"), ("0", "0", "0", "1/3", "2/3")
 )
@@ -145,6 +149,34 @@ class TestReflections:
         assert np.allclose(v, [1, 1, 1, 2])
         assert lam == -1.0
         assert np.allclose(R_A @ v, lam * v)
+
+
+def _exact_pair(m):
+    """(m, m^-1) as object arrays of Python ints, for an integral m whose inverse is integral."""
+    pair = [np.array([[int(x) for x in row] for row in g], dtype=object)
+            for g in (m, np.rint(np.linalg.inv(m)))]
+    assert np.array_equal(np.rint(m), m)
+    assert (pair[0] @ pair[1] == np.eye(len(m), dtype=int)).all()
+    return pair
+
+
+def _word(word, gens, mul):
+    """The product of the syllables (s, k), leftmost first; gens[s] is (g, g^-1)."""
+    return reduce(mul, [gens[s][k < 0] for s, k in word for _ in range(abs(k))])
+
+
+def test_octic_kernel_word_is_hyperbolic():
+    # h_inf^4 = -I on the octic, so rho kills inf^2.0^1.inf^4.0^-1.inf^2, a hyperbolic
+    # element of the default (inf, inf, 8) triangle group far from the identity
+    word = [("inf", 2), ("0", 1), ("inf", 4), ("0", -1), ("inf", 2)]
+    hinf, h0 = levelt_matrices(OCTIC)
+    rho = _word(word, {"0": _exact_pair(h0), "inf": _exact_pair(hinf)}, np.matmul)
+    assert (rho == np.eye(4, dtype=int)).all()
+    sig = fox.orbifold_signature(OCTIC)
+    assert sig == fox.OrbifoldSignature(fox.INF, fox.INF, 8)
+    gens = fox.build_domain(sig).gens
+    fuchs = _word(word, {s: (gens[s], fox.mat_inv(gens[s])) for s in ("0", "inf")}, fox.mat_mul)
+    assert frobenius_distance(fuchs) > 12.0
 
 
 class TestInvariantForm:
