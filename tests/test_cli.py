@@ -52,6 +52,18 @@ class TestDeterminism:
             ".json": "b344086491ea90c5359806d3443c4a9f6a171faba54ae73e606e9797a839d161",
         }
 
+    def test_multi_chunk_certify_bytes_pinned(self, tmp_path, capsys):
+        # 29,527 words: the certificate's SVDs run in several chunks on several
+        # threads.  sha256 recorded while they ran in one call over the whole ball.
+        prefix = tmp_path / "out"
+        assert cli.main(["certify", "--params", QUINTIC, "--L", "9", "--out", str(prefix)]) == 0
+        digest = {s: hashlib.sha256((tmp_path / f"out{s}").read_bytes()).hexdigest()
+                  for s in (".csv", ".json")}
+        assert digest == {
+            ".csv": "eaf0add029d506ddcf7cb3e244ac990ec1a1bc0da00dfbc4000d65f4a40612c4",
+            ".json": "0ffd551de8280d71d3587a88cd4cbce7a4906919c27e170dfa87524a90f800ea",
+        }
+
     def test_limitset_rerun_identical(self, tmp_path, capsys):
         first, second = _run_twice(
             tmp_path,
@@ -65,23 +77,28 @@ class TestDeterminism:
     # samples became arrays: a rerun-equality check passes a uniform change.  The
     # octic's cusp rows depend in their last bits on how im(h1 - id) is computed.
     # The quintic CSVs were re-recorded when its ball matrices became its exact
-    # integer products; their SVGs did not move.
-    @pytest.mark.parametrize("params, extra, csv_sha, svg_sha", [
-        (QUINTIC, [], "663e0a580182bdd7f01dd82275b28870f5ee38dc8ac4852f8de444c0a8674ee1",
+    # integer products; their SVGs did not move.  The octic at L=8 (10,440 words)
+    # was recorded while the SVDs ran in one call over the whole ball; they now
+    # run in several chunks on several threads.
+    @pytest.mark.parametrize("params, L, extra, csv_sha, svg_sha", [
+        (QUINTIC, 6, [], "663e0a580182bdd7f01dd82275b28870f5ee38dc8ac4852f8de444c0a8674ee1",
          "0d88933937a4ad007a9b1396b07631409bec7de53b38577f7fec53d9f30c2a74"),
-        (QUINTIC, ["--proj", "0.3,-1.7,2.2,0.9;0.333,0.25,-5,0.001"],
+        (QUINTIC, 6, ["--proj", "0.3,-1.7,2.2,0.9;0.333,0.25,-5,0.001"],
          "663e0a580182bdd7f01dd82275b28870f5ee38dc8ac4852f8de444c0a8674ee1",
          "15bff50eeac215cd991a66d75f2c51474871434b1487419f37d6759c686a0ded"),
-        (QUINTIC, ["--kinds", "cusp"],
+        (QUINTIC, 6, ["--kinds", "cusp"],
          "3054d2be59f3b5493c71db9dbf760b27085db3019a6abde1c6cd55fbe508f241",
          "b3b186038ad9d19ac84d16f0b55cfb500c13807dd65ab769998051ed05af2631"),
-        (OCTIC, ["--kinds", "cusp"],
+        (OCTIC, 6, ["--kinds", "cusp"],
          "14038a5156e2d4f0769fe9b79b32e9bac2b999e609c204dcb809afd4d942f5bb",
          "3ea46c452756850e7c0203291649c81b1ee7977b74d94220139fea41a869919f"),
-    ], ids=["default", "proj", "cusp", "octic-cusp"])
-    def test_limitset_bytes_pinned(self, tmp_path, capsys, params, extra, csv_sha, svg_sha):
+        (OCTIC, 8, [],
+         "fab5abe265935dcb2868e9d63fd04375d40bde5fcde1674e9843622b0e556bd1",
+         "043babdf2125a9270c645c2e4d4400a507f11adc70adfa92583f6b97f2b9f55f"),
+    ], ids=["default", "proj", "cusp", "octic-cusp", "octic-multi-chunk"])
+    def test_limitset_bytes_pinned(self, tmp_path, capsys, params, L, extra, csv_sha, svg_sha):
         prefix = tmp_path / "out"
-        argv = ["limitset", "--params", params, "--L", "6", "--no-timestamp", *extra]
+        argv = ["limitset", "--params", params, "--L", str(L), "--no-timestamp", *extra]
         assert cli.main(argv + ["--out", str(prefix)]) == 0
         digest = {s: hashlib.sha256((tmp_path / f"out{s}").read_bytes()).hexdigest()
                   for s in (".csv", ".svg")}
