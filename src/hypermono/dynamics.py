@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import _rank_cut, projective_normalize
+from ._linalg import _rank_cut, projective_normalize, singular_gaps
 from .fuchsian import IDENT, INF, OrbifoldSignature, geodesic_sample, mat_inv
 from .params import as_exact
 
@@ -279,13 +279,15 @@ def limit_curve_samples(ball: WordBall, gap_min: float, h1: Optional[np.ndarray]
     ball order.  Each kind is deduplicated on its own: of several points of
     one kind that round to the same point of the ``LIMIT_DEDUP_RES`` grid,
     only the first is kept.
+
+    The ball's SVDs run in chunks on every CPU of the process's affinity mask
+    (``taskset`` limits them), with the bytes of one call over the whole ball.
     """
     if not gap_min > 0:
         raise ValueError("gap_min must be positive")
-    u, s, _ = np.linalg.svd(ball.mats)
-    gaps = np.log(s[:, 0]) - np.log(s[:, 1])
+    gaps, tops = singular_gaps(ball.mats, top=True)
     idx = np.flatnonzero(gaps >= gap_min)
-    parts = [("attracting", idx, u[idx, :, 0], gaps[idx])]
+    parts = [("attracting", idx, tops[idx], gaps[idx])]
     if h1 is not None:
         u1, s1, _ = np.linalg.svd(h1 - np.eye(len(h1)))
         if (rank := _rank_cut(s1)) != 1:
@@ -380,11 +382,14 @@ def anosov_certificate(ball: WordBall) -> AnosovCertificate:
     vertex alone is a single-word artifact); c_hat is the smallest intercept
     making gap >= eps_hat * dist - c_hat hold for every point.  A violated
     inequality family yields eps_hat <= 0.
+
+    The gaps are singular values only, computed in chunks on every CPU of the
+    process's affinity mask (``taskset`` limits them), with the bytes of one
+    call over the whole ball.
     """
     if ball.fuchs is None:
         raise ValueError("ball was enumerated without Fuchsian matrices")
-    s = np.linalg.svd(ball.mats, compute_uv=False)
-    gaps = np.log(s[:, 0]) - np.log(s[:, 1])
+    gaps, _ = singular_gaps(ball.mats, top=False)
     dists = _frobenius_distances(ball.fuchs)
     keep = _hull_candidates(dists, gaps)
     hull = _lower_hull(dists[keep].tolist(), gaps[keep].tolist())

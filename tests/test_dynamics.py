@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from conftest import SIGNATURES, ball_for, ball_words
 from hypermono import cli
+from hypermono import _linalg
 from hypermono import dynamics as dyn
 from hypermono import fuchsian as fox
 from hypermono import monodromy as mono
@@ -486,6 +490,62 @@ class TestLimitCurveSamples:
         for i, row in enumerate(stacked):
             one = projective_normalize(u[i, :, 0])
             assert row.tobytes() == one.tobytes() == per_vector_normalize(u[i, :, 0]).tobytes()
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Chunks of 5 matrices on 3 CPUs (the calling thread and 2 workers), threads
+    switched every microsecond.  Yields the list of ``threading.active_count()`` at
+    each ``np.linalg.svd`` call."""
+    monkeypatch.setattr(_linalg, "SVD_CHUNK", 5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    svd, counts = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        counts.append(threading.active_count())
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield counts
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestSingularGaps:
+    @pytest.mark.parametrize("n_mats", [1, 5, 6, 23, None], ids=lambda n: f"N={n or 'ball'}")
+    @pytest.mark.parametrize("top", [False, True])
+    def test_chunks_match_one_stacked_svd(self, limit_balls, three_cpus, n_mats, top):
+        mats = limit_balls["octic"][0].mats[:n_mats]
+        if top:
+            u, s, _ = np.linalg.svd(mats)
+        else:
+            s = np.linalg.svd(mats, compute_uv=False)
+        three_cpus.clear()  # the reference call
+        before = threading.active_count()
+        gaps, tops = _linalg.singular_gaps(mats, top)
+        assert len(three_cpus) == -(-len(mats) // 5)  # each chunk once
+        assert gaps.tobytes() == (np.log(s[:, 0]) - np.log(s[:, 1])).tobytes()
+        if top:
+            assert tops.tobytes() == u[:, :, 0].tobytes()
+        else:
+            assert tops is None
+        # one chunk starts no thread; more start at most 2, and all of them end
+        peak = max(three_cpus)
+        assert peak == before if len(mats) <= 5 else before < peak <= before + 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("bad", [[17], [5, 10, 15, 20]], ids=["last-chunk", "all-but-first"])
+    @pytest.mark.parametrize("top", [False, True])
+    def test_failed_chunk_raises_and_ends_every_thread(self, limit_balls, three_cpus, bad, top):
+        mats = limit_balls["octic"][0].mats[:23].copy()
+        mats[bad, 0, 0] = np.nan
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError):
+            _linalg.singular_gaps(mats, top)
+        assert threading.active_count() == before
 
 
 # the 14 Doran-Morgan families alpha = (a1, a2, 1 - a2, 1 - a1), beta = 0^4
