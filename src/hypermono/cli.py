@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import itertools
 import json
 import sys
 
@@ -30,6 +31,8 @@ import numpy as np
 
 from . import dynamics, fuchsian, monodromy, params
 from .monodromy import form_signature
+
+CSV_BLOCK = 8192  # certify CSV rows joined per write; the whole text is never held
 
 
 def _mat_json(m):
@@ -71,6 +74,13 @@ def _ball_inputs(args, p):
 def _write(path, text):
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _write_rows(path, rows):
+    """Write ``rows``, strings without their newline, one a line, ``CSV_BLOCK`` at a time."""
+    with open(path, "w") as fh:
+        while block := list(itertools.islice(rows, CSV_BLOCK)):
+            fh.write("\n".join(block) + "\n")
 
 
 def _emit_json(obj, path):
@@ -157,9 +167,6 @@ def cmd_certify(args) -> int:
     sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
     ball = dynamics.enumerate_ball(gen_mats, orders, args.L, fuchs_gens=fuchs)
     cert = dynamics.anosov_certificate(ball)
-    columns = [map(repr, cert.dists.tolist()), map(repr, cert.gaps.tolist()),
-               ball.unfold("e", lambda s, k, w: f"{s}^{k}" if w == "e" else f"{s}^{k}.{w}")]
-    csv_text = "\n".join(["dist,gap,word", *map(",".join, zip(*columns))]) + "\n"
     summary = {
         "L": args.L,
         "ball_size": len(ball),
@@ -168,7 +175,10 @@ def cmd_certify(args) -> int:
         "signature": _sig_json(sig),
     }
     if args.out:
-        _write(args.out + ".csv", csv_text)
+        columns = [map(repr, cert.dists.tolist()), map(repr, cert.gaps.tolist()),
+                   ball.unfold("e", lambda s, k, w: f"{s}^{k}" if w == "e" else f"{s}^{k}.{w}")]
+        rows = itertools.chain(["dist,gap,word"], map(",".join, zip(*columns)))
+        _write_rows(args.out + ".csv", rows)
     _emit_json(summary, args.out and args.out + ".json")
     return 0
 
