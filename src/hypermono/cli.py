@@ -76,13 +76,6 @@ def _write(path, text):
         fh.write(text)
 
 
-def _write_rows(path, rows):
-    """Write ``rows``, strings without their newline, one a line, ``CSV_BLOCK`` at a time."""
-    with open(path, "w") as fh:
-        while block := list(itertools.islice(rows, CSV_BLOCK)):
-            fh.write("\n".join(block) + "\n")
-
-
 def _emit_json(obj, path):
     """Print obj as JSON, and write it to path when one is given."""
     text = json.dumps(obj, indent=2, sort_keys=True)
@@ -177,8 +170,11 @@ def cmd_certify(args) -> int:
     if args.out:
         columns = [map(repr, cert.dists.tolist()), map(repr, cert.gaps.tolist()),
                    ball.unfold("e", lambda s, k, w: f"{s}^{k}" if w == "e" else f"{s}^{k}.{w}")]
-        rows = itertools.chain(["dist,gap,word"], map(",".join, zip(*columns)))
-        _write_rows(args.out + ".csv", rows)
+        rows = map(",".join, zip(*columns))
+        with open(args.out + ".csv", "w") as fh:
+            fh.write("dist,gap,word\n")
+            while block := list(itertools.islice(rows, CSV_BLOCK)):
+                fh.write("\n".join(block) + "\n")
     _emit_json(summary, args.out and args.out + ".json")
     return 0
 

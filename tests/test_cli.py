@@ -54,7 +54,8 @@ class TestDeterminism:
 
     def test_multi_chunk_certify_bytes_pinned(self, tmp_path, capsys):
         # 29,527 words: the certificate's SVDs run in several chunks on several
-        # threads.  sha256 recorded while they ran in one call over the whole ball.
+        # threads, and the 29,528 CSV lines are written in four blocks.  sha256
+        # recorded while one SVD call and one write covered the whole ball.
         prefix = tmp_path / "out"
         assert cli.main(["certify", "--params", QUINTIC, "--L", "9", "--out", str(prefix)]) == 0
         digest = {s: hashlib.sha256((tmp_path / f"out{s}").read_bytes()).hexdigest()
