@@ -52,45 +52,73 @@ def null_space(a):
 
 
 def singular_gaps(mats, top):
-    """alpha_1-gaps log s0 - log s1 of an (N, n, n) stack, and its top left-singular vectors.
+    """alpha_1-gaps log s0 - log s1 of an (N, n, n) stack, as an ordered stream of chunks.
 
-    Returns ``(gaps, tops)``: ``tops`` is the (N, n) array ``u[:, :, 0]`` when
-    ``top`` is true (a full SVD), else None (singular values only).  The two
-    modes differ in the last bits of some gaps.  The stack is cut into chunks of
-    ``SVD_CHUNK`` matrices, taken by the calling thread and one worker per
-    further CPU of the process's affinity mask (numpy releases the GIL in the
-    SVD); each matrix's SVD is its own LAPACK call, so the bits are those of one
-    ``np.linalg.svd`` over the whole stack.  A stack of one chunk starts no
-    thread.  A ``LinAlgError`` of any chunk is raised after every thread ends.
+    Returns a generator of ``(gaps, tops)``, one pair per chunk of
+    ``SVD_CHUNK`` matrices in stack order: ``tops`` is the chunk's top
+    left-singular vectors ``u[:, :, 0]`` when ``top`` is true (a full SVD),
+    else None (singular values only).  The two modes differ in the last bits of
+    some gaps.  Each matrix's SVD is its own LAPACK call, so the bits are those
+    of one ``np.linalg.svd`` over the whole stack.
+
+    The chunks are computed ahead from the moment of the call: one worker
+    thread per further CPU of the process's affinity mask (numpy releases the
+    GIL in the SVD) claims them in stack order, one ``np.linalg.svd`` call
+    each.  The consumer takes chunk i in order; when no worker has claimed it,
+    the consumer computes it itself, and while a worker is still on it, the
+    consumer computes the next unclaimed chunk.  A stack of one chunk starts no
+    thread.  An exception of a chunk is raised when the consumer reaches that
+    chunk, after every thread has ended; closing the generator, or reaching its
+    end, also ends every thread.
     """
-    gaps = np.empty(len(mats))
-    tops = np.empty((len(mats), mats.shape[-1])) if top else None
-    starts, lock = iter(range(0, len(mats), SVD_CHUNK)), threading.Lock()
+    chunks = _gap_chunks(mats, top)
+    next(chunks)  # runs to the first yield: the workers start now
+    return chunks
+
+
+def _gap_chunks(mats, top):
+    n_chunks = -(-len(mats) // SVD_CHUNK)
+    svds = [None] * n_chunks  # each chunk's np.linalg.svd, or the exception it raised
+    done = [threading.Lock() for _ in range(n_chunks)]  # released once svds[i] is set
+    for d in done:
+        d.acquire()
+    claims, lock = iter(range(n_chunks)), threading.Lock()
+
+    def claim():
+        with lock:  # each chunk goes to one thread, in stack order
+            return next(claims, None)
+
+    def run(i):
+        try:
+            svds[i] = np.linalg.svd(mats[i * SVD_CHUNK:(i + 1) * SVD_CHUNK], compute_uv=top)
+        except Exception as exc:  # the consumer raises it in chunk order, and still gets done[i]
+            svds[i] = exc
+        done[i].release()
 
     def work():
-        while True:
-            with lock:  # each chunk goes to one thread
-                i = next(starts, None)
-            if i is None:
-                return
-            chunk = slice(i, i + SVD_CHUNK)
-            if top:
-                u, s, _ = np.linalg.svd(mats[chunk])
-                tops[chunk] = u[:, :, 0]
-            else:
-                s = np.linalg.svd(mats[chunk], compute_uv=False)
-            gaps[chunk] = np.log(s[:, 0]) - np.log(s[:, 1])
+        while (i := claim()) is not None:
+            run(i)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, -(-len(mats) // SVD_CHUNK)) - 1
-    if workers < 1:
-        work()
-        return gaps, tops
-    from concurrent.futures import ThreadPoolExecutor  # only a multi-chunk stack pays for it
-
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(work) for _ in range(workers)]
-        work()
-        for f in futures:
-            f.result()
-    return gaps, tops
+    threads = [threading.Thread(target=work) for _ in range(min(cpus or 1, n_chunks) - 1)]
+    for t in threads:
+        t.start()
+    try:
+        yield
+        for i in range(n_chunks):
+            while not done[i].acquire(blocking=False):
+                if (j := claim()) is None:  # every chunk is claimed: wait for chunk i
+                    done[i].acquire()
+                    break
+                run(j)
+            svd, svds[i] = svds[i], None
+            if isinstance(svd, Exception):
+                raise svd
+            s = svd[1] if top else svd
+            yield np.log(s[:, 0]) - np.log(s[:, 1]), svd[0][:, :, 0] if top else None
+    finally:
+        with lock:  # no chunk is claimed after this; the workers end after their current one
+            for _ in claims:
+                pass
+        for t in threads:
+            t.join()

@@ -22,17 +22,20 @@ that --no-timestamp suppresses.  Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import dynamics, fuchsian, monodromy, params
+from ._linalg import singular_gaps
 from .monodromy import form_signature
 
-CSV_BLOCK = 8192  # certify CSV rows joined per write; the whole text is never held
+CSV_BLOCK = 8192  # lines joined per write of the limitset CSV and SVG; the whole text is never held
 
 
 def _mat_json(m):
@@ -71,16 +74,37 @@ def _ball_inputs(args, p):
     return sig, std, gen_mats, orders, fuchs
 
 
-def _write(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
+def _write_lines(fh, lines):
+    """Write each line and a newline, ``CSV_BLOCK`` lines per write."""
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, CSV_BLOCK)):
+        fh.write("\n".join(block) + "\n")
+
+
+@contextlib.contextmanager
+def _whole_file(path):
+    """A text file that appears at path only if the block ends without an exception.
+
+    It is written as ``path + ".part"``, then renamed over path; a block that
+    raises removes it and leaves path as it was.
+    """
+    part = path + ".part"
+    try:
+        with open(part, "w") as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
 
 
 def _emit_json(obj, path):
     """Print obj as JSON, and write it to path when one is given."""
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
-        _write(path, text + "\n")
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
     print(text)
 
 
@@ -156,10 +180,34 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    """Log-Anosov certificate of the word ball; with --out, its (dist, gap, word) CSV.
+
+    The ball's SVDs start right after ``enumerate_ball``, as the stream of
+    ``singular_gaps``, and run ahead while the distances and the word column
+    are built; the CSV then gets one block of rows per chunk as that chunk's
+    gaps land.  A run that fails partway (a ``LinAlgError`` in some chunk)
+    leaves no CSV and no thread behind.  ``anosov_certificate`` takes the
+    collected (dists, gaps).
+    """
     p = _parse_params(args)
     sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
     ball = dynamics.enumerate_ball(gen_mats, orders, args.L, fuchs_gens=fuchs)
-    cert = dynamics.anosov_certificate(ball)
+    with contextlib.closing(singular_gaps(ball.mats, top=False)) as chunks:
+        dists = dynamics.frobenius_distances(ball)
+        if args.out:
+            words = ball.unfold("e", lambda s, k, w: f"{s}^{k}" if w == "e" else f"{s}^{k}.{w}")
+            gaps, end = [], 0
+            with _whole_file(args.out + ".csv") as fh:
+                fh.write("dist,gap,word\n")
+                for chunk, _ in chunks:
+                    start, end = end, end + len(chunk)
+                    columns = (map(repr, dists[start:end].tolist()), map(repr, chunk.tolist()),
+                               words[start:end])
+                    _write_lines(fh, map(",".join, zip(*columns)))
+                    gaps.append(chunk)
+        else:
+            gaps = [chunk for chunk, _ in chunks]
+    cert = dynamics.anosov_certificate(dists, np.concatenate(gaps))
     summary = {
         "L": args.L,
         "ball_size": len(ball),
@@ -167,14 +215,6 @@ def cmd_certify(args) -> int:
         "c_hat": cert.c_hat,
         "signature": _sig_json(sig),
     }
-    if args.out:
-        columns = [map(repr, cert.dists.tolist()), map(repr, cert.gaps.tolist()),
-                   ball.unfold("e", lambda s, k, w: f"{s}^{k}" if w == "e" else f"{s}^{k}.{w}")]
-        rows = map(",".join, zip(*columns))
-        with open(args.out + ".csv", "w") as fh:
-            fh.write("dist,gap,word\n")
-            while block := list(itertools.islice(rows, CSV_BLOCK)):
-                fh.write("\n".join(block) + "\n")
     _emit_json(summary, args.out and args.out + ".json")
     return 0
 
@@ -188,6 +228,7 @@ def _parse_proj(text):
 
 
 def _svg_scatter(points, kinds, proj_desc, timestamp):
+    """The lines of the SVG scatter; the circles are made as they are read."""
     w = h = 640.0
     pad = 30.0
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
@@ -199,6 +240,7 @@ def _svg_scatter(points, kinds, proj_desc, timestamp):
         f'viewBox="0 0 {int(w)} {int(h)}">'
     )
     lines.append(f'<rect width="{int(w)}" height="{int(h)}" fill="white"/>')
+    circles = ()
     if len(points):
         lo = points.min(axis=0)
         hi = points.max(axis=0)
@@ -207,12 +249,11 @@ def _svg_scatter(points, kinds, proj_desc, timestamp):
         px = pad + (points[:, 0] - lo[0]) * scale
         py = h - pad - (points[:, 1] - lo[1]) * scale
         color = np.where(kinds == "attracting", "#1f77b4", "#d62728")
-        lines += map(
+        circles = map(
             '<circle cx="%.2f" cy="%.2f" r="1.4" fill="%s"/>'.__mod__,
             zip(px.tolist(), py.tolist(), color.tolist()),
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return itertools.chain(lines, circles, ["</svg>"])
 
 
 def cmd_limitset(args) -> int:
@@ -229,15 +270,17 @@ def cmd_limitset(args) -> int:
     points, gaps, sample_kinds = samples.points[keep], samples.gaps[keep], samples.kinds[keep]
     columns = [map(repr, col) for col in points.T.tolist()]
     columns += [map(repr, gaps.tolist()), sample_kinds.tolist()]
-    csv_text = "\n".join(["x0,x1,x2,x3,gap,kind", *map(",".join, zip(*columns))]) + "\n"
-    # the stacked matmul gives proj @ p of each row bit for bit; points @ proj.T does not
-    pts2 = (proj[None] @ points[:, :, None])[:, :, 0]
-    svg_text = _svg_scatter(pts2, sample_kinds, args.proj, timestamp=not args.no_timestamp)
+    csv_lines = itertools.chain(["x0,x1,x2,x3,gap,kind"], map(",".join, zip(*columns)))
     if args.out:
-        _write(args.out + ".csv", csv_text)
-        _write(args.out + ".svg", svg_text)
+        with open(args.out + ".csv", "w") as fh:
+            _write_lines(fh, csv_lines)
+        # the stacked matmul gives proj @ p of each row bit for bit; points @ proj.T does not
+        pts2 = (proj[None] @ points[:, :, None])[:, :, 0]
+        with open(args.out + ".svg", "w") as fh:
+            _write_lines(fh, _svg_scatter(pts2, sample_kinds, args.proj,
+                                          timestamp=not args.no_timestamp))
     else:
-        print(csv_text, end="")
+        _write_lines(sys.stdout, csv_lines)
     print(f"# {len(points)} samples", file=sys.stderr)
     return 0
 
@@ -358,12 +401,13 @@ def main(argv=None) -> int:
             # the config goes first, so the command line overrides it
             args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
         return COMMANDS[args.command][0](args)
+    except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:
+        # first: a LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -285,7 +285,7 @@ def limit_curve_samples(ball: WordBall, gap_min: float, h1: Optional[np.ndarray]
     """
     if not gap_min > 0:
         raise ValueError("gap_min must be positive")
-    gaps, tops = singular_gaps(ball.mats, top=True)
+    gaps, tops = map(np.concatenate, zip(*singular_gaps(ball.mats, top=True)))
     idx = np.flatnonzero(gaps >= gap_min)
     parts = [("attracting", idx, tops[idx], gaps[idx])]
     if h1 is not None:
@@ -309,8 +309,6 @@ def limit_curve_samples(ball: WordBall, gap_min: float, h1: Optional[np.ndarray]
 class AnosovCertificate:
     eps_hat: float
     c_hat: float
-    dists: np.ndarray
-    gaps: np.ndarray
 
 
 def _lower_hull(xs, ys):
@@ -350,11 +348,14 @@ def _hull_candidates(xs, ys):
     return order[prefix | suffix]
 
 
-def _frobenius_distances(fuchs):
-    """dist(i, m . i) = arccosh(||m||_F^2 / 2) of each row m of an (N, 4) array.
+def frobenius_distances(ball: WordBall) -> np.ndarray:
+    """dist(i, m . i) = arccosh(||m||_F^2 / 2) of each word's Fuchsian matrix m.
 
     Bit for bit the per-row ``frobenius_distance`` of ``tests/oracles.py``.
     """
+    if ball.fuchs is None:
+        raise ValueError("ball was enumerated without Fuchsian matrices")
+    fuchs = ball.fuchs
     q = (fuchs[:, 0] * fuchs[:, 0] + fuchs[:, 1] * fuchs[:, 1]
          + fuchs[:, 2] * fuchs[:, 2] + fuchs[:, 3] * fuchs[:, 3]) / 2.0
     # math.acosh, not np.arccosh: the two differ in the last bit on ~2.5% of inputs
@@ -373,24 +374,18 @@ def _hull_value(hull, x):
     return hull[-1][1]
 
 
-def anosov_certificate(ball: WordBall) -> AnosovCertificate:
+def anosov_certificate(dists: np.ndarray, gaps: np.ndarray) -> AnosovCertificate:
     """Support-line certificate for the singular-value gap against displacement.
 
-    The scatter is (dist(x0, gamma x0), mu_1 - mu_2) over the ball.  eps_hat
-    is the slope of the lower convex minorant at scale, read as the secant of
-    the minorant between half and 0.95 of the maximal displacement (the far
-    vertex alone is a single-word artifact); c_hat is the smallest intercept
-    making gap >= eps_hat * dist - c_hat hold for every point.  A violated
-    inequality family yields eps_hat <= 0.
-
-    The gaps are singular values only, computed in chunks on every CPU of the
-    process's affinity mask (``taskset`` limits them), with the bytes of one
-    call over the whole ball.
+    The scatter is (dist(x0, gamma x0), mu_1 - mu_2) over the ball: ``dists``
+    from ``frobenius_distances`` and ``gaps`` the collected chunks of
+    ``singular_gaps`` (values only), in ball order.  eps_hat is the slope of
+    the lower convex minorant at scale, read as the secant of the minorant
+    between half and 0.95 of the maximal displacement (the far vertex alone is
+    a single-word artifact); c_hat is the smallest intercept making
+    gap >= eps_hat * dist - c_hat hold for every point.  A violated inequality
+    family yields eps_hat <= 0.
     """
-    if ball.fuchs is None:
-        raise ValueError("ball was enumerated without Fuchsian matrices")
-    gaps, _ = singular_gaps(ball.mats, top=False)
-    dists = _frobenius_distances(ball.fuchs)
     keep = _hull_candidates(dists, gaps)
     hull = _lower_hull(dists[keep].tolist(), gaps[keep].tolist())
     if len(hull) < 2:
@@ -403,7 +398,7 @@ def anosov_certificate(ball: WordBall) -> AnosovCertificate:
         else:
             eps = (_hull_value(hull, x_hi) - _hull_value(hull, x_lo)) / (x_hi - x_lo)
     c = float(np.max(eps * dists - gaps)) if len(dists) else 0.0
-    return AnosovCertificate(eps_hat=float(eps), c_hat=c, dists=dists, gaps=gaps)
+    return AnosovCertificate(eps_hat=float(eps), c_hat=c)
 
 
 # --- Lyapunov exponents -----------------------------------------------------------

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypermono
-from hypermono import cli
+from hypermono import _linalg, cli, dynamics
 
 QUINTIC = "1/5,2/5,3/5,4/5:0,0,0,0"
 OCTIC = "1/8,3/8,5/8,7/8:0,0,0,0"
@@ -116,6 +118,43 @@ class TestExitCodes:
     def test_invalid_params(self, params, capsys):
         assert cli.main(["certify", "--params", params, "--L", "2"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["nan", "svd"])
+    def test_failed_chunk_leaves_no_partial_csv(self, tmp_path, capsys, monkeypatch, fault):
+        # quintic L=9 has four SVD chunks; the third fails after the rows of the
+        # first two are written, and the CSV of an earlier run is left as it was
+        third, balls = 2 * _linalg.SVD_CHUNK, []
+        enumerate_ball, svd = dynamics.enumerate_ball, np.linalg.svd
+
+        def faulty_ball(*args, **kwargs):
+            balls.append(enumerate_ball(*args, **kwargs))
+            if fault == "nan":
+                balls[0].mats[third + 7, 0, 0] = np.nan
+            return balls[0]
+
+        def failing_svd(a, *args, **kwargs):
+            if fault == "svd" and balls and np.may_share_memory(a, balls[0].mats[third]):
+                raise np.linalg.LinAlgError("SVD failed in the third chunk")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "enumerate_ball", faulty_ball)
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        blocks, write_lines = [], cli._write_lines
+
+        def counted_write(fh, lines):
+            blocks.append(fh.name)
+            write_lines(fh, lines)
+
+        monkeypatch.setattr(cli, "_write_lines", counted_write)
+        (tmp_path / "out.csv").write_text("earlier run\n")
+        before = threading.active_count()
+        argv = ["certify", "--params", QUINTIC, "--L", "9", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert blocks == [str(tmp_path / "out.csv.part")] * 2
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert (tmp_path / "out.csv").read_text() == "earlier run\n"
+        assert threading.active_count() == before
 
     def test_depth_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -365,8 +404,7 @@ def test_docstring_option_table_is_commands():
 
 
 def test_cli_import_leaves_out_scipy():
-    # numpy and pyyaml are the only runtime dependencies, only --config imports yaml,
-    # and only an SVD stack of several chunks imports concurrent.futures
+    # numpy and pyyaml are the only runtime dependencies, and only --config imports yaml
     env = dict(os.environ, PYTHONPATH=str(Path(hypermono.__file__).parents[1]))
     code = ("import hypermono.cli, sys; print(*(m in sys.modules for m in "
             "('scipy', 'yaml', 'concurrent.futures')))")
@@ -374,3 +412,22 @@ def test_cli_import_leaves_out_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False False False"
+
+
+def test_one_chunk_certify_starts_no_thread():
+    # quintic L=6 is one SVD chunk: no worker thread, and no thread pool imported
+    env = dict(os.environ, PYTHONPATH=str(Path(hypermono.__file__).parents[1]))
+    code = f"""
+import contextlib, io, sys, threading
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda t: (started.append(t), start(t))
+from hypermono import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["certify", "--params", "{QUINTIC}", "--L", "6"])
+print(code, "concurrent.futures" in sys.modules, len(started))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 False 0"

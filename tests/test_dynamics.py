@@ -494,24 +494,29 @@ class TestLimitCurveSamples:
 
 @pytest.fixture
 def three_cpus(monkeypatch):
-    """Chunks of 5 matrices on 3 CPUs (the calling thread and 2 workers), threads
-    switched every microsecond.  Yields the list of ``threading.active_count()`` at
-    each ``np.linalg.svd`` call."""
+    """Chunks of 5 matrices on 3 CPUs (the consumer and 2 workers), threads switched
+    every microsecond.  Yields the list of (``threading.active_count()``, address of
+    the first matrix) of each ``np.linalg.svd`` call."""
     monkeypatch.setattr(_linalg, "SVD_CHUNK", 5)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    svd, counts = np.linalg.svd, []
+    svd, calls = np.linalg.svd, []
 
-    def counting_svd(*args, **kwargs):
-        counts.append(threading.active_count())
-        return svd(*args, **kwargs)
+    def recording_svd(a, *args, **kwargs):
+        calls.append((threading.active_count(), a.__array_interface__["data"][0]))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        yield counts
+        yield calls
     finally:
         sys.setswitchinterval(interval)
+
+
+def ball_gaps(ball):
+    """The ball's gaps, collected from the chunks of ``singular_gaps`` as ``certify`` does."""
+    return np.concatenate([g for g, _ in _linalg.singular_gaps(ball.mats, top=False)])
 
 
 class TestSingularGaps:
@@ -525,17 +530,47 @@ class TestSingularGaps:
             s = np.linalg.svd(mats, compute_uv=False)
         three_cpus.clear()  # the reference call
         before = threading.active_count()
-        gaps, tops = _linalg.singular_gaps(mats, top)
-        assert len(three_cpus) == -(-len(mats) // 5)  # each chunk once
+        chunks = list(_linalg.singular_gaps(mats, top))
+        starts = list(range(0, len(mats), 5))
+        # the chunks come in stack order, and each is computed once
+        assert [len(g) for g, _ in chunks] == [len(mats[i:i + 5]) for i in starts]
+        base = mats.__array_interface__["data"][0]
+        assert sorted((a - base) // mats.strides[0] for _, a in three_cpus) == starts
+        gaps = np.concatenate([g for g, _ in chunks])
         assert gaps.tobytes() == (np.log(s[:, 0]) - np.log(s[:, 1])).tobytes()
         if top:
-            assert tops.tobytes() == u[:, :, 0].tobytes()
+            assert np.concatenate([t for _, t in chunks]).tobytes() == u[:, :, 0].tobytes()
         else:
-            assert tops is None
+            assert all(t is None for _, t in chunks)
         # one chunk starts no thread; more start at most 2, and all of them end
-        peak = max(three_cpus)
+        peak = max(count for count, _ in three_cpus)
         assert peak == before if len(mats) <= 5 else before < peak <= before + 2
         assert threading.active_count() == before
+
+    def test_chunks_are_computed_ahead(self, limit_balls, three_cpus):
+        # the workers start at the call, before the first chunk is asked for
+        mats = limit_balls["octic"][0].mats[:23]
+        before = set(threading.enumerate())
+        stream = _linalg.singular_gaps(mats, False)
+        for worker in set(threading.enumerate()) - before:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert len(three_cpus) == 5  # the workers took every chunk, and left the consumer none
+        assert sum(len(g) for g, _ in stream) == 23
+        assert len(three_cpus) == 5 and set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("top", [False, True])
+    def test_close_after_first_chunk_ends_every_thread(self, limit_balls, three_cpus, top):
+        mats = limit_balls["octic"][0].mats
+        before = threading.active_count()
+        stream = _linalg.singular_gaps(mats, top)
+        gaps, _ = next(stream)
+        assert len(gaps) == 5
+        calls = len(three_cpus)
+        stream.close()
+        assert threading.active_count() == before
+        # no chunk is claimed once the stream is closed: each worker ends after its current one
+        assert len(three_cpus) <= calls + 2
 
     @pytest.mark.parametrize("bad", [[17], [5, 10, 15, 20]], ids=["last-chunk", "all-but-first"])
     @pytest.mark.parametrize("top", [False, True])
@@ -543,8 +578,10 @@ class TestSingularGaps:
         mats = limit_balls["octic"][0].mats[:23].copy()
         mats[bad, 0, 0] = np.nan
         before = threading.active_count()
+        stream = _linalg.singular_gaps(mats, top)
+        assert len(next(stream)[0]) == 5  # the chunks before the first bad one come out
         with pytest.raises(np.linalg.LinAlgError):
-            _linalg.singular_gaps(mats, top)
+            list(stream)
         assert threading.active_count() == before
 
 
@@ -613,13 +650,12 @@ class TestAnosovCertificate:
     def test_distances_match_scalar(self, mq):
         ball, _, _ = ball_for(mq, 6, with_fuchs=True)
         want = [frobenius_distance(tuple(f)) for f in ball.fuchs.tolist()]
-        assert dyn._frobenius_distances(ball.fuchs).tolist() == want
+        assert dyn.frobenius_distances(ball).tolist() == want
 
     def test_gaps_match_cartan_projection(self, mq):
         ball, _, _ = ball_for(mq, 6, with_fuchs=True)
-        cert = dyn.anosov_certificate(ball)
         want = [alpha1_gap(g) for g in ball.mats]
-        assert np.allclose(cert.gaps, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(ball_gaps(ball), want, rtol=1e-12, atol=1e-12)
 
     def test_sym3_gap_equals_distance(self):
         # For Sym^3 of a Fuchsian group, mu_1 - mu_2 = 2 log sigma_1 = dist(i, g i).
@@ -628,14 +664,15 @@ class TestAnosovCertificate:
         fuchs = {"0": dom.gens["0"], "inf": dom.gens["inf"]}
         gens = {s: dyn.sym_cube(np.array(g).reshape(2, 2)) for s, g in fuchs.items()}
         ball = dyn.enumerate_ball(gens, {"0": sig.e0, "inf": sig.einf}, 8, fuchs_gens=fuchs)
-        cert = dyn.anosov_certificate(ball)
+        dists, gaps = dyn.frobenius_distances(ball), ball_gaps(ball)
+        cert = dyn.anosov_certificate(dists, gaps)
         assert abs(cert.eps_hat - 1.0) < 1e-9
         assert abs(cert.c_hat) < 1e-9
-        assert np.allclose(cert.gaps, cert.dists, atol=1e-9)
+        assert np.allclose(gaps, dists, atol=1e-9)
 
     def test_requires_fuchsian_matrices(self, mq_ball8):
         with pytest.raises(ValueError, match="Fuchsian"):
-            dyn.anosov_certificate(mq_ball8)
+            dyn.frobenius_distances(mq_ball8)
 
 
 def per_event_lyapunov(rep_mats, sig, T, n_traj, seed):
