@@ -1,6 +1,6 @@
 """Command-line entry points: classify, monodromy, certify, limitset, lyapunov.
 
-Besides --params, --config and --out, each command takes only the options it
+Besides --params and --out, each command takes only the options it
 reads (the table ``COMMANDS``):
 
   classify   --orbifold-order
@@ -9,14 +9,14 @@ reads (the table ``COMMANDS``):
   limitset   --L --orbifold-order --gap-min --proj --kinds --no-timestamp
   lyapunov   --sig --orbifold-order --T --ntraj --seed --rep --rhs-degrees
 
-A YAML --config (``params: {alpha, beta}``, ``options: {key: value}``) stands
-for the tokens it spells out, parsed ahead of the command line: a flag given on
-the command line overrides it.
+An argument @FILE stands for the lines of FILE, one argument per line
+(``--params=1/5,2/5,3/5,4/5:0,0,0,0``), read where it stands: a flag given
+after it overrides the file's.
 
 Outputs are deterministic given the configuration (seeds included): reruns
 produce byte-identical CSV/JSON, and SVG identical up to a timestamp comment
-that --no-timestamp suppresses.  Exit codes: 0 success, 2 invalid input,
-3 numerical failure.
+that --no-timestamp suppresses.  Exit codes: 0 success, 2 invalid input (an
+@FILE that cannot be read included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import errno
 import itertools
 import json
 import os
@@ -49,7 +50,7 @@ def _sig_json(sig):
 
 def _parse_params(args) -> params.HypergeomParams:
     if not args.params:
-        raise ValueError("no parameters given (use --params or a config file)")
+        raise ValueError("no parameters given (use --params)")
     try:
         a, b = args.params.split(":")
     except ValueError as exc:
@@ -86,8 +87,11 @@ def _whole_file(path):
     """A text file that appears at path only if the block ends without an exception.
 
     It is written as ``path + ".part"``, then renamed over path; a block that
-    raises removes it and leaves path as it was.
+    raises removes it and leaves path as it was.  A path that is a directory,
+    which the rename would fail on, is refused before the block runs.
     """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     part = path + ".part"
     try:
         with open(part, "w") as fh:
@@ -272,13 +276,13 @@ def cmd_limitset(args) -> int:
     columns += [map(repr, gaps.tolist()), sample_kinds.tolist()]
     csv_lines = itertools.chain(["x0,x1,x2,x3,gap,kind"], map(",".join, zip(*columns)))
     if args.out:
-        with open(args.out + ".csv", "w") as fh:
-            _write_lines(fh, csv_lines)
         # the stacked matmul gives proj @ p of each row bit for bit; points @ proj.T does not
         pts2 = (proj[None] @ points[:, :, None])[:, :, 0]
-        with open(args.out + ".svg", "w") as fh:
-            _write_lines(fh, _svg_scatter(pts2, sample_kinds, args.proj,
-                                          timestamp=not args.no_timestamp))
+        # nested: the SVG is renamed into place just before the CSV, so neither appears alone
+        with _whole_file(args.out + ".csv") as csv, _whole_file(args.out + ".svg") as svg:
+            _write_lines(csv, csv_lines)
+            _write_lines(svg, _svg_scatter(pts2, sample_kinds, args.proj,
+                                           timestamp=not args.no_timestamp))
     else:
         _write_lines(sys.stdout, csv_lines)
     print(f"# {len(points)} samples", file=sys.stderr)
@@ -353,59 +357,26 @@ COMMANDS = {
 
 
 def _parser():
-    parser = argparse.ArgumentParser(prog="hypermono")
+    parser = argparse.ArgumentParser(prog="hypermono", fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, names) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--params", help="exponents 'a1,..,an:b1,..,bn' (exact 'p/q' or decimals)")
-        sp.add_argument("--config", help="YAML config file")
         sp.add_argument("--out", help="output path (or prefix for multi-file commands)")
         for opt in names:
             sp.add_argument(opt, **OPTIONS[opt])
     return parser
 
 
-def _config_tokens(path):
-    """The command-line tokens a YAML config stands for."""
-    import yaml  # only a --config run pays for the import
-
-    with open(path) as fh:
-        try:
-            data = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
-            raise ValueError(str(exc)) from exc
-    if not isinstance(data, dict) or not all(isinstance(data.get(k) or {}, dict)
-                                             for k in ("params", "options")):
-        raise ValueError("a config maps params to {alpha, beta} and options to {key: value}")
-    options = dict(data.get("options") or {})
-    if prm := data.get("params"):
-        options["params"] = ":".join(",".join(map(str, prm[k])) for k in ("alpha", "beta"))
-    tokens = []
-    for key, val in options.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(val, list):
-            val = ",".join(map(str, val))
-        if val is True:
-            tokens.append(flag)
-        elif val is not False:
-            tokens += [flag, str(val)]
-    return tokens
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        if args.config:
-            # the config goes first, so the command line overrides it
-            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
         return COMMANDS[args.command][0](args)
     except (RuntimeError, np.linalg.LinAlgError, ArithmeticError) as exc:
         # first: a LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,7 +41,7 @@ def parse_exponent(x) -> Exponent:
             v = Fraction(int(num), int(den))
         else:
             f = float(x)
-            v = as_exact(f) if math.isfinite(f) else None
+            v = as_exact(f)
             if v is None:
                 v = f
     elif isinstance(x, float):
@@ -72,10 +72,12 @@ def as_exact(x: Exponent) -> Optional[Fraction]:
 
     The fractions with q <= 10**6 lie within about 1e-12 of every real number,
     so a float counts as one only within ``_ROUND_TOL`` relative: 3/10 for
-    1 - 0.7, None for math.pi.
+    1 - 0.7, None for math.pi, math.inf and math.nan.
     """
     if isinstance(x, Fraction):
         return x
+    if not math.isfinite(x):
+        return None
     f = Fraction(x).limit_denominator(_DENOM_LIMIT)
     if abs(f - x) <= _ROUND_TOL * max(1.0, abs(x)):
         return f

@@ -189,11 +189,39 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("option", ["--config", "--out"])
     def test_directory_path_refused(self, option, tmp_path, capsys):
-        # opening a directory used to exit 1 with an IsADirectoryError traceback
-        argv = ["monodromy", "--params", QUINTIC, option, str(tmp_path)]
-        assert cli.main(argv) == 2
+        # opening a directory used to exit 1 with an IsADirectoryError traceback; an
+        # options file (once --config) is an @FILE, which argparse reads and refuses itself
+        argv = ["monodromy", "--params", QUINTIC]
+        if option == "--config":
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["@" + str(tmp_path)])
+            assert exc.value.code == 2
+        else:
+            assert cli.main(argv + [option, str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
+
+    @pytest.mark.parametrize("fault", ["csv-directory", "svg-directory", "svg-write"])
+    def test_limitset_leaves_no_partial_output(self, fault, tmp_path, capsys, monkeypatch):
+        # with o.svg a directory, a fresh o.csv used to be left behind; an earlier
+        # file of the pair stays as it was, and no .part is left
+        earlier = "o.svg" if fault == "csv-directory" else "o.csv"
+        if fault == "svg-write":
+            def failing_svg(*args, **kwargs):
+                yield "<svg>"
+                raise OSError("disk full")
+
+            monkeypatch.setattr(cli, "_svg_scatter", failing_svg)
+        else:
+            (tmp_path / f"o.{fault[:3]}").mkdir()
+        (tmp_path / earlier).write_text("earlier run\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        argv = ["limitset", "--params", QUINTIC, "--L", "3", "--no-timestamp",
+                "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert (tmp_path / earlier).read_text() == "earlier run\n"
 
     def test_euclidean_signature_refused(self, capsys):
         # the float chi of (2, 3, 6) is -1.1e-16, whose sign says hyperbolic
@@ -299,39 +327,46 @@ class TestClassify:
         assert json.loads(capsys.readouterr().out)["assumption_b"] is False
 
 
-def _config(tmp_path, options):
-    path = tmp_path / "run.yaml"
-    path.write_text("params: {alpha: [1/5, 2/5, 3/5, 4/5], beta: [0, 0, 0, 0]}\n"
-                    f"options: {options}\n")
-    return str(path)
+def _options_file(tmp_path, *lines):
+    """An @FILE argument: the quintic's --params, then lines, one argument per line."""
+    path = tmp_path / "run.args"
+    path.write_text("".join(f"{line}\n" for line in (f"--params={QUINTIC}", *lines)))
+    return "@" + str(path)
 
 
 class TestConfig:
+    # an options file replaced the YAML --config: argparse reads an @FILE's lines in its place
     def test_config_goes_through_argparse_types(self, tmp_path, capsys):
-        # a YAML string value gets the option's type, as on the command line
-        cli.main(["certify", "--config", _config(tmp_path, '{L: "3"}'),
-                  "--out", str(tmp_path / "a")])
+        # the file's arguments get each option's type, as on the command line
+        cli.main(["certify", _options_file(tmp_path, "--L=3"), "--out", str(tmp_path / "a")])
         cli.main(["certify", "--params", QUINTIC, "--L", "3", "--out", str(tmp_path / "b")])
         for suffix in (".csv", ".json"):
             assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
     def test_unknown_config_key_refused(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["certify", "--config", _config(tmp_path, "{Lmax: 3}")])
+            cli.main(["certify", _options_file(tmp_path, "--Lmax=3")])
         assert exc.value.code == 2
+        assert "hypermono: error: unrecognized arguments: --Lmax=3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["params: [1/5,\n", "- L\n- 3\n", "options: [L, 3]\n"])
-    def test_malformed_config_refused(self, text, tmp_path, capsys):
-        path = tmp_path / "bad.yaml"
-        path.write_text(text)
-        assert cli.main(["certify", "--config", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
+    def test_missing_options_file_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "@" + str(tmp_path / "missing.args")])
+        assert exc.value.code == 2
+        assert "hypermono: error:" in capsys.readouterr().err
 
     def test_command_line_overrides_config(self, tmp_path, capsys):
         out = tmp_path / "run"
-        argv = ["certify", "--config", _config(tmp_path, "{L: 5}"), "--L", "2", "--out", str(out)]
+        argv = ["certify", _options_file(tmp_path, "--L", "5"), "--L", "2", "--out", str(out)]
         assert cli.main(argv) == 0
         assert json.loads((tmp_path / "run.json").read_bytes())["L"] == 2
+
+    def test_options_file_overrides_earlier_flag(self, tmp_path, capsys):
+        # the file's lines stand where the file does: the later --L wins either way
+        out = tmp_path / "run"
+        argv = ["certify", "--L", "2", _options_file(tmp_path, "--L=5"), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads((tmp_path / "run.json").read_bytes())["L"] == 5
 
 
 class TestLyapunov:
@@ -404,7 +439,8 @@ def test_docstring_option_table_is_commands():
 
 
 def test_cli_import_leaves_out_scipy():
-    # numpy and pyyaml are the only runtime dependencies, and only --config imports yaml
+    # numpy is the only runtime dependency (tests/test_imports.py checks the declared
+    # set); scipy is for tests alone, and the CLI imports neither yaml nor a thread pool
     env = dict(os.environ, PYTHONPATH=str(Path(hypermono.__file__).parents[1]))
     code = ("import hypermono.cli, sys; print(*(m in sys.modules for m in "
             "('scipy', 'yaml', 'concurrent.futures')))")

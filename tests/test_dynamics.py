@@ -332,6 +332,13 @@ class TestRationalLimitClassify:
         with pytest.raises(ValueError, match="not rational"):
             dyn.rational_limit_classify(gens, {"b": 4}, v=(math.pi, 1), L=1)
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_target_refused(self, x):
+        # inf raised OverflowError, and nan Fraction's ValueError, from as_exact
+        gens, orders, _ = _inputs(par.MIRROR_QUINTIC, False)
+        with pytest.raises(ValueError, match="target coordinate .* is not rational"):
+            dyn.rational_limit_classify(gens, orders, v=(x, 1, 0, 0), L=2)
+
     def test_unipotent_generator_is_witness(self):
         gens = {"a": np.array([[1.0, 1.0], [0.0, 1.0]]), "b": np.array([[0.0, -1.0], [1.0, 0.0]])}
         w = dyn.rational_limit_classify(gens, {"b": 4}, v=(1, 0), L=1)
@@ -493,12 +500,14 @@ class TestLimitCurveSamples:
 
 
 @pytest.fixture
-def three_cpus(monkeypatch):
-    """Chunks of 5 matrices on 3 CPUs (the consumer and 2 workers), threads switched
-    every microsecond.  Yields the list of (``threading.active_count()``, address of
-    the first matrix) of each ``np.linalg.svd`` call."""
+def svd_calls(request, monkeypatch):
+    """Chunks of 5 matrices on the CPUs of the affinity mask ``request.param``, by
+    default 3 CPUs (the consumer and 2 workers), threads switched every microsecond.
+    Yields the list of (``threading.active_count()``, address of the first matrix) of
+    each ``np.linalg.svd`` call."""
+    cpus = getattr(request, "param", {0, 1, 2})
     monkeypatch.setattr(_linalg, "SVD_CHUNK", 5)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     svd, calls = np.linalg.svd, []
 
     def recording_svd(a, *args, **kwargs):
@@ -522,20 +531,20 @@ def ball_gaps(ball):
 class TestSingularGaps:
     @pytest.mark.parametrize("n_mats", [1, 5, 6, 23, None], ids=lambda n: f"N={n or 'ball'}")
     @pytest.mark.parametrize("top", [False, True])
-    def test_chunks_match_one_stacked_svd(self, limit_balls, three_cpus, n_mats, top):
+    def test_chunks_match_one_stacked_svd(self, limit_balls, svd_calls, n_mats, top):
         mats = limit_balls["octic"][0].mats[:n_mats]
         if top:
             u, s, _ = np.linalg.svd(mats)
         else:
             s = np.linalg.svd(mats, compute_uv=False)
-        three_cpus.clear()  # the reference call
+        svd_calls.clear()  # the reference call
         before = threading.active_count()
         chunks = list(_linalg.singular_gaps(mats, top))
         starts = list(range(0, len(mats), 5))
         # the chunks come in stack order, and each is computed once
         assert [len(g) for g, _ in chunks] == [len(mats[i:i + 5]) for i in starts]
         base = mats.__array_interface__["data"][0]
-        assert sorted((a - base) // mats.strides[0] for _, a in three_cpus) == starts
+        assert sorted((a - base) // mats.strides[0] for _, a in svd_calls) == starts
         gaps = np.concatenate([g for g, _ in chunks])
         assert gaps.tobytes() == (np.log(s[:, 0]) - np.log(s[:, 1])).tobytes()
         if top:
@@ -543,11 +552,28 @@ class TestSingularGaps:
         else:
             assert all(t is None for _, t in chunks)
         # one chunk starts no thread; more start at most 2, and all of them end
-        peak = max(count for count, _ in three_cpus)
+        peak = max(count for count, _ in svd_calls)
         assert peak == before if len(mats) <= 5 else before < peak <= before + 2
         assert threading.active_count() == before
 
-    def test_chunks_are_computed_ahead(self, limit_balls, three_cpus):
+    @pytest.mark.parametrize("svd_calls", [{0}], indirect=True, ids=["one-cpu"])
+    @pytest.mark.parametrize("top", [False, True])
+    def test_one_cpu_starts_no_thread(self, limit_balls, svd_calls, monkeypatch, top):
+        # an affinity mask of one CPU (taskset -c 0): the consumer computes every chunk
+        mats = limit_balls["octic"][0].mats[:23]
+        reference = np.linalg.svd(mats, compute_uv=top)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
+        chunks = list(_linalg.singular_gaps(mats, top))
+        assert started == [] and len(svd_calls) == 1 + 5
+        s = reference[1] if top else reference
+        gaps = np.concatenate([g for g, _ in chunks])
+        assert gaps.tobytes() == (np.log(s[:, 0]) - np.log(s[:, 1])).tobytes()
+        if top:
+            tops = np.concatenate([t for _, t in chunks])
+            assert tops.tobytes() == reference[0][:, :, 0].tobytes()
+
+    def test_chunks_are_computed_ahead(self, limit_balls, svd_calls):
         # the workers start at the call, before the first chunk is asked for
         mats = limit_balls["octic"][0].mats[:23]
         before = set(threading.enumerate())
@@ -555,26 +581,26 @@ class TestSingularGaps:
         for worker in set(threading.enumerate()) - before:
             worker.join(timeout=10)
             assert not worker.is_alive()
-        assert len(three_cpus) == 5  # the workers took every chunk, and left the consumer none
+        assert len(svd_calls) == 5  # the workers took every chunk, and left the consumer none
         assert sum(len(g) for g, _ in stream) == 23
-        assert len(three_cpus) == 5 and set(threading.enumerate()) == before
+        assert len(svd_calls) == 5 and set(threading.enumerate()) == before
 
     @pytest.mark.parametrize("top", [False, True])
-    def test_close_after_first_chunk_ends_every_thread(self, limit_balls, three_cpus, top):
+    def test_close_after_first_chunk_ends_every_thread(self, limit_balls, svd_calls, top):
         mats = limit_balls["octic"][0].mats
         before = threading.active_count()
         stream = _linalg.singular_gaps(mats, top)
         gaps, _ = next(stream)
         assert len(gaps) == 5
-        calls = len(three_cpus)
+        calls = len(svd_calls)
         stream.close()
         assert threading.active_count() == before
         # no chunk is claimed once the stream is closed: each worker ends after its current one
-        assert len(three_cpus) <= calls + 2
+        assert len(svd_calls) <= calls + 2
 
     @pytest.mark.parametrize("bad", [[17], [5, 10, 15, 20]], ids=["last-chunk", "all-but-first"])
     @pytest.mark.parametrize("top", [False, True])
-    def test_failed_chunk_raises_and_ends_every_thread(self, limit_balls, three_cpus, bad, top):
+    def test_failed_chunk_raises_and_ends_every_thread(self, limit_balls, svd_calls, bad, top):
         mats = limit_balls["octic"][0].mats[:23].copy()
         mats[bad, 0, 0] = np.nan
         before = threading.active_count()

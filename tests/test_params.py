@@ -51,6 +51,8 @@ class TestHypergeomParams:
 @pytest.mark.parametrize("x,exact", [
     (1 - 0.7, Fraction(3, 10)), (0.25, Fraction(1, 4)), (1234.567, Fraction(1234567, 1000)),
     (math.pi, None), (math.sqrt(2), None),
+    # these raised OverflowError and ValueError from Fraction
+    (math.inf, None), (-math.inf, None), (math.nan, None),
 ])
 def test_as_exact_snaps_rounding_only(x, exact):
     # every real lies within about 1e-12 of a fraction with denominator <= 10**6
