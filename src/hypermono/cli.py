@@ -104,10 +104,10 @@ def _whole_file(path):
 
 
 def _emit_json(obj, path):
-    """Print obj as JSON, and write it to path when one is given."""
+    """Print obj as JSON, and write it whole to path (``_whole_file``) when one is given."""
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
-        with open(path, "w") as fh:
+        with _whole_file(path) as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -189,37 +189,37 @@ def cmd_certify(args) -> int:
     The ball's SVDs start right after ``enumerate_ball``, as the stream of
     ``singular_gaps``, and run ahead while the distances and the word column
     are built; the CSV then gets one block of rows per chunk as that chunk's
-    gaps land.  A run that fails partway (a ``LinAlgError`` in some chunk)
-    leaves no CSV and no thread behind.  ``anosov_certificate`` takes the
-    collected (dists, gaps).
+    gaps land.  ``anosov_certificate`` takes the collected (dists, gaps), and
+    the JSON is written inside the CSV's ``_whole_file`` block, so it is
+    renamed into place just before the CSV.  A run that fails partway (a
+    ``LinAlgError`` in some chunk, or a JSON path that cannot be written)
+    leaves neither file and no thread behind.
     """
     p = _parse_params(args)
     sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
     ball = dynamics.enumerate_ball(gen_mats, orders, args.L, fuchs_gens=fuchs)
+
+    def emit_certificate(gaps, path):
+        cert = dynamics.anosov_certificate(dists, np.concatenate(gaps))
+        _emit_json({"L": args.L, "ball_size": len(ball), "eps_hat": cert.eps_hat,
+                    "c_hat": cert.c_hat, "signature": _sig_json(sig)}, path)
+
     with contextlib.closing(singular_gaps(ball.mats, top=False)) as chunks:
         dists = dynamics.frobenius_distances(ball)
-        if args.out:
-            words = ball.unfold("e", lambda s, k, w: f"{s}^{k}" if w == "e" else f"{s}^{k}.{w}")
-            gaps, end = [], 0
-            with _whole_file(args.out + ".csv") as fh:
-                fh.write("dist,gap,word\n")
-                for chunk, _ in chunks:
-                    start, end = end, end + len(chunk)
-                    columns = (map(repr, dists[start:end].tolist()), map(repr, chunk.tolist()),
-                               words[start:end])
-                    _write_lines(fh, map(",".join, zip(*columns)))
-                    gaps.append(chunk)
-        else:
-            gaps = [chunk for chunk, _ in chunks]
-    cert = dynamics.anosov_certificate(dists, np.concatenate(gaps))
-    summary = {
-        "L": args.L,
-        "ball_size": len(ball),
-        "eps_hat": cert.eps_hat,
-        "c_hat": cert.c_hat,
-        "signature": _sig_json(sig),
-    }
-    _emit_json(summary, args.out and args.out + ".json")
+        if not args.out:
+            emit_certificate([chunk for chunk, _ in chunks], None)
+            return 0
+        words = ball.unfold("e", lambda s, k, w: f"{s}^{k}" if w == "e" else f"{s}^{k}.{w}")
+        gaps, end = [], 0
+        with _whole_file(args.out + ".csv") as fh:
+            fh.write("dist,gap,word\n")
+            for chunk, _ in chunks:
+                start, end = end, end + len(chunk)
+                columns = (map(repr, dists[start:end].tolist()), map(repr, chunk.tolist()),
+                           words[start:end])
+                _write_lines(fh, map(",".join, zip(*columns)))
+                gaps.append(chunk)
+            emit_certificate(gaps, args.out + ".json")
     return 0
 
 

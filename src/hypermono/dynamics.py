@@ -20,7 +20,7 @@ from .params import as_exact
 
 MAT_DEDUP_RES = 1e-7
 LIMIT_DEDUP_RES = 1e-8  # limit samples are deduplicated on this grid of their coordinates
-EXACT_KEY_LIMIT = 2**53  # exact products in int64 while n * max|g| * max|X| stays below this
+EXACT_KEY_LIMIT = 2**53  # integer products are exact floats while n * max|g| * max|X| < this
 INTEGRAL_TOL = 1e-9  # a generator entry within this (relative) of an integer is that integer
 
 
@@ -30,10 +30,11 @@ class WordBall:
 
     Word i is the syllable ``(alphabet[letter[i]], exponent[i])`` followed by
     word ``rest[i] < i``; word 0, the identity, has letter -1, exponent 0 and
-    rest -1.  ``mats`` is (N, n, n): the exact products, as floats, when every
-    generator and its inverse is integral, else the float products.  ``fuchs``
-    is, when the ball was built with Fuchsian generators, the (N, 4) array of
-    normalized 2x2 matrices (a, b, c, d) of the same words.
+    rest -1.  ``mats`` is (N, n, n) float64: when every generator and its
+    inverse is integral, the exact integer products, which ``enumerate_ball``
+    refuses to build past what float64 holds exactly; else the float products.
+    ``fuchs`` is, when the ball was built with Fuchsian generators, the (N, 4)
+    array of normalized 2x2 matrices (a, b, c, d) of the same words.
     """
 
     alphabet: list
@@ -56,7 +57,7 @@ class WordBall:
 
 
 def _exact_steps(steps):
-    """The (2k, n, n) step table as an object array of Python ints, or None.
+    """The (2k, n, n) step table rounded to integers, as floats, or None.
 
     Steps 2i and 2i + 1 are a generator and its inverse.  The table is exact
     when every entry lies within ``INTEGRAL_TOL`` (relative) of an integer and
@@ -69,32 +70,23 @@ def _exact_steps(steps):
     exact = np.frompyfunc(int, 1, 1)(r)
     if not np.all(exact[::2] @ exact[1::2] == np.eye(steps.shape[1], dtype=int)):
         return None
-    return exact
+    return r
 
 
 class _KeySet:
-    """Exact set of key rows; ``admit`` keeps the first copy of each new row.
+    """Exact set of int64 key rows; ``admit`` keeps the first copy of each new row.
 
-    int64 rows are held as their bytes.  At the first batch of Python ints
-    (an object array) the held rows are re-keyed once as tuples of ints, and
-    every later row is held as a tuple.  The set only tests membership, so
-    the hash seed cannot change which rows are admitted.
+    Rows are held as their bytes.  The set only tests membership, so the hash
+    seed cannot change which rows are admitted.
     """
 
     def __init__(self):
         self.seen = set()
-        self.tuples = False
 
     def admit(self, keys):
         """Indices (increasing) of the rows of ``keys`` not seen before, first copies only."""
-        if keys.dtype == object and not self.tuples:
-            self.seen = {tuple(np.frombuffer(b, dtype=np.int64).tolist()) for b in self.seen}
-            self.tuples = True
-        if self.tuples:
-            rows = map(tuple, keys.tolist())
-        else:
-            keys = np.ascontiguousarray(keys)
-            rows = keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel().tolist()
+        keys = np.ascontiguousarray(keys)
+        rows = keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel().tolist()
         seen, first = self.seen, []
         for i, row in enumerate(rows):
             if row not in seen:
@@ -128,17 +120,19 @@ def _fuchs_step(m, fq):
 def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
     """The word ball a level at a time, as ``enumerate_ball`` orders and keys it.
 
-    Yields, for each length 0..L that has new words, ``(letter, exponent,
-    rest, X, fuchs)``: the level's words as ``WordBall`` stores them, their
-    matrices X (m, n, n) and Fuchsian rows (m, 4) or None.
+    Yields first whether the step table is integral, then, for each length
+    0..L that has new words, ``(letter, exponent, rest, X, fuchs)``: the
+    level's words as ``WordBall`` stores them, their float matrices X (m, n, n)
+    and Fuchsian rows (m, 4) or None.
 
     The words are extended by one step table: ``steps`` (2k, n, n) holds
     generator i at step t = 2i and its inverse at t = 2i + 1, the step code
     c = 2k + (sgn < 0) of ``geodesic_sample``, with ``step_letter`` and
     ``step_sign`` the letter index and sign of each step.  ``_exact_steps``
-    decides once whether the table is integral; if so it is held as Python
-    ints and X holds the exact integer products (int64, then Python ints past
-    ``EXACT_KEY_LIMIT``), else the float products.  Only the current level's
+    decides once whether the table is integral; if so the table is rounded
+    and X holds the exact integer products, which float64 carries exactly
+    while n * max|g| * max|X| < ``EXACT_KEY_LIMIT`` (X the frontier).  A level
+    past that bound raises ``ArithmeticError``.  Only the current level's
     arrays are kept.
     """
     if L < 0:
@@ -151,17 +145,18 @@ def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
     n = steps.shape[1]
     exact = _exact_steps(steps)
     if exact is not None:
-        steps, g_max = exact, int(np.abs(exact).max())
+        steps, g_bound = exact, n * int(np.abs(exact).max())
+    yield exact is not None
     f_steps = None
     if fuchs_gens is not None:
         f_gens = [tuple(map(float, fuchs_gens[s])) for s in alphabet]
         f_steps = [f for g in f_gens for f in (g, mat_inv(g))]
 
     def key_rows(X, ell):
-        return _float_keys(X, ell) if X.dtype == float else X.reshape(len(X), -1)
+        return _float_keys(X, ell) if exact is None else X.reshape(len(X), -1).astype(np.int64)
 
     # the frontier, the last level: matrices X, Fuchsian rows FQ, words; offset: ball index of X[0]
-    X = np.eye(n, dtype=np.int64 if exact is not None else float)[None]
+    X = np.eye(n)[None]
     FQ = np.array([IDENT]) if f_steps is not None else None
     letter, exponent, rest = np.array([-1]), np.array([0]), np.array([-1])
     offset = 0
@@ -180,12 +175,13 @@ def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
         parent, step = np.nonzero(valid)  # candidates in (parent, step) order
         if not len(parent):
             return
-        if X.dtype == np.int64 and g_max * n * int(np.abs(X).max()) >= EXACT_KEY_LIMIT:
-            X = X.astype(object)  # Python ints from here on
-        Y = np.empty((len(parent), n, n), dtype=X.dtype)  # the candidates' matrices
+        if exact is not None and g_bound * int(np.abs(X).max()) >= EXACT_KEY_LIMIT:
+            raise ArithmeticError(f"level {ell}: exact products could pass 2**53, beyond the "
+                                  "integers float64 holds exactly")
+        Y = np.empty((len(parent), n, n))  # the candidates' matrices
         for t, g in enumerate(steps):
             at = np.flatnonzero(step == t)
-            Y[at] = g.astype(X.dtype) @ X[parent[at]]
+            Y[at] = g @ X[parent[at]]
         new = keys.admit(key_rows(Y, ell))
         parent, step = parent[new], step[new]
         X = Y if len(new) == len(Y) else Y[new]  # no copy when every candidate is new
@@ -221,20 +217,18 @@ def enumerate_ball(
     ``rest`` is its parent's rest if it extends the parent's first syllable, else its parent.
 
     Keys: when the step table is integral (entries within ``INTEGRAL_TOL``
-    of integers, each generator times its inverse the identity), words are
-    deduplicated on their exact integer matrices, in int64 while
-    n * max|g| * max|X| < ``EXACT_KEY_LIMIT`` = 2**53 (X the frontier) and in
-    Python ints from the first level past that bound, and ``mats`` are these
-    exact products, as floats.  Otherwise ``mats`` are the float products of
-    the given generators, keyed by their entries rounded to the
-    ``MAT_DEDUP_RES`` grid, and a level whose keys would leave the int64
-    range raises ``ArithmeticError``.
+    of integers, each generator times its inverse the identity), ``mats`` are
+    the exact integer products, computed in float64, and words are
+    deduplicated on their int64 casts.  Each level first checks
+    n * max|g| * max|X| < ``EXACT_KEY_LIMIT`` = 2**53 (X the frontier), which
+    keeps every partial sum an exact float, and raises ``ArithmeticError``
+    where the bound fails.  Otherwise ``mats`` are the float products of the
+    given generators, keyed by their entries rounded to the ``MAT_DEDUP_RES``
+    grid, and a level whose keys would leave the int64 range raises
+    ``ArithmeticError``.
     """
     alphabet = list(alphabet or gen_mats)
-    levels = [
-        (*syllables, np.asarray(X, dtype=float), FQ)
-        for *syllables, X, FQ in _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens)
-    ]
+    _, *levels = _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens)
     letter, exponent, rest, mats, fuchs = zip(*levels)
     return WordBall(
         alphabet, *map(np.concatenate, (letter, exponent, rest, mats)),
@@ -573,27 +567,30 @@ def rational_limit_classify(gen_mats, orders, v, L):
 
     Arithmetic is exact: the engine's step table must be integral (every
     generator and its inverse, det +-1, as for hypergeometric monodromy
-    groups), else a ``ValueError`` is raised when the engine yields its first,
-    float, level.  An integer prefilter over each level decides (u - id) v = 0
-    and u != id (int64 while n * max|u - id| * max|v| < 2**63, Python ints
-    past that); ``_is_witness`` decides the rest for the matrices it passes.
+    groups), else a ``ValueError`` is raised before the first level.  A float64
+    prefilter over each level decides (u - id) v = 0 and u != id, exactly
+    while n * max|u - id| * max|v| < ``EXACT_KEY_LIMIT`` = 2**53; a level past
+    that bound, here or in the engine, raises ``ArithmeticError``.
+    ``_is_witness`` decides the rest, in Python ints, for the matrices it passes.
     """
     target = _integral_vector(np.ravel(np.asarray(v, dtype=object)).tolist())
     scale = max(map(abs, target))
     alphabet = list(gen_mats)
     transposed = {s: np.asarray(m, dtype=float).T for s, m in gen_mats.items()}
+    ball = _ball_levels(transposed, orders, L, alphabet)
+    if not next(ball):
+        raise ValueError("the exact search needs integral generators and inverses (det +-1)")
     levels = []  # (letter, exponent, rest) of each level so far
-    for *syllables, X, _ in _ball_levels(transposed, orders, L, alphabet):
-        if X.dtype == float:
-            raise ValueError("the exact search needs integral generators and inverses (det +-1)")
+    for ell, (*syllables, X, _) in enumerate(ball):
         levels.append(syllables)
         n = X.shape[1]
-        D = X - np.eye(n, dtype=np.int64)  # (u - id)^T for each word's u
-        if D.dtype != object and n * max(1, int(np.abs(D).max())) * scale >= 2**63:
-            D = D.astype(object)  # Python ints: the products below would leave int64
-        hits = ~np.any(np.array(target, dtype=D.dtype) @ D, axis=1) & np.any(D, axis=(1, 2))
+        D = X - np.eye(n)  # (u - id)^T for each word's u
+        if n * max(1, int(np.abs(D).max())) * scale >= EXACT_KEY_LIMIT:
+            raise ArithmeticError(f"level {ell}: (u - id) v could pass 2**53, beyond the "
+                                  "integers float64 holds exactly")
+        hits = ~np.any(np.array(target, dtype=float) @ D, axis=1) & np.any(D, axis=(1, 2))
         for k in np.flatnonzero(hits).tolist():
-            d = np.array(D[k].T.tolist(), dtype=object)
+            d = np.array(D[k].T.astype(np.int64).tolist(), dtype=object)
             if _is_witness(d, target):
                 letter, exponent, rest = (np.concatenate(a).tolist() for a in zip(*levels))
                 word, i = [], len(rest) - len(X) + k

@@ -223,6 +223,15 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert (tmp_path / earlier).read_text() == "earlier run\n"
 
+    def test_certify_leaves_no_partial_output(self, tmp_path, capsys):
+        # with o.json a directory, a fresh o.csv used to be left behind
+        (tmp_path / "o.json").mkdir()
+        argv = ["certify", "--params", QUINTIC, "--L", "3", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["o.json"]
+
     def test_euclidean_signature_refused(self, capsys):
         # the float chi of (2, 3, 6) is -1.1e-16, whose sign says hyperbolic
         argv = ["lyapunov", "--rep", "fuchsian", "--sig", "2,3,6", "--T", "10", "--ntraj", "2",

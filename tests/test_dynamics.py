@@ -236,27 +236,29 @@ class TestEnumerateBall:
         assert len(mq_ball8) == 10269
         assert max(map(_word_length, ball_words(mq_ball8))) == 8
 
-    def test_exact_keys_past_int64(self):
-        # Products of entries 2**32 wrap to the same int64 matrix for ab and ba
-        # (1 + 2**64 = 1 mod 2**64); level 2 must use Python-int keys.  An entry
-        # 2**70 is past int64 in the step table itself, which must stay Python
-        # ints: cast once to int64, it wraps the ball to 4 words.
-        for big in (2**32, 2**70):
-            gens = {"a": np.array([[1.0, big], [0.0, 1.0]]),
-                    "b": np.array([[1.0, 0.0], [big, 1.0]])}
-            ball = dyn.enumerate_ball(gens, {"a": INF, "b": INF}, 2)
-            assert len(ball) == 1 + 4 + 12
-            words = ball_words(ball)
-            assert (("a", 1), ("b", 1)) in words and (("b", 1), ("a", 1)) in words
-            exact = {"a": [[1, big], [0, 1]], "b": [[1, 0], [big, 1]]}
-            exact_inv = {"a": [[1, -big], [0, 1]], "b": [[1, 0], [-big, 1]]}
-            for word, m in zip(words, ball.mats):
-                prod = np.eye(2, dtype=int).astype(object)
-                for s, k in reversed(word):
-                    g = np.array(exact[s] if k > 0 else exact_inv[s], dtype=object)
-                    for _ in range(abs(k)):
-                        prod = g @ prod
-                assert np.array_equal(m, prod.astype(float))
+    def test_exact_products_refused_past_2_53(self):
+        # Entries 2**24: level 2's products reach 1 + 2**48 and are exact floats, but
+        # level 3 could pass 2**53 (n * max|g| * max|X| = 2**73) and is refused.  An
+        # entry 2**70 is past 2**53 in the step table itself: level 1 is refused.
+        big = 2**24
+        gens = {"a": np.array([[1.0, big], [0.0, 1.0]]), "b": np.array([[1.0, 0.0], [big, 1.0]])}
+        orders = {"a": INF, "b": INF}
+        ball = dyn.enumerate_ball(gens, orders, 2)
+        assert len(ball) == 1 + 4 + 12
+        exact = {("a", 1): [[1, big], [0, 1]], ("a", -1): [[1, -big], [0, 1]],
+                 ("b", 1): [[1, 0], [big, 1]], ("b", -1): [[1, 0], [-big, 1]]}
+        for word, m in zip(ball_words(ball), ball.mats):
+            prod = np.eye(2, dtype=int).astype(object)
+            for s, k in reversed(word):
+                for _ in range(abs(k)):
+                    prod = np.array(exact[s, 1 if k > 0 else -1], dtype=object) @ prod
+            assert m.tolist() == prod.tolist()
+        with pytest.raises(ArithmeticError, match="level 3"):
+            dyn.enumerate_ball(gens, orders, 3)
+        huge = {s: np.where(g == big, 2.0**70, g) for s, g in gens.items()}
+        assert len(dyn.enumerate_ball(huge, orders, 0)) == 1
+        with pytest.raises(ArithmeticError, match="level 1"):
+            dyn.enumerate_ball(huge, orders, 1)
 
     @pytest.mark.parametrize("family", list(BALLS8))
     def test_words_are_pointers_into_the_ball(self, balls8, family, tmp_path, capsys):
@@ -281,14 +283,6 @@ class TestEnumerateBall:
             keys = dyn._KeySet()
             got = [keys.admit(np.array(b, dtype=np.int64)).tolist() for b in batches]
             assert got == admitted
-
-    def test_key_set_switch_to_python_ints(self):
-        # a row admitted as int64 is not new when it comes back among Python ints
-        keys = dyn._KeySet()
-        assert keys.admit(np.array([[1, -2], [3, 4]], dtype=np.int64)).tolist() == [0, 1]
-        batch = np.array([[2**70, 0], [3, 4], [1, -2], [5, 6], [2**70, 0]], dtype=object)
-        assert keys.admit(batch).tolist() == [0, 3]
-        assert keys.admit(np.array([[5, 6], [7, 8]], dtype=np.int64)).tolist() == [1]
 
     def test_float_keys_refuse_overflow(self):
         g = np.diag([1e6 + 0.5, 1.0 / (1e6 + 0.5)])
@@ -368,19 +362,17 @@ class TestRationalLimitClassify:
         for scaled in ([Fraction(x, 6) for x in v], [-3 * x for x in v], [x / 4 for x in v]):
             assert dyn.rational_limit_classify(gens, orders, v=scaled, L=5) == w
 
-    def test_int64_bound_crossed(self):
-        # Products of entries 2**31 leave int64 at level 2; v = b e1 has
-        # max|v| = 2**31, so the prefilter needs Python ints from level 1.
+    def test_exact_bound_refused(self):
+        # Entries 2**31: with v = b e1, max|v| = 2**31, the prefilter's (u - id) v
+        # could pass 2**53 at level 1; with v = (1, 1) the engine's level 2 could.
         big = 2**31
         gens = {"a": np.array([[1.0, big], [0.0, 1.0]]), "b": np.array([[1.0, 0.0], [big, 1.0]])}
         orders = {"a": INF, "b": INF}
-        w = dyn.rational_limit_classify(gens, orders, v=(1, big), L=3)
-        assert w.word == (("b", 1), ("a", 1), ("b", -1))
-        assert _same(w, reference_classify(gens, orders, v=(1, big), L=3))
-        assert w.unipotent == ((1 - big**2, big), (-big**3, 1 + big**2))
-        # no unipotent of this group fixes (1, 1): every element is id mod 2**31
-        assert dyn.rational_limit_classify(gens, orders, v=(1, 1), L=3) is None
-        assert reference_classify(gens, orders, v=(1, 1), L=3) is None
+        with pytest.raises(ArithmeticError, match=r"level 1: \(u - id\) v"):
+            dyn.rational_limit_classify(gens, orders, v=(1, big), L=3)
+        assert dyn.rational_limit_classify(gens, orders, v=(1, 1), L=1) is None
+        with pytest.raises(ArithmeticError, match="level 2: exact products"):
+            dyn.rational_limit_classify(gens, orders, v=(1, 1), L=3)
 
 
 def per_vector_normalize(v):
