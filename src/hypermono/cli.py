@@ -36,7 +36,7 @@ from . import dynamics, fuchsian, monodromy, params
 from ._linalg import singular_gaps
 from .monodromy import form_signature
 
-CSV_BLOCK = 8192  # lines joined per write of the limitset CSV and SVG; the whole text is never held
+CSV_BLOCK = 8192  # lines per write of a CSV or SVG, and rows per slice of the limitset columns
 
 
 def _mat_json(m):
@@ -231,20 +231,29 @@ def _parse_proj(text):
     return mat
 
 
+def _csv_lines(points, gaps, kinds):
+    """The lines of the limitset CSV, made ``CSV_BLOCK`` rows at a time as they are read."""
+    yield "x0,x1,x2,x3,gap,kind"
+    for start in range(0, len(points), CSV_BLOCK):
+        block = slice(start, start + CSV_BLOCK)
+        columns = [map(repr, col) for col in points[block].T.tolist()]
+        columns += [map(repr, gaps[block].tolist()), kinds[block].tolist()]
+        yield from map(",".join, zip(*columns))
+
+
 def _svg_scatter(points, kinds, proj_desc, timestamp):
-    """The lines of the SVG scatter; the circles are made as they are read."""
+    """The lines of the SVG scatter, its circles made ``CSV_BLOCK`` at a time as they are read."""
     w = h = 640.0
     pad = 30.0
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    lines.append(f"<!-- projection: {proj_desc} -->")
+    yield '<?xml version="1.0" encoding="UTF-8"?>'
+    yield f"<!-- projection: {proj_desc} -->"
     if timestamp:
-        lines.append(f"<!-- generated: {datetime.datetime.now().isoformat()} -->")
-    lines.append(
+        yield f"<!-- generated: {datetime.datetime.now().isoformat()} -->"
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(w)}" height="{int(h)}" '
         f'viewBox="0 0 {int(w)} {int(h)}">'
     )
-    lines.append(f'<rect width="{int(w)}" height="{int(h)}" fill="white"/>')
-    circles = ()
+    yield f'<rect width="{int(w)}" height="{int(h)}" fill="white"/>'
     if len(points):
         lo = points.min(axis=0)
         hi = points.max(axis=0)
@@ -252,12 +261,14 @@ def _svg_scatter(points, kinds, proj_desc, timestamp):
         scale = min((w - 2 * pad) / span[0], (h - 2 * pad) / span[1])
         px = pad + (points[:, 0] - lo[0]) * scale
         py = h - pad - (points[:, 1] - lo[1]) * scale
-        color = np.where(kinds == "attracting", "#1f77b4", "#d62728")
-        circles = map(
-            '<circle cx="%.2f" cy="%.2f" r="1.4" fill="%s"/>'.__mod__,
-            zip(px.tolist(), py.tolist(), color.tolist()),
-        )
-    return itertools.chain(lines, circles, ["</svg>"])
+        for start in range(0, len(points), CSV_BLOCK):
+            block = slice(start, start + CSV_BLOCK)
+            color = np.where(kinds[block] == "attracting", "#1f77b4", "#d62728")
+            yield from map(
+                '<circle cx="%.2f" cy="%.2f" r="1.4" fill="%s"/>'.__mod__,
+                zip(px[block].tolist(), py[block].tolist(), color.tolist()),
+            )
+    yield "</svg>"
 
 
 def cmd_limitset(args) -> int:
@@ -267,14 +278,13 @@ def cmd_limitset(args) -> int:
     proj = _parse_proj(args.proj)
     p = _parse_params(args)
     sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
-    ball = dynamics.enumerate_ball(gen_mats, orders, args.L)
     h1 = std.h1 if "cusp" in kinds else None
-    samples = dynamics.limit_curve_samples(ball, args.gap_min, h1=h1)
+    # the ball is not bound here, so it is freed once the samples are taken
+    samples = dynamics.limit_curve_samples(dynamics.enumerate_ball(gen_mats, orders, args.L),
+                                           args.gap_min, h1=h1)
     keep = np.isin(samples.kinds, list(kinds))
     points, gaps, sample_kinds = samples.points[keep], samples.gaps[keep], samples.kinds[keep]
-    columns = [map(repr, col) for col in points.T.tolist()]
-    columns += [map(repr, gaps.tolist()), sample_kinds.tolist()]
-    csv_lines = itertools.chain(["x0,x1,x2,x3,gap,kind"], map(",".join, zip(*columns)))
+    csv_lines = _csv_lines(points, gaps, sample_kinds)
     if args.out:
         # the stacked matmul gives proj @ p of each row bit for bit; points @ proj.T does not
         pts2 = (proj[None] @ points[:, :, None])[:, :, 0]

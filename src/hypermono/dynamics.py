@@ -18,15 +18,14 @@ from ._linalg import _rank_cut, projective_normalize, singular_gaps
 from .fuchsian import IDENT, INF, OrbifoldSignature, geodesic_sample, mat_inv
 from .params import as_exact
 
-MAT_DEDUP_RES = 1e-7
 LIMIT_DEDUP_RES = 1e-8  # limit samples are deduplicated on this grid of their coordinates
-EXACT_KEY_LIMIT = 2**53  # integer products are exact floats while n * max|g| * max|X| < this
+EXACT_LIMIT = 2**53  # integer products are exact floats while n * max|g| * max|X| < this
 INTEGRAL_TOL = 1e-9  # a generator entry within this (relative) of an integer is that integer
 
 
 @dataclass
 class WordBall:
-    """Reduced words of bounded length with their matrices, one word per matrix key.
+    """Reduced words of bounded length with their matrices, one row per word.
 
     Word i is the syllable ``(alphabet[letter[i]], exponent[i])`` followed by
     word ``rest[i] < i``; word 0, the identity, has letter -1, exponent 0 and
@@ -73,39 +72,6 @@ def _exact_steps(steps):
     return r
 
 
-class _KeySet:
-    """Exact set of int64 key rows; ``admit`` keeps the first copy of each new row.
-
-    Rows are held as their bytes.  The set only tests membership, so the hash
-    seed cannot change which rows are admitted.
-    """
-
-    def __init__(self):
-        self.seen = set()
-
-    def admit(self, keys):
-        """Indices (increasing) of the rows of ``keys`` not seen before, first copies only."""
-        keys = np.ascontiguousarray(keys)
-        rows = keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel().tolist()
-        seen, first = self.seen, []
-        for i, row in enumerate(rows):
-            if row not in seen:
-                seen.add(row)
-                first.append(i)
-        return np.array(first, dtype=np.int64)
-
-
-def _float_keys(m, ell):
-    scaled = m.reshape(len(m), -1) / MAT_DEDUP_RES
-    np.round(scaled, out=scaled)
-    if len(scaled) and not max(scaled.max(), -scaled.min()) < 2.0**63:
-        raise ArithmeticError(
-            f"level {ell}: matrix entries reach {np.abs(m).max():.3g}, beyond the int64 "
-            f"range of the {MAT_DEDUP_RES:g} dedup grid"
-        )
-    return scaled.astype(np.int64)
-
-
 def _fuchs_step(m, fq):
     """``mat_normalize(mat_mul(m, q))`` for each row q of the (k, 4) array ``fq``, bit for bit."""
     a, b, c, d = m
@@ -118,10 +84,10 @@ def _fuchs_step(m, fq):
 
 
 def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
-    """The word ball a level at a time, as ``enumerate_ball`` orders and keys it.
+    """The word ball a level at a time, in ``enumerate_ball``'s order.
 
     Yields first whether the step table is integral, then, for each length
-    0..L that has new words, ``(letter, exponent, rest, X, fuchs)``: the
+    0..L that has words, ``(letter, exponent, rest, X, fuchs)``: the
     level's words as ``WordBall`` stores them, their float matrices X (m, n, n)
     and Fuchsian rows (m, 4) or None.
 
@@ -131,7 +97,7 @@ def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
     ``step_sign`` the letter index and sign of each step.  ``_exact_steps``
     decides once whether the table is integral; if so the table is rounded
     and X holds the exact integer products, which float64 carries exactly
-    while n * max|g| * max|X| < ``EXACT_KEY_LIMIT`` (X the frontier).  A level
+    while n * max|g| * max|X| < ``EXACT_LIMIT`` (X the frontier).  A level
     past that bound raises ``ArithmeticError``.  Only the current level's
     arrays are kept.
     """
@@ -152,17 +118,12 @@ def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
         f_gens = [tuple(map(float, fuchs_gens[s])) for s in alphabet]
         f_steps = [f for g in f_gens for f in (g, mat_inv(g))]
 
-    def key_rows(X, ell):
-        return _float_keys(X, ell) if exact is None else X.reshape(len(X), -1).astype(np.int64)
-
     # the frontier, the last level: matrices X, Fuchsian rows FQ, words; offset: ball index of X[0]
     X = np.eye(n)[None]
     FQ = np.array([IDENT]) if f_steps is not None else None
     letter, exponent, rest = np.array([-1]), np.array([0]), np.array([-1])
     offset = 0
 
-    keys = _KeySet()
-    keys.admit(key_rows(X, 0))
     yield letter, exponent, rest, X, FQ
     for ell in range(1, L + 1):
         # (word, step) -> the net exponent of the first syllable; a step extends a word
@@ -175,18 +136,16 @@ def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
         parent, step = np.nonzero(valid)  # candidates in (parent, step) order
         if not len(parent):
             return
-        if exact is not None and g_bound * int(np.abs(X).max()) >= EXACT_KEY_LIMIT:
+        if exact is not None and g_bound * int(np.abs(X).max()) >= EXACT_LIMIT:
             raise ArithmeticError(f"level {ell}: exact products could pass 2**53, beyond the "
                                   "integers float64 holds exactly")
         Y = np.empty((len(parent), n, n))  # the candidates' matrices
         for t, g in enumerate(steps):
             at = np.flatnonzero(step == t)
             Y[at] = g @ X[parent[at]]
-        new = keys.admit(key_rows(Y, ell))
-        parent, step = parent[new], step[new]
-        X = Y if len(new) == len(Y) else Y[new]  # no copy when every candidate is new
+        X = Y
         if FQ is not None:
-            fq = np.empty((len(new), 4))
+            fq = np.empty((len(parent), 4))
             for t, f in enumerate(f_steps):
                 at = np.flatnonzero(step == t)
                 fq[at] = _fuchs_step(f, FQ[parent[at]])
@@ -206,26 +165,27 @@ def enumerate_ball(
 ) -> WordBall:
     """All reduced words of length <= L over the alphabet, by left multiplication.
 
-    Exponents of a finite-order generator stay in (-e/2, e/2].  The ball is
-    grown a level at a time from one step table, each generator in
-    ``alphabet`` followed by its inverse: each step multiplies the frontier
-    words it may extend in one stacked matmul.
+    The ball is every reduced word of the free product of the cyclic groups
+    of the alphabet's letters, each of the order ``orders`` gives it (infinite
+    when none): consecutive syllables have distinct letters, and the exponent
+    of a letter of finite order e lies in (-e/2, e/2].  Every such word is
+    kept, so a matrix repeats where the generators do not represent that free
+    product faithfully.  The ball is grown a level at a time from one step
+    table, each generator in ``alphabet`` followed by its inverse: each step
+    multiplies the frontier words it may extend in one stacked matmul.
 
     Order: words of length ell come after all shorter words, in the order of
-    (parent in the previous level, generator in ``alphabet``, sign +1 then -1),
-    and of several words with the same matrix only the first is kept.  A word's
-    ``rest`` is its parent's rest if it extends the parent's first syllable, else its parent.
+    (parent in the previous level, generator in ``alphabet``, sign +1 then -1).
+    A word's ``rest`` is its parent's rest if it extends the parent's first
+    syllable, else its parent.
 
-    Keys: when the step table is integral (entries within ``INTEGRAL_TOL``
-    of integers, each generator times its inverse the identity), ``mats`` are
-    the exact integer products, computed in float64, and words are
-    deduplicated on their int64 casts.  Each level first checks
-    n * max|g| * max|X| < ``EXACT_KEY_LIMIT`` = 2**53 (X the frontier), which
-    keeps every partial sum an exact float, and raises ``ArithmeticError``
-    where the bound fails.  Otherwise ``mats`` are the float products of the
-    given generators, keyed by their entries rounded to the ``MAT_DEDUP_RES``
-    grid, and a level whose keys would leave the int64 range raises
-    ``ArithmeticError``.
+    Arithmetic: when the step table is integral (entries within
+    ``INTEGRAL_TOL`` of integers, each generator times its inverse the
+    identity), ``mats`` are the exact integer products, computed in float64.
+    Each level first checks n * max|g| * max|X| < ``EXACT_LIMIT`` = 2**53 (X
+    the frontier), which keeps every partial sum an exact float, and raises
+    ``ArithmeticError`` where the bound fails.  Otherwise ``mats`` are the
+    float products of the given generators.
     """
     alphabet = list(alphabet or gen_mats)
     _, *levels = _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens)
@@ -237,6 +197,22 @@ def enumerate_ball(
 
 
 # --- limit curve ---------------------------------------------------------------
+
+
+def _first_copies(keys):
+    """Indices (increasing) of the first copy of each distinct row of the int64 array ``keys``.
+
+    Rows are compared as their bytes.  The set only tests membership, so the
+    hash seed cannot change which rows are kept.
+    """
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel().tolist()
+    seen, first = set(), []
+    for i, row in enumerate(rows):
+        if row not in seen:
+            seen.add(row)
+            first.append(i)
+    return np.array(first, dtype=np.int64)
 
 
 @dataclass
@@ -291,7 +267,7 @@ def limit_curve_samples(ball: WordBall, gap_min: float, h1: Optional[np.ndarray]
     columns = []  # (points, gaps, kinds, index) of each kind
     for kind, idx, vecs, kind_gaps in parts:
         v = projective_normalize(vecs)
-        first = _KeySet().admit(np.round(v / LIMIT_DEDUP_RES).astype(np.int64))
+        first = _first_copies(np.round(v / LIMIT_DEDUP_RES).astype(np.int64))
         columns.append((v[first], kind_gaps[first], np.full(len(first), kind), idx[first]))
     return LimitSamples(*map(np.concatenate, zip(*columns)))
 
@@ -559,17 +535,17 @@ def rational_limit_classify(gen_mats, orders, v, L):
 
     Search order: a word ``((s_1, k_1), ..., (s_m, k_m))`` stands for the
     product ``g_{s_1}^{k_1} ... g_{s_m}^{k_m}`` and grows at its right end.
-    Words are searched by length, and within a length in the order of (parent
-    word, generator in ``gen_mats``, sign +1 then -1), keeping the first word
-    of each matrix; the witness is the first hit, so it has minimal word
-    length.  The search runs ``enumerate_ball``'s engine on the transposed
-    generators, as (w g)^T = g^T w^T.
+    Every reduced word is searched, by length, and within a length in the
+    order of (parent word, generator in ``gen_mats``, sign +1 then -1); the
+    witness is the first hit, so it has minimal word length.  The search
+    runs ``enumerate_ball``'s engine on the transposed generators, as
+    (w g)^T = g^T w^T.
 
     Arithmetic is exact: the engine's step table must be integral (every
     generator and its inverse, det +-1, as for hypergeometric monodromy
     groups), else a ``ValueError`` is raised before the first level.  A float64
     prefilter over each level decides (u - id) v = 0 and u != id, exactly
-    while n * max|u - id| * max|v| < ``EXACT_KEY_LIMIT`` = 2**53; a level past
+    while n * max|u - id| * max|v| < ``EXACT_LIMIT`` = 2**53; a level past
     that bound, here or in the engine, raises ``ArithmeticError``.
     ``_is_witness`` decides the rest, in Python ints, for the matrices it passes.
     """
@@ -585,7 +561,7 @@ def rational_limit_classify(gen_mats, orders, v, L):
         levels.append(syllables)
         n = X.shape[1]
         D = X - np.eye(n)  # (u - id)^T for each word's u
-        if n * max(1, int(np.abs(D).max())) * scale >= EXACT_KEY_LIMIT:
+        if n * max(1, int(np.abs(D).max())) * scale >= EXACT_LIMIT:
             raise ArithmeticError(f"level {ell}: (u - id) v could pass 2**53, beyond the "
                                   "integers float64 holds exactly")
         hits = ~np.any(np.array(target, dtype=float) @ D, axis=1) & np.any(D, axis=(1, 2))

@@ -62,6 +62,27 @@ def _word_str(word):
     return ".".join(f"{s}^{k}" for s, k in word)
 
 
+def reduced_word_count(orders, L):
+    """Reduced words of length <= L in the free product of cyclic groups of ``orders``
+    (``math.inf`` for infinite order), the empty word included.
+
+    A syllable s^k has k != 0 and, when s has finite order e, k in (-e/2, e/2];
+    consecutive syllables have distinct letters, and a word's length is the sum of |k|.
+    """
+
+    def exponents(e, k):  # of the syllables s^(+-k)
+        return 2 if 2 * k < e else 1 if 2 * k == e else 0
+
+    # ending[ell][i]: words of length ell whose last syllable has letter i
+    ending = [[0] * len(orders) for _ in range(L + 1)]
+    for ell in range(1, L + 1):
+        for i, e in enumerate(orders):
+            for k in range(1, ell + 1):
+                before = 1 if k == ell else sum(c for j, c in enumerate(ending[ell - k]) if j != i)
+                ending[ell][i] += exponents(e, k) * before
+    return 1 + sum(map(sum, ending))
+
+
 def veronese(v):
     """Image of a plane direction on the twisted cubic in the sym_cube basis."""
     s, t = float(v[0]), float(v[1])

@@ -42,16 +42,18 @@ class TestDeterminism:
         }
 
     def test_octic_certify_bytes_pinned(self, tmp_path, capsys):
-        # sha256 recorded from the word-tuple writer, before ball words became pointers.
         # h_inf has order 8, so exponents run -3..4 (inf^4.0^1), and the octic's
-        # generators are not integral: its ball is keyed on floats.
+        # generators are not integral: its mats are float products.  Re-recorded when
+        # the ball became every reduced word: rho sends some words to the same matrix
+        # (h_inf^4 = -I, ROADMAP item 2), which the ball used to merge.  It went from
+        # 1,320 to 1,424 words, eps_hat from 0.6078 to 0.6355 and c_hat from 4.783 to 5.236.
         prefix = tmp_path / "out"
         assert cli.main(["certify", "--params", OCTIC, "--L", "6", "--out", str(prefix)]) == 0
         digest = {s: hashlib.sha256((tmp_path / f"out{s}").read_bytes()).hexdigest()
                   for s in (".csv", ".json")}
         assert digest == {
-            ".csv": "2021158485e26f4964d0a15389f7de0b8fa4018f1c9735758941fc698e916bad",
-            ".json": "b344086491ea90c5359806d3443c4a9f6a171faba54ae73e606e9797a839d161",
+            ".csv": "504c9c87fbe7799a0fe26afc64b91377f68851a44b2ca642bd6384db8beb7c3f",
+            ".json": "ac7981a7e551c3970c787a66b4e3a60be7341295acb942e9f2a61b0280dceb69",
         }
 
     def test_multi_chunk_certify_bytes_pinned(self, tmp_path, capsys):

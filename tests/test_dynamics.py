@@ -16,10 +16,20 @@ from hypermono import monodromy as mono
 from hypermono import params as par
 from hypermono.fuchsian import IDENT, INF, mat_inv, mat_mul, mat_normalize
 from hypermono._linalg import SIGN_TOL, numerical_rank, projective_normalize
-from oracles import _word_str, alpha1_gap, frobenius_distance
+from oracles import _word_str, alpha1_gap, frobenius_distance, reduced_word_count
 
 OCTIC = par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)
 RANK5 = par.HypergeomParams(("9/20", "1/2", "1/2", "1/2", "11/20"), ("0", "0", "0", "1/3", "2/3"))
+
+# the 14 Doran-Morgan families alpha = (a1, a2, 1 - a2, 1 - a1), beta = 0^4
+DORAN_MORGAN = ["1/5,2/5", "1/2,1/2", "1/4,1/2", "1/8,3/8", "1/12,5/12", "1/3,1/2", "1/6,1/2",
+                "1/10,3/10", "1/3,1/3", "1/6,1/3", "1/4,1/4", "1/6,1/6", "1/4,1/3", "1/6,1/4"]
+
+
+def doran_morgan(a):
+    """The Doran-Morgan family of ``DORAN_MORGAN`` entry ``a``."""
+    a1, a2 = map(Fraction, a.split(","))
+    return par.HypergeomParams(tuple(map(str, (a1, a2, 1 - a2, 1 - a1))), ("0",) * 4)
 
 
 def _canonical_exponent(k, order):
@@ -33,7 +43,7 @@ def _canonical_exponent(k, order):
 
 
 def per_word_ball(gen_mats, orders, L, fuchs_gens=None):
-    """The per-word reference loop: left multiplication, rounded float keys."""
+    """The per-word reference loop: left multiplication, every reduced word kept."""
     alphabet = list(gen_mats)
     mats = {s: np.asarray(gen_mats[s], dtype=float) for s in alphabet}
     invs = {s: np.linalg.inv(mats[s]) for s in alphabet}
@@ -43,12 +53,8 @@ def per_word_ball(gen_mats, orders, L, fuchs_gens=None):
         f_mats = {s: tuple(map(float, fuchs_gens[s])) for s in alphabet}
         f_invs = {s: mat_inv(f_mats[s]) for s in alphabet}
 
-    def mkey(m):
-        return tuple(np.round(m.ravel() / dyn.MAT_DEDUP_RES).astype(np.int64))
-
     words, out_mats, lengths = [()], [np.eye(n)], [0]
     out_fuchs = [IDENT] if f_mats is not None else None
-    seen = {mkey(out_mats[0])}
     frontier = [((), out_mats[0], IDENT)]
     for ell in range(1, L + 1):
         nxt = []
@@ -70,10 +76,6 @@ def per_word_ball(gen_mats, orders, L, fuchs_gens=None):
                     new_fm = fm
                     if f_mats is not None:
                         new_fm = mat_normalize(mat_mul(f_mats[s] if sgn > 0 else f_invs[s], fm))
-                    key = mkey(new_mat)
-                    if key in seen:
-                        continue
-                    seen.add(key)
                     nxt.append((new_word, new_mat, new_fm))
                     words.append(new_word)
                     out_mats.append(new_mat)
@@ -210,7 +212,7 @@ def balls8():
 
 
 class TestEnumerateBall:
-    @pytest.mark.parametrize("family, size", [("quintic", 10269), ("octic", 10440)],
+    @pytest.mark.parametrize("family, size", [("quintic", 10269), ("octic", 12608)],
                              ids=["quintic", "octic"])
     def test_matches_per_word_loop(self, balls8, family, size):
         ball, (words, mats, lengths, out_fuchs) = balls8[family]
@@ -274,22 +276,33 @@ class TestEnumerateBall:
         assert rows[0] == "dist,gap,word"
         assert [row.rsplit(",", 1)[1] for row in rows[1:]] == list(map(_word_str, words))
 
-    def test_key_set_keeps_first_copies(self):
-        # repeats within one admit and across two
-        for batches, admitted in (
-            ([[[1, 0], [0, 1], [1, 0], [2, 2]], [[0, 1], [3, 0]]], [[0, 1, 3], [1]]),
-            ([[[1, 0], [2, 2]], [[0, 1], [2, 2], [0, 1]]], [[0, 1], [0]]),
-        ):
-            keys = dyn._KeySet()
-            got = [keys.admit(np.array(b, dtype=np.int64)).tolist() for b in batches]
-            assert got == admitted
+    @pytest.mark.parametrize("convention", ["gl", "projective"])
+    @pytest.mark.parametrize("a", DORAN_MORGAN)
+    def test_ball_is_the_free_products_normal_form(self, a, convention):
+        # e1 = inf, so the triangle group is the free product <gamma0> * <gamma_inf>,
+        # and the ball holds each of its reduced words once
+        p = doran_morgan(a)
+        sig = fox.orbifold_signature(p, convention)
+        assert sig.e1 == INF
+        std, _ = mono.build_rep(p).standardized()
+        ball = dyn.enumerate_ball({"0": std.h0, "inf": std.hinf}, {"0": sig.e0, "inf": sig.einf}, 8)
+        assert len(ball) == reduced_word_count([sig.e0, sig.einf], 8)
+        assert len(set(ball_words(ball))) == len(ball)
 
-    def test_float_keys_refuse_overflow(self):
-        g = np.diag([1e6 + 0.5, 1.0 / (1e6 + 0.5)])
-        h = np.array([[1.0, 0.5], [0.0, 1.0]])
-        dyn.enumerate_ball({"g": g, "h": h}, {"g": INF, "h": INF}, 1)
-        with pytest.raises(ArithmeticError, match="level 2"):
-            dyn.enumerate_ball({"g": g, "h": h}, {"g": INF, "h": INF}, 2)
+    @pytest.mark.parametrize("convention, count", [("gl", 9), ("projective", 0)])
+    def test_octic_words_with_scalar_image(self, convention, count):
+        # under gl, h_inf has order 8 although h_inf^4 = -I: rho sends reduced words of
+        # Z * Z/8 to +-I (ROADMAP item 2); projective takes order 4, and none remain.
+        # Decided exactly on the integral Levelt frame.
+        hinf, h0 = mono.levelt_matrices(OCTIC)
+        sig = fox.orbifold_signature(OCTIC, convention)
+        ball = dyn.enumerate_ball({"0": h0, "inf": hinf}, {"0": sig.e0, "inf": sig.einf}, 8)
+        eye = np.eye(4)
+        scalar = np.all(ball.mats == eye, axis=(1, 2)) | np.all(ball.mats == -eye, axis=(1, 2))
+        hits = np.flatnonzero(scalar[1:]) + 1
+        assert len(hits) == count
+        if count:
+            assert ball_words(ball)[hits[0]] == (("inf", 4),)
 
 
 def _quintic_cusp_targets(count):
@@ -479,6 +492,14 @@ class TestLimitCurveSamples:
             ball, 1.0, h1=std.h1)]).tobytes()
         assert np.abs(got.points[0] - got.points[1]).max() < dyn.LIMIT_DEDUP_RES
 
+    @pytest.mark.parametrize("rows, first", [
+        ([[1, 0], [0, 1], [1, 0], [2, 2]], [0, 1, 3]),
+        ([[0, 1], [2, 2], [0, 1], [2, 2], [0, 1]], [0, 1]),
+        ([[5, -5]], [0]),
+    ], ids=["one-repeat", "two-rows-repeated", "one-row"])
+    def test_first_copies(self, rows, first):
+        assert dyn._first_copies(np.array(rows, dtype=np.int64)).tolist() == first
+
     def test_strided_stack_normalizes_row_by_row(self, limit_balls):
         # the stacked norm of the strided view u[:, :, 0] differs from the
         # per-row norm in the last bit on some rows, unless the helper copies
@@ -603,10 +624,6 @@ class TestSingularGaps:
         assert threading.active_count() == before
 
 
-# the 14 Doran-Morgan families alpha = (a1, a2, 1 - a2, 1 - a1), beta = 0^4
-DORAN_MORGAN = ["1/5,2/5", "1/2,1/2", "1/4,1/2", "1/8,3/8", "1/12,5/12", "1/3,1/2", "1/6,1/2",
-                "1/10,3/10", "1/3,1/3", "1/6,1/3", "1/4,1/4", "1/6,1/6", "1/4,1/3", "1/6,1/4"]
-
 # a unipotent with two Jordan blocks of size 2: e_i -> e_i + f_i, so h1 - id has rank 2
 TWO_BLOCK = np.eye(4)
 TWO_BLOCK[2, 0] = TWO_BLOCK[3, 1] = 1.0
@@ -623,9 +640,7 @@ def library_cusp_line(h1):
 class TestCuspLine:
     @pytest.mark.parametrize("a", DORAN_MORGAN)
     def test_line_is_fixed_and_spans_the_image(self, a):
-        a1, a2 = map(Fraction, a.split(","))
-        p = par.HypergeomParams(tuple(map(str, (a1, a2, 1 - a2, 1 - a1))), ("0",) * 4)
-        std, _ = mono.build_rep(p).standardized()
+        std, _ = mono.build_rep(doran_morgan(a)).standardized()
         line = library_cusp_line(std.h1)
         # the identity word's sample is the line, up to the sign of a zero entry
         assert np.array_equal(line, cusp_line(std.h1))
@@ -677,11 +692,14 @@ class TestAnosovCertificate:
 
     def test_sym3_gap_equals_distance(self):
         # For Sym^3 of a Fuchsian group, mu_1 - mu_2 = 2 log sigma_1 = dist(i, g i).
+        # (2, 3, inf) is Z/2 * Z/3 on gamma0 and gamma1, whose reduced words are
+        # distinct elements; on {"0", "inf"} it is no such free product.
         sig = fox.OrbifoldSignature(2, 3, INF)
         dom = fox.build_domain(sig)
-        fuchs = {"0": dom.gens["0"], "inf": dom.gens["inf"]}
+        fuchs = {"0": dom.gens["0"], "1": dom.gens["1"]}
         gens = {s: dyn.sym_cube(np.array(g).reshape(2, 2)) for s, g in fuchs.items()}
-        ball = dyn.enumerate_ball(gens, {"0": sig.e0, "inf": sig.einf}, 8, fuchs_gens=fuchs)
+        ball = dyn.enumerate_ball(gens, {"0": sig.e0, "1": sig.e1}, 16, fuchs_gens=fuchs)
+        assert len(ball) == 1786
         dists, gaps = dyn.frobenius_distances(ball), ball_gaps(ball)
         cert = dyn.anosov_certificate(dists, gaps)
         assert abs(cert.eps_hat - 1.0) < 1e-9

@@ -105,12 +105,13 @@ class TestIdealIdealVertex:
 class TestVeronese:
     def test_sym3_attracting_points_lie_on_veronese(self):
         # Sym^3 g = Sym^3(k1) diag(l^3, l, 1/l, 1/l^3) Sym^3(k2) with Sym^3(k)
-        # orthogonal, so its top left-singular direction is veronese(k1 e1).
+        # orthogonal, so its top left-singular direction is veronese(k1 e1).  The ball
+        # is on {"0", "1"}: (2, 3, inf) is Z/2 * Z/3 on gamma0 and gamma1.
         sig = _sig((2, 3, INF))
         dom = fox.build_domain(sig)
-        fuchs = {"0": dom.gens["0"], "inf": dom.gens["inf"]}
+        fuchs = {"0": dom.gens["0"], "1": dom.gens["1"]}
         gens = {s: dyn.sym_cube(np.array(g).reshape(2, 2)) for s, g in fuchs.items()}
-        ball = dyn.enumerate_ball(gens, {"0": sig.e0, "inf": sig.einf}, 8, fuchs_gens=fuchs)
+        ball = dyn.enumerate_ball(gens, {"0": sig.e0, "1": sig.e1}, 16, fuchs_gens=fuchs)
         samples = dyn.limit_curve_samples(ball, 1.0, None)
         attracting = samples.kinds == "attracting"
         assert attracting.sum() > 100
