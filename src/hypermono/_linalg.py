@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import threading
 
 import numpy as np
 
@@ -61,64 +60,54 @@ def singular_gaps(mats, top):
     some gaps.  Each matrix's SVD is its own LAPACK call, so the bits are those
     of one ``np.linalg.svd`` over the whole stack.
 
-    The chunks are computed ahead from the moment of the call: one worker
-    thread per further CPU of the process's affinity mask (numpy releases the
-    GIL in the SVD) claims them in stack order, one ``np.linalg.svd`` call
-    each.  The consumer takes chunk i in order; when no worker has claimed it,
-    the consumer computes it itself, and while a worker is still on it, the
-    consumer computes the next unclaimed chunk.  A stack of one chunk starts no
-    thread.  An exception of a chunk is raised when the consumer reaches that
-    chunk, after every thread has ended; closing the generator, or reaching its
-    end, also ends every thread.
+    The chunks are computed ahead from the moment of the call: a
+    ``ThreadPoolExecutor`` with one worker per further CPU of the process's
+    affinity mask (numpy releases the GIL in the SVD) is given every chunk, in
+    stack order, one ``np.linalg.svd`` call each.  The consumer takes chunk i
+    in order; while chunk i is not done, the consumer cancels the first chunk
+    that no worker has started and computes it itself.  One CPU or one chunk
+    starts no thread, and imports no thread pool.  An exception of a chunk is
+    raised when the consumer reaches that chunk, after every thread has ended;
+    closing the started generator, or reaching its end, also ends every
+    thread, and a chunk is freed once it has been yielded.
     """
-    chunks = _gap_chunks(mats, top)
-    next(chunks)  # runs to the first yield: the workers start now
-    return chunks
-
-
-def _gap_chunks(mats, top):
     n_chunks = -(-len(mats) // SVD_CHUNK)
-    svds = [None] * n_chunks  # each chunk's np.linalg.svd, or the exception it raised
-    done = [threading.Lock() for _ in range(n_chunks)]  # released once svds[i] is set
-    for d in done:
-        d.acquire()
-    claims, lock = iter(range(n_chunks)), threading.Lock()
-
-    def claim():
-        with lock:  # each chunk goes to one thread, in stack order
-            return next(claims, None)
-
-    def run(i):
-        try:
-            svds[i] = np.linalg.svd(mats[i * SVD_CHUNK:(i + 1) * SVD_CHUNK], compute_uv=top)
-        except Exception as exc:  # the consumer raises it in chunk order, and still gets done[i]
-            svds[i] = exc
-        done[i].release()
-
-    def work():
-        while (i := claim()) is not None:
-            run(i)
-
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = [threading.Thread(target=work) for _ in range(min(cpus or 1, n_chunks) - 1)]
-    for t in threads:
-        t.start()
-    try:
-        yield
-        for i in range(n_chunks):
-            while not done[i].acquire(blocking=False):
-                if (j := claim()) is None:  # every chunk is claimed: wait for chunk i
-                    done[i].acquire()
-                    break
-                run(j)
-            svd, svds[i] = svds[i], None
-            if isinstance(svd, Exception):
-                raise svd
-            s = svd[1] if top else svd
-            yield np.log(s[:, 0]) - np.log(s[:, 1]), svd[0][:, :, 0] if top else None
-    finally:
-        with lock:  # no chunk is claimed after this; the workers end after their current one
-            for _ in claims:
-                pass
-        for t in threads:
-            t.join()
+    workers = min(cpus or 1, n_chunks) - 1
+    closed = False
+
+    def svd(i):
+        if not closed:  # a chunk that a worker reaches after close is skipped
+            return np.linalg.svd(mats[i * SVD_CHUNK:(i + 1) * SVD_CHUNK], compute_uv=top)
+
+    def gaps(result):
+        s = result[1] if top else result
+        return np.log(s[:, 0]) - np.log(s[:, 1]), result[0][:, :, 0] if top else None
+
+    if workers < 1:
+        return (gaps(svd(i)) for i in range(n_chunks))
+    from concurrent.futures import Future, ThreadPoolExecutor  # about 5 ms, paid only here
+
+    pool = ThreadPoolExecutor(workers)
+    futures = [pool.submit(svd, i) for i in range(n_chunks)]
+
+    def stream():
+        nonlocal closed
+        try:
+            for i in range(n_chunks):
+                j = i
+                while not futures[i].done() and j < n_chunks:
+                    if futures[j].cancel():  # no worker has started chunk j
+                        futures[j] = Future()
+                        try:
+                            futures[j].set_result(svd(j))
+                        except Exception as exc:  # raised when the consumer reaches chunk j
+                            futures[j].set_exception(exc)
+                    j += 1
+                chunk, futures[i] = futures[i], None
+                yield gaps(chunk.result())
+        finally:
+            closed = True
+            pool.shutdown(cancel_futures=True)
+
+    return stream()

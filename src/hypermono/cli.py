@@ -300,8 +300,6 @@ def cmd_limitset(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
-    if args.seed is None:
-        raise ValueError("--seed is mandatory for stochastic commands")
     degrees = [float(x) for x in args.rhs_degrees.split(",")] if args.rhs_degrees else None
     p = _parse_params(args) if args.params or args.rep == "params" else None
     if p is not None:
@@ -350,7 +348,7 @@ OPTIONS = {
     "--no-timestamp": dict(action="store_true"),
     "--T": dict(type=float, default=1e4, help="geodesic length per trajectory"),
     "--ntraj": dict(type=int, default=50),
-    "--seed": dict(type=int),
+    "--seed": dict(type=int, required=True),
     "--rep": dict(choices=("params", "fuchsian", "sym3"), default="params"),
     "--rhs-degrees": dict(help="comma list of extension degrees for the sum formula"),
 }

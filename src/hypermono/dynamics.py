@@ -423,8 +423,8 @@ def lyapunov_mc(
     exactly when its log sum ends non-finite; the kept rows of
     ``per_trajectory`` stay in seed order.
     """
-    if not 0 < T < math.inf or n_traj <= 0:
-        raise ValueError("T must be positive and finite, and n_traj positive")
+    if not 0 < T < math.inf or n_traj <= 0 or seed < 0:
+        raise ValueError("T must be positive and finite, n_traj positive, and seed non-negative")
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
     # step 3 + 3i + j is the pair (i, j): rho(r_j) rho(r_i)

@@ -394,8 +394,16 @@ class TestLyapunov:
         assert summary["n_discarded"] == 0 and len(summary["exponents"]) == 4
 
     def test_seed_is_mandatory(self, capsys):
-        assert cli.main(self.ARGV) == 2
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.ARGV)
+        assert exc.value.code == 2
+        assert "required: --seed" in capsys.readouterr().err
+
+    def test_negative_seed_is_refused(self, capsys):
+        # numpy's own refusal, "expected non-negative integer", names no option
+        assert cli.main(self.ARGV + ["--seed", "-1"]) == 2
+        assert "error: T must be positive and finite, n_traj positive, and seed non-negative" in (
+            capsys.readouterr().err)
 
     def test_rhs_degrees_evaluates_comparison(self, tmp_path, capsys):
         path = tmp_path / "lyap.json"

@@ -1,7 +1,10 @@
+import gc
 import math
 import os
 import sys
 import threading
+import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -591,12 +594,30 @@ class TestSingularGaps:
         mats = limit_balls["octic"][0].mats[:23]
         before = set(threading.enumerate())
         stream = _linalg.singular_gaps(mats, False)
-        for worker in set(threading.enumerate()) - before:
-            worker.join(timeout=10)
-            assert not worker.is_alive()
+        deadline = time.monotonic() + 10
+        while len(svd_calls) < 5 and time.monotonic() < deadline:
+            time.sleep(0.001)
         assert len(svd_calls) == 5  # the workers took every chunk, and left the consumer none
         assert sum(len(g) for g, _ in stream) == 23
         assert len(svd_calls) == 5 and set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("top", [False, True])
+    def test_consumed_chunks_are_freed(self, limit_balls, svd_calls, monkeypatch, top):
+        # the stream holds no chunk's singular values once it has yielded that chunk
+        mats = limit_balls["octic"][0].mats[:23]
+        base, svd, refs = mats.__array_interface__["data"][0], np.linalg.svd, {}
+
+        def watched_svd(a, *args, **kwargs):
+            result = svd(a, *args, **kwargs)
+            chunk = (a.__array_interface__["data"][0] - base) // mats.strides[0] // 5
+            refs[chunk] = weakref.ref(result[1] if top else result)
+            return result
+
+        monkeypatch.setattr(np.linalg, "svd", watched_svd)
+        for k, _ in enumerate(_linalg.singular_gaps(mats, top)):
+            gc.collect()
+            assert [j for j in range(k) if refs[j]() is not None] == []  # chunks still held
+        assert sorted(refs) == list(range(5))
 
     @pytest.mark.parametrize("top", [False, True])
     def test_close_after_first_chunk_ends_every_thread(self, limit_balls, svd_calls, top):
