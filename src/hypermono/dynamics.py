@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
+# np.linalg.qr's gufuncs; test_matches_per_event_loop and test_all_discarded_raises guard them
+from numpy.linalg import _umath_linalg
 
 from ._linalg import _rank_cut, projective_normalize, singular_gaps
 from .fuchsian import IDENT, INF, OrbifoldSignature, geodesic_sample, mat_inv
@@ -416,12 +418,14 @@ def lyapunov_mc(
 
     All trajectories are transported in lock step: each step is one stacked
     matmul and one stacked QR over the trajectories that still have steps,
-    which, sorted longest first, are a prefix of the stack.  Stacked ``@``
-    and ``np.linalg.qr`` act on each matrix as the 2-D calls do, so the
-    results equal one-at-a-time transport bit for bit.  A trajectory is
-    discarded when some R has a zero or non-finite diagonal entry, which is
-    exactly when its log sum ends non-finite; the kept rows of
-    ``per_trajectory`` stay in seed order.
+    which, sorted longest first, are a prefix of the stack.  The QR calls the
+    two gufuncs behind ``np.linalg.qr`` directly, in place and without the
+    wrapper's copy and checks, so it gives that function's bits.  Stacked
+    matmul and QR act on each matrix as the 2-D calls do, so the results
+    equal one-at-a-time transport with ``np.linalg.qr`` bit for bit.  A
+    trajectory is discarded when some R has a zero or non-finite diagonal
+    entry, which is exactly when its log sum ends non-finite; the kept rows
+    of ``per_trajectory`` stay in seed order.
     """
     if not 0 < T < math.inf or n_traj <= 0 or seed < 0:
         raise ValueError("T must be positive and finite, n_traj positive, and seed non-negative")
@@ -446,10 +450,14 @@ def lyapunov_mc(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(n_traj, 0, -1):
             frame, log, start = frames[:k], logs[:k], starts[:k]
+            a = np.empty_like(frame)
+            diag = a.diagonal(axis1=1, axis2=2)
             for j in range(ends[k], ends[k - 1]):
-                q, r = np.linalg.qr(steps[flat[start + j]] @ frame)
-                frame[...] = q
-                log += np.log(np.abs(r.diagonal(axis1=1, axis2=2)))
+                np.matmul(steps[flat[start + j]], frame, out=a)
+                # Householder QR in place: R's upper triangle overwrites a, Q goes to frame
+                tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+                _umath_linalg.qr_reduced(a, tau, signature="dd->d", out=frame)
+                log += np.log(np.abs(diag))
     per = np.empty_like(logs)
     per[order] = logs
     per = per[np.isfinite(per).all(axis=1)] / t_each

@@ -285,9 +285,11 @@ def geodesic_sample(
     again.  Deterministic per seed: ``seed`` goes to ``np.random.default_rng``,
     and ``lyapunov_mc`` passes one spawned ``SeedSequence`` per trajectory.
     """
-    if total_time < 0:
-        raise ValueError("total_time must be >= 0")
+    if not 0 <= total_time < INF:
+        raise ValueError("total_time must be finite and >= 0")
     mirrors = [_mirror(r) for r in build_domain(sig).reflections]
+    # others[last]: the mirrors that may be crossed next; code order keeps the lower code on a tie
+    others = [[(code, n) for code, n in enumerate(mirrors) if code != last] for last in range(3)]
     rng = np.random.default_rng(seed)
     phi = float(rng.uniform(0.0, math.pi))
     # i lies on the mirror of r_b; the tangent points into Re z > 0
@@ -298,8 +300,8 @@ def geodesic_sample(
     codes = bytearray()
     while True:
         best_t = INF
-        for code, (n0, n1, n2) in enumerate(mirrors):
-            if code == last or (vn := v0 * n0 + v1 * n1 - v2 * n2) == 0.0:
+        for code, (n0, n1, n2) in others[last]:
+            if (vn := v0 * n0 + v1 * n1 - v2 * n2) == 0.0:
                 continue
             ratio = -(x0 * n0 + x1 * n1 - x2 * n2) / vn
             if 0.0 < ratio < 1.0 and (t := math.atanh(ratio)) < best_t:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hypermono import fuchsian as fox
 from hypermono._linalg import projective_normalize
 
 
@@ -88,3 +89,42 @@ def veronese(v):
     s, t = float(v[0]), float(v[1])
     r3 = math.sqrt(3.0)
     return projective_normalize(np.array([s**3, r3 * s * s * t, r3 * s * t * t, t**3]))
+
+
+def geodesic_codes(sig, seed, total_time) -> bytes:
+    """``geodesic_sample``'s mirror codes, by the loop that tests every mirror but the last."""
+    mirrors = [fox._mirror(r) for r in fox.build_domain(sig).reflections]
+    rng = np.random.default_rng(seed)
+    phi = float(rng.uniform(0.0, math.pi))
+    x0, x1, x2 = 0.0, 0.0, 1.0
+    v0, v1, v2 = -math.sin(phi), math.cos(phi), 0.0
+    last = 1
+    t_now = 0.0
+    codes = bytearray()
+    while True:
+        best_t = math.inf
+        for code, (n0, n1, n2) in enumerate(mirrors):
+            if code == last or (vn := v0 * n0 + v1 * n1 - v2 * n2) == 0.0:
+                continue
+            ratio = -(x0 * n0 + x1 * n1 - x2 * n2) / vn
+            if 0.0 < ratio < 1.0 and (t := math.atanh(ratio)) < best_t:
+                best_t, best = t, code
+        if best_t == math.inf:
+            raise RuntimeError("geodesic found no exit mirror (corner hit?)")
+        last = best
+        t_now += best_t
+        if t_now >= total_time:
+            return bytes(codes)
+        ch, sh = math.cosh(best_t), math.sinh(best_t)
+        x0, x1, x2, v0, v1, v2 = (ch * x0 + sh * v0, ch * x1 + sh * v1, ch * x2 + sh * v2,
+                                  sh * x0 + ch * v0, sh * x1 + ch * v1, sh * x2 + ch * v2)
+        n0, n1, n2 = mirrors[last]
+        s = 2.0 * (v0 * n0 + v1 * n1 - v2 * n2)
+        v0, v1, v2 = v0 - s * n0, v1 - s * n1, v2 - s * n2
+        k = 1.0 / math.sqrt(x2 * x2 - x0 * x0 - x1 * x1)
+        x0, x1, x2 = k * x0, k * x1, k * x2
+        s = x0 * v0 + x1 * v1 - x2 * v2
+        v0, v1, v2 = v0 + s * x0, v1 + s * x1, v2 + s * x2
+        k = 1.0 / math.sqrt(v0 * v0 + v1 * v1 - v2 * v2)
+        v0, v1, v2 = k * v0, k * v1, k * v2
+        codes.append(last)

@@ -795,6 +795,7 @@ class TestLyapunovMC:
             ("fuchsian", 300, 5, 11, 0),
             ("quintic", 200, 4, 2, 0),
             ("fuchsian", 50, 1, 4, 0),
+            ("rank5", 200, 4, 2, 0),
             ("partial_discard", 4, 8, 0, 5),
         ],
     )

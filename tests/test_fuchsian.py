@@ -10,7 +10,7 @@ from hypermono import dynamics as dyn
 from hypermono import fuchsian as fox
 from hypermono import params as par
 from hypermono.fuchsian import INF, IDENT, mat_det, mat_mul
-from oracles import frobenius_distance, hyp_distance, veronese
+from oracles import frobenius_distance, geodesic_codes, hyp_distance, veronese
 
 
 def _sig(e):
@@ -69,6 +69,19 @@ class TestGeodesicSample:
         events = fox.geodesic_sample(_sig(e), 3, 200.0).events
         assert set(events) == {0, 1, 2}
         assert all(a != b for a, b in zip(events, events[1:]))
+
+    @pytest.mark.parametrize("e", SIGNATURES)
+    def test_codes_match_reference_loop(self, e):
+        # the sampler skips the mirror just crossed by a table of the other two
+        sig = _sig(e)
+        for seed in range(8):
+            assert fox.geodesic_sample(sig, seed, 400.0).events == geodesic_codes(sig, seed, 400.0)
+
+    @pytest.mark.parametrize("total_time", [-1.0, math.nan, math.inf])
+    def test_non_finite_or_negative_time_refused(self, total_time):
+        # with nan or inf, t_now >= total_time never holds and the loop would not end
+        with pytest.raises(ValueError, match="total_time must be finite and >= 0"):
+            fox.geodesic_sample(_sig((2, 3, INF)), 1, total_time)
 
 
 class TestDistances:
