@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-# np.linalg.qr's gufuncs; test_matches_per_event_loop and test_all_discarded_raises guard them
+# np.linalg.qr's private gufuncs in numpy >= 2.4.6 (the floor in pyproject.toml);
+# test_matches_per_event_loop and test_all_discarded_raises guard them
 from numpy.linalg import _umath_linalg
 
 from ._linalg import _rank_cut, projective_normalize, singular_gaps
