@@ -68,8 +68,8 @@ def singular_gaps(mats, top):
     that no worker has started and computes it itself.  One CPU or one chunk
     starts no thread, and imports no thread pool.  An exception of a chunk is
     raised when the consumer reaches that chunk, after every thread has ended;
-    closing the started generator, or reaching its end, also ends every
-    thread, and a chunk is freed once it has been yielded.
+    closing the generator, before its first chunk too, or reaching its end,
+    also ends every thread, and a chunk is freed once it has been yielded.
     """
     n_chunks = -(-len(mats) // SVD_CHUNK)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -94,6 +94,7 @@ def singular_gaps(mats, top):
     def stream():
         nonlocal closed
         try:
+            yield  # taken below, so that a close before the first chunk runs the finally
             for i in range(n_chunks):
                 j = i
                 while not futures[i].done() and j < n_chunks:
@@ -110,4 +111,6 @@ def singular_gaps(mats, top):
             closed = True
             pool.shutdown(cancel_futures=True)
 
-    return stream()
+    chunks = stream()
+    next(chunks)
+    return chunks

@@ -75,11 +75,16 @@ def _ball_inputs(args, p):
     return sig, std, gen_mats, orders, fuchs
 
 
-def _write_lines(fh, lines):
-    """Write each line and a newline, ``CSV_BLOCK`` lines per write."""
+def _text_blocks(lines):
+    """The text of each line and a newline, ``CSV_BLOCK`` lines per string."""
     lines = iter(lines)
     while block := list(itertools.islice(lines, CSV_BLOCK)):
-        fh.write("\n".join(block) + "\n")
+        yield "\n".join(block) + "\n"
+
+
+def _write_lines(fh, lines):
+    """Write each line and a newline, ``CSV_BLOCK`` lines per write."""
+    fh.writelines(_text_blocks(lines))
 
 
 @contextlib.contextmanager
@@ -231,13 +236,12 @@ def _parse_proj(text):
     return mat
 
 
-def _csv_lines(points, gaps, kinds):
-    """The lines of the limitset CSV, made ``CSV_BLOCK`` rows at a time as they are read."""
-    yield "x0,x1,x2,x3,gap,kind"
-    for start in range(0, len(points), CSV_BLOCK):
+def _csv_rows(samples):
+    """The limitset CSV rows of ``samples``, made ``CSV_BLOCK`` rows at a time as they are read."""
+    for start in range(0, len(samples), CSV_BLOCK):
         block = slice(start, start + CSV_BLOCK)
-        columns = [map(repr, col) for col in points[block].T.tolist()]
-        columns += [map(repr, gaps[block].tolist()), kinds[block].tolist()]
+        columns = [map(repr, col) for col in samples.points[block].T.tolist()]
+        columns += [map(repr, samples.gaps[block].tolist()), samples.kinds[block].tolist()]
         yield from map(",".join, zip(*columns))
 
 
@@ -272,30 +276,57 @@ def _svg_scatter(points, kinds, proj_desc, timestamp):
 
 
 def cmd_limitset(args) -> int:
+    """Limit-curve samples of the word ball as an (x0, x1, x2, x3, gap, kind) CSV, on
+    stdout or, with --out, in a CSV and an SVG scatter.
+
+    Every option is checked before the first byte is written.  The ball's SVDs
+    start inside ``limit_curve_samples``, as the stream of ``singular_gaps``,
+    which hands each block of samples here as soon as it is final: the cusp
+    rows, which need no SVD, are formatted while the SVDs run and held, and the
+    attracting rows of each chunk are written as that chunk's SVDs land.  The
+    cusp rows follow the last attracting row, and the SVG is written from the
+    returned samples.  With --out the CSV and SVG go through nested
+    ``_whole_file`` blocks, so a run that fails partway (a ``LinAlgError`` in
+    some chunk, or a file that cannot be written) leaves neither file and no
+    thread behind.  On stdout a numerical failure can come after some rows;
+    the run still exits 3.
+    """
     kinds = {k.strip() for k in args.kinds.split(",") if k.strip()}
     if not kinds or not kinds <= {"attracting", "cusp"}:
         raise ValueError(f"--kinds takes attracting and cusp, not {args.kinds!r}")
+    if not args.gap_min > 0:
+        raise ValueError("--gap-min must be positive")
     proj = _parse_proj(args.proj)
     p = _parse_params(args)
     sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
+    gap_min = args.gap_min if "attracting" in kinds else None
     h1 = std.h1 if "cusp" in kinds else None
-    # the ball is not bound here, so it is freed once the samples are taken
-    samples = dynamics.limit_curve_samples(dynamics.enumerate_ball(gen_mats, orders, args.L),
-                                           args.gap_min, h1=h1)
-    keep = np.isin(samples.kinds, list(kinds))
-    points, gaps, sample_kinds = samples.points[keep], samples.gaps[keep], samples.kinds[keep]
-    csv_lines = _csv_lines(points, gaps, sample_kinds)
-    if args.out:
-        # the stacked matmul gives proj @ p of each row bit for bit; points @ proj.T does not
-        pts2 = (proj[None] @ points[:, :, None])[:, :, 0]
-        # nested: the SVG is renamed into place just before the CSV, so neither appears alone
-        with _whole_file(args.out + ".csv") as csv, _whole_file(args.out + ".svg") as svg:
-            _write_lines(csv, csv_lines)
-            _write_lines(svg, _svg_scatter(pts2, sample_kinds, args.proj,
+    cusp_text = []
+
+    def sink(kind, block):
+        if kind == "cusp":
+            cusp_text.extend(_text_blocks(_csv_rows(block)))
+        else:
+            _write_lines(csv, _csv_rows(block))
+
+    with contextlib.ExitStack() as files:
+        if args.out:
+            # nested: the SVG is renamed into place just before the CSV, so neither appears alone
+            csv, svg = (files.enter_context(_whole_file(args.out + s)) for s in (".csv", ".svg"))
+        else:
+            csv = sys.stdout
+        csv.write("x0,x1,x2,x3,gap,kind\n")
+        # the ball is not bound here, so it is freed once the samples are taken
+        samples = dynamics.limit_curve_samples(
+            dynamics.enumerate_ball(gen_mats, orders, args.L), gap_min, h1, sink)
+        csv.writelines(cusp_text)
+        cusp_text.clear()
+        if args.out:
+            # the stacked matmul gives proj @ p of each row bit for bit; points @ proj.T does not
+            pts2 = (proj[None] @ samples.points[:, :, None])[:, :, 0]
+            _write_lines(svg, _svg_scatter(pts2, samples.kinds, args.proj,
                                            timestamp=not args.no_timestamp))
-    else:
-        _write_lines(sys.stdout, csv_lines)
-    print(f"# {len(points)} samples", file=sys.stderr)
+    print(f"# {len(samples)} samples", file=sys.stderr)
     return 0
 
 

@@ -8,9 +8,10 @@ reflections in any frame.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 # np.linalg.qr's private gufuncs in numpy >= 2.4.6 (the floor in pyproject.toml);
@@ -202,15 +203,16 @@ def enumerate_ball(
 # --- limit curve ---------------------------------------------------------------
 
 
-def _first_copies(keys):
-    """Indices (increasing) of the first copy of each distinct row of the int64 array ``keys``.
+def _first_copies(keys, seen):
+    """Indices (increasing) of the first copy of each row of the int64 array ``keys``
+    that is not in the set ``seen``, to which the kept rows are added.
 
     Rows are compared as their bytes.  The set only tests membership, so the
     hash seed cannot change which rows are kept.
     """
     keys = np.ascontiguousarray(keys)
     rows = keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel().tolist()
-    seen, first = set(), []
+    first = []
     for i, row in enumerate(rows):
         if row not in seen:
             seen.add(row)
@@ -236,42 +238,65 @@ class LimitSamples:
         return len(self.index)
 
 
-def limit_curve_samples(ball: WordBall, gap_min: float, h1: Optional[np.ndarray]) -> LimitSamples:
+def limit_curve_samples(
+    ball: WordBall,
+    gap_min: Optional[float],
+    h1: Optional[np.ndarray],
+    sink: Callable[[str, LimitSamples], None],
+) -> LimitSamples:
     """Boundary-curve samples from a word ball.
 
-    Attracting points are top left-singular directions of elements with
-    alpha_1-gap >= gap_min.  Cusp points, when ``h1`` is given, are the ball
-    translates of the cusp line im(h1 - id), taken as the top left-singular
-    vector of h1 - id: h1 is a transvection (Levelt: h1 - id has rank 1), so
-    the line is fixed by h1 and attracts under its powers.  A ``ValueError``
-    is raised unless ``_rank_cut`` counts exactly one singular value of
-    h1 - id, the rank ``monodromy_at_one`` reports.  Every point is put
-    through ``projective_normalize``.
+    Attracting points, when ``gap_min`` is given, are top left-singular
+    directions of elements with alpha_1-gap >= gap_min.  Cusp points, when
+    ``h1`` is given, are the ball translates of the cusp line im(h1 - id),
+    taken as the top left-singular vector of h1 - id: h1 is a transvection
+    (Levelt: h1 - id has rank 1), so the line is fixed by h1 and attracts under
+    its powers.  A ``ValueError`` is raised unless ``_rank_cut`` counts exactly
+    one singular value of h1 - id, the rank ``monodromy_at_one`` reports.
+    Every point is put through ``projective_normalize``.
 
     Order: the attracting samples in ball order, then the cusp samples in
     ball order.  Each kind is deduplicated on its own: of several points of
     one kind that round to the same point of the ``LIMIT_DEDUP_RES`` grid,
     only the first is kept.
 
-    The ball's SVDs run in chunks on every CPU of the process's affinity mask
-    (``taskset`` limits them), with the bytes of one call over the whole ball.
+    ``sink(kind, block)`` gets each block of samples as soon as it is final,
+    after every argument has been checked: first the cusp samples, which need
+    no SVD, then the attracting samples of each SVD chunk, in ball order.  The
+    attracting blocks and then the cusp block, concatenated, are the samples
+    returned.  The ball's SVDs are the stream of ``singular_gaps``, started
+    before the cusp samples are computed: they run in chunks on every CPU of
+    the process's affinity mask (``taskset`` limits them), with the bytes of
+    one call over the whole ball.  Without ``gap_min`` no SVD runs.
     """
-    if not gap_min > 0:
+    if gap_min is None and h1 is None:
+        raise ValueError("no sample kind: give gap_min, h1 or both")
+    if gap_min is not None and not gap_min > 0:
         raise ValueError("gap_min must be positive")
-    gaps, tops = map(np.concatenate, zip(*singular_gaps(ball.mats, top=True)))
-    idx = np.flatnonzero(gaps >= gap_min)
-    parts = [("attracting", idx, tops[idx], gaps[idx])]
     if h1 is not None:
         u1, s1, _ = np.linalg.svd(h1 - np.eye(len(h1)))
         if (rank := _rank_cut(s1)) != 1:
             raise ValueError(f"h1 - id has rank {rank}, not 1: h1 is no transvection")
         line = projective_normalize(u1[:, 0])
-        parts.append(("cusp", np.arange(len(ball)), ball.mats @ line, np.zeros(len(ball))))
-    columns = []  # (points, gaps, kinds, index) of each kind
-    for kind, idx, vecs, kind_gaps in parts:
+    blocks = {"attracting": [], "cusp": []}
+
+    def emit(kind, idx, vecs, kind_gaps, seen):
         v = projective_normalize(vecs)
-        first = _first_copies(np.round(v / LIMIT_DEDUP_RES).astype(np.int64))
-        columns.append((v[first], kind_gaps[first], np.full(len(first), kind), idx[first]))
+        first = _first_copies(np.round(v / LIMIT_DEDUP_RES).astype(np.int64), seen)
+        block = LimitSamples(v[first], kind_gaps[first], np.full(len(first), kind), idx[first])
+        blocks[kind].append(block)
+        sink(kind, block)
+
+    attracting = ball.mats if gap_min is not None else ball.mats[:0]
+    with contextlib.closing(singular_gaps(attracting, top=True)) as chunks:
+        if h1 is not None:
+            emit("cusp", np.arange(len(ball)), ball.mats @ line, np.zeros(len(ball)), set())
+        seen, start = set(), 0
+        for gaps, tops in chunks:
+            idx = np.flatnonzero(gaps >= gap_min)
+            emit("attracting", start + idx, tops[idx], gaps[idx], seen)
+            start += len(gaps)
+    columns = [(b.points, b.gaps, b.kinds, b.index) for b in blocks["attracting"] + blocks["cusp"]]
     return LimitSamples(*map(np.concatenate, zip(*columns)))
 
 
@@ -432,8 +457,6 @@ def lyapunov_mc(
         raise ValueError("T must be positive and finite, n_traj positive, and seed non-negative")
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
-    # step 3 + 3i + j is the pair (i, j): rho(r_j) rho(r_i)
-    steps = np.stack(mats + [mats[j] @ mats[i] for i in range(3) for j in range(3)])
     t_each = T / n_traj
     paired = []
     for sq in np.random.SeedSequence(seed).spawn(n_traj):
@@ -449,6 +472,8 @@ def lyapunov_mc(
     frames = np.tile(np.eye(n), (n_traj, 1, 1))
     logs = np.zeros((n_traj, n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # step 3 + 3i + j is the pair (i, j): rho(r_j) rho(r_i)
+        steps = np.stack(mats + [mats[j] @ mats[i] for i in range(3) for j in range(3)])
         for k in range(n_traj, 0, -1):
             frame, log, start = frames[:k], logs[:k], starts[:k]
             a = np.empty_like(frame)

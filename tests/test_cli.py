@@ -121,10 +121,13 @@ class TestExitCodes:
         assert cli.main(["certify", "--params", params, "--L", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["nan", "svd"])
-    def test_failed_chunk_leaves_no_partial_csv(self, tmp_path, capsys, monkeypatch, fault):
+    @pytest.mark.parametrize("command, fault", [
+        ("certify", "nan"), ("certify", "svd"), ("limitset", "svd"),
+    ], ids=["nan", "svd", "limitset-svd"])
+    def test_failed_chunk_leaves_no_partial_csv(self, tmp_path, capsys, monkeypatch, command,
+                                                fault):
         # quintic L=9 has four SVD chunks; the third fails after the rows of the
-        # first two are written, and the CSV of an earlier run is left as it was
+        # first two are written, and the files of an earlier run are left as they were
         third, balls = 2 * _linalg.SVD_CHUNK, []
         enumerate_ball, svd = dynamics.enumerate_ball, np.linalg.svd
 
@@ -148,14 +151,16 @@ class TestExitCodes:
             write_lines(fh, lines)
 
         monkeypatch.setattr(cli, "_write_lines", counted_write)
-        (tmp_path / "out.csv").write_text("earlier run\n")
+        earlier = ["out.csv"] + ["out.svg"] * (command == "limitset")
+        for name in earlier:
+            (tmp_path / name).write_text("earlier run\n")
         before = threading.active_count()
-        argv = ["certify", "--params", QUINTIC, "--L", "9", "--out", str(tmp_path / "out")]
+        argv = [command, "--params", QUINTIC, "--L", "9", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert blocks == [str(tmp_path / "out.csv.part")] * 2
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-        assert (tmp_path / "out.csv").read_text() == "earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == earlier
+        assert all((tmp_path / name).read_text() == "earlier run\n" for name in earlier)
         assert threading.active_count() == before
 
     def test_depth_option_removed(self, capsys):
@@ -467,6 +472,21 @@ def test_cli_import_leaves_out_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False False False"
+
+
+@pytest.mark.parametrize("kinds, ball_svds", [("cusp", False), ("attracting,cusp", True)])
+def test_cusp_kind_runs_no_ball_svd(kinds, ball_svds, capsys, monkeypatch):
+    # without attracting samples no gap is needed, and no SVD of a stack of ball matrices runs
+    svd, stacks = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kwargs):
+        stacks.append(np.ndim(a) == 3)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert cli.main(["limitset", "--params", QUINTIC, "--L", "6", "--kinds", kinds]) == 0
+    assert any(stacks) == ball_svds
+    assert "kind" in capsys.readouterr().out
 
 
 def test_one_chunk_certify_starts_no_thread():

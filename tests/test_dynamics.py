@@ -431,6 +431,24 @@ def per_sample_limit_curve(ball, gap_min, h1=None):
     return out
 
 
+def streamed_limit_curve(ball, gap_min, h1):
+    """``limit_curve_samples``, checked against the blocks its sink got: the cusp block
+    first, then one attracting block per SVD chunk, each of one kind, which put back
+    in output order (attracting, then cusp) are the returned samples byte for byte."""
+    blocks = []
+    got = dyn.limit_curve_samples(ball, gap_min, h1, lambda *kb: blocks.append(kb))
+    kinds = [kind for kind, _ in blocks]
+    n_chunks = -(-len(ball) // _linalg.SVD_CHUNK) if gap_min is not None else 0
+    assert kinds == ["cusp"] * (h1 is not None) + ["attracting"] * n_chunks
+    assert all(set(block.kinds.tolist()) <= {kind} for kind, block in blocks)
+    ordered = [b for kind in ("attracting", "cusp") for k, b in blocks if k == kind]
+    for field in ("points", "gaps", "kinds", "index"):
+        joined = np.concatenate([getattr(b, field) for b in ordered])
+        assert joined.dtype == getattr(got, field).dtype
+        assert joined.tobytes() == getattr(got, field).tobytes()
+    return got
+
+
 def mats_ball(mats):
     """A ball of the given matrices, for ``limit_curve_samples``, which reads no word."""
     blank = np.full(len(mats), -1)
@@ -453,7 +471,7 @@ class TestLimitCurveSamples:
     def test_sample_words_are_ball_words(self, mq):
         # a cusp sample is the translate g.l of the cusp line l, so its word is g's
         ball, std, _ = ball_for(mq, 5)
-        samples = dyn.limit_curve_samples(ball, 1.0, h1=std.h1)
+        samples = streamed_limit_curve(ball, 1.0, std.h1)
         assert set(samples.kinds.tolist()) == {"attracting", "cusp"}
         assert 0 <= samples.index.min() and samples.index.max() < len(ball)
         line = cusp_line(std.h1)
@@ -465,15 +483,18 @@ class TestLimitCurveSamples:
     @pytest.mark.parametrize("family", list(LIMIT_FAMILIES))
     @pytest.mark.parametrize("gap_min", [1.0, 2.0, 1e3])
     @pytest.mark.parametrize("cusp", [False, True])
-    def test_matches_per_sample_loop(self, limit_balls, family, gap_min, cusp):
+    def test_matches_per_sample_loop(self, limit_balls, monkeypatch, family, gap_min, cusp):
         ball, std = limit_balls[family]
-        got = dyn.limit_curve_samples(ball, gap_min, h1=std.h1 if cusp else None)
         want = per_sample_limit_curve(ball, gap_min, h1=std.h1 if cusp else None)
-        assert len(got) == len(want) and got.points.shape == (len(want), 4)
-        assert got.points.tobytes() == np.array([w[0] for w in want]).tobytes()
-        assert got.gaps.tobytes() == np.array([w[2] for w in want], dtype=float).tobytes()
-        assert got.kinds.tolist() == [w[3] for w in want]
-        assert got.index.tolist() == [w[1] for w in want]
+        # chunks of 64 matrices put first copies and their repeats in different chunks
+        for chunk in (_linalg.SVD_CHUNK, 64):
+            monkeypatch.setattr(_linalg, "SVD_CHUNK", chunk)
+            got = streamed_limit_curve(ball, gap_min, std.h1 if cusp else None)
+            assert len(got) == len(want) and got.points.shape == (len(want), 4)
+            assert got.points.tobytes() == np.array([w[0] for w in want]).tobytes()
+            assert got.gaps.tobytes() == np.array([w[2] for w in want], dtype=float).tobytes()
+            assert got.kinds.tolist() == [w[3] for w in want]
+            assert got.index.tolist() == [w[1] for w in want]
         attracting = got.kinds == "attracting"
         if gap_min == 1e3:  # above every gap of the ball
             assert not attracting.any()
@@ -481,7 +502,7 @@ class TestLimitCurveSamples:
             assert attracting.sum() > 100
         assert (not attracting.all()) == cusp
 
-    def test_dedup_is_per_kind_first_copy(self, limit_balls):
+    def test_dedup_is_per_kind_first_copy(self, limit_balls, monkeypatch):
         # two copies of one matrix whose attracting point is the cusp line l, which
         # it fixes: each kind keeps its first copy, and the kinds do not share keys
         _, std = limit_balls["quintic"]
@@ -489,11 +510,19 @@ class TestLimitCurveSamples:
         q, _ = np.linalg.qr(np.column_stack([line, np.eye(4)[:, :3]]))
         m = q @ np.diag([20.0, 2.0, 0.5, 0.05]) @ q.T
         ball = mats_ball(np.stack([m, m]))
-        got = dyn.limit_curve_samples(ball, 1.0, h1=std.h1)
-        assert got.kinds.tolist() == ["attracting", "cusp"] and got.index.tolist() == [0, 0]
-        assert got.points.tobytes() == np.array([w[0] for w in per_sample_limit_curve(
-            ball, 1.0, h1=std.h1)]).tobytes()
-        assert np.abs(got.points[0] - got.points[1]).max() < dyn.LIMIT_DEDUP_RES
+        want = np.array([w[0] for w in per_sample_limit_curve(ball, 1.0, h1=std.h1)])
+        # with chunks of one matrix, the two copies are in different chunks
+        for chunk in (_linalg.SVD_CHUNK, 1):
+            monkeypatch.setattr(_linalg, "SVD_CHUNK", chunk)
+            got = streamed_limit_curve(ball, 1.0, std.h1)
+            assert got.kinds.tolist() == ["attracting", "cusp"] and got.index.tolist() == [0, 0]
+            assert got.points.tobytes() == want.tobytes()
+            assert np.abs(got.points[0] - got.points[1]).max() < dyn.LIMIT_DEDUP_RES
+
+    def test_a_kind_is_required(self, limit_balls):
+        ball, _ = limit_balls["quintic"]
+        with pytest.raises(ValueError, match="no sample kind"):
+            dyn.limit_curve_samples(ball, None, None, lambda kind, block: None)
 
     @pytest.mark.parametrize("rows, first", [
         ([[1, 0], [0, 1], [1, 0], [2, 2]], [0, 1, 3]),
@@ -501,7 +530,10 @@ class TestLimitCurveSamples:
         ([[5, -5]], [0]),
     ], ids=["one-repeat", "two-rows-repeated", "one-row"])
     def test_first_copies(self, rows, first):
-        assert dyn._first_copies(np.array(rows, dtype=np.int64)).tolist() == first
+        keys, seen = np.array(rows, dtype=np.int64), set()
+        assert dyn._first_copies(keys, seen).tolist() == first
+        # the set carries over to the next block: no row of this one is a first copy there
+        assert dyn._first_copies(keys, seen).tolist() == [] and len(seen) == len(first)
 
     def test_strided_stack_normalizes_row_by_row(self, limit_balls):
         # the stacked norm of the strided view u[:, :, 0] differs from the
@@ -632,6 +664,15 @@ class TestSingularGaps:
         # no chunk is claimed once the stream is closed: each worker ends after its current one
         assert len(svd_calls) <= calls + 2
 
+    def test_close_before_first_chunk_ends_every_thread(self, limit_balls, svd_calls):
+        # limit_curve_samples computes its cusp samples before it takes the first
+        # chunk; a failure there closes a stream whose workers have already started
+        before = threading.active_count()
+        stream = _linalg.singular_gaps(limit_balls["octic"][0].mats, True)
+        calls = len(svd_calls)
+        stream.close()
+        assert threading.active_count() == before and len(svd_calls) <= calls + 2
+
     @pytest.mark.parametrize("bad", [[17], [5, 10, 15, 20]], ids=["last-chunk", "all-but-first"])
     @pytest.mark.parametrize("top", [False, True])
     def test_failed_chunk_raises_and_ends_every_thread(self, limit_balls, svd_calls, bad, top):
@@ -653,7 +694,7 @@ TWO_BLOCK[2, 0] = TWO_BLOCK[3, 1] = 1.0
 def library_cusp_line(h1):
     """The cusp line of ``limit_curve_samples``: its one cusp sample of the identity word."""
     ball = mats_ball(np.eye(len(h1))[None])
-    samples = dyn.limit_curve_samples(ball, 1.0, h1=h1)
+    samples = dyn.limit_curve_samples(ball, None, h1, lambda kind, block: None)
     assert samples.kinds.tolist() == ["cusp"]
     return samples.points[0]
 
@@ -814,6 +855,11 @@ class TestLyapunovMC:
         for run in (dyn.lyapunov_mc, per_event_lyapunov):
             with pytest.raises(RuntimeError, match="all trajectories were discarded"):
                 run(rep_mats, modular_sig, 4, 3, 0)
+        # an inf entry, or pair steps that overflow: the step table is built under the
+        # transport's errstate, so no RuntimeWarning of its matmuls comes first
+        for big in (np.full((2, 2), math.inf), 1e200 * np.eye(2)):
+            with pytest.raises(RuntimeError, match="all trajectories were discarded"):
+                dyn.lyapunov_mc((big,) * 3, modular_sig, 4, 3, 0)
 
     @pytest.mark.parametrize("rep", ["sym3", "fuchsian", "quintic", "rank5"])
     def test_rows_sum_to_zero(self, lyap_reps, rep):
