@@ -75,16 +75,11 @@ def _ball_inputs(args, p):
     return sig, std, gen_mats, orders, fuchs
 
 
-def _text_blocks(lines):
-    """The text of each line and a newline, ``CSV_BLOCK`` lines per string."""
-    lines = iter(lines)
-    while block := list(itertools.islice(lines, CSV_BLOCK)):
-        yield "\n".join(block) + "\n"
-
-
 def _write_lines(fh, lines):
     """Write each line and a newline, ``CSV_BLOCK`` lines per write."""
-    fh.writelines(_text_blocks(lines))
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, CSV_BLOCK)):
+        fh.write("\n".join(block) + "\n")
 
 
 @contextlib.contextmanager
@@ -281,15 +276,14 @@ def cmd_limitset(args) -> int:
 
     Every option is checked before the first byte is written.  The ball's SVDs
     start inside ``limit_curve_samples``, as the stream of ``singular_gaps``,
-    which hands each block of samples here as soon as it is final: the cusp
-    rows, which need no SVD, are formatted while the SVDs run and held, and the
-    attracting rows of each chunk are written as that chunk's SVDs land.  The
-    cusp rows follow the last attracting row, and the SVG is written from the
-    returned samples.  With --out the CSV and SVG go through nested
-    ``_whole_file`` blocks, so a run that fails partway (a ``LinAlgError`` in
-    some chunk, or a file that cannot be written) leaves neither file and no
-    thread behind.  On stdout a numerical failure can come after some rows;
-    the run still exits 3.
+    which hands each block of samples here as soon as it is final, and each
+    block's rows are written at once: the cusp rows, which need no SVD, while
+    the SVDs run, then the attracting rows of each chunk as that chunk's SVDs
+    land.  The SVG is written from the returned samples, in the same order.
+    With --out the CSV and SVG go through nested ``_whole_file`` blocks, so a
+    run that fails partway (a ``LinAlgError`` in some chunk, or a file that
+    cannot be written) leaves neither file and no thread behind.  On stdout a
+    numerical failure can come after some rows; the run still exits 3.
     """
     kinds = {k.strip() for k in args.kinds.split(",") if k.strip()}
     if not kinds or not kinds <= {"attracting", "cusp"}:
@@ -301,14 +295,6 @@ def cmd_limitset(args) -> int:
     sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
     gap_min = args.gap_min if "attracting" in kinds else None
     h1 = std.h1 if "cusp" in kinds else None
-    cusp_text = []
-
-    def sink(kind, block):
-        if kind == "cusp":
-            cusp_text.extend(_text_blocks(_csv_rows(block)))
-        else:
-            _write_lines(csv, _csv_rows(block))
-
     with contextlib.ExitStack() as files:
         if args.out:
             # nested: the SVG is renamed into place just before the CSV, so neither appears alone
@@ -318,13 +304,10 @@ def cmd_limitset(args) -> int:
         csv.write("x0,x1,x2,x3,gap,kind\n")
         # the ball is not bound here, so it is freed once the samples are taken
         samples = dynamics.limit_curve_samples(
-            dynamics.enumerate_ball(gen_mats, orders, args.L), gap_min, h1, sink)
-        csv.writelines(cusp_text)
-        cusp_text.clear()
+            dynamics.enumerate_ball(gen_mats, orders, args.L), gap_min, h1,
+            lambda block: _write_lines(csv, _csv_rows(block)))
         if args.out:
-            # the stacked matmul gives proj @ p of each row bit for bit; points @ proj.T does not
-            pts2 = (proj[None] @ samples.points[:, :, None])[:, :, 0]
-            _write_lines(svg, _svg_scatter(pts2, samples.kinds, args.proj,
+            _write_lines(svg, _svg_scatter(samples.points @ proj.T, samples.kinds, args.proj,
                                            timestamp=not args.no_timestamp))
     print(f"# {len(samples)} samples", file=sys.stderr)
     return 0
@@ -377,7 +360,8 @@ OPTIONS = {
     "--proj": dict(default="1,0,0,0;0,1,0,0", help="2x4 projection of the SVG"),
     "--kinds": dict(default="attracting,cusp", help="limit-sample kinds to keep: attracting,cusp"),
     "--no-timestamp": dict(action="store_true"),
-    "--T": dict(type=float, default=1e4, help="geodesic length per trajectory"),
+    "--T": dict(type=float, default=1e4,
+                help="total flow time, T/ntraj per trajectory (geodesic arc length 2T/ntraj)"),
     "--ntraj": dict(type=int, default=50),
     "--seed": dict(type=int, required=True),
     "--rep": dict(choices=("params", "fuchsian", "sym3"), default="params"),

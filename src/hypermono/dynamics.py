@@ -242,7 +242,7 @@ def limit_curve_samples(
     ball: WordBall,
     gap_min: Optional[float],
     h1: Optional[np.ndarray],
-    sink: Callable[[str, LimitSamples], None],
+    sink: Callable[[LimitSamples], None],
 ) -> LimitSamples:
     """Boundary-curve samples from a word ball.
 
@@ -255,15 +255,15 @@ def limit_curve_samples(
     one singular value of h1 - id, the rank ``monodromy_at_one`` reports.
     Every point is put through ``projective_normalize``.
 
-    Order: the attracting samples in ball order, then the cusp samples in
+    Order: the cusp samples in ball order, then the attracting samples in
     ball order.  Each kind is deduplicated on its own: of several points of
     one kind that round to the same point of the ``LIMIT_DEDUP_RES`` grid,
     only the first is kept.
 
-    ``sink(kind, block)`` gets each block of samples as soon as it is final,
-    after every argument has been checked: first the cusp samples, which need
-    no SVD, then the attracting samples of each SVD chunk, in ball order.  The
-    attracting blocks and then the cusp block, concatenated, are the samples
+    ``sink(block)`` gets each block of samples, all of one kind, as soon as it
+    is final, after every argument has been checked: first the cusp block,
+    which needs no SVD, then the attracting block of each SVD chunk.  The
+    blocks, concatenated in the order the sink got them, are the samples
     returned.  The ball's SVDs are the stream of ``singular_gaps``, started
     before the cusp samples are computed: they run in chunks on every CPU of
     the process's affinity mask (``taskset`` limits them), with the bytes of
@@ -278,14 +278,14 @@ def limit_curve_samples(
         if (rank := _rank_cut(s1)) != 1:
             raise ValueError(f"h1 - id has rank {rank}, not 1: h1 is no transvection")
         line = projective_normalize(u1[:, 0])
-    blocks = {"attracting": [], "cusp": []}
+    blocks = []
 
     def emit(kind, idx, vecs, kind_gaps, seen):
         v = projective_normalize(vecs)
         first = _first_copies(np.round(v / LIMIT_DEDUP_RES).astype(np.int64), seen)
         block = LimitSamples(v[first], kind_gaps[first], np.full(len(first), kind), idx[first])
-        blocks[kind].append(block)
-        sink(kind, block)
+        blocks.append(block)
+        sink(block)
 
     attracting = ball.mats if gap_min is not None else ball.mats[:0]
     with contextlib.closing(singular_gaps(attracting, top=True)) as chunks:
@@ -296,7 +296,7 @@ def limit_curve_samples(
             idx = np.flatnonzero(gaps >= gap_min)
             emit("attracting", start + idx, tops[idx], gaps[idx], seen)
             start += len(gaps)
-    columns = [(b.points, b.gaps, b.kinds, b.index) for b in blocks["attracting"] + blocks["cusp"]]
+    columns = [(b.points, b.gaps, b.kinds, b.index) for b in blocks]
     return LimitSamples(*map(np.concatenate, zip(*columns)))
 
 
@@ -361,13 +361,14 @@ def frobenius_distances(ball: WordBall) -> np.ndarray:
 
 
 def _hull_value(hull, x):
-    """Value of the piecewise-linear lower minorant at x (clamped to its range)."""
+    """Value of the piecewise-linear lower minorant at x (clamped to its range).
+
+    ``_lower_hull`` keeps its vertices at least 1e-12 apart in x, so no segment is vertical.
+    """
     if x <= hull[0][0]:
         return hull[0][1]
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if x <= x2:
-            if x2 - x1 < 1e-15:
-                return min(y1, y2)
             return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
     return hull[-1][1]
 

@@ -84,13 +84,17 @@ class TestDeterminism:
     # The quintic CSVs were re-recorded when its ball matrices became its exact
     # integer products; their SVGs did not move.  The octic at L=8 (10,440 words)
     # was recorded while the SVDs ran in one call over the whole ball; they now
-    # run in several chunks on several threads.
+    # run in several chunks on several threads.  The mixed-kind pins (default,
+    # proj, octic-multi-chunk) were re-recorded when the cusp rows moved ahead of
+    # the attracting rows, the order in which they are computed; the SVG draws its
+    # circles in that order.  The single-kind pins did not move, and
+    # octic-attracting was recorded before the move.
     @pytest.mark.parametrize("params, L, extra, csv_sha, svg_sha", [
-        (QUINTIC, 6, [], "663e0a580182bdd7f01dd82275b28870f5ee38dc8ac4852f8de444c0a8674ee1",
-         "0d88933937a4ad007a9b1396b07631409bec7de53b38577f7fec53d9f30c2a74"),
+        (QUINTIC, 6, [], "bed118dd5c7768c3bba55b2317046b5bafcb7638caf2e7a8b39c48bc15754f24",
+         "82a0ddaa8f7f1f6d01320b10a5a7514e32ec6edb096fabd27c351ce3892fd278"),
         (QUINTIC, 6, ["--proj", "0.3,-1.7,2.2,0.9;0.333,0.25,-5,0.001"],
-         "663e0a580182bdd7f01dd82275b28870f5ee38dc8ac4852f8de444c0a8674ee1",
-         "15bff50eeac215cd991a66d75f2c51474871434b1487419f37d6759c686a0ded"),
+         "bed118dd5c7768c3bba55b2317046b5bafcb7638caf2e7a8b39c48bc15754f24",
+         "55a005c031dd5a342a0d004ccc487100c6094b888e77e8a09336cfbb1d718583"),
         (QUINTIC, 6, ["--kinds", "cusp"],
          "3054d2be59f3b5493c71db9dbf760b27085db3019a6abde1c6cd55fbe508f241",
          "b3b186038ad9d19ac84d16f0b55cfb500c13807dd65ab769998051ed05af2631"),
@@ -98,9 +102,12 @@ class TestDeterminism:
          "14038a5156e2d4f0769fe9b79b32e9bac2b999e609c204dcb809afd4d942f5bb",
          "3ea46c452756850e7c0203291649c81b1ee7977b74d94220139fea41a869919f"),
         (OCTIC, 8, [],
-         "fab5abe265935dcb2868e9d63fd04375d40bde5fcde1674e9843622b0e556bd1",
-         "043babdf2125a9270c645c2e4d4400a507f11adc70adfa92583f6b97f2b9f55f"),
-    ], ids=["default", "proj", "cusp", "octic-cusp", "octic-multi-chunk"])
+         "331e23fd7b25d97819585e33f5ed4896d4f7511d22e4b55ea255662103c4f4ae",
+         "3a5677059b69a47055390484859e8258cc3ff9516c8ae07941e45c211fd71e96"),
+        (OCTIC, 8, ["--kinds", "attracting"],
+         "b7d33685247c1de9b96dd74f0127ee395df5fb7b8382be657f3c14d530f8ee64",
+         "4eeccae304c14c48c0994193e30fb72674aeb8f1519416035595f14a096ed52a"),
+    ], ids=["default", "proj", "cusp", "octic-cusp", "octic-multi-chunk", "octic-attracting"])
     def test_limitset_bytes_pinned(self, tmp_path, capsys, params, L, extra, csv_sha, svg_sha):
         prefix = tmp_path / "out"
         argv = ["limitset", "--params", params, "--L", str(L), "--no-timestamp", *extra]
@@ -108,6 +115,23 @@ class TestDeterminism:
         digest = {s: hashlib.sha256((tmp_path / f"out{s}").read_bytes()).hexdigest()
                   for s in (".csv", ".svg")}
         assert digest == {".csv": csv_sha, ".svg": svg_sha}
+
+    @pytest.mark.parametrize("params, L", [(QUINTIC, 6), (OCTIC, 8)], ids=["quintic", "octic"])
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_mixed_kinds_are_cusp_then_attracting(self, tmp_path, capsys, params, L, out):
+        # each kind is deduplicated on its own, so the rows of both kinds are the
+        # cusp rows, then the attracting rows (the octic's from more than one SVD chunk)
+        bodies = {}
+        for kinds in ("attracting,cusp", "cusp", "attracting"):
+            argv = ["limitset", "--params", params, "--L", str(L), "--kinds", kinds]
+            if out:
+                argv += ["--no-timestamp", "--out", str(tmp_path / kinds)]
+            assert cli.main(argv) == 0
+            text = (tmp_path / f"{kinds}.csv").read_text() if out else capsys.readouterr().out
+            header, bodies[kinds] = text.split("\n", 1)
+            assert header == "x0,x1,x2,x3,gap,kind"
+        assert bodies["cusp"] and bodies["attracting"]
+        assert bodies["attracting,cusp"] == bodies["cusp"] + bodies["attracting"]
 
 
 class TestExitCodes:
@@ -127,7 +151,8 @@ class TestExitCodes:
     def test_failed_chunk_leaves_no_partial_csv(self, tmp_path, capsys, monkeypatch, command,
                                                 fault):
         # quintic L=9 has four SVD chunks; the third fails after the rows of the
-        # first two are written, and the files of an earlier run are left as they were
+        # first two are written (for limitset, after its cusp rows), and the files
+        # of an earlier run are left as they were
         third, balls = 2 * _linalg.SVD_CHUNK, []
         enumerate_ball, svd = dynamics.enumerate_ball, np.linalg.svd
 
@@ -158,7 +183,7 @@ class TestExitCodes:
         argv = [command, "--params", QUINTIC, "--L", "9", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 3
         assert "numerical failure" in capsys.readouterr().err
-        assert blocks == [str(tmp_path / "out.csv.part")] * 2
+        assert blocks == [str(tmp_path / "out.csv.part")] * (2 + (command == "limitset"))
         assert sorted(p.name for p in tmp_path.iterdir()) == earlier
         assert all((tmp_path / name).read_text() == "earlier run\n" for name in earlier)
         assert threading.active_count() == before

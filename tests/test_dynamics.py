@@ -419,31 +419,30 @@ def per_sample_limit_curve(ball, gap_min, h1=None):
         seen.add(key)
         out.append((v, i, float(gap), kind))
 
+    if h1 is not None:
+        pts = ball.mats @ cusp_line(h1)
+        for i in range(len(ball)):
+            push(pts[i], i, 0.0, "cusp")
     u, s, _ = np.linalg.svd(ball.mats)
     gaps = np.log(s[:, 0]) - np.log(s[:, 1])
     for i in range(len(ball)):
         if gaps[i] >= gap_min:
             push(u[i][:, 0], i, gaps[i], "attracting")
-    if h1 is not None:
-        pts = ball.mats @ cusp_line(h1)
-        for i in range(len(ball)):
-            push(pts[i], i, 0.0, "cusp")
     return out
 
 
 def streamed_limit_curve(ball, gap_min, h1):
     """``limit_curve_samples``, checked against the blocks its sink got: the cusp block
-    first, then one attracting block per SVD chunk, each of one kind, which put back
-    in output order (attracting, then cusp) are the returned samples byte for byte."""
+    first, then one attracting block per SVD chunk, each of one kind, which concatenated
+    in that order are the returned samples byte for byte."""
     blocks = []
-    got = dyn.limit_curve_samples(ball, gap_min, h1, lambda *kb: blocks.append(kb))
-    kinds = [kind for kind, _ in blocks]
+    got = dyn.limit_curve_samples(ball, gap_min, h1, blocks.append)
     n_chunks = -(-len(ball) // _linalg.SVD_CHUNK) if gap_min is not None else 0
-    assert kinds == ["cusp"] * (h1 is not None) + ["attracting"] * n_chunks
-    assert all(set(block.kinds.tolist()) <= {kind} for kind, block in blocks)
-    ordered = [b for kind in ("attracting", "cusp") for k, b in blocks if k == kind]
+    kinds = ["cusp"] * (h1 is not None) + ["attracting"] * n_chunks
+    assert len(blocks) == len(kinds)
+    assert all(set(block.kinds.tolist()) <= {kind} for kind, block in zip(kinds, blocks))
     for field in ("points", "gaps", "kinds", "index"):
-        joined = np.concatenate([getattr(b, field) for b in ordered])
+        joined = np.concatenate([getattr(b, field) for b in blocks])
         assert joined.dtype == getattr(got, field).dtype
         assert joined.tobytes() == getattr(got, field).tobytes()
     return got
@@ -515,14 +514,14 @@ class TestLimitCurveSamples:
         for chunk in (_linalg.SVD_CHUNK, 1):
             monkeypatch.setattr(_linalg, "SVD_CHUNK", chunk)
             got = streamed_limit_curve(ball, 1.0, std.h1)
-            assert got.kinds.tolist() == ["attracting", "cusp"] and got.index.tolist() == [0, 0]
+            assert got.kinds.tolist() == ["cusp", "attracting"] and got.index.tolist() == [0, 0]
             assert got.points.tobytes() == want.tobytes()
             assert np.abs(got.points[0] - got.points[1]).max() < dyn.LIMIT_DEDUP_RES
 
     def test_a_kind_is_required(self, limit_balls):
         ball, _ = limit_balls["quintic"]
         with pytest.raises(ValueError, match="no sample kind"):
-            dyn.limit_curve_samples(ball, None, None, lambda kind, block: None)
+            dyn.limit_curve_samples(ball, None, None, lambda block: None)
 
     @pytest.mark.parametrize("rows, first", [
         ([[1, 0], [0, 1], [1, 0], [2, 2]], [0, 1, 3]),
@@ -694,7 +693,7 @@ TWO_BLOCK[2, 0] = TWO_BLOCK[3, 1] = 1.0
 def library_cusp_line(h1):
     """The cusp line of ``limit_curve_samples``: its one cusp sample of the identity word."""
     ball = mats_ball(np.eye(len(h1))[None])
-    samples = dyn.limit_curve_samples(ball, None, h1, lambda kind, block: None)
+    samples = dyn.limit_curve_samples(ball, None, h1, lambda block: None)
     assert samples.kinds.tolist() == ["cusp"]
     return samples.points[0]
 
@@ -731,9 +730,10 @@ class TestAnosovCertificate:
             if trial % 6 == 5:  # x within the 1e-12 equal-x tolerance, not equal
                 xs = xs + rng.integers(-1, 2, size=m) * 1e-13
             keep = dyn._hull_candidates(xs, ys)
-            assert dyn._lower_hull(xs[keep].tolist(), ys[keep].tolist()) == dyn._lower_hull(
-                xs.tolist(), ys.tolist()
-            )
+            hull = dyn._lower_hull(xs.tolist(), ys.tolist())
+            assert dyn._lower_hull(xs[keep].tolist(), ys[keep].tolist()) == hull
+            # _hull_value divides by these gaps
+            assert all(b[0] - a[0] >= 1e-12 for a, b in zip(hull, hull[1:]))
 
     def test_near_tie_keeps_lower_point(self):
         # (1e-13, -3) counts as x = 0 and is lower than (0, 0), so it replaces it.

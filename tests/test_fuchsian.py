@@ -125,7 +125,7 @@ class TestVeronese:
         fuchs = {"0": dom.gens["0"], "1": dom.gens["1"]}
         gens = {s: dyn.sym_cube(np.array(g).reshape(2, 2)) for s, g in fuchs.items()}
         ball = dyn.enumerate_ball(gens, {"0": sig.e0, "1": sig.e1}, 16, fuchs_gens=fuchs)
-        samples = dyn.limit_curve_samples(ball, 1.0, None, lambda kind, block: None)
+        samples = dyn.limit_curve_samples(ball, 1.0, None, lambda block: None)
         attracting = samples.kinds == "attracting"
         assert attracting.sum() > 100
         for point, i in zip(samples.points[attracting], samples.index[attracting]):

@@ -1,6 +1,8 @@
 import ast
+import importlib.metadata
 import re
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import hypermono
 # the package, and every test module (the oracles included)
 MODULES = sorted(p for p in Path(hypermono.__file__).parent.glob("*.py") if p.name != "__init__.py")
 MODULES += sorted(Path(__file__).parent.glob("*.py"))
+PROJECT = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -37,9 +40,17 @@ def test_declared_dependencies_are_the_imported_ones():
                 imported |= {a.name.split(".")[0] for a in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    # tomllib is 3.11+, and requires-python is 3.10: read the one list by hand
-    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
-    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
-    listed = re.search(r"^dependencies = \[(.*?)\]", project, re.M | re.S).group(1)
-    declared = {re.match(r"[\w.-]+", d).group(0) for d in re.findall(r'"([^"]+)"', listed)}
+    declared = {re.match(r"[\w.-]+", d).group(0) for d in PROJECT["dependencies"]}
     assert imported - set(sys.stdlib_module_names) == declared
+
+
+def python_floor(spec):
+    """The version a ``>=X.Y`` requirement names, as a tuple of ints."""
+    assert spec.startswith(">="), spec
+    return tuple(map(int, spec[2:].split(".")))
+
+
+def test_declared_python_floor_covers_numpy():
+    # an install that follows requires-python must also find a numpy it may run
+    numpy_floor = python_floor(importlib.metadata.metadata("numpy")["Requires-Python"])
+    assert python_floor(PROJECT["requires-python"]) >= numpy_floor
