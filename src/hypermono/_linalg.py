@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
 
 SIGN_TOL = 1e-12
 RANK_RTOL = 1e-9  # singular values at or below RANK_RTOL * s[0] count as zero
-SVD_CHUNK = 8192  # matrices per np.linalg.svd call of singular_gaps
+SVD_CHUNK = 8192  # rows per chunk of row_chunks: one SVD call, one sink block, one write
 
 
 def projective_normalize(v):
@@ -50,67 +51,72 @@ def null_space(a):
     return vt[_rank_cut(s):].T.copy()
 
 
+def row_chunks(n):
+    """The slices of ``SVD_CHUNK`` rows, in order, that cover n rows."""
+    return [slice(start, start + SVD_CHUNK) for start in range(0, n, SVD_CHUNK)]
+
+
+@contextlib.contextmanager
 def singular_gaps(mats, top):
     """alpha_1-gaps log s0 - log s1 of an (N, n, n) stack, as an ordered stream of chunks.
 
-    Returns a generator of ``(gaps, tops)``, one pair per chunk of
-    ``SVD_CHUNK`` matrices in stack order: ``tops`` is the chunk's top
+    ``with singular_gaps(mats, top) as chunks:`` gives an iterator of
+    ``(rows, gaps, tops)``, one triple per chunk of ``row_chunks(N)`` in stack
+    order: ``rows`` is the chunk's slice of the stack, and ``tops`` its top
     left-singular vectors ``u[:, :, 0]`` when ``top`` is true (a full SVD),
     else None (singular values only).  The two modes differ in the last bits of
     some gaps.  Each matrix's SVD is its own LAPACK call, so the bits are those
     of one ``np.linalg.svd`` over the whole stack.
 
-    The chunks are computed ahead from the moment of the call: a
+    The chunks are computed ahead from the moment the block is entered: a
     ``ThreadPoolExecutor`` with one worker per further CPU of the process's
     affinity mask (numpy releases the GIL in the SVD) is given every chunk, in
     stack order, one ``np.linalg.svd`` call each.  The consumer takes chunk i
     in order; while chunk i is not done, the consumer cancels the first chunk
     that no worker has started and computes it itself.  One CPU or one chunk
     starts no thread, and imports no thread pool.  An exception of a chunk is
-    raised when the consumer reaches that chunk, after every thread has ended;
-    closing the generator, before its first chunk too, or reaching its end,
-    also ends every thread, and a chunk is freed once it has been yielded.
+    raised when the consumer reaches that chunk.  Every exit from the block,
+    before the first chunk, partway or at the end, with or without an
+    exception, ends every thread; a chunk is freed once it has been yielded.
     """
-    n_chunks = -(-len(mats) // SVD_CHUNK)
+    rows = row_chunks(len(mats))
+    n_chunks = len(rows)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cpus or 1, n_chunks) - 1
     closed = False
 
     def svd(i):
-        if not closed:  # a chunk that a worker reaches after close is skipped
-            return np.linalg.svd(mats[i * SVD_CHUNK:(i + 1) * SVD_CHUNK], compute_uv=top)
+        if not closed:  # a chunk that a worker reaches after the block is left is skipped
+            return np.linalg.svd(mats[rows[i]], compute_uv=top)
 
-    def gaps(result):
+    def gaps(i, result):
         s = result[1] if top else result
-        return np.log(s[:, 0]) - np.log(s[:, 1]), result[0][:, :, 0] if top else None
+        return rows[i], np.log(s[:, 0]) - np.log(s[:, 1]), result[0][:, :, 0] if top else None
 
     if workers < 1:
-        return (gaps(svd(i)) for i in range(n_chunks))
+        yield (gaps(i, svd(i)) for i in range(n_chunks))
+        return
     from concurrent.futures import Future, ThreadPoolExecutor  # about 5 ms, paid only here
 
     pool = ThreadPoolExecutor(workers)
-    futures = [pool.submit(svd, i) for i in range(n_chunks)]
 
     def stream():
-        nonlocal closed
-        try:
-            yield  # taken below, so that a close before the first chunk runs the finally
-            for i in range(n_chunks):
-                j = i
-                while not futures[i].done() and j < n_chunks:
-                    if futures[j].cancel():  # no worker has started chunk j
-                        futures[j] = Future()
-                        try:
-                            futures[j].set_result(svd(j))
-                        except Exception as exc:  # raised when the consumer reaches chunk j
-                            futures[j].set_exception(exc)
-                    j += 1
-                chunk, futures[i] = futures[i], None
-                yield gaps(chunk.result())
-        finally:
-            closed = True
-            pool.shutdown(cancel_futures=True)
+        for i in range(n_chunks):
+            j = i
+            while not futures[i].done() and j < n_chunks:
+                if futures[j].cancel():  # no worker has started chunk j
+                    futures[j] = Future()
+                    try:
+                        futures[j].set_result(svd(j))
+                    except Exception as exc:  # raised when the consumer reaches chunk j
+                        futures[j].set_exception(exc)
+                j += 1
+            chunk, futures[i] = futures[i], None
+            yield gaps(i, chunk.result())
 
-    chunks = stream()
-    next(chunks)
-    return chunks
+    try:
+        futures = [pool.submit(svd, i) for i in range(n_chunks)]
+        yield stream()
+    finally:
+        closed = True
+        pool.shutdown(cancel_futures=True)

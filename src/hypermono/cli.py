@@ -25,7 +25,6 @@ import argparse
 import contextlib
 import datetime
 import errno
-import itertools
 import json
 import os
 import sys
@@ -33,10 +32,8 @@ import sys
 import numpy as np
 
 from . import dynamics, fuchsian, monodromy, params
-from ._linalg import singular_gaps
+from ._linalg import row_chunks, singular_gaps
 from .monodromy import form_signature
-
-CSV_BLOCK = 8192  # lines per write of a CSV or SVG, and rows per slice of the limitset columns
 
 
 def _mat_json(m):
@@ -76,10 +73,9 @@ def _ball_inputs(args, p):
 
 
 def _write_lines(fh, lines):
-    """Write each line and a newline, ``CSV_BLOCK`` lines per write."""
-    lines = iter(lines)
-    while block := list(itertools.islice(lines, CSV_BLOCK)):
-        fh.write("\n".join(block) + "\n")
+    """Write the block of lines, each with a newline, in one write; no write for no lines."""
+    if text := "\n".join(lines):
+        fh.write(text + "\n")
 
 
 @contextlib.contextmanager
@@ -186,73 +182,67 @@ def cmd_monodromy(args) -> int:
 def cmd_certify(args) -> int:
     """Log-Anosov certificate of the word ball; with --out, its (dist, gap, word) CSV.
 
-    The ball's SVDs start right after ``enumerate_ball``, as the stream of
-    ``singular_gaps``, and run ahead while the distances and the word column
-    are built; the CSV then gets one block of rows per chunk as that chunk's
-    gaps land.  ``anosov_certificate`` takes the collected (dists, gaps), and
-    the JSON is written inside the CSV's ``_whole_file`` block, so it is
-    renamed into place just before the CSV.  A run that fails partway (a
-    ``LinAlgError`` in some chunk, or a JSON path that cannot be written)
+    The ball's SVDs start right after ``enumerate_ball``, in the ``with``
+    block of ``singular_gaps``, and run ahead while the distances and the word
+    column are built.  One loop takes the chunks in ball order: it collects each
+    chunk's gaps and, with --out, writes its rows of the CSV in one block as
+    the chunk lands.  ``anosov_certificate`` takes the collected (dists,
+    gaps), and the JSON is written inside the CSV's ``_whole_file`` block, so
+    it is renamed into place just before the CSV.  A run that fails partway
+    (a ``LinAlgError`` in some chunk, or a JSON path that cannot be written)
     leaves neither file and no thread behind.
     """
     p = _parse_params(args)
     sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
     ball = dynamics.enumerate_ball(gen_mats, orders, args.L, fuchs_gens=fuchs)
-
-    def emit_certificate(gaps, path):
+    with contextlib.ExitStack() as files, singular_gaps(ball.mats, top=False) as chunks:
+        dists = dynamics.frobenius_distances(ball)
+        if args.out:
+            words = ball.unfold("e", lambda s, k, w: f"{s}^{k}" if w == "e" else f"{s}^{k}.{w}")
+            csv = files.enter_context(_whole_file(args.out + ".csv"))
+            csv.write("dist,gap,word\n")
+        gaps = []
+        for rows, chunk, _ in chunks:
+            if args.out:
+                columns = (map(repr, dists[rows].tolist()), map(repr, chunk.tolist()), words[rows])
+                _write_lines(csv, map(",".join, zip(*columns)))
+            gaps.append(chunk)
         cert = dynamics.anosov_certificate(dists, np.concatenate(gaps))
         _emit_json({"L": args.L, "ball_size": len(ball), "eps_hat": cert.eps_hat,
-                    "c_hat": cert.c_hat, "signature": _sig_json(sig)}, path)
-
-    with contextlib.closing(singular_gaps(ball.mats, top=False)) as chunks:
-        dists = dynamics.frobenius_distances(ball)
-        if not args.out:
-            emit_certificate([chunk for chunk, _ in chunks], None)
-            return 0
-        words = ball.unfold("e", lambda s, k, w: f"{s}^{k}" if w == "e" else f"{s}^{k}.{w}")
-        gaps, end = [], 0
-        with _whole_file(args.out + ".csv") as fh:
-            fh.write("dist,gap,word\n")
-            for chunk, _ in chunks:
-                start, end = end, end + len(chunk)
-                columns = (map(repr, dists[start:end].tolist()), map(repr, chunk.tolist()),
-                           words[start:end])
-                _write_lines(fh, map(",".join, zip(*columns)))
-                gaps.append(chunk)
-            emit_certificate(gaps, args.out + ".json")
+                    "c_hat": cert.c_hat, "signature": _sig_json(sig)},
+                   args.out + ".json" if args.out else None)
     return 0
 
 
 def _parse_proj(text):
-    rows = [r for r in text.split(";") if r.strip()]
-    mat = np.array([[float(x) for x in r.split(",")] for r in rows])
+    try:
+        mat = np.array([[float(x) for x in r.split(",")] for r in text.split(";") if r.strip()])
+    except ValueError:  # a ragged row, or an entry that is no number
+        mat = np.empty(0)
     if mat.shape != (2, 4) or not np.isfinite(mat).all():
         raise ValueError("projection must be a finite 2x4 matrix: 'a,b,c,d;e,f,g,h'")
     return mat
 
 
 def _csv_rows(samples):
-    """The limitset CSV rows of ``samples``, made ``CSV_BLOCK`` rows at a time as they are read."""
-    for start in range(0, len(samples), CSV_BLOCK):
-        block = slice(start, start + CSV_BLOCK)
-        columns = [map(repr, col) for col in samples.points[block].T.tolist()]
-        columns += [map(repr, samples.gaps[block].tolist()), samples.kinds[block].tolist()]
-        yield from map(",".join, zip(*columns))
+    """The limitset CSV rows of ``samples``, made as they are read."""
+    columns = [map(repr, col) for col in samples.points.T.tolist()]
+    columns += [map(repr, samples.gaps.tolist()), samples.kinds.tolist()]
+    return map(",".join, zip(*columns))
 
 
 def _svg_scatter(points, kinds, proj_desc, timestamp):
-    """The lines of the SVG scatter, its circles made ``CSV_BLOCK`` at a time as they are read."""
+    """The SVG scatter in blocks of lines, each made as it is read: head, circles, end."""
     w = h = 640.0
     pad = 30.0
-    yield '<?xml version="1.0" encoding="UTF-8"?>'
-    yield f"<!-- projection: {proj_desc} -->"
+    head = ['<?xml version="1.0" encoding="UTF-8"?>', f"<!-- projection: {proj_desc} -->"]
     if timestamp:
-        yield f"<!-- generated: {datetime.datetime.now().isoformat()} -->"
-    yield (
+        head.append(f"<!-- generated: {datetime.datetime.now().isoformat()} -->")
+    yield head + [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(w)}" height="{int(h)}" '
-        f'viewBox="0 0 {int(w)} {int(h)}">'
-    )
-    yield f'<rect width="{int(w)}" height="{int(h)}" fill="white"/>'
+        f'viewBox="0 0 {int(w)} {int(h)}">',
+        f'<rect width="{int(w)}" height="{int(h)}" fill="white"/>',
+    ]
     if len(points):
         lo = points.min(axis=0)
         hi = points.max(axis=0)
@@ -260,14 +250,13 @@ def _svg_scatter(points, kinds, proj_desc, timestamp):
         scale = min((w - 2 * pad) / span[0], (h - 2 * pad) / span[1])
         px = pad + (points[:, 0] - lo[0]) * scale
         py = h - pad - (points[:, 1] - lo[1]) * scale
-        for start in range(0, len(points), CSV_BLOCK):
-            block = slice(start, start + CSV_BLOCK)
-            color = np.where(kinds[block] == "attracting", "#1f77b4", "#d62728")
-            yield from map(
+        for rows in row_chunks(len(points)):
+            color = np.where(kinds[rows] == "attracting", "#1f77b4", "#d62728")
+            yield map(
                 '<circle cx="%.2f" cy="%.2f" r="1.4" fill="%s"/>'.__mod__,
-                zip(px[block].tolist(), py[block].tolist(), color.tolist()),
+                zip(px[rows].tolist(), py[rows].tolist(), color.tolist()),
             )
-    yield "</svg>"
+    yield ["</svg>"]
 
 
 def cmd_limitset(args) -> int:
@@ -275,15 +264,16 @@ def cmd_limitset(args) -> int:
     stdout or, with --out, in a CSV and an SVG scatter.
 
     Every option is checked before the first byte is written.  The ball's SVDs
-    start inside ``limit_curve_samples``, as the stream of ``singular_gaps``,
-    which hands each block of samples here as soon as it is final, and each
-    block's rows are written at once: the cusp rows, which need no SVD, while
-    the SVDs run, then the attracting rows of each chunk as that chunk's SVDs
-    land.  The SVG is written from the returned samples, in the same order.
-    With --out the CSV and SVG go through nested ``_whole_file`` blocks, so a
-    run that fails partway (a ``LinAlgError`` in some chunk, or a file that
-    cannot be written) leaves neither file and no thread behind.  On stdout a
-    numerical failure can come after some rows; the run still exits 3.
+    start inside ``limit_curve_samples`` (the ``with`` block of
+    ``singular_gaps``), which hands each block of samples here as soon as it
+    is final, at most one chunk of ball rows each, and each block's rows are one
+    write: the cusp rows of each chunk, which need no SVD, while the SVDs run,
+    then the attracting rows of each chunk as its SVDs land.  The SVG is
+    written from the returned samples, in the same order, a chunk of circles
+    per write.  With --out the CSV and SVG go through nested ``_whole_file``
+    blocks, so a run that fails partway (a ``LinAlgError`` in some chunk, or a
+    file that cannot be written) leaves neither file and no thread behind.  On
+    stdout a numerical failure can come after some rows; the run still exits 3.
     """
     kinds = {k.strip() for k in args.kinds.split(",") if k.strip()}
     if not kinds or not kinds <= {"attracting", "cusp"}:
@@ -307,8 +297,9 @@ def cmd_limitset(args) -> int:
             dynamics.enumerate_ball(gen_mats, orders, args.L), gap_min, h1,
             lambda block: _write_lines(csv, _csv_rows(block)))
         if args.out:
-            _write_lines(svg, _svg_scatter(samples.points @ proj.T, samples.kinds, args.proj,
-                                           timestamp=not args.no_timestamp))
+            for block in _svg_scatter(samples.points @ proj.T, samples.kinds, args.proj,
+                                      timestamp=not args.no_timestamp):
+                _write_lines(svg, block)
     print(f"# {len(samples)} samples", file=sys.stderr)
     return 0
 

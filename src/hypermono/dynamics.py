@@ -8,7 +8,6 @@ reflections in any frame.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
@@ -18,7 +17,7 @@ import numpy as np
 # test_matches_per_event_loop and test_all_discarded_raises guard them
 from numpy.linalg import _umath_linalg
 
-from ._linalg import _rank_cut, projective_normalize, singular_gaps
+from ._linalg import _rank_cut, projective_normalize, row_chunks, singular_gaps
 from .fuchsian import IDENT, INF, OrbifoldSignature, geodesic_sample, mat_inv
 from .params import as_exact
 
@@ -260,11 +259,12 @@ def limit_curve_samples(
     one kind that round to the same point of the ``LIMIT_DEDUP_RES`` grid,
     only the first is kept.
 
-    ``sink(block)`` gets each block of samples, all of one kind, as soon as it
-    is final, after every argument has been checked: first the cusp block,
-    which needs no SVD, then the attracting block of each SVD chunk.  The
-    blocks, concatenated in the order the sink got them, are the samples
-    returned.  The ball's SVDs are the stream of ``singular_gaps``, started
+    ``sink(block)`` gets each block of samples, all of one kind and from one
+    chunk of ``row_chunks(len(ball))``, as soon as it is final, after every
+    argument has been checked: first the cusp block of each chunk, which needs
+    no SVD, then the attracting block of each SVD chunk.  The blocks,
+    concatenated in the order the sink got them, are the samples returned.
+    The ball's SVDs are the ``with`` block of ``singular_gaps``, entered
     before the cusp samples are computed: they run in chunks on every CPU of
     the process's affinity mask (``taskset`` limits them), with the bytes of
     one call over the whole ball.  Without ``gap_min`` no SVD runs.
@@ -287,15 +287,18 @@ def limit_curve_samples(
         blocks.append(block)
         sink(block)
 
+    index = np.arange(len(ball))
     attracting = ball.mats if gap_min is not None else ball.mats[:0]
-    with contextlib.closing(singular_gaps(attracting, top=True)) as chunks:
+    with singular_gaps(attracting, top=True) as chunks:
         if h1 is not None:
-            emit("cusp", np.arange(len(ball)), ball.mats @ line, np.zeros(len(ball)), set())
-        seen, start = set(), 0
-        for gaps, tops in chunks:
-            idx = np.flatnonzero(gaps >= gap_min)
-            emit("attracting", start + idx, tops[idx], gaps[idx], seen)
-            start += len(gaps)
+            seen = set()
+            for rows in row_chunks(len(ball)):
+                idx = index[rows]
+                emit("cusp", idx, ball.mats[rows] @ line, np.zeros(len(idx)), seen)
+        seen = set()
+        for rows, gaps, tops in chunks:
+            keep = gaps >= gap_min
+            emit("attracting", index[rows][keep], tops[keep], gaps[keep], seen)
     columns = [(b.points, b.gaps, b.kinds, b.index) for b in blocks]
     return LimitSamples(*map(np.concatenate, zip(*columns)))
 

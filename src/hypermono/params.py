@@ -26,7 +26,8 @@ ZERO = Fraction(0)
 def parse_exponent(x) -> Exponent:
     """Coerce a user-facing exponent ("p/q", int, float, Fraction) into [0, 1).
 
-    A zero denominator or a value that is not finite raises ``ValueError``.
+    A string that is neither "p/q" (integers p, q) nor a decimal, a zero
+    denominator, or a value that is not finite raises ``ValueError``.
     """
     if isinstance(x, Fraction):
         v: Exponent = x
@@ -34,16 +35,15 @@ def parse_exponent(x) -> Exponent:
         v = Fraction(x)
     elif isinstance(x, str):
         x = x.strip()
-        if "/" in x:
-            num, den = x.split("/")
-            if int(den) == 0:
-                raise ValueError(f"exponent {x!r} has denominator 0")
-            v = Fraction(int(num), int(den))
-        else:
-            f = float(x)
-            v = as_exact(f)
-            if v is None:
-                v = f
+        num, slash, den = x.partition("/")
+        try:
+            v = Fraction(int(num), int(den)) if slash else float(x)
+        except ZeroDivisionError:
+            raise ValueError(f"exponent {x!r} has denominator 0") from None
+        except ValueError:
+            raise ValueError(f"exponent {x!r} is neither 'p/q' nor a decimal") from None
+        if (exact := as_exact(v)) is not None:
+            v = exact
     elif isinstance(x, float):
         v = x
     else:
@@ -366,8 +366,3 @@ def enumerate_good_families(rank: int, grid):
                     out.append(p)
     return out
 
-
-MIRROR_QUINTIC = HypergeomParams(
-    (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)),
-    (ZERO, ZERO, ZERO, ZERO),
-)

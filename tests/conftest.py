@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,10 @@ from hypermono import fuchsian as fox
 from hypermono import monodromy as mono
 from hypermono import params as par
 
+MIRROR_QUINTIC = par.HypergeomParams(
+    (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)), (Fraction(0),) * 4
+)
+
 # (13, INF, 8) is the family 1/8,3/8,5/8,7/8:5/13,6/13,7/13,8/13; with (INF, 3, 4), it
 # places one vertex at a cusp and the other at a cone point
 SIGNATURES = [(2, 3, fox.INF), (2, 3, 7), (3, 3, 4), (fox.INF, fox.INF, 5),
@@ -15,7 +21,7 @@ SIGNATURES = [(2, 3, fox.INF), (2, 3, 7), (3, 3, 4), (fox.INF, fox.INF, 5),
 
 @pytest.fixture(scope="session")
 def mq():
-    return par.MIRROR_QUINTIC
+    return MIRROR_QUINTIC
 
 
 @pytest.fixture(scope="session")

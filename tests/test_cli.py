@@ -140,10 +140,19 @@ class TestExitCodes:
         # a zero denominator and non-finite decimals used to exit 3, and nan exited 2 by accident
         "1/0,2/5,3/5,4/5:0,0,0,0", "inf,2/5,3/5,4/5:0,0,0,0", "1e400,2/5,3/5,4/5:0,0,0,0",
         "nan,2/5,3/5,4/5:0,0,0,0",
+        # these exited 2 with "invalid literal for int()" and "too many values to unpack"
+        "1/x,2/5,3/5,4/5:0,0,0,0", "1/5/2,2/5,3/5,4/5:0,0,0,0",
     ])
     def test_invalid_params(self, params, capsys):
         assert cli.main(["certify", "--params", params, "--L", "2"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exponent", ["1/x", "1/5/2", "a"])
+    def test_malformed_exponent_is_named(self, exponent, capsys):
+        argv = ["certify", "--params", f"{exponent},2/5,3/5,4/5:0,0,0,0", "--L", "2"]
+        assert cli.main(argv) == 2
+        assert f"error: exponent {exponent!r} is neither 'p/q' nor a decimal" in (
+            capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, fault", [
         ("certify", "nan"), ("certify", "svd"), ("limitset", "svd"),
@@ -151,8 +160,8 @@ class TestExitCodes:
     def test_failed_chunk_leaves_no_partial_csv(self, tmp_path, capsys, monkeypatch, command,
                                                 fault):
         # quintic L=9 has four SVD chunks; the third fails after the rows of the
-        # first two are written (for limitset, after its cusp rows), and the files
-        # of an earlier run are left as they were
+        # first two are written (for limitset, after its cusp rows, a block for each
+        # of the four chunks), and the files of an earlier run are left as they were
         third, balls = 2 * _linalg.SVD_CHUNK, []
         enumerate_ball, svd = dynamics.enumerate_ball, np.linalg.svd
 
@@ -183,7 +192,7 @@ class TestExitCodes:
         argv = [command, "--params", QUINTIC, "--L", "9", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 3
         assert "numerical failure" in capsys.readouterr().err
-        assert blocks == [str(tmp_path / "out.csv.part")] * (2 + (command == "limitset"))
+        assert blocks == [str(tmp_path / "out.csv.part")] * (2 + 4 * (command == "limitset"))
         assert sorted(p.name for p in tmp_path.iterdir()) == earlier
         assert all((tmp_path / name).read_text() == "earlier run\n" for name in earlier)
         assert threading.active_count() == before
@@ -233,36 +242,63 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
 
-    @pytest.mark.parametrize("fault", ["csv-directory", "svg-directory", "svg-write"])
-    def test_limitset_leaves_no_partial_output(self, fault, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("fault, L", [
+        ("csv-directory", "3"), ("svg-directory", "3"), ("svg-write", "3"), ("csv-write", "9"),
+    ], ids=["csv-directory", "svg-directory", "svg-write", "csv-write-four-chunks"])
+    def test_limitset_leaves_no_partial_output(self, fault, L, tmp_path, capsys, monkeypatch):
         # with o.svg a directory, a fresh o.csv used to be left behind; an earlier
-        # file of the pair stays as it was, and no .part is left
-        earlier = "o.svg" if fault == "csv-directory" else "o.csv"
+        # file of the pair stays as it was, and no .part is left.  At L=9 (four SVD
+        # chunks, on three CPUs) the first cusp block fails while the stream's workers
+        # live, and every one of them ends
+        earlier = "o.svg" if fault.startswith("csv") else "o.csv"
+        threads, alive = threading.active_count(), []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         if fault == "svg-write":
             def failing_svg(*args, **kwargs):
-                yield "<svg>"
+                yield ["<svg>"]
                 raise OSError("disk full")
 
             monkeypatch.setattr(cli, "_svg_scatter", failing_svg)
+        elif fault == "csv-write":
+            def failing_write(fh, lines):
+                alive.append(threading.active_count())
+                raise OSError("disk full")
+
+            monkeypatch.setattr(cli, "_write_lines", failing_write)
         else:
             (tmp_path / f"o.{fault[:3]}").mkdir()
         (tmp_path / earlier).write_text("earlier run\n")
         before = sorted(p.name for p in tmp_path.iterdir())
-        argv = ["limitset", "--params", QUINTIC, "--L", "3", "--no-timestamp",
+        argv = ["limitset", "--params", QUINTIC, "--L", L, "--no-timestamp",
                 "--out", str(tmp_path / "o")]
         assert cli.main(argv) == 2
         assert "error:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert (tmp_path / earlier).read_text() == "earlier run\n"
+        assert alive == ([threads + 2] if fault == "csv-write" else [])
+        assert threading.active_count() == threads
 
-    def test_certify_leaves_no_partial_output(self, tmp_path, capsys):
-        # with o.json a directory, a fresh o.csv used to be left behind
+    def test_certify_leaves_no_partial_output(self, tmp_path, capsys, monkeypatch):
+        # with o.json a directory, a fresh o.csv used to be left behind.  L=3 is one
+        # SVD chunk, so no worker; at L=9, four chunks on three CPUs, the refusal
+        # leaves the stream's block while its two workers live, and both end
         (tmp_path / "o.json").mkdir()
-        argv = ["certify", "--params", QUINTIC, "--L", "3", "--out", str(tmp_path / "o")]
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "error:" in captured.err
-        assert [p.name for p in tmp_path.iterdir()] == ["o.json"]
+        threads, alive, certificate = threading.active_count(), [], dynamics.anosov_certificate
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+        def counting_certificate(*args):
+            alive.append(threading.active_count())
+            return certificate(*args)
+
+        monkeypatch.setattr(dynamics, "anosov_certificate", counting_certificate)
+        for L in ("3", "9"):
+            argv = ["certify", "--params", QUINTIC, "--L", L, "--out", str(tmp_path / "o")]
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "error:" in captured.err
+            assert [p.name for p in tmp_path.iterdir()] == ["o.json"]
+            assert threading.active_count() == threads
+        assert alive == [threads, threads + 2]
 
     def test_euclidean_signature_refused(self, capsys):
         # the float chi of (2, 3, 6) is -1.1e-16, whose sign says hyperbolic
@@ -306,6 +342,16 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "error:" in captured.err
+
+    # a ragged row exited 2 with numpy's "inhomogeneous shape", and a letter with
+    # "could not convert string to float"
+    @pytest.mark.parametrize("proj", ["nan,0,0,0;0,1,0,0", "1,0,0,0;0,1,0", "a,b,c,d;1,0,0,0"],
+                             ids=["nan", "ragged", "letters"])
+    def test_malformed_projection_is_named(self, proj, capsys):
+        assert cli.main(["limitset", "--params", QUINTIC, "--L", "2", "--proj", proj]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: projection must be a finite 2x4 matrix" in captured.err
 
     def test_signature_and_params_conflict(self, capsys):
         # the exponents fix the orbifold, which a --sig would replace

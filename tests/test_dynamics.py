@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import SIGNATURES, ball_for, ball_words
+from conftest import MIRROR_QUINTIC, SIGNATURES, ball_for, ball_words
 from hypermono import cli
 from hypermono import _linalg
 from hypermono import dynamics as dyn
@@ -197,7 +197,7 @@ def _inputs(p, with_fuchs):
 
 
 # the L=8 balls the per-word loop is run on, and the --params of their certify runs
-BALLS8 = {"quintic": (par.MIRROR_QUINTIC, "1/5,2/5,3/5,4/5:0,0,0,0"),
+BALLS8 = {"quintic": (MIRROR_QUINTIC, "1/5,2/5,3/5,4/5:0,0,0,0"),
           "octic": (OCTIC, "1/8,3/8,5/8,7/8:0,0,0,0")}
 
 
@@ -231,7 +231,7 @@ class TestEnumerateBall:
             assert ball.fuchs is None
 
     def test_length_zero(self):
-        gens, orders, fuchs = _inputs(par.MIRROR_QUINTIC, True)
+        gens, orders, fuchs = _inputs(MIRROR_QUINTIC, True)
         ball = dyn.enumerate_ball(gens, orders, 0, fuchs_gens=fuchs)
         assert ball_words(ball) == [()]
         assert np.array_equal(ball.mats, np.eye(4)[None])
@@ -310,7 +310,7 @@ class TestEnumerateBall:
 
 def _quintic_cusp_targets(count):
     """The cusp lines g.ker(h0 - id) of the first ``count`` ball words g."""
-    gens, orders, _ = _inputs(par.MIRROR_QUINTIC, False)
+    gens, orders, _ = _inputs(MIRROR_QUINTIC, False)
     N = np.rint(gens["0"]).astype(np.int64) - np.eye(4, dtype=np.int64)
     N3 = N @ N @ N
     line = N3[:, np.flatnonzero(N3.any(axis=0))[0]]
@@ -345,7 +345,7 @@ class TestRationalLimitClassify:
     @pytest.mark.parametrize("x", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_target_refused(self, x):
         # inf raised OverflowError, and nan Fraction's ValueError, from as_exact
-        gens, orders, _ = _inputs(par.MIRROR_QUINTIC, False)
+        gens, orders, _ = _inputs(MIRROR_QUINTIC, False)
         with pytest.raises(ValueError, match="target coordinate .* is not rational"):
             dyn.rational_limit_classify(gens, orders, v=(x, 1, 0, 0), L=2)
 
@@ -366,7 +366,7 @@ class TestRationalLimitClassify:
         assert len(words) >= 3  # conjugates of h0 at several word lengths, not h0 alone
 
     def test_quintic_no_witness(self):
-        gens, orders, _ = _inputs(par.MIRROR_QUINTIC, False)
+        gens, orders, _ = _inputs(MIRROR_QUINTIC, False)
         assert dyn.rational_limit_classify(gens, orders, v=(1, 2, 3, 5), L=7) is None
         assert reference_classify(gens, orders, v=(1, 2, 3, 5), L=4) is None
 
@@ -432,15 +432,19 @@ def per_sample_limit_curve(ball, gap_min, h1=None):
 
 
 def streamed_limit_curve(ball, gap_min, h1):
-    """``limit_curve_samples``, checked against the blocks its sink got: the cusp block
-    first, then one attracting block per SVD chunk, each of one kind, which concatenated
-    in that order are the returned samples byte for byte."""
+    """``limit_curve_samples``, checked against the blocks its sink got: one cusp block per
+    chunk of ball rows, then one attracting block per SVD chunk, each of one kind and of
+    the rows of one chunk, which concatenated in that order are the returned samples
+    byte for byte."""
     blocks = []
     got = dyn.limit_curve_samples(ball, gap_min, h1, blocks.append)
-    n_chunks = -(-len(ball) // _linalg.SVD_CHUNK) if gap_min is not None else 0
-    kinds = ["cusp"] * (h1 is not None) + ["attracting"] * n_chunks
+    chunks = list(range(-(-len(ball) // _linalg.SVD_CHUNK)))
+    kinds = [kind for kind, given in (("cusp", h1), ("attracting", gap_min)) if given is not None
+             for _ in chunks]
     assert len(blocks) == len(kinds)
-    assert all(set(block.kinds.tolist()) <= {kind} for kind, block in zip(kinds, blocks))
+    for kind, chunk, block in zip(kinds, chunks * 2, blocks):
+        assert set(block.kinds.tolist()) <= {kind}
+        assert set((block.index // _linalg.SVD_CHUNK).tolist()) <= {chunk}
     for field in ("points", "gaps", "kinds", "index"):
         joined = np.concatenate([getattr(b, field) for b in blocks])
         assert joined.dtype == getattr(got, field).dtype
@@ -455,7 +459,7 @@ def mats_ball(mats):
 
 
 LIMIT_FAMILIES = {
-    "quintic": par.MIRROR_QUINTIC,
+    "quintic": MIRROR_QUINTIC,
     "octic": OCTIC,
     "half": par.HypergeomParams(("1/2",) * 4, ("0",) * 4),
 }
@@ -572,7 +576,8 @@ def svd_calls(request, monkeypatch):
 
 def ball_gaps(ball):
     """The ball's gaps, collected from the chunks of ``singular_gaps`` as ``certify`` does."""
-    return np.concatenate([g for g, _ in _linalg.singular_gaps(ball.mats, top=False)])
+    with _linalg.singular_gaps(ball.mats, top=False) as chunks:
+        return np.concatenate([g for _, g, _ in chunks])
 
 
 class TestSingularGaps:
@@ -586,18 +591,20 @@ class TestSingularGaps:
             s = np.linalg.svd(mats, compute_uv=False)
         svd_calls.clear()  # the reference call
         before = threading.active_count()
-        chunks = list(_linalg.singular_gaps(mats, top))
+        with _linalg.singular_gaps(mats, top) as stream:
+            chunks = list(stream)
         starts = list(range(0, len(mats), 5))
-        # the chunks come in stack order, and each is computed once
-        assert [len(g) for g, _ in chunks] == [len(mats[i:i + 5]) for i in starts]
+        # the chunks come in stack order, each with its rows, and each is computed once
+        assert [rows for rows, _, _ in chunks] == [slice(i, i + 5) for i in starts]
+        assert [len(g) for _, g, _ in chunks] == [len(mats[i:i + 5]) for i in starts]
         base = mats.__array_interface__["data"][0]
         assert sorted((a - base) // mats.strides[0] for _, a in svd_calls) == starts
-        gaps = np.concatenate([g for g, _ in chunks])
+        gaps = np.concatenate([g for _, g, _ in chunks])
         assert gaps.tobytes() == (np.log(s[:, 0]) - np.log(s[:, 1])).tobytes()
         if top:
-            assert np.concatenate([t for _, t in chunks]).tobytes() == u[:, :, 0].tobytes()
+            assert np.concatenate([t for _, _, t in chunks]).tobytes() == u[:, :, 0].tobytes()
         else:
-            assert all(t is None for _, t in chunks)
+            assert all(t is None for _, _, t in chunks)
         # one chunk starts no thread; more start at most 2, and all of them end
         peak = max(count for count, _ in svd_calls)
         assert peak == before if len(mats) <= 5 else before < peak <= before + 2
@@ -611,25 +618,26 @@ class TestSingularGaps:
         reference = np.linalg.svd(mats, compute_uv=top)
         started, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), start(t)))
-        chunks = list(_linalg.singular_gaps(mats, top))
+        with _linalg.singular_gaps(mats, top) as stream:
+            chunks = list(stream)
         assert started == [] and len(svd_calls) == 1 + 5
         s = reference[1] if top else reference
-        gaps = np.concatenate([g for g, _ in chunks])
+        gaps = np.concatenate([g for _, g, _ in chunks])
         assert gaps.tobytes() == (np.log(s[:, 0]) - np.log(s[:, 1])).tobytes()
         if top:
-            tops = np.concatenate([t for _, t in chunks])
+            tops = np.concatenate([t for _, _, t in chunks])
             assert tops.tobytes() == reference[0][:, :, 0].tobytes()
 
     def test_chunks_are_computed_ahead(self, limit_balls, svd_calls):
-        # the workers start at the call, before the first chunk is asked for
+        # the workers start when the block is entered, before the first chunk is asked for
         mats = limit_balls["octic"][0].mats[:23]
         before = set(threading.enumerate())
-        stream = _linalg.singular_gaps(mats, False)
-        deadline = time.monotonic() + 10
-        while len(svd_calls) < 5 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert len(svd_calls) == 5  # the workers took every chunk, and left the consumer none
-        assert sum(len(g) for g, _ in stream) == 23
+        with _linalg.singular_gaps(mats, False) as stream:
+            deadline = time.monotonic() + 10
+            while len(svd_calls) < 5 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert len(svd_calls) == 5  # the workers took every chunk, and left the consumer none
+            assert sum(len(g) for _, g, _ in stream) == 23
         assert len(svd_calls) == 5 and set(threading.enumerate()) == before
 
     @pytest.mark.parametrize("top", [False, True])
@@ -645,31 +653,37 @@ class TestSingularGaps:
             return result
 
         monkeypatch.setattr(np.linalg, "svd", watched_svd)
-        for k, _ in enumerate(_linalg.singular_gaps(mats, top)):
-            gc.collect()
-            assert [j for j in range(k) if refs[j]() is not None] == []  # chunks still held
+        with _linalg.singular_gaps(mats, top) as stream:
+            for k, _ in enumerate(stream):
+                gc.collect()
+                assert [j for j in range(k) if refs[j]() is not None] == []  # chunks still held
         assert sorted(refs) == list(range(5))
 
     @pytest.mark.parametrize("top", [False, True])
     def test_close_after_first_chunk_ends_every_thread(self, limit_balls, svd_calls, top):
+        # leaving the block after the first chunk, with the other chunks queued or running
         mats = limit_balls["octic"][0].mats
         before = threading.active_count()
-        stream = _linalg.singular_gaps(mats, top)
-        gaps, _ = next(stream)
-        assert len(gaps) == 5
-        calls = len(svd_calls)
-        stream.close()
+        with _linalg.singular_gaps(mats, top) as stream:
+            _, gaps, _ = next(stream)
+            assert len(gaps) == 5
+            calls = len(svd_calls)
         assert threading.active_count() == before
-        # no chunk is claimed once the stream is closed: each worker ends after its current one
+        # no chunk is claimed once the block is left: each worker ends after its current one
         assert len(svd_calls) <= calls + 2
 
     def test_close_before_first_chunk_ends_every_thread(self, limit_balls, svd_calls):
-        # limit_curve_samples computes its cusp samples before it takes the first
-        # chunk; a failure there closes a stream whose workers have already started
+        # limit_curve_samples computes its cusp samples before it takes the first chunk;
+        # leaving the block there, plainly or by an exception, ends workers that have
+        # already started
+        mats = limit_balls["octic"][0].mats
         before = threading.active_count()
-        stream = _linalg.singular_gaps(limit_balls["octic"][0].mats, True)
-        calls = len(svd_calls)
-        stream.close()
+        with _linalg.singular_gaps(mats, True):
+            calls = len(svd_calls)
+        assert threading.active_count() == before and len(svd_calls) <= calls + 2
+        with pytest.raises(OSError, match="cusp rows"), _linalg.singular_gaps(mats, True):
+            calls = len(svd_calls)
+            raise OSError("cusp rows not written")
         assert threading.active_count() == before and len(svd_calls) <= calls + 2
 
     @pytest.mark.parametrize("bad", [[17], [5, 10, 15, 20]], ids=["last-chunk", "all-but-first"])
@@ -678,10 +692,10 @@ class TestSingularGaps:
         mats = limit_balls["octic"][0].mats[:23].copy()
         mats[bad, 0, 0] = np.nan
         before = threading.active_count()
-        stream = _linalg.singular_gaps(mats, top)
-        assert len(next(stream)[0]) == 5  # the chunks before the first bad one come out
-        with pytest.raises(np.linalg.LinAlgError):
-            list(stream)
+        with _linalg.singular_gaps(mats, top) as stream:
+            assert len(next(stream)[1]) == 5  # the chunks before the first bad one come out
+            with pytest.raises(np.linalg.LinAlgError):
+                list(stream)
         assert threading.active_count() == before
 
 

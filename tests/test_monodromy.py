@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from conftest import MIRROR_QUINTIC as MQ
 from hypermono import fuchsian as fox
 from hypermono import params as par
 from hypermono._linalg import numerical_rank
@@ -19,7 +20,6 @@ from hypermono.monodromy import (
 )
 from oracles import frobenius_distance
 
-MQ = par.MIRROR_QUINTIC
 OCTIC = par.HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0",) * 4)
 RANK5 = par.HypergeomParams(
     ("9/20", "1/2", "1/2", "1/2", "11/20"), ("0", "0", "0", "1/3", "2/3")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import MIRROR_QUINTIC
 from hypermono import params as par
 from hypermono._linalg import numerical_rank
 from hypermono.monodromy import levelt_matrices
@@ -62,7 +63,7 @@ def test_as_exact_snaps_rounding_only(x, exact):
 class TestHodgeNumbers:
     def test_mirror_quintic(self):
         # rho = -1, -2, -3, -4 by the counting recipe
-        assert hodge_numbers(par.MIRROR_QUINTIC) == (1, 1, 1, 1)
+        assert hodge_numbers(MIRROR_QUINTIC) == (1, 1, 1, 1)
 
     def test_interlaced(self):
         p = HypergeomParams(("1/8", "3/8", "5/8", "7/8"), ("0", "1/4", "1/2", "3/4"))
@@ -77,7 +78,7 @@ class TestHodgeNumbers:
         assert hodge_numbers(p) == (2, 2)
 
     def test_swap_invariance(self):
-        p = par.MIRROR_QUINTIC
+        p = MIRROR_QUINTIC
         assert hodge_numbers(p) == hodge_numbers(HypergeomParams(p.beta, p.alpha))
 
 
@@ -129,7 +130,7 @@ class TestClassifyLocal:
 
 class TestAssumptionA:
     def test_mirror_quintic(self):
-        ok, cert = satisfies_assumption_a(par.MIRROR_QUINTIC)
+        ok, cert = satisfies_assumption_a(MIRROR_QUINTIC)
         assert ok and cert.failed_clause is None
 
     @pytest.mark.parametrize("mu", ["1/4", "1/2"])
@@ -147,7 +148,7 @@ class TestAssumptionA:
         assert cert.hodge == (2, 2)
 
     def test_swap_symmetry(self):
-        p = par.MIRROR_QUINTIC
+        p = MIRROR_QUINTIC
         assert satisfies_assumption_a(p)[0] == satisfies_assumption_a(HypergeomParams(p.beta, p.alpha))[0]
 
     def test_rank_checked(self):

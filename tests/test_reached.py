@@ -16,19 +16,21 @@ KEEP = {
 
 
 class _Uses(ast.NodeVisitor):
-    """Names read in each def or class body, keyed by its name (None: module level).
+    """Names read in each def or class body or module-level constant's value, keyed by its
+    name (None: the rest of the module level).
 
     A name is read as a bare name, an attribute, or a dotted name spelled in a
     string, since perfbench reaches the functions it times by name
     ("MonodromyRep.standardized").  ``loads`` and ``stores`` hold, per body,
     the attribute names loaded and stored, except off the CLI's parsed
-    options (``args.x``); ``defined`` holds the names of the defs and classes.
+    options (``args.x``); ``defined`` holds the names of the defs and classes,
+    and ``constants`` the names assigned at module level.
     """
 
     def __init__(self):
         self.scope = [None]
         self.uses, self.loads, self.stores = {}, {}, {}
-        self.defined = set()
+        self.defined, self.constants = set(), set()
 
     def _enter(self, node):
         self.defined.add(node.name)
@@ -37,6 +39,18 @@ class _Uses(ast.NodeVisitor):
         self.scope.pop()
 
     visit_FunctionDef = visit_ClassDef = _enter
+
+    def visit_Assign(self, node):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        if self.scope != [None] or len(names) != 1:
+            return self.generic_visit(node)
+        self.constants.add(names[0])
+        self.scope.append(names[0])
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AnnAssign = visit_Assign
 
     def _read(self, *names):
         self.uses.setdefault(self.scope[-1], set()).update(names)
@@ -92,11 +106,12 @@ def _reached(package, bench):
 
 
 def test_every_definition_is_reached():
-    # a def or class that only tests reach is code no command runs; the package's
-    # module-level code (the CLI entry point) and all of perfbench are the roots.
-    # A kept def is exempt itself, but what it reads must be reached on its own.
+    # a def, class or module-level constant that only tests reach is code no command
+    # runs; the package's module-level code (the CLI entry point) and all of perfbench
+    # are the roots.  A kept def is exempt itself, but what it reads must be reached
+    # on its own.
     package, bench = _scan(MODULES), _scan(BENCH)
-    defined = {name for name in package.defined if not _dunder(name)}
+    defined = {name for name in package.defined | package.constants if not _dunder(name)}
     kept = {name for name in KEEP if "." not in name}
     reached = _reached(package, bench)
     assert kept <= defined
