@@ -352,8 +352,9 @@ OPTIONS = {
     "--kinds": dict(default="attracting,cusp", help="limit-sample kinds to keep: attracting,cusp"),
     "--no-timestamp": dict(action="store_true"),
     "--T": dict(type=float, default=1e4,
-                help="total flow time, T/ntraj per trajectory (geodesic arc length 2T/ntraj)"),
-    "--ntraj": dict(type=int, default=50),
+                help="flow time of the one geodesic (hyperbolic arc length 2T)"),
+    "--ntraj": dict(type=int, default=50,
+                    help="number of batches the geodesic is cut into, for the stderr"),
     "--seed": dict(type=int, required=True),
     "--rep": dict(choices=("params", "fuchsian", "sym3"), default="params"),
     "--rhs-degrees": dict(help="comma list of extension degrees for the sum formula"),

@@ -24,6 +24,7 @@ from .params import as_exact
 LIMIT_DEDUP_RES = 1e-8  # limit samples are deduplicated on this grid of their coordinates
 EXACT_LIMIT = 2**53  # integer products are exact floats while n * max|g| * max|X| < this
 INTEGRAL_TOL = 1e-9  # a generator entry within this (relative) of an integer is that integer
+LYAP_WARMUP = 32  # pair steps each Lyapunov batch is transported before it counts
 
 
 @dataclass
@@ -410,7 +411,7 @@ def anosov_certificate(dists: np.ndarray, gaps: np.ndarray) -> AnosovCertificate
 class LyapunovResult:
     exponents: np.ndarray
     stderr: np.ndarray
-    per_trajectory: np.ndarray
+    per_batch: np.ndarray
     n_discarded: int
 
     @property
@@ -431,75 +432,127 @@ def lyapunov_mc(
     n_traj: int,
     seed: int,
 ) -> LyapunovResult:
-    """Benettin frame transport along random geodesics of the base orbifold.
+    """Benettin frame transport along one random geodesic of the base orbifold,
+    cut into ``n_traj`` batches.
 
     ``rep_mats`` is (rho(r_a), rho(r_b), rho(r_c)), the images of the mirror
     reflections of ``geodesic_sample``.  A crossing with code i folds the
     geodesic back by r_i, so the frame gains rho(r_i) on the left: a
-    reflection is its own inverse.  Consecutive codes i, j of a trajectory are
-    paired into one step rho(r_j) rho(r_i), an element of the rotation half,
-    from a table of 3 single steps and 9 products; an odd last code is one
-    single step.  Every step is followed by a QR, and the exponents are the
-    averaged log |diag R| per unit of flow time.  Householder QR is exactly
-    equivariant under column sign flips, so |diag R| does not depend on the
-    signs of the frame's columns.  Time follows the diag(e^t, e^{-t})
-    convention, under which the geodesic covers hyperbolic arc length 2t and
+    reflection is its own inverse.  Consecutive codes i, j of the geodesic
+    are paired into one step rho(r_j) rho(r_i), an element of the rotation
+    half, from a table of 3 single steps and 9 products; an odd last code is
+    one single step.  Every step is followed by a QR, whose log |diag R| is
+    the step's log growth.  Householder QR is exactly equivariant under
+    column sign flips, so |diag R| does not depend on the signs of the
+    frame's columns.  Time follows the diag(e^t, e^{-t}) convention, under
+    which the geodesic of flow time ``T`` covers hyperbolic arc length 2T and
     the uniformizing representation itself has top exponent exactly 1.
 
-    All trajectories are transported in lock step: each step is one stacked
-    matmul and one stacked QR over the trajectories that still have steps,
-    which, sorted longest first, are a prefix of the stack.  The QR calls the
-    two gufuncs behind ``np.linalg.qr`` directly, in place and without the
+    The steps are cut into ``n_traj`` batches of about equal flow time.  A
+    cut falls only where a step starts a run of equal steps right after a
+    run of length 1, so no cut splits a cusp excursion (a run of one pair
+    step), at the candidate nearest each equal share of the counted flow
+    time.  A cusp excursion makes many steps in little time, so equal step
+    counts would leave batches of very unequal time.  Each batch is
+    transported from the identity frame ``LYAP_WARMUP`` steps before its
+    first step and counts only its own steps, from the flow time of the last
+    crossing before its first step to that of its last; the first batch
+    starts at step ``LYAP_WARMUP``, so the geodesic's first steps are a
+    discarded transient.  The exponents are the counted log growth over the
+    counted flow time of the kept batches, and the stderr is that ratio's
+    batch-means error.  A geodesic too short for the warm-up, or with fewer
+    cut candidates than ``n_traj - 1``, is refused with ``ValueError``.
+
+    All batches are transported in lock step: each step is one stacked
+    matmul and one stacked QR over the batches that still have steps, which,
+    sorted longest first, are a prefix of the stack.  The QR calls the two
+    gufuncs behind ``np.linalg.qr`` directly, in place and without the
     wrapper's copy and checks, so it gives that function's bits.  Stacked
     matmul and QR act on each matrix as the 2-D calls do, so the results
     equal one-at-a-time transport with ``np.linalg.qr`` bit for bit.  A
-    trajectory is discarded when some R has a zero or non-finite diagonal
-    entry, which is exactly when its log sum ends non-finite; the kept rows
-    of ``per_trajectory`` stay in seed order.
+    batch is discarded when some R of its steps, warm-up included, has a
+    zero or non-finite diagonal entry, which is exactly when its log sum
+    ends non-finite; the kept rows of ``per_batch`` stay in geodesic order.
     """
     if not 0 < T < math.inf or n_traj <= 0 or seed < 0:
         raise ValueError("T must be positive and finite, n_traj positive, and seed non-negative")
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
-    t_each = T / n_traj
-    paired = []
-    for sq in np.random.SeedSequence(seed).spawn(n_traj):
-        # trajectories are sampled by arc length 2 t_each (flow-time t_each)
-        codes = np.frombuffer(geodesic_sample(sig, sq, 2.0 * t_each).events, dtype=np.uint8)
-        paired.append(np.append(3 + 3 * codes[:-1:2] + codes[1::2], codes[len(codes) // 2 * 2:]))
-    flat = np.concatenate(paired)
-    lengths = np.array([len(p) for p in paired])
+    warm = LYAP_WARMUP
+    geo = geodesic_sample(sig, np.random.SeedSequence(seed), 2.0 * T)
+    codes = np.frombuffer(geo.events, dtype=np.uint8)
+    odd = len(codes) // 2 * 2
+    steps = np.append(3 + 3 * codes[:-1:2] + codes[1::2], codes[odd:])
+    times = np.frombuffer(geo.times)
+
+    def step_end(k):
+        """The flow time of the last crossing of each step in ``k``."""
+        return times[np.minimum(2 * k + 1, len(codes) - 1)] / 2.0
+
+    if len(steps) <= warm:
+        raise ValueError(f"T={T} gives {len(steps)} pair steps, too few for the warm-up of {warm}")
+    # the cut candidates: steps past the warm-up that start a run right after a run of one
+    new_run = steps[1:] != steps[:-1]
+    cands = np.flatnonzero(new_run[1:] & new_run[:-1]) + 2
+    cands = cands[cands > warm]
+    if len(cands) < n_traj - 1:
+        raise ValueError(f"the geodesic of T={T} allows at most {len(cands) + 1} batches, "
+                         f"not {n_traj}")
+    # a cut at step k ends the previous batch's flow time at step_end(k - 1)
+    at = step_end(cands - 1)
+    begin = step_end(warm - 1)
+    targets = begin + (step_end(len(steps) - 1) - begin) / n_traj * np.arange(1, n_traj)
+    right = np.searchsorted(at, targets).clip(max=len(cands) - 1)
+    left = (right - 1).clip(min=0)
+    pick = np.where(targets - at[left] <= at[right] - targets, left, right)
+    # distinct cuts: the b-th pick is at least the last one plus 1, and leaves a candidate
+    # for each later target
+    b = np.arange(n_traj - 1)
+    pick = np.minimum(np.maximum.accumulate(pick - b) + b, len(cands) - n_traj + 1 + b)
+    first = np.append(warm, cands[pick])  # each batch's first counted step
+    stop = np.append(cands[pick], len(steps))
+    spans = step_end(stop - 1) - step_end(first - 1)
+    lengths = stop - first + warm
     order = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[order]
-    # at steps ends[k] <= j < ends[k - 1], exactly the first k trajectories have steps left
+    starts = (first - warm)[order]
+    # at steps ends[k] <= j < ends[k - 1], exactly the first k batches have steps left
     ends = np.append(lengths[order], 0).tolist()
     frames = np.tile(np.eye(n), (n_traj, 1, 1))
     logs = np.zeros((n_traj, n))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # step 3 + 3i + j is the pair (i, j): rho(r_j) rho(r_i)
-        steps = np.stack(mats + [mats[j] @ mats[i] for i in range(3) for j in range(3)])
+        table = np.stack(mats + [mats[j] @ mats[i] for i in range(3) for j in range(3)])
         for k in range(n_traj, 0, -1):
             frame, log, start = frames[:k], logs[:k], starts[:k]
             a = np.empty_like(frame)
             diag = a.diagonal(axis1=1, axis2=2)
             for j in range(ends[k], ends[k - 1]):
-                np.matmul(steps[flat[start + j]], frame, out=a)
+                if j == warm:
+                    # every batch is past its warm-up: finite logs restart at 0, and a
+                    # non-finite one keeps its batch discarded
+                    np.copyto(logs, 0.0, where=np.isfinite(logs))
+                np.matmul(table[steps[start + j]], frame, out=a)
                 # Householder QR in place: R's upper triangle overwrites a, Q goes to frame
                 tau = _umath_linalg.qr_r_raw(a, signature="d->d")
                 _umath_linalg.qr_reduced(a, tau, signature="dd->d", out=frame)
                 log += np.log(np.abs(diag))
-    per = np.empty_like(logs)
-    per[order] = logs
-    per = per[np.isfinite(per).all(axis=1)] / t_each
-    if not len(per):
-        raise RuntimeError("all trajectories were discarded")
-    lam = per.mean(axis=0)
-    err = per.std(axis=0, ddof=1) / math.sqrt(len(per)) if len(per) > 1 else np.zeros(n)
+    counted = np.empty_like(logs)
+    counted[order] = logs
+    kept = np.isfinite(counted).all(axis=1)
+    counted, spans = counted[kept], spans[kept]
+    if not len(spans):
+        raise RuntimeError("all batches were discarded")
+    total = spans.sum()
+    lam = counted.sum(axis=0) / total
+    m = len(spans)
+    # the ratio estimator's batch-means error
+    resid = counted - spans[:, None] * lam
+    err = np.sqrt(m / (m - 1) * (resid * resid).sum(axis=0)) / total if m > 1 else np.zeros(n)
     return LyapunovResult(
         exponents=lam,
         stderr=err,
-        per_trajectory=per,
-        n_discarded=n_traj - len(per),
+        per_batch=counted / spans[:, None],
+        n_discarded=n_traj - m,
     )
 
 

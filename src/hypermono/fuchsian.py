@@ -19,6 +19,7 @@ triangle at every mirror crossing, which is recorded as the mirror's code:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -257,9 +258,11 @@ def build_domain(sig: OrbifoldSignature) -> TriangleDomain:
 
 @dataclass
 class GeodesicTrajectory:
-    """The code of each mirror crossing, in order (see the module docstring)."""
+    """The code of each mirror crossing, in order (see the module docstring), and
+    its arc length from the start: ``times[i]`` is when ``events[i]`` happens."""
 
     events: bytes
+    times: array  # array('d'), one float64 per crossing
 
 
 def _mirror(r):
@@ -281,9 +284,9 @@ def geodesic_sample(
     geodesic meets the mirror with normal n at arc length atanh(-<x,n>/<v,n>)
     when that ratio lies in (0, 1).  At the first crossing before
     ``total_time``, v is reflected in that mirror, x and v are renormalized,
-    and the mirror's code is recorded; the mirror just crossed is not tested
-    again.  Deterministic per seed: ``seed`` goes to ``np.random.default_rng``,
-    and ``lyapunov_mc`` passes one spawned ``SeedSequence`` per trajectory.
+    and the mirror's code and arc length are recorded; the mirror just crossed
+    is not tested again.  Deterministic per seed: ``seed`` goes to
+    ``np.random.default_rng``, and ``lyapunov_mc`` passes ``SeedSequence(seed)``.
     """
     if not 0 <= total_time < INF:
         raise ValueError("total_time must be finite and >= 0")
@@ -297,7 +300,7 @@ def geodesic_sample(
     v0, v1, v2 = -math.sin(phi), math.cos(phi), 0.0
     last = 1
     t_now = 0.0
-    codes = bytearray()
+    codes, times = bytearray(), array("d")
     while True:
         best_t = INF
         for code, (n0, n1, n2) in others[last]:
@@ -326,4 +329,5 @@ def geodesic_sample(
         k = 1.0 / math.sqrt(v0 * v0 + v1 * v1 - v2 * v2)
         v0, v1, v2 = k * v0, k * v1, k * v2
         codes.append(last)
-    return GeodesicTrajectory(events=bytes(codes))
+        times.append(t_now)
+    return GeodesicTrajectory(events=bytes(codes), times=times)

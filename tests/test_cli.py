@@ -371,12 +371,14 @@ class TestPinnedStdout:
         # a symmetric J: the J_signature branch
         (["monodromy", "--params", "9/20,1/2,1/2,1/2,11/20:0,0,0,1/3,2/3"],
          "05dd76375e9c54793a95647eedbbb89806be3670ff61249da8d6d8138579a27a"),
-        # re-recorded when geodesics began to cross the triangle's three mirrors
+        # both lyapunov pins re-recorded when the estimator became batch means along one
+        # geodesic of flow time T, with a warm-up before each batch: the geodesic's codes
+        # are those of geodesic_sample from SeedSequence(seed), not of spawned seeds
         (["lyapunov", "--rep", "params", "--params", QUINTIC, "--T", "50", "--ntraj", "2",
-          "--seed", "1"], "1776ff16942dbeaad0dd77c45a7f2cf012ba13be30828308350e952bdafdf848"),
+          "--seed", "1"], "c8c37937132ef332402cf5284daf2768389eccb74c848bc5d1da30939056996c"),
         # a faster sampler must keep the mirror codes of the 2x2 path bit for bit
         (["lyapunov", "--rep", "sym3", "--sig", "2,3,inf", "--T", "200", "--ntraj", "4",
-          "--seed", "5"], "f4cef297811157b93cf001d09be276d63ede7496405a69a1e217fbd3afd3d06d"),
+          "--seed", "5"], "81dbb182c053a53c7ff3136b25d79a88420b6bf12964a141a539987c518181f7"),
         # the reflections are the Levelt matrices' rows reversed, bit for bit (R_C @ h is
         # not: it flips zeros to -0.0); the octic prints nine -0.0 entries, and the
         # second family has irrational coefficients
@@ -480,6 +482,15 @@ class TestLyapunov:
         assert cli.main(self.ARGV + ["--seed", "-1"]) == 2
         assert "error: T must be positive and finite, n_traj positive, and seed non-negative" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--T", "50", "--ntraj", str(10**18)], "allows at most "),
+        (["--T", "0.5", "--ntraj", "1"], "too few for the warm-up"),
+    ], ids=["ntraj-past-cut-points", "T-within-warm-up"])
+    def test_geodesic_too_short_refused(self, argv, message, capsys):
+        assert cli.main(["lyapunov", "--rep", "sym3", "--seed", "1"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: " in captured.err and message in captured.err
 
     def test_rhs_degrees_evaluates_comparison(self, tmp_path, capsys):
         path = tmp_path / "lyap.json"

@@ -1,9 +1,12 @@
+import dataclasses
 import gc
+import inspect
 import math
 import os
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -787,19 +790,42 @@ class TestAnosovCertificate:
             dyn.frobenius_distances(mq_ball8)
 
 
-def per_event_lyapunov(rep_mats, sig, T, n_traj, seed):
-    """The per-event reference loop: one trajectory at a time, one 2-D QR per pair of crossings."""
+def per_event_lyapunov(rep_mats, sig, T, n_batch, seed):
+    """The per-event reference of the batch scheme: one geodesic, cut by a scan of its
+    pair steps, each batch transported alone with one 2-D QR per pair of crossings."""
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
-    t_each = T / n_traj
-    rows, discarded = [], 0
-    for sq in np.random.SeedSequence(seed).spawn(n_traj):
-        codes = list(fox.geodesic_sample(sig, sq, 2.0 * t_each).events)
-        frame, logs, bad = np.eye(n), np.zeros(n), False
-        for k in range(0, len(codes), 2):
-            # code i folds the geodesic back by r_i, so the frame gains rho(r_i);
-            # codes i, j make one step rho(r_j) rho(r_i), and an odd last code one rho(r_i)
-            pair = codes[k:k + 2]
+    warm = dyn.LYAP_WARMUP
+    geo = fox.geodesic_sample(sig, np.random.SeedSequence(seed), 2.0 * T)
+    codes, times = list(geo.events), list(geo.times)
+    # code i folds the geodesic back by r_i, so the frame gains rho(r_i); codes i, j
+    # make one step rho(r_j) rho(r_i), and an odd last code one rho(r_i)
+    steps, step_end = [], []
+    for k in range(0, len(codes), 2):
+        steps.append(tuple(codes[k:k + 2]))
+        step_end.append(times[min(k + 1, len(codes) - 1)] / 2.0)
+    if len(steps) <= warm:
+        raise ValueError("too few for the warm-up")
+    # a cut starts a run of equal steps right after a run of one step
+    cands = [k for k in range(warm + 1, len(steps))
+             if steps[k] != steps[k - 1] and steps[k - 1] != steps[k - 2]]
+    if len(cands) < n_batch - 1:
+        raise ValueError(f"allows at most {len(cands) + 1} batches")
+    cuts, lo = [], 0
+    begin = step_end[warm - 1]
+    for b in range(1, n_batch):
+        target = begin + (step_end[-1] - begin) / n_batch * b
+        # the candidate whose batch boundary is nearest (the lower on a tie), past the
+        # last cut and leaving one candidate for each later target
+        i = min(range(lo, len(cands) - (n_batch - 1 - b)),
+                key=lambda i: abs(step_end[cands[i] - 1] - target))
+        cuts.append(cands[i])
+        lo = i + 1
+    rows, spans = [], []
+    for first, stop in zip([warm] + cuts, cuts + [len(steps)]):
+        frame, logs = np.eye(n), np.zeros(n)
+        for k in range(first - warm, stop):
+            pair = steps[k]
             step = mats[pair[1]] @ mats[pair[0]] if len(pair) == 2 else mats[pair[0]]
             q, r = np.linalg.qr(step @ frame)
             d = np.sign(np.diag(r))
@@ -807,22 +833,25 @@ def per_event_lyapunov(rep_mats, sig, T, n_traj, seed):
             frame = q * d
             diag = np.abs(np.diag(r))
             if not np.all(np.isfinite(diag)) or np.any(diag == 0):
-                bad = True
                 break
-            logs += np.log(diag)
-        if bad:
-            discarded += 1
-            continue
-        rows.append(logs / t_each)
+            if k >= first:
+                logs += np.log(diag)
+        else:
+            rows.append(logs)
+            spans.append(step_end[stop - 1] - step_end[first - 1])
     if not rows:
-        raise RuntimeError("all trajectories were discarded")
-    per = np.array(rows)
-    err = per.std(axis=0, ddof=1) / np.sqrt(len(rows)) if len(rows) > 1 else np.zeros(n)
+        raise RuntimeError("all batches were discarded")
+    logs, spans = np.array(rows), np.array(spans)
+    total = spans.sum()
+    lam = logs.sum(axis=0) / total
+    m = len(rows)
+    resid = logs - spans[:, None] * lam
+    err = np.sqrt(m / (m - 1) * (resid ** 2).sum(axis=0)) / total if m > 1 else np.zeros(n)
     return dyn.LyapunovResult(
-        exponents=per.mean(axis=0),
+        exponents=lam,
         stderr=err,
-        per_trajectory=per,
-        n_discarded=discarded,
+        per_batch=logs / spans[:, None],
+        n_discarded=n_batch - m,
     )
 
 
@@ -836,9 +865,10 @@ def lyap_reps(modular_dom, modular_sig, mq, mq_sig):
         "quintic": (mono.reflection_matrices(*mono.levelt_matrices(mq)), mq_sig),
         "rank5": (mono.reflection_matrices(*mono.levelt_matrices(RANK5)),
                   fox.orbifold_signature(RANK5)),
-        # the pair steps of mirrors a and c underflow to the zero matrix: trajectories
-        # that cross a and c one after the other in a pair are discarded
-        "partial_discard": ((tiny, r_b, tiny), modular_sig),
+        # the pair steps of mirrors b and c, which meet at the order-2 vertex, underflow
+        # to the zero matrix: batches that cross b and c one after the other in a pair,
+        # warm-up included, are discarded
+        "partial_discard": ((r_a, tiny, tiny), modular_sig),
     }
 
 
@@ -851,7 +881,7 @@ class TestLyapunovMC:
             ("quintic", 200, 4, 2, 0),
             ("fuchsian", 50, 1, 4, 0),
             ("rank5", 200, 4, 2, 0),
-            ("partial_discard", 4, 8, 0, 5),
+            ("partial_discard", 10, 4, 2, 2),
         ],
     )
     def test_matches_per_event_loop(self, lyap_reps, rep, T, n_traj, seed, discarded):
@@ -859,34 +889,34 @@ class TestLyapunovMC:
         got = dyn.lyapunov_mc(rep_mats, sig, T, n_traj, seed)
         want = per_event_lyapunov(rep_mats, sig, T, n_traj, seed)
         assert got.n_discarded == want.n_discarded == discarded
-        assert got.per_trajectory.tobytes() == want.per_trajectory.tobytes()
+        assert got.per_batch.tobytes() == want.per_batch.tobytes()
         assert got.exponents.tobytes() == want.exponents.tobytes()
         assert got.stderr.tobytes() == want.stderr.tobytes()
 
     def test_all_discarded_raises(self, modular_sig):
-        # every trajectory here makes a pair step, and every pair step underflows to 0
+        # every batch here makes a pair step, and every pair step underflows to 0
         rep_mats = (1e-310 * np.eye(2),) * 3
         for run in (dyn.lyapunov_mc, per_event_lyapunov):
-            with pytest.raises(RuntimeError, match="all trajectories were discarded"):
-                run(rep_mats, modular_sig, 4, 3, 0)
+            with pytest.raises(RuntimeError, match="all batches were discarded"):
+                run(rep_mats, modular_sig, 20, 3, 0)
         # an inf entry, or pair steps that overflow: the step table is built under the
         # transport's errstate, so no RuntimeWarning of its matmuls comes first
         for big in (np.full((2, 2), math.inf), 1e200 * np.eye(2)):
-            with pytest.raises(RuntimeError, match="all trajectories were discarded"):
-                dyn.lyapunov_mc((big,) * 3, modular_sig, 4, 3, 0)
+            with pytest.raises(RuntimeError, match="all batches were discarded"):
+                dyn.lyapunov_mc((big,) * 3, modular_sig, 20, 3, 0)
 
     @pytest.mark.parametrize("rep", ["sym3", "fuchsian", "quintic", "rank5"])
     def test_rows_sum_to_zero(self, lyap_reps, rep):
         # every reflection has determinant -1, so the log growths of a frame cancel
         rep_mats, sig = lyap_reps[rep]
-        per = dyn.lyapunov_mc(rep_mats, sig, 400, 8, 3).per_trajectory
+        per = dyn.lyapunov_mc(rep_mats, sig, 400, 8, 3).per_batch
         assert np.abs(per.sum(axis=1)).max() < 1e-10
 
     def test_sym3_spectrum_is_3_1_m1_m3(self, lyap_reps):
         # Sym^3(QR) = Sym^3(Q) Sym^3(R) with Sym^3(Q) orthogonal in sym_cube's
         # basis, so on the same geodesics each row is (3, 1, -1, -3) lambda_1.
-        sym3 = dyn.lyapunov_mc(*lyap_reps["sym3"], 400, 8, 3).per_trajectory
-        fuchs = dyn.lyapunov_mc(*lyap_reps["fuchsian"], 400, 8, 3).per_trajectory
+        sym3 = dyn.lyapunov_mc(*lyap_reps["sym3"], 400, 8, 3).per_batch
+        fuchs = dyn.lyapunov_mc(*lyap_reps["fuchsian"], 400, 8, 3).per_batch
         assert np.abs(sym3 - np.outer(fuchs[:, 0], [3, 1, -1, -3])).max() < 1e-5
 
     @pytest.mark.parametrize("e", SIGNATURES, ids=lambda e: "-".join(map(str, e)))
@@ -899,12 +929,63 @@ class TestLyapunovMC:
         result = dyn.lyapunov_mc(gens, sig, 2000, 20, 7)
         assert abs(result.exponents[0] - 1.0) < 0.01
 
+    def test_batch_means_cover_sym3_exactly(self, lyap_reps):
+        # lambda_1 of Sym^3 of a Fuchsian group is exactly 3.  Independent trajectories
+        # that each restart from the identity frame read it low, by about two stderrs
+        rep_mats, sig = lyap_reps["sym3"]
+        z = []
+        for seed in range(8):
+            result = dyn.lyapunov_mc(rep_mats, sig, 2000, 10, seed)
+            z.append((result.exponents[0] - 3.0) / result.stderr[0])
+        assert max(map(abs, z)) < 2
+        assert abs(sum(z) / len(z)) < 1
+
+    def test_batch_count_past_the_cut_points_refused_before_allocating(self, lyap_reps):
+        rep_mats, sig = lyap_reps["fuchsian"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"allows at most \d+ batches") as exc:
+                dyn.lyapunov_mc(rep_mats, sig, 50, 10**18, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
+        # the named count is exact: it runs, and one more is refused
+        allowed = int(str(exc.value).split("at most ")[1].split()[0])
+        assert dyn.lyapunov_mc(rep_mats, sig, 50, allowed, 0).n_discarded == 0
+        with pytest.raises(ValueError, match=f"allows at most {allowed} batches"):
+            dyn.lyapunov_mc(rep_mats, sig, 50, allowed + 1, 0)
+
+    def test_time_too_short_for_the_warm_up_refused(self, lyap_reps):
+        rep_mats, sig = lyap_reps["fuchsian"]
+        with pytest.raises(ValueError, match=f"too few for the warm-up of {dyn.LYAP_WARMUP}"):
+            dyn.lyapunov_mc(rep_mats, sig, 0.5, 1, 0)
+
+
+def test_what_the_benchmark_reads_of_lyapunov(lyap_reps, monkeypatch):
+    # perfbench/spans.py passes n_traj by name, wraps geodesic_sample where lyapunov_mc
+    # looks it up and counts its .events as the run's crossings, and reads exponents
+    # and n_discarded off the result: a rename fails the traced sym3-lyapunov job
+    assert "n_traj" in inspect.signature(dyn.lyapunov_mc).parameters
+    rep_mats, sig = lyap_reps["sym3"]
+    calls = []
+
+    def spy(*args):
+        calls.append(fox.geodesic_sample(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(dyn, "geodesic_sample", spy)
+    result = dyn.lyapunov_mc(rep_mats, sig, 200, 4, 5)
+    assert len(calls) == 1
+    assert calls[0].events == fox.geodesic_sample(sig, np.random.SeedSequence(5), 400.0).events
+    assert {"exponents", "n_discarded"} <= {f.name for f in dataclasses.fields(result)}
+
 
 class TestSumFormulaReport:
     RESULT = dyn.LyapunovResult(
         exponents=np.array([3.0, 1.0, -1.0, -3.0]),
         stderr=np.zeros(4),
-        per_trajectory=np.array([[3.0, 1.0, -1.0, -3.0]]),
+        per_batch=np.array([[3.0, 1.0, -1.0, -3.0]]),
         n_discarded=0,
     )
 

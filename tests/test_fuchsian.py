@@ -1,4 +1,5 @@
 import math
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,15 @@ class TestGeodesicSample:
         sig = _sig(e)
         for seed in range(8):
             assert fox.geodesic_sample(sig, seed, 400.0).events == geodesic_codes(sig, seed, 400.0)
+
+    @pytest.mark.parametrize("e", SIGNATURES)
+    def test_times_are_one_increasing_float_per_code(self, e):
+        # lyapunov_mc reads each batch's flow time off these
+        geo = fox.geodesic_sample(_sig(e), 3, 400.0)
+        assert isinstance(geo.times, array) and geo.times.typecode == "d"
+        assert len(geo.times) == len(geo.events) > 0
+        assert all(s < t for s, t in zip(geo.times, geo.times[1:]))
+        assert 0.0 < geo.times[0] and geo.times[-1] < 400.0
 
     @pytest.mark.parametrize("total_time", [-1.0, math.nan, math.inf])
     def test_non_finite_or_negative_time_refused(self, total_time):

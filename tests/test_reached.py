@@ -11,7 +11,7 @@ KEEP = {
     "enumerate_good_families": "the paper's family table, to become a command",
     # dataclass fields, as "Class.field"
     "CuspWitness.unipotent": "evidence: the witness's matrix, checked by the tests exactly",
-    "LyapunovResult.per_trajectory": "test oracle: rows matched bit for bit against the per-event loop",
+    "LyapunovResult.per_batch": "test oracle: rows matched bit for bit against the per-event loop",
 }
 
 
