@@ -9,6 +9,7 @@ reflections in any frame.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
@@ -448,6 +449,13 @@ def lyapunov_mc(
     which the geodesic of flow time ``T`` covers hyperbolic arc length 2T and
     the uniformizing representation itself has top exponent exactly 1.
 
+    The geodesic is flowed in ``n_traj`` legs of equal flow time, one
+    ``geodesic_sample`` call each, and every leg resumes at the last crossing
+    of the one before, so the legs concatenate to one sample of flow time
+    ``T`` bit for bit, and a trace shows one call per batch.  A leg that
+    holds no crossing is not flowed, so there are never more calls than
+    crossings plus one, however large ``n_traj`` is.
+
     The steps are cut into ``n_traj`` batches of about equal flow time.  A
     cut falls only where a step starts a run of equal steps right after a
     run of length 1, so no cut splits a cusp excursion (a run of one pair
@@ -479,11 +487,26 @@ def lyapunov_mc(
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
     warm = LYAP_WARMUP
-    geo = geodesic_sample(sig, np.random.SeedSequence(seed), 2.0 * T)
-    codes = np.frombuffer(geo.events, dtype=np.uint8)
+    end = 2.0 * T
+
+    def leg_end(k):
+        return min(end * k / n_traj, end)
+
+    seq, k = np.random.SeedSequence(seed), 1
+    leg = geodesic_sample(sig, seq, leg_end(k))
+    codes, times = bytearray(leg.events), array("d", leg.times)
+    while leg.next_time < end:
+        # the next leg is the first to end past the next crossing
+        k = max(k + 1, int(leg.next_time / end * n_traj))
+        while leg_end(k) <= leg.next_time:
+            k += 1
+        leg = geodesic_sample(sig, seq, leg_end(k), start=leg)
+        codes += leg.events
+        times.extend(leg.times)
+    codes = np.frombuffer(codes, dtype=np.uint8)
     odd = len(codes) // 2 * 2
     steps = np.append(3 + 3 * codes[:-1:2] + codes[1::2], codes[odd:])
-    times = np.frombuffer(geo.times)
+    times = np.frombuffer(times)
 
     def step_end(k):
         """The flow time of the last crossing of each step in ``k``."""

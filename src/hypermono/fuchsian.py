@@ -263,6 +263,10 @@ class GeodesicTrajectory:
 
     events: bytes
     times: array  # array('d'), one float64 per crossing
+    # where the sample stopped: the point, tangent, code and arc length of its last
+    # crossing (of its start if it has none), from which ``start=`` resumes it
+    state: tuple
+    next_time: float  # the arc length of the next crossing, at or past ``total_time``
 
 
 def _mirror(r):
@@ -276,7 +280,10 @@ def _mirror(r):
 
 
 def geodesic_sample(
-    sig: OrbifoldSignature, seed: np.random.SeedSequence, total_time: float
+    sig: OrbifoldSignature,
+    seed: np.random.SeedSequence,
+    total_time: float,
+    start: GeodesicTrajectory | None = None,
 ) -> GeodesicTrajectory:
     """Unit-speed geodesic from i with a seeded random direction into the triangle.
 
@@ -287,19 +294,26 @@ def geodesic_sample(
     and the mirror's code and arc length are recorded; the mirror just crossed
     is not tested again.  Deterministic per seed: ``seed`` goes to
     ``np.random.default_rng``, and ``lyapunov_mc`` passes ``SeedSequence(seed)``.
+
+    With ``start``, the geodesic of that sample resumes from its last crossing
+    and ``seed`` is not used: samples chained to total times t1 < t2 < ...
+    have, concatenated, the codes and times of one sample to the last total
+    time, bit for bit.
     """
     if not 0 <= total_time < INF:
         raise ValueError("total_time must be finite and >= 0")
     mirrors = [_mirror(r) for r in build_domain(sig).reflections]
     # others[last]: the mirrors that may be crossed next; code order keeps the lower code on a tie
     others = [[(code, n) for code, n in enumerate(mirrors) if code != last] for last in range(3)]
-    rng = np.random.default_rng(seed)
-    phi = float(rng.uniform(0.0, math.pi))
-    # i lies on the mirror of r_b; the tangent points into Re z > 0
-    x0, x1, x2 = 0.0, 0.0, 1.0
-    v0, v1, v2 = -math.sin(phi), math.cos(phi), 0.0
-    last = 1
-    t_now = 0.0
+    if start is None:
+        phi = float(np.random.default_rng(seed).uniform(0.0, math.pi))
+        # i lies on the mirror of r_b; the tangent points into Re z > 0
+        x0, x1, x2 = 0.0, 0.0, 1.0
+        v0, v1, v2 = -math.sin(phi), math.cos(phi), 0.0
+        last = 1
+        t_now = 0.0
+    else:
+        x0, x1, x2, v0, v1, v2, last, t_now = start.state
     codes, times = bytearray(), array("d")
     while True:
         best_t = INF
@@ -311,10 +325,9 @@ def geodesic_sample(
                 best_t, best = t, code
         if best_t == INF:
             raise RuntimeError("geodesic found no exit mirror (corner hit?)")
-        last = best
-        t_now += best_t
-        if t_now >= total_time:
+        if (t_next := t_now + best_t) >= total_time:
             break
+        last, t_now = best, t_next
         ch, sh = math.cosh(best_t), math.sinh(best_t)
         x0, x1, x2, v0, v1, v2 = (ch * x0 + sh * v0, ch * x1 + sh * v1, ch * x2 + sh * v2,
                                   sh * x0 + ch * v0, sh * x1 + ch * v1, sh * x2 + ch * v2)
@@ -330,4 +343,5 @@ def geodesic_sample(
         v0, v1, v2 = k * v0, k * v1, k * v2
         codes.append(last)
         times.append(t_now)
-    return GeodesicTrajectory(events=bytes(codes), times=times)
+    return GeodesicTrajectory(events=bytes(codes), times=times,
+                              state=(x0, x1, x2, v0, v1, v2, last, t_now), next_time=t_next)

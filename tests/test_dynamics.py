@@ -940,8 +940,17 @@ class TestLyapunovMC:
         assert max(map(abs, z)) < 2
         assert abs(sum(z) / len(z)) < 1
 
-    def test_batch_count_past_the_cut_points_refused_before_allocating(self, lyap_reps):
+    def test_batch_count_past_the_cut_points_refused_before_allocating(self, lyap_reps,
+                                                                        monkeypatch):
         rep_mats, sig = lyap_reps["fuchsian"]
+        calls = []  # each call's crossing count
+
+        def spy(*args, **kwargs):
+            leg = fox.geodesic_sample(*args, **kwargs)
+            calls.append(len(leg.events))
+            return leg
+
+        monkeypatch.setattr(dyn, "geodesic_sample", spy)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"allows at most \d+ batches") as exc:
@@ -950,6 +959,11 @@ class TestLyapunovMC:
         finally:
             tracemalloc.stop()
         assert peak < 2**22
+        # only legs that hold a crossing are flowed, and one last leg that holds none
+        crossings = len(fox.geodesic_sample(sig, np.random.SeedSequence(0), 100.0).events)
+        assert sum(calls) == crossings
+        assert len(calls) <= crossings + 1
+        monkeypatch.undo()
         # the named count is exact: it runs, and one more is refused
         allowed = int(str(exc.value).split("at most ")[1].split()[0])
         assert dyn.lyapunov_mc(rep_mats, sig, 50, allowed, 0).n_discarded == 0
@@ -964,20 +978,22 @@ class TestLyapunovMC:
 
 def test_what_the_benchmark_reads_of_lyapunov(lyap_reps, monkeypatch):
     # perfbench/spans.py passes n_traj by name, wraps geodesic_sample where lyapunov_mc
-    # looks it up and counts its .events as the run's crossings, and reads exponents
-    # and n_discarded off the result: a rename fails the traced sym3-lyapunov job
+    # looks it up and counts the .events of its calls as the run's crossings, and reads
+    # exponents and n_discarded off the result: a rename fails the traced sym3-lyapunov
+    # job.  Its span test expects one geodesic_sample call per batch.
     assert "n_traj" in inspect.signature(dyn.lyapunov_mc).parameters
     rep_mats, sig = lyap_reps["sym3"]
     calls = []
 
-    def spy(*args):
-        calls.append(fox.geodesic_sample(*args))
+    def spy(*args, **kwargs):
+        calls.append(fox.geodesic_sample(*args, **kwargs))
         return calls[-1]
 
     monkeypatch.setattr(dyn, "geodesic_sample", spy)
     result = dyn.lyapunov_mc(rep_mats, sig, 200, 4, 5)
-    assert len(calls) == 1
-    assert calls[0].events == fox.geodesic_sample(sig, np.random.SeedSequence(5), 400.0).events
+    assert len(calls) == 4 and all(leg.events for leg in calls)
+    one = fox.geodesic_sample(sig, np.random.SeedSequence(5), 400.0)
+    assert b"".join(leg.events for leg in calls) == one.events
     assert {"exponents", "n_discarded"} <= {f.name for f in dataclasses.fields(result)}
 
 

@@ -87,6 +87,20 @@ class TestGeodesicSample:
         assert all(s < t for s, t in zip(geo.times, geo.times[1:]))
         assert 0.0 < geo.times[0] and geo.times[-1] < 400.0
 
+    @pytest.mark.parametrize("e", SIGNATURES)
+    def test_resumed_legs_are_one_sample(self, e):
+        # lyapunov_mc flows its geodesic in legs; empty legs (0.0, and 100.0 twice) too
+        sig = _sig(e)
+        one = fox.geodesic_sample(sig, 3, 400.0)
+        legs, leg = [], None
+        for total_time in (0.0, 0.5, 100.0, 100.0, 250.25, 400.0):
+            leg = fox.geodesic_sample(sig, 3, total_time, start=leg)
+            assert leg.next_time >= total_time
+            legs.append(leg)
+        assert b"".join(leg.events for leg in legs) == one.events
+        assert b"".join(leg.times.tobytes() for leg in legs) == one.times.tobytes()
+        assert (leg.state, leg.next_time) == (one.state, one.next_time)
+
     @pytest.mark.parametrize("total_time", [-1.0, math.nan, math.inf])
     def test_non_finite_or_negative_time_refused(self, total_time):
         # with nan or inf, t_now >= total_time never holds and the loop would not end
