@@ -26,6 +26,9 @@ LIMIT_DEDUP_RES = 1e-8  # limit samples are deduplicated on this grid of their c
 EXACT_LIMIT = 2**53  # integer products are exact floats while n * max|g| * max|X| < this
 INTEGRAL_TOL = 1e-9  # a generator entry within this (relative) of an integer is that integer
 LYAP_WARMUP = 32  # pair steps each Lyapunov batch is transported before it counts
+# lock steps whose step matrices are gathered at once and whose logs are summed at
+# once; a larger block saves little more and grows the gathered stack with it
+LYAP_BLOCK = 64
 
 
 @dataclass
@@ -477,7 +480,13 @@ def lyapunov_mc(
     gufuncs behind ``np.linalg.qr`` directly, in place and without the
     wrapper's copy and checks, so it gives that function's bits.  Stacked
     matmul and QR act on each matrix as the 2-D calls do, so the results
-    equal one-at-a-time transport with ``np.linalg.qr`` bit for bit.  A
+    equal one-at-a-time transport with ``np.linalg.qr`` bit for bit.  The
+    lock steps go in blocks of ``LYAP_BLOCK``: one gather fetches a block's
+    step matrices, each step leaves its R in a stack of the block, and at the
+    block's end one call takes log |diag R| of the whole stack and one
+    reduction over its outer axis adds the rows, the logs so far first, in
+    order, which is one ``+=`` per step bit for bit.  No block straddles the
+    end of the warm-up, where the logs are reset.  A
     batch is discarded when some R of its steps, warm-up included, has a
     zero or non-finite diagonal entry, which is exactly when its log sum
     ends non-finite; the kept rows of ``per_batch`` stay in geodesic order.
@@ -486,7 +495,7 @@ def lyapunov_mc(
         raise ValueError("T must be positive and finite, n_traj positive, and seed non-negative")
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
-    warm = LYAP_WARMUP
+    warm, block = LYAP_WARMUP, LYAP_BLOCK
     end = 2.0 * T
 
     def leg_end(k):
@@ -547,18 +556,32 @@ def lyapunov_mc(
         table = np.stack(mats + [mats[j] @ mats[i] for i in range(3) for j in range(3)])
         for k in range(n_traj, 0, -1):
             frame, log, start = frames[:k], logs[:k], starts[:k]
-            a = np.empty_like(frame)
-            diag = a.diagonal(axis1=1, axis2=2)
-            for j in range(ends[k], ends[k - 1]):
+            # prods[i]: the product, then R, of a block's step i; rows[0] holds the logs
+            # so far, and rows[1 + i] the log |diag R| of step i
+            prods = np.empty((block, k, n, n))
+            rows = np.empty((block + 1, k, n))
+            j = ends[k]
+            while j < ends[k - 1]:
                 if j == warm:
                     # every batch is past its warm-up: finite logs restart at 0, and a
                     # non-finite one keeps its batch discarded
                     np.copyto(logs, 0.0, where=np.isfinite(logs))
-                np.matmul(table[steps[start + j]], frame, out=a)
-                # Householder QR in place: R's upper triangle overwrites a, Q goes to frame
-                tau = _umath_linalg.qr_r_raw(a, signature="d->d")
-                _umath_linalg.qr_reduced(a, tau, signature="dd->d", out=frame)
-                log += np.log(np.abs(diag))
+                stop = min(j + block, ends[k - 1])
+                if j < warm:  # a block ends at the warm-up's end, where the reset falls
+                    stop = min(stop, warm)
+                for step, a in zip(table[steps[start + np.arange(j, stop)[:, None]]], prods):
+                    np.matmul(step, frame, out=a)
+                    # Householder QR in place: R's upper triangle overwrites a, Q goes
+                    # to frame
+                    tau = _umath_linalg.qr_r_raw(a, signature="d->d")
+                    _umath_linalg.qr_reduced(a, tau, signature="dd->d", out=frame)
+                block_rows, grown = rows[: stop - j + 1], rows[1 : stop - j + 1]
+                np.abs(prods[: stop - j].diagonal(axis1=2, axis2=3), out=grown)
+                np.log(grown, out=grown)
+                block_rows[0] = log
+                # a reduction over the outer axis adds the rows in order: one += per step
+                np.add.reduce(block_rows, axis=0, out=log)
+                j = stop
     counted = np.empty_like(logs)
     counted[order] = logs
     kept = np.isfinite(counted).all(axis=1)

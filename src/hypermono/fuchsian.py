@@ -292,8 +292,12 @@ def geodesic_sample(
     when that ratio lies in (0, 1).  At the first crossing before
     ``total_time``, v is reflected in that mirror, x and v are renormalized,
     and the mirror's code and arc length are recorded; the mirror just crossed
-    is not tested again.  Deterministic per seed: ``seed`` goes to
-    ``np.random.default_rng``, and ``lyapunov_mc`` passes ``SeedSequence(seed)``.
+    is not tested again: the other two are tested in code order, unrolled,
+    from one flat tuple of their codes and normals, and the later one wins
+    only at a strictly smaller arc length, so the lower code wins a tie; the
+    winner's normal stays in locals for the reflection.  Deterministic per
+    seed: ``seed`` goes to ``np.random.default_rng``, and ``lyapunov_mc``
+    passes ``SeedSequence(seed)``.
 
     With ``start``, the geodesic of that sample resumes from its last crossing
     and ``seed`` is not used: samples chained to total times t1 < t2 < ...
@@ -303,8 +307,12 @@ def geodesic_sample(
     if not 0 <= total_time < INF:
         raise ValueError("total_time must be finite and >= 0")
     mirrors = [_mirror(r) for r in build_domain(sig).reflections]
-    # others[last]: the mirrors that may be crossed next; code order keeps the lower code on a tie
-    others = [[(code, n) for code, n in enumerate(mirrors) if code != last] for last in range(3)]
+    # others[last]: the codes and normals (c_a, a0, a1, a2, c_b, b0, b1, b2) of the two
+    # mirrors that may be crossed next, c_a < c_b, so the lower code wins a tie
+    others = [tuple(x for code, n in enumerate(mirrors) if code != last for x in (code, *n))
+              for last in range(3)]
+    # the loop's names, bound once as locals
+    atanh, cosh, sinh, sqrt = math.atanh, math.cosh, math.sinh, math.sqrt
     if start is None:
         phi = float(np.random.default_rng(seed).uniform(0.0, math.pi))
         # i lies on the mirror of r_b; the tangent points into Re z > 0
@@ -315,33 +323,39 @@ def geodesic_sample(
     else:
         x0, x1, x2, v0, v1, v2, last, t_now = start.state
     codes, times = bytearray(), array("d")
+    add_code, add_time = codes.append, times.append
     while True:
+        c_a, a0, a1, a2, c_b, b0, b1, b2 = others[last]
         best_t = INF
-        for code, (n0, n1, n2) in others[last]:
-            if (vn := v0 * n0 + v1 * n1 - v2 * n2) == 0.0:
-                continue
-            ratio = -(x0 * n0 + x1 * n1 - x2 * n2) / vn
-            if 0.0 < ratio < 1.0 and (t := math.atanh(ratio)) < best_t:
-                best_t, best = t, code
+        if (vn := v0 * a0 + v1 * a1 - v2 * a2) != 0.0:
+            ratio = -(x0 * a0 + x1 * a1 - x2 * a2) / vn
+            if 0.0 < ratio < 1.0:  # atanh is finite here, so below best_t = INF
+                best_t, best = atanh(ratio), c_a
+                n0, n1, n2 = a0, a1, a2
+        if (vn := v0 * b0 + v1 * b1 - v2 * b2) != 0.0:
+            ratio = -(x0 * b0 + x1 * b1 - x2 * b2) / vn
+            if 0.0 < ratio < 1.0 and (t := atanh(ratio)) < best_t:
+                best_t, best = t, c_b
+                n0, n1, n2 = b0, b1, b2
         if best_t == INF:
             raise RuntimeError("geodesic found no exit mirror (corner hit?)")
         if (t_next := t_now + best_t) >= total_time:
             break
         last, t_now = best, t_next
-        ch, sh = math.cosh(best_t), math.sinh(best_t)
-        x0, x1, x2, v0, v1, v2 = (ch * x0 + sh * v0, ch * x1 + sh * v1, ch * x2 + sh * v2,
-                                  sh * x0 + ch * v0, sh * x1 + ch * v1, sh * x2 + ch * v2)
-        n0, n1, n2 = mirrors[last]
+        # assignments of at most three names build no tuple
+        ch, sh = cosh(best_t), sinh(best_t)
+        y0, y1, y2 = ch * x0 + sh * v0, ch * x1 + sh * v1, ch * x2 + sh * v2
+        v0, v1, v2 = sh * x0 + ch * v0, sh * x1 + ch * v1, sh * x2 + ch * v2
         s = 2.0 * (v0 * n0 + v1 * n1 - v2 * n2)
         v0, v1, v2 = v0 - s * n0, v1 - s * n1, v2 - s * n2
         # back onto <x, x> = -1, <x, v> = 0, <v, v> = 1
-        k = 1.0 / math.sqrt(x2 * x2 - x0 * x0 - x1 * x1)
-        x0, x1, x2 = k * x0, k * x1, k * x2
+        k = 1.0 / sqrt(y2 * y2 - y0 * y0 - y1 * y1)
+        x0, x1, x2 = k * y0, k * y1, k * y2
         s = x0 * v0 + x1 * v1 - x2 * v2
         v0, v1, v2 = v0 + s * x0, v1 + s * x1, v2 + s * x2
-        k = 1.0 / math.sqrt(v0 * v0 + v1 * v1 - v2 * v2)
+        k = 1.0 / sqrt(v0 * v0 + v1 * v1 - v2 * v2)
         v0, v1, v2 = k * v0, k * v1, k * v2
-        codes.append(last)
-        times.append(t_now)
+        add_code(last)
+        add_time(t_now)
     return GeodesicTrajectory(events=bytes(codes), times=times,
                               state=(x0, x1, x2, v0, v1, v2, last, t_now), next_time=t_next)

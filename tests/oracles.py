@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,12 @@ def veronese(v):
 
 def geodesic_codes(sig, seed, total_time) -> bytes:
     """``geodesic_sample``'s mirror codes, by the loop that tests every mirror but the last."""
+    return geodesic_crossings(sig, seed, total_time)[0]
+
+
+def geodesic_crossings(sig, seed, total_time) -> tuple[bytes, array]:
+    """``geodesic_sample``'s mirror codes and crossing arc lengths, by the loop that tests
+    every mirror but the last."""
     mirrors = [fox._mirror(r) for r in fox.build_domain(sig).reflections]
     rng = np.random.default_rng(seed)
     phi = float(rng.uniform(0.0, math.pi))
@@ -100,7 +107,7 @@ def geodesic_codes(sig, seed, total_time) -> bytes:
     v0, v1, v2 = -math.sin(phi), math.cos(phi), 0.0
     last = 1
     t_now = 0.0
-    codes = bytearray()
+    codes, times = bytearray(), array("d")
     while True:
         best_t = math.inf
         for code, (n0, n1, n2) in enumerate(mirrors):
@@ -114,7 +121,7 @@ def geodesic_codes(sig, seed, total_time) -> bytes:
         last = best
         t_now += best_t
         if t_now >= total_time:
-            return bytes(codes)
+            return bytes(codes), times
         ch, sh = math.cosh(best_t), math.sinh(best_t)
         x0, x1, x2, v0, v1, v2 = (ch * x0 + sh * v0, ch * x1 + sh * v1, ch * x2 + sh * v2,
                                   sh * x0 + ch * v0, sh * x1 + ch * v1, sh * x2 + ch * v2)
@@ -128,3 +135,4 @@ def geodesic_codes(sig, seed, total_time) -> bytes:
         k = 1.0 / math.sqrt(v0 * v0 + v1 * v1 - v2 * v2)
         v0, v1, v2 = k * v0, k * v1, k * v2
         codes.append(last)
+        times.append(t_now)

@@ -577,6 +577,23 @@ def svd_calls(request, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.fixture
+def calls_at_close(svd_calls, monkeypatch):
+    """The length of ``svd_calls`` as each pool's shutdown begins.  The block marks the
+    stream closed before it shuts the pool down, so from then on each worker makes at
+    most the one call whose check it has already passed."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    counts, shutdown = [], ThreadPoolExecutor.shutdown
+
+    def counting_shutdown(pool, *args, **kwargs):
+        counts.append(len(svd_calls))
+        return shutdown(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "shutdown", counting_shutdown)
+    return counts
+
+
 def ball_gaps(ball):
     """The ball's gaps, collected from the chunks of ``singular_gaps`` as ``certify`` does."""
     with _linalg.singular_gaps(ball.mats, top=False) as chunks:
@@ -663,31 +680,33 @@ class TestSingularGaps:
         assert sorted(refs) == list(range(5))
 
     @pytest.mark.parametrize("top", [False, True])
-    def test_close_after_first_chunk_ends_every_thread(self, limit_balls, svd_calls, top):
+    def test_close_after_first_chunk_ends_every_thread(self, limit_balls, svd_calls,
+                                                        calls_at_close, top):
         # leaving the block after the first chunk, with the other chunks queued or running
         mats = limit_balls["octic"][0].mats
         before = threading.active_count()
         with _linalg.singular_gaps(mats, top) as stream:
             _, gaps, _ = next(stream)
             assert len(gaps) == 5
-            calls = len(svd_calls)
         assert threading.active_count() == before
         # no chunk is claimed once the block is left: each worker ends after its current one
-        assert len(svd_calls) <= calls + 2
+        assert len(calls_at_close) == 1 and len(svd_calls) <= calls_at_close[0] + 2
 
-    def test_close_before_first_chunk_ends_every_thread(self, limit_balls, svd_calls):
+    def test_close_before_first_chunk_ends_every_thread(self, limit_balls, svd_calls,
+                                                         calls_at_close):
         # limit_curve_samples computes its cusp samples before it takes the first chunk;
         # leaving the block there, plainly or by an exception, ends workers that have
         # already started
         mats = limit_balls["octic"][0].mats
         before = threading.active_count()
         with _linalg.singular_gaps(mats, True):
-            calls = len(svd_calls)
-        assert threading.active_count() == before and len(svd_calls) <= calls + 2
+            pass
+        assert threading.active_count() == before
+        assert len(calls_at_close) == 1 and len(svd_calls) <= calls_at_close[0] + 2
         with pytest.raises(OSError, match="cusp rows"), _linalg.singular_gaps(mats, True):
-            calls = len(svd_calls)
             raise OSError("cusp rows not written")
-        assert threading.active_count() == before and len(svd_calls) <= calls + 2
+        assert threading.active_count() == before
+        assert len(calls_at_close) == 2 and len(svd_calls) <= calls_at_close[1] + 2
 
     @pytest.mark.parametrize("bad", [[17], [5, 10, 15, 20]], ids=["last-chunk", "all-but-first"])
     @pytest.mark.parametrize("top", [False, True])
@@ -882,6 +901,10 @@ class TestLyapunovMC:
             ("fuchsian", 50, 1, 4, 0),
             ("rank5", 200, 4, 2, 0),
             ("partial_discard", 10, 4, 2, 2),
+            # the longest batch, kept, runs alone for 3,778 of its 4,356 lock steps, about
+            # 59 transport blocks; two batches are discarded past the first block, at their
+            # steps 92 and 335
+            ("partial_discard", 200, 20, 28, 18),
         ],
     )
     def test_matches_per_event_loop(self, lyap_reps, rep, T, n_traj, seed, discarded):
@@ -891,6 +914,17 @@ class TestLyapunovMC:
         assert got.n_discarded == want.n_discarded == discarded
         assert got.per_batch.tobytes() == want.per_batch.tobytes()
         assert got.exponents.tobytes() == want.exponents.tobytes()
+        assert got.stderr.tobytes() == want.stderr.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 5, 32, 10**6])
+    def test_block_size_moves_no_bit(self, lyap_reps, monkeypatch, block):
+        # blocks shorter than the warm-up, not dividing it, equal to it, and one block
+        rep_mats, sig = lyap_reps["partial_discard"]
+        want = dyn.lyapunov_mc(rep_mats, sig, 200, 20, 28)
+        monkeypatch.setattr(dyn, "LYAP_BLOCK", block)
+        got = dyn.lyapunov_mc(rep_mats, sig, 200, 20, 28)
+        assert got.n_discarded == want.n_discarded == 18
+        assert got.per_batch.tobytes() == want.per_batch.tobytes()
         assert got.stderr.tobytes() == want.stderr.tobytes()
 
     def test_all_discarded_raises(self, modular_sig):

@@ -11,7 +11,8 @@ from hypermono import dynamics as dyn
 from hypermono import fuchsian as fox
 from hypermono import params as par
 from hypermono.fuchsian import INF, IDENT, mat_det, mat_mul
-from oracles import frobenius_distance, geodesic_codes, hyp_distance, veronese
+from oracles import (frobenius_distance, geodesic_codes, geodesic_crossings, hyp_distance,
+                     veronese)
 
 
 def _sig(e):
@@ -77,6 +78,23 @@ class TestGeodesicSample:
         sig = _sig(e)
         for seed in range(8):
             assert fox.geodesic_sample(sig, seed, 400.0).events == geodesic_codes(sig, seed, 400.0)
+
+    @pytest.mark.parametrize("e", SIGNATURES)
+    def test_times_match_reference_loop(self, e):
+        # the times set lyapunov_mc's cuts and batch spans, so they must keep their last bits
+        sig = _sig(e)
+        for seed in range(8):
+            geo = fox.geodesic_sample(sig, seed, 400.0)
+            codes, times = geodesic_crossings(sig, seed, 400.0)
+            assert (geo.events, geo.times.tobytes()) == (codes, times.tobytes())
+
+    def test_times_match_reference_loop_at_benchmark_scale(self):
+        # the geodesic of the sym3-lyapunov benchmark job: (2, 3, inf), seed 5, T = 4000
+        sig, seed = _sig((2, 3, INF)), np.random.SeedSequence(5)
+        geo = fox.geodesic_sample(sig, seed, 8000.0)
+        codes, times = geodesic_crossings(sig, seed, 8000.0)
+        assert len(geo.events) == 80029
+        assert (geo.events, geo.times.tobytes()) == (codes, times.tobytes())
 
     @pytest.mark.parametrize("e", SIGNATURES)
     def test_times_are_one_increasing_float_per_code(self, e):
