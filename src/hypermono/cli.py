@@ -56,10 +56,12 @@ def _parse_params(args) -> params.HypergeomParams:
 
 
 def _parse_sig(text):
-    orders = [fuchsian.INF if x.strip() in ("inf", "oo") else int(x) for x in text.split(",")]
-    if len(orders) != 3:
-        raise ValueError(f"--sig expects three orders 'e0,e1,einf', got {text!r}")
-    return fuchsian.OrbifoldSignature(*orders)
+    try:
+        e0, e1, einf = [fuchsian.INF if x.strip() in ("inf", "oo") else int(x)
+                        for x in text.split(",")]
+    except ValueError:  # not three orders, or an order that is no integer
+        raise ValueError(f"--sig expects three orders 'e0,e1,einf', got {text!r}") from None
+    return fuchsian.OrbifoldSignature(e0, e1, einf)
 
 
 def _ball_inputs(args, p):
@@ -304,8 +306,18 @@ def cmd_limitset(args) -> int:
     return 0
 
 
+def _parse_degrees(text):
+    try:
+        degrees = [float(x) for x in text.split(",")]
+    except ValueError:  # an entry that is no number
+        degrees = []
+    if not degrees or not np.isfinite(degrees).all():
+        raise ValueError(f"--rhs-degrees expects finite numbers 'd1,d2,..', got {text!r}")
+    return degrees
+
+
 def cmd_lyapunov(args) -> int:
-    degrees = [float(x) for x in args.rhs_degrees.split(",")] if args.rhs_degrees else None
+    degrees = _parse_degrees(args.rhs_degrees) if args.rhs_degrees else None
     p = _parse_params(args) if args.params or args.rep == "params" else None
     if p is not None:
         if args.sig:

@@ -63,21 +63,23 @@ class WordBall:
         return values
 
 
-def _exact_steps(steps):
-    """The (2k, n, n) step table rounded to integers, as floats, or None.
+def _step_table(gen_mats, alphabet):
+    """The (2k, n, n) float64 step table of ``alphabet`` and whether it is integral.
 
-    Steps 2i and 2i + 1 are a generator and its inverse.  The table is exact
-    when every entry lies within ``INTEGRAL_TOL`` (relative) of an integer and
-    each pair of rounded matrices multiplies to the identity, decided in Python
-    ints, which no entry size can wrap.
+    Step 2i is ``gen_mats[alphabet[i]]`` and step 2i + 1 its ``np.linalg.inv``.
+    The table is integral when every entry lies within ``INTEGRAL_TOL``
+    (relative) of an integer and each pair of rounded matrices multiplies to
+    the identity, decided in Python ints, which no entry size can wrap; an
+    integral table is returned rounded.
     """
+    gens = [np.asarray(gen_mats[s], dtype=float) for s in alphabet]
+    steps = np.stack([x for g in gens for x in (g, np.linalg.inv(g))])
     r = np.round(steps)
-    if not np.all(np.abs(steps - r) <= INTEGRAL_TOL * np.maximum(1.0, np.abs(r))):
-        return None
-    exact = np.frompyfunc(int, 1, 1)(r)
-    if not np.all(exact[::2] @ exact[1::2] == np.eye(steps.shape[1], dtype=int)):
-        return None
-    return r
+    if np.all(np.abs(steps - r) <= INTEGRAL_TOL * np.maximum(1.0, np.abs(r))):
+        exact = np.frompyfunc(int, 1, 1)(r)
+        if np.all(exact[::2] @ exact[1::2] == np.eye(steps.shape[1], dtype=int)):
+            return r, True
+    return steps, False
 
 
 def _fuchs_step(m, fq):
@@ -91,44 +93,33 @@ def _fuchs_step(m, fq):
     return out / np.sqrt(np.abs(det))[:, None]
 
 
-def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
+def _ball_levels(steps, exact, orders, L, alphabet, fuchs_gens=None):
     """The word ball a level at a time, in ``enumerate_ball``'s order.
 
-    Yields first whether the step table is integral, then, for each length
-    0..L that has words, ``(letter, exponent, rest, X, fuchs)``: the
-    level's words as ``WordBall`` stores them, their float matrices X (m, n, n)
-    and Fuchsian rows (m, 4) or None.
-
-    The words are extended by one step table: ``steps`` (2k, n, n) holds
-    generator i at step t = 2i and its inverse at t = 2i + 1, the step code
-    c = 2k + (sgn < 0) of ``geodesic_sample``, with ``step_letter`` and
-    ``step_sign`` the letter index and sign of each step.  ``_exact_steps``
-    decides once whether the table is integral; if so the table is rounded
-    and X holds the exact integer products, which float64 carries exactly
-    while n * max|g| * max|X| < ``EXACT_LIMIT`` (X the frontier).  A level
-    past that bound raises ``ArithmeticError``.  Only the current level's
-    arrays are kept.
+    ``steps, exact`` is ``_step_table(gen_mats, alphabet)``; step t = 2i + (sign < 0)
+    is the step code of ``geodesic_sample``.  Yields only, for each length 0..L
+    that has words, ``(letter, exponent, rest, X, FQ)``: the level's words as
+    ``WordBall`` stores them, their matrices X (m, n, n) and their Fuchsian rows
+    FQ (m, 4), None without ``fuchs_gens``.  One loop over the steps builds a
+    level from the last, X by one stacked matmul and FQ by one ``_fuchs_step``
+    per step, and only that level is kept.  On an integral table X holds the
+    exact integer products, which float64 carries while n * max|g| * max|X| <
+    ``EXACT_LIMIT`` (X the frontier); a level past that raises ``ArithmeticError``.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
-    gens = [np.asarray(gen_mats[s], dtype=float) for s in alphabet]
-    steps = np.stack([x for g in gens for x in (g, np.linalg.inv(g))])
     step_letter = np.repeat(np.arange(len(alphabet)), 2)
     step_sign = np.tile([1, -1], len(alphabet))
     step_order = np.array([orders.get(s, INF) for s in alphabet], dtype=float)[step_letter]
     n = steps.shape[1]
-    exact = _exact_steps(steps)
-    if exact is not None:
-        steps, g_bound = exact, n * int(np.abs(exact).max())
-    yield exact is not None
-    f_steps = None
+    g_bound = n * int(np.abs(steps).max()) if exact else None
     if fuchs_gens is not None:
         f_gens = [tuple(map(float, fuchs_gens[s])) for s in alphabet]
         f_steps = [f for g in f_gens for f in (g, mat_inv(g))]
 
     # the frontier, the last level: matrices X, Fuchsian rows FQ, words; offset: ball index of X[0]
     X = np.eye(n)[None]
-    FQ = np.array([IDENT]) if f_steps is not None else None
+    FQ = np.array([IDENT]) if fuchs_gens is not None else None
     letter, exponent, rest = np.array([-1]), np.array([0]), np.array([-1])
     offset = 0
 
@@ -144,20 +135,17 @@ def _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens=None):
         parent, step = np.nonzero(valid)  # candidates in (parent, step) order
         if not len(parent):
             return
-        if exact is not None and g_bound * int(np.abs(X).max()) >= EXACT_LIMIT:
+        if exact and g_bound * int(np.abs(X).max()) >= EXACT_LIMIT:
             raise ArithmeticError(f"level {ell}: exact products could pass 2**53, beyond the "
                                   "integers float64 holds exactly")
-        Y = np.empty((len(parent), n, n))  # the candidates' matrices
+        Y = np.empty((len(parent), n, n))  # the candidates' matrices and Fuchsian rows
+        fq = np.empty((len(parent), 4)) if FQ is not None else None
         for t, g in enumerate(steps):
             at = np.flatnonzero(step == t)
             Y[at] = g @ X[parent[at]]
-        X = Y
-        if FQ is not None:
-            fq = np.empty((len(parent), 4))
-            for t, f in enumerate(f_steps):
-                at = np.flatnonzero(step == t)
-                fq[at] = _fuchs_step(f, FQ[parent[at]])
-            FQ = fq
+            if FQ is not None:
+                fq[at] = _fuchs_step(f_steps[t], FQ[parent[at]])
+        X, FQ = Y, fq
         rest = np.where(letter[parent] == step_letter[step], rest[parent], offset + parent)
         offset += len(letter)
         letter, exponent = step_letter[step], nets[parent, step]
@@ -178,16 +166,16 @@ def enumerate_ball(
     when none): consecutive syllables have distinct letters, and the exponent
     of a letter of finite order e lies in (-e/2, e/2].  Every such word is
     kept, so a matrix repeats where the generators do not represent that free
-    product faithfully.  The ball is grown a level at a time from one step
-    table, each generator in ``alphabet`` followed by its inverse: each step
-    multiplies the frontier words it may extend in one stacked matmul.
+    product faithfully.  The ball is the levels of ``_ball_levels`` on the
+    step table of ``_step_table``, each generator in ``alphabet`` followed by
+    its inverse, concatenated.
 
     Order: words of length ell come after all shorter words, in the order of
     (parent in the previous level, generator in ``alphabet``, sign +1 then -1).
     A word's ``rest`` is its parent's rest if it extends the parent's first
     syllable, else its parent.
 
-    Arithmetic: when the step table is integral (entries within
+    Arithmetic: when ``_step_table`` finds the table integral (entries within
     ``INTEGRAL_TOL`` of integers, each generator times its inverse the
     identity), ``mats`` are the exact integer products, computed in float64.
     Each level first checks n * max|g| * max|X| < ``EXACT_LIMIT`` = 2**53 (X
@@ -196,7 +184,7 @@ def enumerate_ball(
     float products of the given generators.
     """
     alphabet = list(alphabet or gen_mats)
-    _, *levels = _ball_levels(gen_mats, orders, L, alphabet, fuchs_gens)
+    levels = _ball_levels(*_step_table(gen_mats, alphabet), orders, L, alphabet, fuchs_gens)
     letter, exponent, rest, mats, fuchs = zip(*levels)
     return WordBall(
         alphabet, *map(np.concatenate, (letter, exponent, rest, mats)),
@@ -604,7 +592,8 @@ def lyapunov_mc(
 
 def sum_formula_report(result: LyapunovResult, chi: float, rhs_degrees) -> dict:
     """Compare the sum of nonnegative exponents with 2 * sum(degrees) / |chi|, the
-    Eskin-Kontsevich-Moeller-Zorich sum formula when the Fuchsian top exponent is 1."""
+    Eskin-Kontsevich-Moeller-Zorich sum formula when the Fuchsian top exponent is 1.
+    The degrees are finite numbers: ``lyapunov`` refuses others before its run."""
     if chi == 0:
         raise ValueError("chi must be nonzero")
     lam_sum = float(np.sum(result.nonnegative))
@@ -616,8 +605,6 @@ def sum_formula_report(result: LyapunovResult, chi: float, rhs_degrees) -> dict:
     if rhs_degrees is None:
         report["note"] = "not evaluated (no degree data supplied)"
         return report
-    if not all(map(math.isfinite, rhs_degrees)):
-        raise ValueError(f"degrees must be finite numbers, not {rhs_degrees!r}")
     rhs = 2.0 * float(sum(rhs_degrees)) / abs(chi)
     report["rhs"] = rhs
     report["abs_discrepancy"] = abs(lam_sum - rhs)
@@ -675,26 +662,26 @@ def rational_limit_classify(gen_mats, orders, v, L):
     Every reduced word is searched, by length, and within a length in the
     order of (parent word, generator in ``gen_mats``, sign +1 then -1); the
     witness is the first hit, so it has minimal word length.  The search
-    runs ``enumerate_ball``'s engine on the transposed generators, as
-    (w g)^T = g^T w^T.
+    reads ``enumerate_ball``'s levels from ``_ball_levels`` one at a time, on
+    the step table of the transposed generators, as (w g)^T = g^T w^T, and
+    stops at the first level that holds a witness.
 
-    Arithmetic is exact: the engine's step table must be integral (every
+    Arithmetic is exact: ``_step_table`` must find the table integral (every
     generator and its inverse, det +-1, as for hypergeometric monodromy
-    groups), else a ``ValueError`` is raised before the first level.  A float64
-    prefilter over each level decides (u - id) v = 0 and u != id, exactly
-    while n * max|u - id| * max|v| < ``EXACT_LIMIT`` = 2**53; a level past
-    that bound, here or in the engine, raises ``ArithmeticError``.
+    groups), else a ``ValueError`` is raised before any level is built.  A
+    float64 prefilter over each level decides (u - id) v = 0 and u != id,
+    exactly while n * max|u - id| * max|v| < ``EXACT_LIMIT`` = 2**53; a level
+    past that bound, here or in the engine, raises ``ArithmeticError``.
     ``_is_witness`` decides the rest, in Python ints, for the matrices it passes.
     """
     target = _integral_vector(np.ravel(np.asarray(v, dtype=object)).tolist())
     scale = max(map(abs, target))
     alphabet = list(gen_mats)
-    transposed = {s: np.asarray(m, dtype=float).T for s, m in gen_mats.items()}
-    ball = _ball_levels(transposed, orders, L, alphabet)
-    if not next(ball):
+    steps, exact = _step_table({s: np.transpose(m) for s, m in gen_mats.items()}, alphabet)
+    if not exact:
         raise ValueError("the exact search needs integral generators and inverses (det +-1)")
     levels = []  # (letter, exponent, rest) of each level so far
-    for ell, (*syllables, X, _) in enumerate(ball):
+    for ell, (*syllables, X, _) in enumerate(_ball_levels(steps, exact, orders, L, alphabet)):
         levels.append(syllables)
         n = X.shape[1]
         D = X - np.eye(n)  # (u - id)^T for each word's u

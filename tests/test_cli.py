@@ -14,6 +14,12 @@ from hypermono import _linalg, cli, dynamics
 
 QUINTIC = "1/5,2/5,3/5,4/5:0,0,0,0"
 OCTIC = "1/8,3/8,5/8,7/8:0,0,0,0"
+# a lyapunov run that succeeds, the Sym^3 oracle's
+LYAP_RUNS = ["lyapunov", "--rep", "sym3", "--T", "200", "--ntraj", "4", "--seed", "5"]
+
+
+def _unreached(*args, **kwargs):
+    raise AssertionError("lyapunov_mc was reached")
 
 
 def _run_twice(tmp_path, argv, suffixes):
@@ -308,7 +314,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "not hyperbolic" in captured.err
 
-    @pytest.mark.parametrize("sig", ["2,3", "2,3,7,9"])
+    # a malformed order exited 2 with "invalid literal for int() with base 10"
+    @pytest.mark.parametrize("sig", ["2,3", "2,3,7,9", "2,x,inf", "2,3.5,inf"])
     def test_signature_needs_three_orders(self, sig, capsys):
         argv = ["lyapunov", "--rep", "sym3", "--sig", sig, "--T", "10", "--ntraj", "2",
                 "--seed", "1"]
@@ -325,23 +332,33 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "--params" in captured.err
 
-    # --T inf never returned, and the others printed NaN or Infinity and exited 0
-    @pytest.mark.parametrize("argv", [
-        ["lyapunov", "--rep", "sym3", "--T", "inf", "--ntraj", "2", "--seed", "1"],
-        ["lyapunov", "--rep", "sym3", "--T", "nan", "--ntraj", "2", "--seed", "1"],
-        ["lyapunov", "--rep", "sym3", "--T", "10", "--ntraj", "2", "--seed", "1",
-         "--rhs-degrees", "nan"],
-        ["lyapunov", "--rep", "sym3", "--T", "10", "--ntraj", "2", "--seed", "1",
-         "--rhs-degrees", "1,inf"],
-        ["limitset", "--params", QUINTIC, "--L", "2", "--gap-min", "nan"],
+    # --T inf never returned, and the others printed NaN or Infinity and exited 0; the
+    # letter exited 2 with "could not convert string to float: 'x'", after the whole run.
+    # The degrees are read at a config that runs, and must be refused before the
+    # geodesic is flowed: lyapunov_mc is not reached.
+    @pytest.mark.parametrize("argv, reason", [
+        (["lyapunov", "--rep", "sym3", "--T", "inf", "--ntraj", "2", "--seed", "1"],
+         "T must be positive"),
+        (["lyapunov", "--rep", "sym3", "--T", "nan", "--ntraj", "2", "--seed", "1"],
+         "T must be positive"),
+        (LYAP_RUNS + ["--rhs-degrees", "nan"], "--rhs-degrees"),
+        (LYAP_RUNS + ["--rhs-degrees", "1,inf"], "--rhs-degrees"),
+        (LYAP_RUNS + ["--rhs-degrees", "1e400"], "--rhs-degrees"),
+        (LYAP_RUNS + ["--rhs-degrees", "1,x"], "--rhs-degrees expects finite numbers"),
+        (["limitset", "--params", QUINTIC, "--L", "2", "--gap-min", "nan"], "--gap-min"),
         # a non-finite projection wrote cx="nan" cy="nan" into every SVG circle
-        ["limitset", "--params", QUINTIC, "--L", "2", "--proj", "nan,0,0,0;0,1,0,0"],
-        ["limitset", "--params", QUINTIC, "--L", "2", "--proj", "1,0,0,0;0,-inf,0,0"],
-    ], ids=["T-inf", "T-nan", "rhs-nan", "rhs-inf", "gap-min-nan", "proj-nan", "proj-inf"])
-    def test_non_finite_option_refused(self, argv, capsys):
+        (["limitset", "--params", QUINTIC, "--L", "2", "--proj", "nan,0,0,0;0,1,0,0"],
+         "projection must be"),
+        (["limitset", "--params", QUINTIC, "--L", "2", "--proj", "1,0,0,0;0,-inf,0,0"],
+         "projection must be"),
+    ], ids=["T-inf", "T-nan", "rhs-nan", "rhs-inf", "rhs-1e400", "rhs-letter", "gap-min-nan",
+            "proj-nan", "proj-inf"])
+    def test_non_finite_option_refused(self, argv, reason, capsys, monkeypatch):
+        if "--rhs-degrees" in argv:
+            monkeypatch.setattr(dynamics, "lyapunov_mc", _unreached)
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "error:" in captured.err
+        assert captured.out == "" and f"error: {reason}" in captured.err
 
     # a ragged row exited 2 with numpy's "inhomogeneous shape", and a letter with
     # "could not convert string to float"

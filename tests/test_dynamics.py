@@ -269,6 +269,32 @@ class TestEnumerateBall:
             dyn.enumerate_ball(huge, orders, 1)
 
     @pytest.mark.parametrize("family", list(BALLS8))
+    def test_engine_yields_levels_only(self, balls8, family):
+        # one (letter, exponent, rest, X, FQ) tuple per length 0..L, arrays of one length,
+        # and nothing else: the levels, concatenated, are the ball
+        gens, orders, fuchs = _inputs(BALLS8[family][0], family == "quintic")
+        alphabet = list(gens)
+        levels = list(dyn._ball_levels(*dyn._step_table(gens, alphabet), orders, 8, alphabet,
+                                       fuchs))
+        assert len(levels) == 9
+        for level in levels:
+            assert isinstance(level, tuple) and len(level) == 5
+            letter, exponent, rest, X, FQ = level
+            assert len(exponent) == len(rest) == len(X) == len(letter)
+            assert FQ is None if fuchs is None else len(FQ) == len(letter)
+        ball = balls8[family][0]
+        assert np.concatenate([X for *_, X, _ in levels]).tobytes() == ball.mats.tobytes()
+
+    def test_step_table_decides_integrality(self):
+        # each generator, then its np.linalg.inv; an integral table comes back rounded
+        for p, integral in ((MIRROR_QUINTIC, True), (OCTIC, False)):
+            gens, _, _ = _inputs(p, False)
+            table, exact = dyn._step_table(gens, ["inf", "0"])
+            assert exact is integral
+            stack = np.stack([x for s in ("inf", "0") for x in (gens[s], np.linalg.inv(gens[s]))])
+            assert table.tobytes() == (np.round(stack) if integral else stack).tobytes()
+
+    @pytest.mark.parametrize("family", list(BALLS8))
     def test_words_are_pointers_into_the_ball(self, balls8, family, tmp_path, capsys):
         # each word is its first syllable and an earlier word; certify prints them unfolded
         ball, (words, *_) = balls8[family]
@@ -333,6 +359,16 @@ class TestRationalLimitClassify:
         gens = {"a": np.array([[42.0004, 1.0], [-1.0, 0.0]]), "b": np.eye(2)}
         with pytest.raises(ValueError, match="integral generators and inverses"):
             dyn.rational_limit_classify(gens, {}, v=(1, 0), L=1)
+
+    def test_non_integral_table_refused_before_any_level(self, monkeypatch):
+        # the refusal reads _step_table's flag: the engine is not started, even at L=0
+        def unreached(*args, **kwargs):
+            raise AssertionError("the word-ball engine was started")
+
+        monkeypatch.setattr(dyn, "_ball_levels", unreached)
+        gens = {"a": np.array([[2.0, 0.0], [0.0, 1.0]]), "b": np.array([[1.0, 1.0], [0.0, 1.0]])}
+        with pytest.raises(ValueError, match="integral generators and inverses"):
+            dyn.rational_limit_classify(gens, {}, v=(1, 0), L=0)
 
     def test_rejects_non_integral_inverse(self):
         gens = {"a": np.array([[2.0, 0.0], [0.0, 1.0]]), "b": np.array([[1.0, 1.0], [0.0, 1.0]])}
@@ -1008,6 +1044,18 @@ class TestLyapunovMC:
         rep_mats, sig = lyap_reps["fuchsian"]
         with pytest.raises(ValueError, match=f"too few for the warm-up of {dyn.LYAP_WARMUP}"):
             dyn.lyapunov_mc(rep_mats, sig, 0.5, 1, 0)
+
+
+def test_what_the_benchmark_reads_of_the_ball():
+    # perfbench/spans.py binds each traced call to its signature and reads gen_mats,
+    # orders, L and alphabet (None: the keys of gen_mats) off enumerate_ball, and
+    # gen_mats, orders and L off rational_limit_classify, which perfbench/workloads.py
+    # calls with v and L by name: a rename fails the traced ball and cusp-search jobs
+    ball = inspect.signature(dyn.enumerate_ball).parameters
+    assert {"gen_mats", "orders", "L", "alphabet"} <= ball.keys()
+    assert ball["alphabet"].default is None
+    assert {"gen_mats", "orders", "v", "L"} <= inspect.signature(
+        dyn.rational_limit_classify).parameters.keys()
 
 
 def test_what_the_benchmark_reads_of_lyapunov(lyap_reps, monkeypatch):
