@@ -459,8 +459,10 @@ def lyapunov_mc(
     starts at step ``LYAP_WARMUP``, so the geodesic's first steps are a
     discarded transient.  The exponents are the counted log growth over the
     counted flow time of the kept batches, and the stderr is that ratio's
-    batch-means error.  A geodesic too short for the warm-up, or with fewer
-    cut candidates than ``n_traj - 1``, is refused with ``ValueError``.
+    batch-means error, which needs two batches.  ``n_traj`` below 2, or a
+    geodesic too short for the warm-up or with fewer cut candidates than
+    ``n_traj - 1``, is refused with ``ValueError``; fewer than two kept
+    batches raise ``RuntimeError``.
 
     All batches are transported in lock step: each step is one stacked
     matmul and one stacked QR over the batches that still have steps, which,
@@ -481,6 +483,8 @@ def lyapunov_mc(
     """
     if not 0 < T < math.inf or n_traj <= 0 or seed < 0:
         raise ValueError("T must be positive and finite, n_traj positive, and seed non-negative")
+    if n_traj < 2:
+        raise ValueError(f"n_traj={n_traj}: a batch-means error needs two batches")
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
     warm, block = LYAP_WARMUP, LYAP_BLOCK
@@ -574,14 +578,14 @@ def lyapunov_mc(
     counted[order] = logs
     kept = np.isfinite(counted).all(axis=1)
     counted, spans = counted[kept], spans[kept]
-    if not len(spans):
-        raise RuntimeError("all batches were discarded")
+    m = len(spans)
+    if m < 2:
+        raise RuntimeError(f"only {m} of {n_traj} batches kept: a batch-means error needs two")
     total = spans.sum()
     lam = counted.sum(axis=0) / total
-    m = len(spans)
     # the ratio estimator's batch-means error
     resid = counted - spans[:, None] * lam
-    err = np.sqrt(m / (m - 1) * (resid * resid).sum(axis=0)) / total if m > 1 else np.zeros(n)
+    err = np.sqrt(m / (m - 1) * (resid * resid).sum(axis=0)) / total
     return LyapunovResult(
         exponents=lam,
         stderr=err,

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import HypergeomParams, as_exact
+from .params import HypergeomParams
 
 INF = math.inf
 
@@ -117,8 +117,7 @@ class OrbifoldSignature:
 
 
 def _local_order(fracs, convention):
-    """Cone order of a companion-form local monodromy with the given rational exponents."""
-    fracs = [f % 1 for f in fracs]
+    """Cone order of a companion-form local monodromy with these Fraction exponents in [0, 1)."""
     if len(set(fracs)) != len(fracs):
         return INF  # repeated exponent: nontrivial unipotent part
     if convention == "gl":
@@ -139,12 +138,10 @@ def orbifold_signature(p: HypergeomParams, convention: str = "gl") -> OrbifoldSi
     """
     if convention not in ("gl", "projective"):
         raise ValueError("convention must be 'gl' or 'projective'")
-    exact = []
-    for x in p.beta + p.alpha:
-        f = as_exact(x)
-        if f is None:
+    exact = p.beta + p.alpha
+    for x in exact:
+        if isinstance(x, float):
             raise ValueError(f"irrational exponent {x}: no finite-cover orbifold model")
-        exact.append(f)
     e0 = _local_order(exact[: p.rank], convention)
     einf = _local_order(exact[p.rank :], convention)
     # at 1, the monodromy is a pseudo-reflection with special eigenvalue

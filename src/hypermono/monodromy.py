@@ -134,11 +134,11 @@ def symplectic_basis(J):
     pool = basis
     for _ in range(2):
         e = pool[0]
-        f = next(v for v in pool[1:] if abs(omega(e, v)) > RANK_RTOL)
-        f = f / omega(e, f)
+        partner = next(v for v in pool[1:] if abs(omega(e, v)) > RANK_RTOL)
+        f = partner / omega(e, partner)
         rest = []
         for v in pool[1:]:
-            if v is f:
+            if v is partner:
                 continue
             w = v - omega(v, f) * e + omega(v, e) * f
             if np.linalg.norm(w) > RANK_RTOL:

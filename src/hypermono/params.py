@@ -1,8 +1,8 @@
 """Hypergeometric exponent parameters: Hodge numbers and degeneration classes.
 
-Exponents live in [0, 1) and are kept as exact ``Fraction`` values whenever
-the input allows it; real-valued parameters are supported for classification
-only (the geometric pipelines require rational exponents).
+Exponents live in [0, 1), each a ``Fraction`` or, only if ``parse_exponent``
+finds it no rounding of one, a real float, compared exactly; real exponents
+are for classification only (the geometric pipelines require rational ones).
 """
 
 from __future__ import annotations
@@ -26,10 +26,12 @@ ZERO = Fraction(0)
 def parse_exponent(x) -> Exponent:
     """Coerce a user-facing exponent ("p/q", int, float, Fraction) into [0, 1).
 
-    A string that is neither "p/q" (integers p, q) nor a decimal, a zero
+    A decimal or float within rounding of a fraction (``as_exact``) is that
+    fraction, so 0.2 is 1/5; any other stays a float, a real exponent.  A
+    string that is neither "p/q" (integers p, q) nor a decimal, a zero
     denominator, or a value that is not finite raises ``ValueError``.
     """
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, float)):
         v: Exponent = x
     elif isinstance(x, int):
         v = Fraction(x)
@@ -42,15 +44,12 @@ def parse_exponent(x) -> Exponent:
             raise ValueError(f"exponent {x!r} has denominator 0") from None
         except ValueError:
             raise ValueError(f"exponent {x!r} is neither 'p/q' nor a decimal") from None
-        if (exact := as_exact(v)) is not None:
-            v = exact
-    elif isinstance(x, float):
-        v = x
     else:
         raise TypeError(f"cannot parse exponent {x!r}")
     if isinstance(v, float) and not math.isfinite(v):
         raise ValueError(f"exponent {x!r} is not a finite number")
-    return mod1(v)
+    exact = as_exact(v)
+    return mod1(v if exact is None else exact)
 
 
 def mod1(x: Exponent) -> Exponent:
@@ -90,14 +89,10 @@ def _close(x: Exponent, y: Exponent) -> bool:
     return abs(float(x) - float(y)) <= EXACT_TOL
 
 
-def _sorted_key(values: Sequence[Exponent]):
-    return sorted(values, key=float)
-
-
 def is_self_dual(values: Sequence[Exponent]) -> bool:
     """True iff the multiset is invariant under x -> (1 - x) mod 1."""
-    a = _sorted_key(values)
-    b = _sorted_key(dual(x) for x in values)
+    a = sorted(values)
+    b = sorted(dual(x) for x in values)
     return all(_close(x, y) for x, y in zip(a, b))
 
 
@@ -113,8 +108,8 @@ class HypergeomParams:
     beta: tuple
 
     def __init__(self, alpha, beta):
-        a = tuple(_sorted_key(parse_exponent(x) for x in alpha))
-        b = tuple(_sorted_key(parse_exponent(x) for x in beta))
+        a = tuple(sorted(parse_exponent(x) for x in alpha))
+        b = tuple(sorted(parse_exponent(x) for x in beta))
         if len(a) != len(b) or not a:
             raise ValueError("alpha and beta must be nonempty of equal length")
         for x in a:
@@ -150,7 +145,7 @@ def hodge_numbers(p: HypergeomParams):
     levels = []
     for k in range(1, n + 1):
         bk = p.beta[k - 1]
-        count = sum(1 for a in p.alpha if float(a) <= float(bk) or _close(a, bk))
+        count = sum(1 for a in p.alpha if a <= bk or _close(a, bk))
         levels.append(count - k)
     lo, hi = min(levels), max(levels)
     out = [0] * (hi - lo + 1)
@@ -191,11 +186,10 @@ _PATTERN_TAGS = {(4,): MUM, (2, 2): RANK1_LAGRANGIAN, (2, 1, 1): RANK1_LINE}
 
 
 def _integer(form, *exponents) -> Optional[int]:
-    """form(*exponents) as an int; None for an irrational exponent or a non-integer."""
-    exact = [as_exact(x) for x in exponents]
-    if None in exact:
+    """form(*exponents) as an int; None for a real exponent or a non-integer."""
+    if any(isinstance(x, float) for x in exponents):
         return None
-    value = form(*exact)
+    value = form(*exponents)
     return int(value) if value.denominator == 1 else None
 
 
@@ -212,7 +206,7 @@ def classify_local_degeneration(exponents) -> DegenerationClass:
     e = [parse_exponent(x) for x in exponents]
     if len(e) != 4:
         raise ValueError("expected exactly 4 local exponents")
-    e = _sorted_key(e)
+    e = sorted(e)
     if not is_self_dual(e):
         raise ValueError(f"exponents {e} are not invariant under x -> 1-x mod 1")
     counts = [1]
@@ -224,7 +218,7 @@ def classify_local_degeneration(exponents) -> DegenerationClass:
     pattern = tuple(sorted(counts, reverse=True))
     if pattern in _PATTERN_TAGS:
         return DegenerationClass(_PATTERN_TAGS[pattern])
-    if pattern == (1, 1, 1, 1) and float(e[0]) > 0:
+    if pattern == (1, 1, 1, 1) and e[0] > 0:
         # mu2 = (N-1)/2N, mu1 = (N-(2k+1))/2N
         N = _integer(lambda x2: 1 / (1 - 2 * x2), e[1])
         k = None if N is None else _integer(lambda x1: (N * (1 - 2 * x1) - 1) / 2, e[0])
@@ -276,7 +270,7 @@ def _match_maximal_alpha(a):
     with 0 < mu < 1/2, or ((N-k_N)/2N, (N-1)/2N, 1/2, ..) with 1 < k_N < N.
     """
     a1, a2, a3 = a[:3]
-    if not (_close(a3, HALF) and 0 < float(a1) < 0.5):
+    if not (_close(a3, HALF) and 0 < a1 < HALF):
         return None
     if _close(a2, HALF):
         return a1
@@ -295,11 +289,11 @@ def _match_maximal_beta(b):
     if not _close(b1, ZERO):
         return None
     if _close(b2, ZERO) and _close(b3, ZERO):
-        if not 0 < float(b4) < 0.5:
+        if not 0 < b4 < HALF:
             return None
         M = _integer(lambda x4: x4 / (1 - 2 * x4), b4)
         return b4 if M is not None and M >= 1 else None
-    if not 0 < float(b2) < float(b3) < 0.5:
+    if not 0 < b2 < b3 < HALF:
         return None
     M = _integer(lambda x2, x3: 1 / (x3 - x2), b2, b3)
     k = None if M is None else _integer(lambda x2: x2 * M, b2)
@@ -325,7 +319,7 @@ def satisfies_assumption_b(p: HypergeomParams) -> bool:
         bmed = _match_maximal_beta(p.beta)
     if amin is None or bmed is None:
         return False
-    return float(amin) > float(bmed)
+    return amin > bmed
 
 
 # --- the family table ---------------------------------------------------------
@@ -349,10 +343,10 @@ def enumerate_good_families(rank: int, grid):
     values = {parse_exponent(x) for x in grid}
     values |= {dual(x) for x in values}
     # a self-dual multiset is j pairs {x, 1 - x} with 0 < x < 1/2 and rank - 2j of 0 and 1/2
-    lower = _sorted_key(x for x in values if float(x) < float(dual(x)))
-    fixed = _sorted_key(x for x in values if _close(x, dual(x)))
+    lower = sorted(x for x in values if x < dual(x))
+    fixed = sorted(x for x in values if _close(x, dual(x)))
     multisets = sorted(
-        tuple(_sorted_key(pairs + tuple(map(dual, pairs)) + rest))
+        tuple(sorted(pairs + tuple(map(dual, pairs)) + rest))
         for j in range(rank // 2 + 1)
         for pairs in combinations_with_replacement(lower, j)
         for rest in combinations_with_replacement(fixed, rank - 2 * j)

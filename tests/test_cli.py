@@ -141,6 +141,20 @@ class TestDeterminism:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--L", "2"],
+        ["limitset", "--L", "2"],
+        ["lyapunov", "--rep", "params", "--T", "50", "--ntraj", "2", "--seed", "1"],
+    ], ids=["certify", "limitset", "lyapunov"])
+    def test_real_exponent_refused_by_geometric_commands(self, argv, capsys):
+        # classify accepts a real exponent; a command that needs the orbifold does not
+        real = "0.14159265358979,1/2,1/2,0.85840734641021:0,0,0,0"
+        assert cli.main(argv + ["--params", real]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("error: irrational exponent 0.14159265358979: no finite-cover orbifold model"
+                in captured.err)
+
     @pytest.mark.parametrize("params", [
         "1/5,2/5", "1/5,2/5,3/5:0,0", "a,b:c,d",
         # a zero denominator and non-finite decimals used to exit 3, and nan exited 2 by accident
@@ -427,6 +441,15 @@ class TestClassify:
         assert report["alpha"] == ["0.14159265358979", "1/2", "1/2", "0.85840734641021"]
         assert report["orbifold_signature"].startswith("unavailable: irrational exponent")
 
+    def test_exponents_closer_than_a_float_ulp_are_decided_exactly(self, capsys):
+        # alpha's 1/3 + 1e-20 and 2/3 - 1e-20 round to the floats of beta's 1/3 and 2/3
+        params = ("100000000000000000003/300000000000000000000,1/2,1/2,"
+                  "199999999999999999997/300000000000000000000:0,0,1/3,2/3")
+        assert cli.main(["classify", "--params", params]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["hodge_numbers"] == [1, 1, 1, 1]
+        assert report["assumption_a"] is True
+
     def test_non_maximal_pattern_shape_is_decided(self, capsys):
         # (1/4,1/4,1/2,3/4,3/4) has the (N, k_N) shape with k_N = 1, N = 2: not maximal, not invalid
         assert cli.main(["classify", "--params", "0,0,0,0,0:1/4,1/4,1/2,3/4,3/4"]) == 0
@@ -502,8 +525,10 @@ class TestLyapunov:
 
     @pytest.mark.parametrize("argv, message", [
         (["--T", "50", "--ntraj", str(10**18)], "allows at most "),
-        (["--T", "0.5", "--ntraj", "1"], "too few for the warm-up"),
-    ], ids=["ntraj-past-cut-points", "T-within-warm-up"])
+        (["--T", "0.5", "--ntraj", "2"], "too few for the warm-up"),
+        # one batch gives no batch-means error
+        (["--T", "200", "--ntraj", "1"], "n_traj=1: a batch-means error needs two batches"),
+    ], ids=["ntraj-past-cut-points", "T-within-warm-up", "one-batch"])
     def test_geodesic_too_short_refused(self, argv, message, capsys):
         assert cli.main(["lyapunov", "--rep", "sym3", "--seed", "1"] + argv) == 2
         captured = capsys.readouterr()

@@ -894,14 +894,14 @@ def per_event_lyapunov(rep_mats, sig, T, n_batch, seed):
         else:
             rows.append(logs)
             spans.append(step_end[stop - 1] - step_end[first - 1])
-    if not rows:
-        raise RuntimeError("all batches were discarded")
+    m = len(rows)
+    if m < 2:
+        raise RuntimeError(f"only {m} of {n_batch} batches kept: a batch-means error needs two")
     logs, spans = np.array(rows), np.array(spans)
     total = spans.sum()
     lam = logs.sum(axis=0) / total
-    m = len(rows)
     resid = logs - spans[:, None] * lam
-    err = np.sqrt(m / (m - 1) * (resid ** 2).sum(axis=0)) / total if m > 1 else np.zeros(n)
+    err = np.sqrt(m / (m - 1) * (resid ** 2).sum(axis=0)) / total
     return dyn.LyapunovResult(
         exponents=lam,
         stderr=err,
@@ -934,7 +934,7 @@ class TestLyapunovMC:
             ("sym3", 400, 8, 3, 0),
             ("fuchsian", 300, 5, 11, 0),
             ("quintic", 200, 4, 2, 0),
-            ("fuchsian", 50, 1, 4, 0),
+            ("fuchsian", 50, 2, 4, 0),
             ("rank5", 200, 4, 2, 0),
             ("partial_discard", 10, 4, 2, 2),
             # the longest batch, kept, runs alone for 3,778 of its 4,356 lock steps, about
@@ -967,13 +967,25 @@ class TestLyapunovMC:
         # every batch here makes a pair step, and every pair step underflows to 0
         rep_mats = (1e-310 * np.eye(2),) * 3
         for run in (dyn.lyapunov_mc, per_event_lyapunov):
-            with pytest.raises(RuntimeError, match="all batches were discarded"):
+            with pytest.raises(RuntimeError, match="only 0 of 3 batches kept"):
                 run(rep_mats, modular_sig, 20, 3, 0)
         # an inf entry, or pair steps that overflow: the step table is built under the
         # transport's errstate, so no RuntimeWarning of its matmuls comes first
         for big in (np.full((2, 2), math.inf), 1e200 * np.eye(2)):
-            with pytest.raises(RuntimeError, match="all batches were discarded"):
+            with pytest.raises(RuntimeError, match="only 0 of 3 batches kept"):
                 dyn.lyapunov_mc((big,) * 3, modular_sig, 20, 3, 0)
+
+    def test_one_kept_batch_raises(self, lyap_reps):
+        # one batch gives no batch-means error: a stderr of zeros would claim an exact answer
+        rep_mats, sig = lyap_reps["partial_discard"]
+        for run in (dyn.lyapunov_mc, per_event_lyapunov):
+            with pytest.raises(RuntimeError, match="only 1 of 2 batches kept"):
+                run(rep_mats, sig, 10, 2, 2)
+
+    def test_one_batch_refused(self, lyap_reps):
+        # the same run with two batches keeps both (test_matches_per_event_loop)
+        with pytest.raises(ValueError, match="n_traj=1: a batch-means error needs two batches"):
+            dyn.lyapunov_mc(*lyap_reps["fuchsian"], 50, 1, 4)
 
     @pytest.mark.parametrize("rep", ["sym3", "fuchsian", "quintic", "rank5"])
     def test_rows_sum_to_zero(self, lyap_reps, rep):
@@ -1043,7 +1055,7 @@ class TestLyapunovMC:
     def test_time_too_short_for_the_warm_up_refused(self, lyap_reps):
         rep_mats, sig = lyap_reps["fuchsian"]
         with pytest.raises(ValueError, match=f"too few for the warm-up of {dyn.LYAP_WARMUP}"):
-            dyn.lyapunov_mc(rep_mats, sig, 0.5, 1, 0)
+            dyn.lyapunov_mc(rep_mats, sig, 0.5, 2, 0)
 
 
 def test_what_the_benchmark_reads_of_the_ball():

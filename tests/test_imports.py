@@ -29,19 +29,40 @@ def test_every_imported_name_is_used(path):
     assert sorted(imported - used) == []
 
 
-def test_declared_dependencies_are_the_imported_ones():
-    # every top-level module the package imports absolutely, function-level imports
-    # included, is the stdlib or a name in [project] dependencies, and every such name
-    # is imported (a distribution named unlike its module would need a map here)
+def third_party_imports(paths):
+    """The top-level modules the files import absolutely, function-level imports included,
+    less the stdlib's."""
     imported = set()
-    for path in Path(hypermono.__file__).parent.glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 imported |= {a.name.split(".")[0] for a in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    declared = {re.match(r"[\w.-]+", d).group(0) for d in PROJECT["dependencies"]}
-    assert imported - set(sys.stdlib_module_names) == declared
+    return imported - set(sys.stdlib_module_names)
+
+
+def declared(requirements):
+    """The distribution names of requirement strings (a distribution named unlike its
+    module would need a map here)."""
+    return {re.match(r"[\w.-]+", d).group(0) for d in requirements}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    # every third-party module the package imports is a name in [project] dependencies,
+    # and every such name is imported
+    imported = third_party_imports(Path(hypermono.__file__).parent.glob("*.py"))
+    assert imported == declared(PROJECT["dependencies"])
+
+
+def test_declared_test_dependencies_are_the_imported_ones():
+    # every third-party module a test module imports, other than the package, the test
+    # modules themselves and the runtime dependencies, is a name in the test extra, and
+    # every such name is imported by some test module
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    imported = third_party_imports(tests) - {"hypermono"} - {p.stem for p in tests}
+    runtime = declared(PROJECT["dependencies"])
+    assert imported - runtime == declared(PROJECT["optional-dependencies"]["test"])
 
 
 def python_floor(spec):

@@ -49,6 +49,28 @@ class TestHypergeomParams:
         assert [isinstance(x, Fraction) for x in p.alpha] == [False, True, True, False]
 
 
+# 1/3 + 1e-20 and 2/3 - 1e-20, whose floats are those of 1/3 and 2/3
+THIRD_UP, TWO_THIRDS_DOWN = F(1, 3) + F(1, 10**20), F(2, 3) - F(1, 10**20)
+
+
+class TestExactExponents:
+    def test_floats_within_rounding_are_the_fractions(self):
+        floats = HypergeomParams((0.2, 0.4, 0.6, 0.8), (0,) * 4)
+        assert floats == HypergeomParams(("1/5", "2/5", "3/5", "4/5"), ("0",) * 4)
+        assert all(isinstance(x, Fraction) for x in floats.alpha)
+
+    def test_self_duality_below_a_float_ulp(self):
+        assert float(THIRD_UP) == 1 / 3 and float(TWO_THIRDS_DOWN) == 2 / 3
+        assert par.is_self_dual((THIRD_UP, F(1, 3), F(2, 3), TWO_THIRDS_DOWN))
+        assert not par.is_self_dual((THIRD_UP, F(1, 3), F(2, 3), F(2, 3)))
+
+    def test_hodge_numbers_below_a_float_ulp(self):
+        # alpha_1 = 1/3 + 1e-20 lies above beta_3 = 1/3, though their floats are equal
+        p = HypergeomParams((THIRD_UP, "1/2", "1/2", TWO_THIRDS_DOWN), ("0", "0", "1/3", "2/3"))
+        assert hodge_numbers(p) == (1, 1, 1, 1)
+        assert satisfies_assumption_a(p)[0]
+
+
 @pytest.mark.parametrize("x,exact", [
     (1 - 0.7, Fraction(3, 10)), (0.25, Fraction(1, 4)), (1234.567, Fraction(1234567, 1000)),
     (math.pi, None), (math.sqrt(2), None),
