@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import os
 
 import numpy as np
@@ -68,55 +70,44 @@ def singular_gaps(mats, top):
     some gaps.  Each matrix's SVD is its own LAPACK call, so the bits are those
     of one ``np.linalg.svd`` over the whole stack.
 
-    The chunks are computed ahead from the moment the block is entered: a
-    ``ThreadPoolExecutor`` with one worker per further CPU of the process's
-    affinity mask (numpy releases the GIL in the SVD) is given every chunk, in
-    stack order, one ``np.linalg.svd`` call each.  The consumer takes chunk i
-    in order; while chunk i is not done, the consumer cancels the first chunk
-    that no worker has started and computes it itself.  One CPU or one chunk
-    starts no thread, and imports no thread pool.  An exception of a chunk is
-    raised when the consumer reaches that chunk.  Every exit from the block,
-    before the first chunk, partway or at the end, with or without an
-    exception, ends every thread; a chunk is freed once it has been yielded.
+    The chunks are computed ahead from the moment the block is entered, one
+    ``np.linalg.svd`` call each, by a ``ThreadPoolExecutor`` with one worker
+    per CPU of the process's affinity mask (numpy releases the GIL in the
+    SVD).  The pool is given the first two chunks per worker on entry, and
+    one more each time the consumer takes a chunk, so each worker has at most
+    one chunk running and one queued; the consumer only waits for chunk i, in
+    order.  One CPU or one chunk starts no thread, and imports no thread pool.
+    An exception of a chunk is raised when the consumer reaches that chunk.
+    Every exit from the block, before the first chunk, partway or at the end,
+    with or without an exception, shuts the pool down once: the queued chunks
+    are cancelled and every thread ends after its running chunk.  A chunk is
+    freed once it has been yielded.
     """
     rows = row_chunks(len(mats))
-    n_chunks = len(rows)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, n_chunks) - 1
-    closed = False
+    workers = min(cpus or 1, len(rows))
 
-    def svd(i):
-        if not closed:  # a chunk that a worker reaches after the block is left is skipped
-            return np.linalg.svd(mats[rows[i]], compute_uv=top)
-
-    def gaps(i, result):
+    def chunk(r):
+        result = np.linalg.svd(mats[r], compute_uv=top)
         s = result[1] if top else result
-        return rows[i], np.log(s[:, 0]) - np.log(s[:, 1]), result[0][:, :, 0] if top else None
+        return r, np.log(s[:, 0]) - np.log(s[:, 1]), result[0][:, :, 0] if top else None
 
-    if workers < 1:
-        yield (gaps(i, svd(i)) for i in range(n_chunks))
+    if workers < 2:
+        yield map(chunk, rows)
         return
-    from concurrent.futures import Future, ThreadPoolExecutor  # about 5 ms, paid only here
+    from concurrent.futures import ThreadPoolExecutor  # about 5 ms, paid only here
 
-    pool = ThreadPoolExecutor(workers)
+    pool, pending = ThreadPoolExecutor(workers), iter(rows)
 
     def stream():
-        for i in range(n_chunks):
-            j = i
-            while not futures[i].done() and j < n_chunks:
-                if futures[j].cancel():  # no worker has started chunk j
-                    futures[j] = Future()
-                    try:
-                        futures[j].set_result(svd(j))
-                    except Exception as exc:  # raised when the consumer reaches chunk j
-                        futures[j].set_exception(exc)
-                j += 1
-            chunk, futures[i] = futures[i], None
-            yield gaps(i, chunk.result())
+        while futures:
+            taken = futures.popleft().result()
+            futures.extend(pool.submit(chunk, r) for r in itertools.islice(pending, 1))
+            yield taken
 
     try:
-        futures = [pool.submit(svd, i) for i in range(n_chunks)]
+        futures = collections.deque(pool.submit(chunk, r)
+                                    for r in itertools.islice(pending, 2 * workers))
         yield stream()
     finally:
-        closed = True
         pool.shutdown(cancel_futures=True)

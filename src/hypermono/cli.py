@@ -185,10 +185,10 @@ def cmd_certify(args) -> int:
     """Log-Anosov certificate of the word ball; with --out, its (dist, gap, word) CSV.
 
     The ball's SVDs start right after ``enumerate_ball``, in the ``with``
-    block of ``singular_gaps``, and run ahead while the distances and the word
-    column are built.  One loop takes the chunks in ball order: it collects each
-    chunk's gaps and, with --out, writes its rows of the CSV in one block as
-    the chunk lands.  ``anosov_certificate`` takes the collected (dists,
+    block of ``singular_gaps``, and run ahead, at most two chunks per worker,
+    while the distances and the word column are built.  One loop takes the
+    chunks in ball order: it collects each chunk's gaps and, with --out,
+    writes its rows of the CSV in one block as the chunk lands.  ``anosov_certificate`` takes the collected (dists,
     gaps), and the JSON is written inside the CSV's ``_whole_file`` block, so
     it is renamed into place just before the CSV.  A run that fails partway
     (a ``LinAlgError`` in some chunk, or a JSON path that cannot be written)
@@ -269,8 +269,9 @@ def cmd_limitset(args) -> int:
     start inside ``limit_curve_samples`` (the ``with`` block of
     ``singular_gaps``), which hands each block of samples here as soon as it
     is final, at most one chunk of ball rows each, and each block's rows are one
-    write: the cusp rows of each chunk, which need no SVD, while the SVDs run,
-    then the attracting rows of each chunk as its SVDs land.  The SVG is
+    write: the cusp rows of each chunk, which need no SVD, while the first SVD
+    chunks run (at most two per worker ahead of the writer), then the
+    attracting rows of each chunk as its SVDs land.  The SVG is
     written from the returned samples, in the same order, a chunk of circles
     per write.  With --out the CSV and SVG go through nested ``_whole_file``
     blocks, so a run that fails partway (a ``LinAlgError`` in some chunk, or a

@@ -258,9 +258,10 @@ def limit_curve_samples(
     no SVD, then the attracting block of each SVD chunk.  The blocks,
     concatenated in the order the sink got them, are the samples returned.
     The ball's SVDs are the ``with`` block of ``singular_gaps``, entered
-    before the cusp samples are computed: they run in chunks on every CPU of
-    the process's affinity mask (``taskset`` limits them), with the bytes of
-    one call over the whole ball.  Without ``gap_min`` no SVD runs.
+    before the cusp samples are computed: they run in chunks, one worker per
+    CPU of the process's affinity mask (``taskset`` limits them) and at most
+    two chunks per worker ahead of the attracting loop, with the bytes of one
+    call over the whole ball.  Without ``gap_min`` no SVD runs.
     """
     if gap_min is None and h1 is None:
         raise ValueError("no sample kind: give gap_min, h1 or both")
@@ -459,10 +460,11 @@ def lyapunov_mc(
     starts at step ``LYAP_WARMUP``, so the geodesic's first steps are a
     discarded transient.  The exponents are the counted log growth over the
     counted flow time of the kept batches, and the stderr is that ratio's
-    batch-means error, which needs two batches.  ``n_traj`` below 2, or a
-    geodesic too short for the warm-up or with fewer cut candidates than
-    ``n_traj - 1``, is refused with ``ValueError``; fewer than two kept
-    batches raise ``RuntimeError``.
+    batch-means error, which needs two batches.  A ``T`` that is not positive
+    or whose arc length 2T is not finite, a negative ``seed``, ``n_traj``
+    below 2, or a geodesic too short for the warm-up or with fewer cut
+    candidates than ``n_traj - 1``, is refused with ``ValueError``; fewer than
+    two kept batches raise ``RuntimeError``.
 
     All batches are transported in lock step: each step is one stacked
     matmul and one stacked QR over the batches that still have steps, which,
@@ -481,14 +483,14 @@ def lyapunov_mc(
     zero or non-finite diagonal entry, which is exactly when its log sum
     ends non-finite; the kept rows of ``per_batch`` stay in geodesic order.
     """
-    if not 0 < T < math.inf or n_traj <= 0 or seed < 0:
-        raise ValueError("T must be positive and finite, n_traj positive, and seed non-negative")
+    end = 2.0 * T
+    if not 0 < end < math.inf or seed < 0:
+        raise ValueError("T must be positive, with a finite arc length 2T, and seed non-negative")
     if n_traj < 2:
         raise ValueError(f"n_traj={n_traj}: a batch-means error needs two batches")
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
     warm, block = LYAP_WARMUP, LYAP_BLOCK
-    end = 2.0 * T
 
     def leg_end(k):
         return min(end * k / n_traj, end)

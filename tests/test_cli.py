@@ -16,6 +16,9 @@ QUINTIC = "1/5,2/5,3/5,4/5:0,0,0,0"
 OCTIC = "1/8,3/8,5/8,7/8:0,0,0,0"
 # a lyapunov run that succeeds, the Sym^3 oracle's
 LYAP_RUNS = ["lyapunov", "--rep", "sym3", "--T", "200", "--ntraj", "4", "--seed", "5"]
+# affinity masks of 1, 2 and 3 CPUs: the ball's SVD chunks run on no thread, on 2
+# workers and on up to 3
+CPU_MASKS = [{0}, {0, 1}, {0, 1, 2}]
 
 
 def _unreached(*args, **kwargs):
@@ -62,18 +65,22 @@ class TestDeterminism:
             ".json": "ac7981a7e551c3970c787a66b4e3a60be7341295acb942e9f2a61b0280dceb69",
         }
 
-    def test_multi_chunk_certify_bytes_pinned(self, tmp_path, capsys):
-        # 29,527 words: the certificate's SVDs run in several chunks on several
-        # threads, and the 29,528 CSV lines are written in four blocks.  sha256
-        # recorded while one SVD call and one write covered the whole ball.
-        prefix = tmp_path / "out"
-        assert cli.main(["certify", "--params", QUINTIC, "--L", "9", "--out", str(prefix)]) == 0
-        digest = {s: hashlib.sha256((tmp_path / f"out{s}").read_bytes()).hexdigest()
-                  for s in (".csv", ".json")}
-        assert digest == {
-            ".csv": "eaf0add029d506ddcf7cb3e244ac990ec1a1bc0da00dfbc4000d65f4a40612c4",
-            ".json": "0ffd551de8280d71d3587a88cd4cbce7a4906919c27e170dfa87524a90f800ea",
-        }
+    def test_multi_chunk_certify_bytes_pinned(self, tmp_path, capsys, monkeypatch):
+        # 29,527 words: the certificate's SVDs run in four chunks on up to three
+        # worker threads, and the 29,528 CSV lines are written in four blocks.  sha256
+        # recorded while one SVD call and one write covered the whole ball; the
+        # bytes do not depend on the number of CPUs.
+        for cpus in CPU_MASKS:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            prefix = tmp_path / f"cpus{len(cpus)}"
+            argv = ["certify", "--params", QUINTIC, "--L", "9", "--out", str(prefix)]
+            assert cli.main(argv) == 0
+            digest = {s: hashlib.sha256(Path(f"{prefix}{s}").read_bytes()).hexdigest()
+                      for s in (".csv", ".json")}
+            assert digest == {
+                ".csv": "eaf0add029d506ddcf7cb3e244ac990ec1a1bc0da00dfbc4000d65f4a40612c4",
+                ".json": "0ffd551de8280d71d3587a88cd4cbce7a4906919c27e170dfa87524a90f800ea",
+            }
 
     def test_limitset_rerun_identical(self, tmp_path, capsys):
         first, second = _run_twice(
@@ -114,13 +121,18 @@ class TestDeterminism:
          "b7d33685247c1de9b96dd74f0127ee395df5fb7b8382be657f3c14d530f8ee64",
          "4eeccae304c14c48c0994193e30fb72674aeb8f1519416035595f14a096ed52a"),
     ], ids=["default", "proj", "cusp", "octic-cusp", "octic-multi-chunk", "octic-attracting"])
-    def test_limitset_bytes_pinned(self, tmp_path, capsys, params, L, extra, csv_sha, svg_sha):
-        prefix = tmp_path / "out"
+    def test_limitset_bytes_pinned(self, tmp_path, capsys, monkeypatch, params, L, extra,
+                                   csv_sha, svg_sha):
+        # the bytes do not depend on the number of CPUs (octic-multi-chunk's SVDs are
+        # two chunks)
         argv = ["limitset", "--params", params, "--L", str(L), "--no-timestamp", *extra]
-        assert cli.main(argv + ["--out", str(prefix)]) == 0
-        digest = {s: hashlib.sha256((tmp_path / f"out{s}").read_bytes()).hexdigest()
-                  for s in (".csv", ".svg")}
-        assert digest == {".csv": csv_sha, ".svg": svg_sha}
+        for cpus in CPU_MASKS:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            prefix = tmp_path / f"cpus{len(cpus)}"
+            assert cli.main(argv + ["--out", str(prefix)]) == 0
+            digest = {s: hashlib.sha256(Path(f"{prefix}{s}").read_bytes()).hexdigest()
+                      for s in (".csv", ".svg")}
+            assert digest == {".csv": csv_sha, ".svg": svg_sha}
 
     @pytest.mark.parametrize("params, L", [(QUINTIC, 6), (OCTIC, 8)], ids=["quintic", "octic"])
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
@@ -295,13 +307,13 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert (tmp_path / earlier).read_text() == "earlier run\n"
-        assert alive == ([threads + 2] if fault == "csv-write" else [])
+        assert alive == ([threads + 3] if fault == "csv-write" else [])
         assert threading.active_count() == threads
 
     def test_certify_leaves_no_partial_output(self, tmp_path, capsys, monkeypatch):
         # with o.json a directory, a fresh o.csv used to be left behind.  L=3 is one
         # SVD chunk, so no worker; at L=9, four chunks on three CPUs, the refusal
-        # leaves the stream's block while its two workers live, and both end
+        # leaves the stream's block while its three workers live, and all end
         (tmp_path / "o.json").mkdir()
         threads, alive, certificate = threading.active_count(), [], dynamics.anosov_certificate
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -318,7 +330,7 @@ class TestExitCodes:
             assert captured.out == "" and "error:" in captured.err
             assert [p.name for p in tmp_path.iterdir()] == ["o.json"]
             assert threading.active_count() == threads
-        assert alive == [threads, threads + 2]
+        assert alive == [threads, threads + 3]
 
     def test_euclidean_signature_refused(self, capsys):
         # the float chi of (2, 3, 6) is -1.1e-16, whose sign says hyperbolic
@@ -355,6 +367,9 @@ class TestExitCodes:
          "T must be positive"),
         (["lyapunov", "--rep", "sym3", "--T", "nan", "--ntraj", "2", "--seed", "1"],
          "T must be positive"),
+        # 2T overflowed to inf, and the refusal named geodesic_sample's total_time
+        (["lyapunov", "--rep", "sym3", "--T", "1e308", "--ntraj", "2", "--seed", "1"],
+         "T must be positive, with a finite arc length 2T"),
         (LYAP_RUNS + ["--rhs-degrees", "nan"], "--rhs-degrees"),
         (LYAP_RUNS + ["--rhs-degrees", "1,inf"], "--rhs-degrees"),
         (LYAP_RUNS + ["--rhs-degrees", "1e400"], "--rhs-degrees"),
@@ -365,8 +380,8 @@ class TestExitCodes:
          "projection must be"),
         (["limitset", "--params", QUINTIC, "--L", "2", "--proj", "1,0,0,0;0,-inf,0,0"],
          "projection must be"),
-    ], ids=["T-inf", "T-nan", "rhs-nan", "rhs-inf", "rhs-1e400", "rhs-letter", "gap-min-nan",
-            "proj-nan", "proj-inf"])
+    ], ids=["T-inf", "T-nan", "T-arc-overflow", "rhs-nan", "rhs-inf", "rhs-1e400", "rhs-letter",
+            "gap-min-nan", "proj-nan", "proj-inf"])
     def test_non_finite_option_refused(self, argv, reason, capsys, monkeypatch):
         if "--rhs-degrees" in argv:
             monkeypatch.setattr(dynamics, "lyapunov_mc", _unreached)
@@ -520,7 +535,7 @@ class TestLyapunov:
     def test_negative_seed_is_refused(self, capsys):
         # numpy's own refusal, "expected non-negative integer", names no option
         assert cli.main(self.ARGV + ["--seed", "-1"]) == 2
-        assert "error: T must be positive and finite, n_traj positive, and seed non-negative" in (
+        assert "error: T must be positive, with a finite arc length 2T, and seed non-negative" in (
             capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv, message", [
@@ -528,7 +543,10 @@ class TestLyapunov:
         (["--T", "0.5", "--ntraj", "2"], "too few for the warm-up"),
         # one batch gives no batch-means error
         (["--T", "200", "--ntraj", "1"], "n_traj=1: a batch-means error needs two batches"),
-    ], ids=["ntraj-past-cut-points", "T-within-warm-up", "one-batch"])
+        # these named the floor "n_traj positive", which --ntraj 1 also fails
+        (["--T", "200", "--ntraj", "0"], "n_traj=0: a batch-means error needs two batches"),
+        (["--T", "200", "--ntraj", "-3"], "n_traj=-3: a batch-means error needs two batches"),
+    ], ids=["ntraj-past-cut-points", "T-within-warm-up", "one-batch", "ntraj-0", "ntraj-negative"])
     def test_geodesic_too_short_refused(self, argv, message, capsys):
         assert cli.main(["lyapunov", "--rep", "sym3", "--seed", "1"] + argv) == 2
         captured = capsys.readouterr()

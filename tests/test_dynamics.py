@@ -592,7 +592,8 @@ class TestLimitCurveSamples:
 @pytest.fixture
 def svd_calls(request, monkeypatch):
     """Chunks of 5 matrices on the CPUs of the affinity mask ``request.param``, by
-    default 3 CPUs (the consumer and 2 workers), threads switched every microsecond.
+    default 3 CPUs (3 workers beside a consumer that only waits), threads switched
+    every microsecond.
     Yields the list of (``threading.active_count()``, address of the first matrix) of
     each ``np.linalg.svd`` call."""
     cpus = getattr(request, "param", {0, 1, 2})
@@ -615,9 +616,9 @@ def svd_calls(request, monkeypatch):
 
 @pytest.fixture
 def calls_at_close(svd_calls, monkeypatch):
-    """The length of ``svd_calls`` as each pool's shutdown begins.  The block marks the
-    stream closed before it shuts the pool down, so from then on each worker makes at
-    most the one call whose check it has already passed."""
+    """The length of ``svd_calls`` as each pool's shutdown begins.  The shutdown cancels
+    every queued chunk, so from then on each worker makes at most the one call of the
+    chunk it has already taken."""
     from concurrent.futures import ThreadPoolExecutor
 
     counts, shutdown = [], ThreadPoolExecutor.shutdown
@@ -661,9 +662,9 @@ class TestSingularGaps:
             assert np.concatenate([t for _, _, t in chunks]).tobytes() == u[:, :, 0].tobytes()
         else:
             assert all(t is None for _, _, t in chunks)
-        # one chunk starts no thread; more start at most 2, and all of them end
+        # one chunk starts no thread; more start at most 3, and all of them end
         peak = max(count for count, _ in svd_calls)
-        assert peak == before if len(mats) <= 5 else before < peak <= before + 2
+        assert peak == before if len(mats) <= 5 else before < peak <= before + 3
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("svd_calls", [{0}], indirect=True, ids=["one-cpu"])
@@ -696,6 +697,17 @@ class TestSingularGaps:
             assert sum(len(g) for _, g, _ in stream) == 23
         assert len(svd_calls) == 5 and set(threading.enumerate()) == before
 
+    def test_workers_run_at_most_two_chunks_ahead(self, limit_balls, svd_calls):
+        # each of the 3 workers has at most one chunk running and one queued, so a
+        # consumer that takes no chunk holds back 14 of the 20
+        mats = limit_balls["octic"][0].mats[:100]
+        assert len(mats) == 100
+        with _linalg.singular_gaps(mats, True) as stream:
+            time.sleep(0.5)
+            assert len(svd_calls) <= 6
+            assert sum(len(g) for _, g, _ in stream) == 100
+        assert len(svd_calls) == 20
+
     @pytest.mark.parametrize("top", [False, True])
     def test_consumed_chunks_are_freed(self, limit_balls, svd_calls, monkeypatch, top):
         # the stream holds no chunk's singular values once it has yielded that chunk
@@ -726,7 +738,7 @@ class TestSingularGaps:
             assert len(gaps) == 5
         assert threading.active_count() == before
         # no chunk is claimed once the block is left: each worker ends after its current one
-        assert len(calls_at_close) == 1 and len(svd_calls) <= calls_at_close[0] + 2
+        assert len(calls_at_close) == 1 and len(svd_calls) <= calls_at_close[0] + 3
 
     def test_close_before_first_chunk_ends_every_thread(self, limit_balls, svd_calls,
                                                          calls_at_close):
@@ -738,11 +750,11 @@ class TestSingularGaps:
         with _linalg.singular_gaps(mats, True):
             pass
         assert threading.active_count() == before
-        assert len(calls_at_close) == 1 and len(svd_calls) <= calls_at_close[0] + 2
+        assert len(calls_at_close) == 1 and len(svd_calls) <= calls_at_close[0] + 3
         with pytest.raises(OSError, match="cusp rows"), _linalg.singular_gaps(mats, True):
             raise OSError("cusp rows not written")
         assert threading.active_count() == before
-        assert len(calls_at_close) == 2 and len(svd_calls) <= calls_at_close[1] + 2
+        assert len(calls_at_close) == 2 and len(svd_calls) <= calls_at_close[1] + 3
 
     @pytest.mark.parametrize("bad", [[17], [5, 10, 15, 20]], ids=["last-chunk", "all-but-first"])
     @pytest.mark.parametrize("top", [False, True])

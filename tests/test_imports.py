@@ -65,6 +65,38 @@ def test_declared_test_dependencies_are_the_imported_ones():
     assert imported - runtime == declared(PROJECT["optional-dependencies"]["test"])
 
 
+def scoped_imports(path):
+    """(module, scope) of each import in the file: the module as imported absolutely, and
+    the dotted path of the functions around the import, "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+            elif isinstance(child, ast.Import):
+                found.extend((a.name, scope) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append((child.module, scope))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_one_thread_pool_imported_where_it_runs():
+    # the package's one thread pool is the standard library's: no module imports
+    # threading, and concurrent.futures is imported only inside singular_gaps, so
+    # a run that streams no SVD chunk pays for no import of it
+    imports = [(path.stem, module, scope)
+               for path in Path(hypermono.__file__).parent.glob("*.py")
+               for module, scope in scoped_imports(path)]
+    assert [i for i in imports if i[1].split(".")[0] == "threading"] == []
+    pools = {i for i in imports if i[1].split(".")[0] == "concurrent"}
+    assert pools == {("_linalg", "concurrent.futures", "singular_gaps")}
+
+
 def python_floor(spec):
     """The version a ``>=X.Y`` requirement names, as a tuple of ints."""
     assert spec.startswith(">="), spec
