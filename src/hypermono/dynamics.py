@@ -29,6 +29,11 @@ LYAP_WARMUP = 32  # pair steps each Lyapunov batch is transported before it coun
 # lock steps whose step matrices are gathered at once and whose logs are summed at
 # once; a larger block saves little more and grows the gathered stack with it
 LYAP_BLOCK = 64
+# a Lyapunov geodesic keeps every crossing, a code byte and a float64 time: 9 bytes.  At
+# 157 crossings per unit of arc, the most over (2, 3, inf) seeds 0-31 at T = 4000 (the
+# signature with the smallest triangle, so the most crossings), an arc length 2T past
+# this holds more than 1 GiB of them
+LYAP_MAX_ARC = 2**30 // (9 * 157)
 
 
 @dataclass
@@ -444,9 +449,12 @@ def lyapunov_mc(
     The geodesic is flowed in ``n_traj`` legs of equal flow time, one
     ``geodesic_sample`` call each, and every leg resumes at the last crossing
     of the one before, so the legs concatenate to one sample of flow time
-    ``T`` bit for bit, and a trace shows one call per batch.  A leg that
-    holds no crossing is not flowed, so there are never more calls than
-    crossings plus one, however large ``n_traj`` is.
+    ``T`` bit for bit, and a trace shows one call per batch.  The sampler
+    unfolds a deep cusp excursion in closed form, but records each of its
+    crossings: the transport still takes one step per pair of crossings, and
+    a leg that ends inside an excursion hands the rest of it to the next leg
+    in its state.  A leg that holds no crossing is not flowed, so there are
+    never more calls than crossings plus one, however large ``n_traj`` is.
 
     The steps are cut into ``n_traj`` batches of about equal flow time.  A
     cut falls only where a step starts a run of equal steps right after a
@@ -461,10 +469,12 @@ def lyapunov_mc(
     discarded transient.  The exponents are the counted log growth over the
     counted flow time of the kept batches, and the stderr is that ratio's
     batch-means error, which needs two batches.  A ``T`` that is not positive
-    or whose arc length 2T is not finite, a negative ``seed``, ``n_traj``
-    below 2, or a geodesic too short for the warm-up or with fewer cut
-    candidates than ``n_traj - 1``, is refused with ``ValueError``; fewer than
-    two kept batches raise ``RuntimeError``.
+    or whose arc length 2T is not finite or past ``LYAP_MAX_ARC`` (759,902:
+    9 bytes per kept crossing at up to 157 crossings per unit of arc would
+    pass 1 GiB), a negative ``seed``, ``n_traj`` below 2, or a geodesic too short
+    for the warm-up or with fewer cut candidates than ``n_traj - 1``, is
+    refused with ``ValueError``; fewer than two kept batches raise
+    ``RuntimeError``.
 
     All batches are transported in lock step: each step is one stacked
     matmul and one stacked QR over the batches that still have steps, which,
@@ -486,6 +496,9 @@ def lyapunov_mc(
     end = 2.0 * T
     if not 0 < end < math.inf or seed < 0:
         raise ValueError("T must be positive, with a finite arc length 2T, and seed non-negative")
+    if end > LYAP_MAX_ARC:
+        raise ValueError(f"T={T:g}: an arc length 2T past {LYAP_MAX_ARC} would keep more than "
+                         f"1 GiB of crossings")
     if n_traj < 2:
         raise ValueError(f"n_traj={n_traj}: a batch-means error needs two batches")
     mats = [np.asarray(m, dtype=float) for m in rep_mats]

@@ -99,15 +99,27 @@ def geodesic_codes(sig, seed, total_time) -> bytes:
 
 def geodesic_crossings(sig, seed, total_time) -> tuple[bytes, array]:
     """``geodesic_sample``'s mirror codes and crossing arc lengths, by the loop that tests
-    every mirror but the last."""
-    mirrors = [fox._mirror(r) for r in fox.build_domain(sig).reflections]
-    rng = np.random.default_rng(seed)
-    phi = float(rng.uniform(0.0, math.pi))
-    x0, x1, x2 = 0.0, 0.0, 1.0
-    v0, v1, v2 = -math.sin(phi), math.cos(phi), 0.0
-    last = 1
-    t_now = 0.0
+    every mirror but the last, and takes the sampler's jumps over cusp excursions: at a
+    crossing of a cusp's wall whose next crossing is of the cusp's other wall, climbing
+    above the horocycle on a semicircle of radius at least sqrt(H^2 + CUSP_JUMP_MIN^2)."""
+    phi = float(np.random.default_rng(seed).uniform(0.0, math.pi))
+    state = (0.0, 0.0, 1.0, -math.sin(phi), math.cos(phi), 0.0, 1, 0.0)
     codes, times = bytearray(), array("d")
+    for code, t, _ in crossings(sig, state, jumps=True):
+        if t >= total_time:
+            return bytes(codes), times
+        codes.append(code)
+        times.append(t)
+
+
+def crossings(sig, state, jumps):
+    """The crossings of the geodesic from ``state`` (point, tangent, code and arc length
+    of a crossing, as ``geodesic_sample`` keeps it), one (code, arc length, state after
+    it) at a time, with or without the sampler's jumps; a jumped crossing but the last of
+    its jump has no state (None)."""
+    mirrors = [fox._mirror(r) for r in fox.build_domain(sig).reflections]
+    charts = fox.cusp_charts(sig) if jumps else {}
+    x0, x1, x2, v0, v1, v2, last, t_now = state
     while True:
         best_t = math.inf
         for code, (n0, n1, n2) in enumerate(mirrors):
@@ -118,10 +130,24 @@ def geodesic_crossings(sig, seed, total_time) -> tuple[bytes, array]:
                 best_t, best = t, code
         if best_t == math.inf:
             raise RuntimeError("geodesic found no exit mirror (corner hit?)")
+        chart = charts.get((min(last, best), max(last, best)))
+        if chart is not None:
+            p0, p1, p2 = chart.p
+            m0, m1, m2 = chart.normals[chart.walls.index(last)]
+            h = chart.horocycle
+            pi = x2 * p2 - x0 * p0 - x1 * p1  # 1 over the height in the chart
+            if (pi < 1.0 / h and v0 * p0 + v1 * p1 - v2 * p2 > 0.0
+                    and (pi * (v0 * m0 + v1 * m1 - v2 * m2)) ** 2 * (h**2 + fox.CUSP_JUMP_MIN**2)
+                    <= 1.0):
+                run, run_times, after = fox.cusp_excursion(chart, (x0, x1, x2), (v0, v1, v2),
+                                                           last, t_now)
+                for code, t in zip(run[:-1], run_times[:-1]):
+                    yield code, t, None
+                yield run[-1], run_times[-1], after
+                x0, x1, x2, v0, v1, v2, last, t_now = after
+                continue
         last = best
         t_now += best_t
-        if t_now >= total_time:
-            return bytes(codes), times
         ch, sh = math.cosh(best_t), math.sinh(best_t)
         x0, x1, x2, v0, v1, v2 = (ch * x0 + sh * v0, ch * x1 + sh * v1, ch * x2 + sh * v2,
                                   sh * x0 + ch * v0, sh * x1 + ch * v1, sh * x2 + ch * v2)
@@ -134,5 +160,4 @@ def geodesic_crossings(sig, seed, total_time) -> tuple[bytes, array]:
         v0, v1, v2 = v0 + s * x0, v1 + s * x1, v2 + s * x2
         k = 1.0 / math.sqrt(v0 * v0 + v1 * v1 - v2 * v2)
         v0, v1, v2 = k * v0, k * v1, k * v2
-        codes.append(last)
-        times.append(t_now)
+        yield last, t_now, (x0, x1, x2, v0, v1, v2, last, t_now)

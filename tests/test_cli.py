@@ -25,6 +25,14 @@ def _unreached(*args, **kwargs):
     raise AssertionError("lyapunov_mc was reached")
 
 
+class _Flowed(Exception):
+    """A geodesic was flowed."""
+
+
+def _flowed(*args, **kwargs):
+    raise _Flowed
+
+
 def _run_twice(tmp_path, argv, suffixes):
     outputs = []
     for run in ("a", "b"):
@@ -153,6 +161,21 @@ class TestDeterminism:
 
 
 class TestExitCodes:
+    def test_arc_length_past_the_memory_limit_refused(self, capsys, monkeypatch):
+        # the run kept every crossing and ran until it was killed; now it is refused before
+        # a geodesic is flowed
+        monkeypatch.setattr(dynamics, "geodesic_sample", _flowed)
+        argv = ["lyapunov", "--rep", "sym3", "--T", "8.9e307", "--ntraj", "4", "--seed", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: T=8.9e+307: an arc length 2T past {dynamics.LYAP_MAX_ARC} would keep "
+                "more than 1 GiB of crossings") in captured.err
+        # the limit itself passes the check and is flowed
+        argv[4] = str(dynamics.LYAP_MAX_ARC / 2)
+        with pytest.raises(_Flowed):
+            cli.main(argv)
+
     @pytest.mark.parametrize("argv", [
         ["certify", "--L", "2"],
         ["limitset", "--L", "2"],
@@ -417,14 +440,15 @@ class TestPinnedStdout:
         # a symmetric J: the J_signature branch
         (["monodromy", "--params", "9/20,1/2,1/2,1/2,11/20:0,0,0,1/3,2/3"],
          "05dd76375e9c54793a95647eedbbb89806be3670ff61249da8d6d8138579a27a"),
-        # both lyapunov pins re-recorded when the estimator became batch means along one
-        # geodesic of flow time T, with a warm-up before each batch: the geodesic's codes
-        # are those of geodesic_sample from SeedSequence(seed), not of spawned seeds
+        # both lyapunov pins re-recorded when the sampler began to unfold cusp excursions
+        # in closed form: the codes part from the loop's at the first jump, where the
+        # crossing times differ in the last bits.  The geodesic's codes are those of
+        # geodesic_sample from SeedSequence(seed), not of spawned seeds
         (["lyapunov", "--rep", "params", "--params", QUINTIC, "--T", "50", "--ntraj", "2",
-          "--seed", "1"], "c8c37937132ef332402cf5284daf2768389eccb74c848bc5d1da30939056996c"),
+          "--seed", "1"], "646403e0f68238948d760c5e48f07a5e69e959fdb316053505be914c31fc1017"),
         # a faster sampler must keep the mirror codes of the 2x2 path bit for bit
         (["lyapunov", "--rep", "sym3", "--sig", "2,3,inf", "--T", "200", "--ntraj", "4",
-          "--seed", "5"], "81dbb182c053a53c7ff3136b25d79a88420b6bf12964a141a539987c518181f7"),
+          "--seed", "5"], "37af10f1a889770eb4c2a7152ee3f50f4458538f0336350614040db106e65822"),
         # the reflections are the Levelt matrices' rows reversed, bit for bit (R_C @ h is
         # not: it flips zeros to -0.0); the octic prints nine -0.0 entries, and the
         # second family has irrational coefficients

@@ -949,10 +949,10 @@ class TestLyapunovMC:
             ("fuchsian", 50, 2, 4, 0),
             ("rank5", 200, 4, 2, 0),
             ("partial_discard", 10, 4, 2, 2),
-            # the longest batch, kept, runs alone for 3,778 of its 4,356 lock steps, about
-            # 59 transport blocks; two batches are discarded past the first block, at their
-            # steps 92 and 335
-            ("partial_discard", 200, 20, 28, 18),
+            # the longest batch, kept, runs alone for 375 of its 574 lock steps, about six
+            # transport blocks; three batches are discarded past the first block, at their
+            # steps 64, 81 and 134
+            ("partial_discard", 400, 80, 56, 77),
         ],
     )
     def test_matches_per_event_loop(self, lyap_reps, rep, T, n_traj, seed, discarded):
@@ -968,10 +968,10 @@ class TestLyapunovMC:
     def test_block_size_moves_no_bit(self, lyap_reps, monkeypatch, block):
         # blocks shorter than the warm-up, not dividing it, equal to it, and one block
         rep_mats, sig = lyap_reps["partial_discard"]
-        want = dyn.lyapunov_mc(rep_mats, sig, 200, 20, 28)
+        want = dyn.lyapunov_mc(rep_mats, sig, 400, 80, 56)
         monkeypatch.setattr(dyn, "LYAP_BLOCK", block)
-        got = dyn.lyapunov_mc(rep_mats, sig, 200, 20, 28)
-        assert got.n_discarded == want.n_discarded == 18
+        got = dyn.lyapunov_mc(rep_mats, sig, 400, 80, 56)
+        assert got.n_discarded == want.n_discarded == 77
         assert got.per_batch.tobytes() == want.per_batch.tobytes()
         assert got.stderr.tobytes() == want.stderr.tobytes()
 
