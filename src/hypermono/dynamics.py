@@ -29,11 +29,20 @@ LYAP_WARMUP = 32  # pair steps each Lyapunov batch is transported before it coun
 # lock steps whose step matrices are gathered at once and whose logs are summed at
 # once; a larger block saves little more and grows the gathered stack with it
 LYAP_BLOCK = 64
-# a Lyapunov geodesic keeps every crossing, a code byte and a float64 time: 9 bytes.  At
-# 157 crossings per unit of arc, the most over (2, 3, inf) seeds 0-31 at T = 4000 (the
-# signature with the smallest triangle, so the most crossings), an arc length 2T past
-# this holds more than 1 GiB of them
-LYAP_MAX_ARC = 2**30 // (9 * 157)
+# a run of at least this many equal pair steps among a batch's counted steps is one super
+# step, which costs about as much as this many lock steps of a lone batch (4 us each).
+# On (2, 3, inf) at T = 4000 with 20 batches (seeds 0-4 and 6-12), 64 and 128 gave the
+# fastest runs, within 1%, and 16, 32 and 256 ones 29%, 8% and 5% slower in the median
+LYAP_RUN = 64
+RUN_BITS = 256  # the fixed-point grid 2^-RUN_BITS a super step starts from
+# a Lyapunov run keeps every crossing of its geodesic, a code byte and a float64 time,
+# and peaked at 15-29 bytes per crossing over (2, 3, inf) seeds 0-31 at T = 4000, cusp
+# jumps and the transport's arrays included.  At 32 bytes and 157 crossings per unit of
+# arc, the most over those seeds (the signature with the smallest triangle, so the most
+# crossings), an arc length 2T past this would pass 1 GiB.  The rate grows slowly with
+# the arc, and one deep cusp excursion can hold many more crossings, all built at once:
+# this is a limit at the rates seen, not a cap on memory
+LYAP_MAX_ARC = 2**30 // (32 * 157)
 
 
 @dataclass
@@ -423,6 +432,92 @@ class LyapunovResult:
         return float(lam[0]), float(lam[1]) if len(lam) > 1 else 0.0
 
 
+def _fixed(x, bits):
+    """The float ``x`` times 2^bits, rounded down to an int, exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << bits) // den if bits >= 0 else num // (den << -bits)
+
+
+def _half_log(s, bits):
+    """½ log(s / 2^bits) of an int s > 0."""
+    if -1000 < s.bit_length() - bits < 1000:
+        num, den = (s, 1 << bits) if bits >= 0 else (s << -bits, 1)
+        return 0.5 * math.log(num / den)  # int / int rounds once
+    return 0.5 * (math.log(s) - bits * math.log(2.0))
+
+
+def _block_mul(a, b, bits):
+    """The product of block floats (X, e), each X 2^e with X an object array of ints,
+    rounded down to ``bits`` bits in its largest entry."""
+    (x, ex), (y, ey) = a, b
+    z = x @ y
+    shift = max(max(map(abs, z.flat)).bit_length() - bits, 0)
+    return z >> shift, ex + ey + shift
+
+
+def _super_step(u, m, frame, cache):
+    """``m`` equal steps ``u`` of the frame transport in one: (log |diag R|, Q) of the QR
+    of u^m F, for the frame F, with R's diagonal positive.
+
+    A float transport of a long run of a parabolic step loses the frame's
+    contracted directions, since cond(u^m) grows like a power of m, so the
+    product is taken in block floating point on Python ints: each matrix is
+    X 2^e with X rounded down to ``bits`` bits in its largest entry.  F, its
+    columns' signs set so that each column's largest entry is positive, is
+    taken by binary powers of u to u^m F, and Gram-Schmidt runs on the ints,
+    its logs taken from exact sums of squares.  ``bits`` starts at
+    ``RUN_BITS`` and is raised to a multiple of 64 past
+    72 + n log2(n M) - j log2 |det u|, for X = u^j F (j = m) and the top
+    power X = u^j, M the largest entry of X, so that the rounding stays 2^-64
+    below the smallest singular value |det X| / (n M)^(n-1) of each, with 8
+    bits to spare for the roundings of the chain.  The
+    result depends on F only up to its columns' signs, to which |diag R| is
+    blind.  ``cache`` keeps the powers of each step matrix.  A non-finite
+    frame gives NaN logs, and a product with a zero column -inf ones; the
+    frame is then returned as it came.
+    """
+    n = len(frame)
+    if not np.isfinite(frame).all():
+        return np.full(n, np.nan), frame.copy()
+    lead = np.abs(frame).argmax(axis=0)
+    f = (frame * np.sign(frame[lead, np.arange(n)])).tolist()
+    entry = cache.setdefault(u.tobytes(), {})
+    if not entry:
+        e = math.frexp(np.abs(u).max())[1]  # det of u 2^-e, whose entries lie below 1
+        det = abs(np.linalg.det(np.ldexp(u, -e)))
+        entry.update(e=e, log2det=math.log2(det) + n * e if det > 0 else -math.inf)
+    bits = RUN_BITS
+    while True:
+        powers = entry.setdefault(bits, [])
+        for k in range(len(powers), m.bit_length()):
+            powers.append(_block_mul(powers[-1], powers[-1], bits) if k else (
+                np.array([[_fixed(x, bits - entry["e"]) for x in row] for row in u.tolist()],
+                         dtype=object), entry["e"] - bits))
+        g = np.array([[_fixed(x, bits) for x in row] for row in f], dtype=object), -bits
+        for k in range(m.bit_length()):
+            if m >> k & 1:
+                g = _block_mul(powers[k], g, bits)
+        # X = u^j F or u^j has cond(X) <= (n max|X|)^n / |det u|^j
+        need = 72 + max(n * (max(map(abs, x.flat)).bit_length() + ex + math.log2(n))
+                        - j * entry["log2det"] for (x, ex), j in ((g, m), (powers[k], 1 << k)))
+        if not bits < need < math.inf:  # a singular u: its last log is -inf or noise
+            break
+        bits = 64 * math.ceil(need / 64)
+    (x, ex), logs, q = g, np.full(n, -math.inf), []
+    for j, c in enumerate(x.T.tolist()):
+        for v in q:  # modified Gram-Schmidt on the ints
+            d = sum(a * b for a, b in zip(v, c)) >> bits
+            c = [a - (d * b >> bits) for a, b in zip(c, v)]
+        s = sum(a * a for a in c)
+        if s == 0:
+            return logs, frame.copy()
+        logs[j] = _half_log(s, -2 * ex)
+        r = math.isqrt(s)
+        q.append([(a << bits) // r for a in c])
+    one = 1 << bits
+    return logs, np.array([[a / one for a in v] for v in q]).T
+
+
 def lyapunov_mc(
     rep_mats: Sequence[np.ndarray],
     sig: OrbifoldSignature,
@@ -451,10 +546,10 @@ def lyapunov_mc(
     of the one before, so the legs concatenate to one sample of flow time
     ``T`` bit for bit, and a trace shows one call per batch.  The sampler
     unfolds a deep cusp excursion in closed form, but records each of its
-    crossings: the transport still takes one step per pair of crossings, and
-    a leg that ends inside an excursion hands the rest of it to the next leg
-    in its state.  A leg that holds no crossing is not flowed, so there are
-    never more calls than crossings plus one, however large ``n_traj`` is.
+    crossings, and a leg that ends inside an excursion hands the rest of it to
+    the next leg in its state.  A leg that holds no crossing is not flowed, so
+    there are never more calls than crossings plus one, however large
+    ``n_traj`` is.
 
     The steps are cut into ``n_traj`` batches of about equal flow time.  A
     cut falls only where a step starts a run of equal steps right after a
@@ -469,36 +564,49 @@ def lyapunov_mc(
     discarded transient.  The exponents are the counted log growth over the
     counted flow time of the kept batches, and the stderr is that ratio's
     batch-means error, which needs two batches.  A ``T`` that is not positive
-    or whose arc length 2T is not finite or past ``LYAP_MAX_ARC`` (759,902:
-    9 bytes per kept crossing at up to 157 crossings per unit of arc would
-    pass 1 GiB), a negative ``seed``, ``n_traj`` below 2, or a geodesic too short
+    or whose arc length 2T is not finite or past ``LYAP_MAX_ARC`` (213,722,
+    where a run at the crossing rates and peak bytes per crossing measured on
+    (2, 3, inf) would pass 1 GiB; a deeper cusp excursion than those can still
+    pass it), a negative ``seed``, ``n_traj`` below 2, or a geodesic too short
     for the warm-up or with fewer cut candidates than ``n_traj - 1``, is
     refused with ``ValueError``; fewer than two kept batches raise
     ``RuntimeError``.
 
-    All batches are transported in lock step: each step is one stacked
-    matmul and one stacked QR over the batches that still have steps, which,
-    sorted longest first, are a prefix of the stack.  The QR calls the two
-    gufuncs behind ``np.linalg.qr`` directly, in place and without the
-    wrapper's copy and checks, so it gives that function's bits.  Stacked
-    matmul and QR act on each matrix as the 2-D calls do, so the results
-    equal one-at-a-time transport with ``np.linalg.qr`` bit for bit.  The
-    lock steps go in blocks of ``LYAP_BLOCK``: one gather fetches a block's
-    step matrices, each step leaves its R in a stack of the block, and at the
-    block's end one call takes log |diag R| of the whole stack and one
-    reduction over its outer axis adds the rows, the logs so far first, in
-    order, which is one ``+=`` per step bit for bit.  No block straddles the
-    end of the warm-up, where the logs are reset.  A
-    batch is discarded when some R of its steps, warm-up included, has a
-    zero or non-finite diagonal entry, which is exactly when its log sum
-    ends non-finite; the kept rows of ``per_batch`` stay in geodesic order.
+    A cusp excursion is a run of one pair step u.  A float transport of a
+    long run loses the frame's contracted directions (by up to 0.24 in the
+    logs over the 31,883 steps of sym3-lyapunov's longest run), and one step
+    per lock step made the longest batch set the run time.  So each maximal
+    run of at least ``LYAP_RUN`` equal steps of a finite u among a batch's
+    counted steps, a run starting where the step changes or the batch starts,
+    is one op, a super step (``_super_step``: u^m F on Python ints); each
+    other step, the warm-up's included, is one op.  A batch whose op is a
+    super step takes it in Python at its lock step, and its lane of the
+    stacked matmul and QR is overwritten by the super step's frame and logs.
+
+    All batches are transported in lock step: each lock step is one stacked
+    matmul and one stacked QR over the batches that still have ops, which,
+    sorted by op count, longest first, are a prefix of the stack.  The QR
+    calls the two gufuncs behind ``np.linalg.qr`` directly, in place and
+    without the wrapper's copy and checks, so it gives that function's bits.
+    Stacked matmul and QR act on each matrix as the 2-D calls do, so the
+    results equal one-at-a-time transport with ``np.linalg.qr`` and the same
+    super steps bit for bit.  The lock steps go in blocks of ``LYAP_BLOCK``:
+    one gather fetches a block's step matrices, each step leaves its R in a
+    stack of the block, and at the block's end one call takes log |diag R|
+    of the whole stack and one reduction over its outer axis adds the rows,
+    the logs so far first, in order, which is one ``+=`` per step bit for
+    bit.  No block straddles the end of the warm-up, where the logs are
+    reset.  A batch is discarded when some R of its steps, warm-up included,
+    has a zero or non-finite diagonal entry, or a super step a -inf or NaN
+    log, which is exactly when its log sum ends non-finite; the kept rows of
+    ``per_batch`` stay in geodesic order.
     """
     end = 2.0 * T
     if not 0 < end < math.inf or seed < 0:
         raise ValueError("T must be positive, with a finite arc length 2T, and seed non-negative")
     if end > LYAP_MAX_ARC:
         raise ValueError(f"T={T:g}: an arc length 2T past {LYAP_MAX_ARC} would keep more than "
-                         f"1 GiB of crossings")
+                         f"1 GiB of crossings at a typical rate")
     if n_traj < 2:
         raise ValueError(f"n_traj={n_traj}: a batch-means error needs two batches")
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
@@ -551,20 +659,36 @@ def lyapunov_mc(
     first = np.append(warm, cands[pick])  # each batch's first counted step
     stop = np.append(cands[pick], len(steps))
     spans = step_end(stop - 1) - step_end(first - 1)
-    lengths = stop - first + warm
+    with np.errstate(over="ignore", invalid="ignore"):
+        # step 3 + 3i + j is the pair (i, j): rho(r_j) rho(r_i)
+        table = np.stack(mats + [mats[j] @ mats[i] for i in range(3) for j in range(3)])
+    # the runs of the counted steps: a run starts where the step changes or a batch starts,
+    # and a long one of a finite step is one op, of its length; every other step is an op
+    new_run = np.append(True, new_run)
+    new_run[first] = True
+    runs = np.flatnonzero(new_run[warm:]) + warm
+    run_len = np.diff(np.append(runs, len(steps)))
+    long = (run_len >= LYAP_RUN) & np.isfinite(table).all(axis=(1, 2))[steps[runs]]
+    n_ops = np.where(long, 1, run_len)
+    # the counted ops: the first step of each run, and each further step of a short run
+    ops = np.repeat(runs - np.cumsum(n_ops) + n_ops, n_ops) + np.arange(n_ops.sum())
+    count = np.repeat(np.where(long, run_len, 1), n_ops)
+    # each batch transports its warm-up's steps one by one, then its counted ops: its op
+    # j is the step first - warm + j in the warm-up, and then ops[lo - warm + j]
+    lo, hi = np.searchsorted(ops, first), np.searchsorted(ops, stop)
+    lengths = hi - lo + warm
     order = np.argsort(-lengths, kind="stable")
-    starts = (first - warm)[order]
-    # at steps ends[k] <= j < ends[k - 1], exactly the first k batches have steps left
+    warm_at, ops_at = (first - warm)[order], (lo - warm)[order]
+    # at lock steps ends[k] <= j < ends[k - 1], exactly the first k batches have ops left
     ends = np.append(lengths[order], 0).tolist()
     frames = np.tile(np.eye(n), (n_traj, 1, 1))
     logs = np.zeros((n_traj, n))
+    cache = {}  # the super steps' powers
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # step 3 + 3i + j is the pair (i, j): rho(r_j) rho(r_i)
-        table = np.stack(mats + [mats[j] @ mats[i] for i in range(3) for j in range(3)])
         for k in range(n_traj, 0, -1):
-            frame, log, start = frames[:k], logs[:k], starts[:k]
-            # prods[i]: the product, then R, of a block's step i; rows[0] holds the logs
-            # so far, and rows[1 + i] the log |diag R| of step i
+            frame, log = frames[:k], logs[:k]
+            # prods[i]: the product, then R, of a block's lock step i; rows[0] holds the logs
+            # so far, and rows[1 + i] the log |diag R| of lock step i
             prods = np.empty((block, k, n, n))
             rows = np.empty((block + 1, k, n))
             j = ends[k]
@@ -576,15 +700,35 @@ def lyapunov_mc(
                 stop = min(j + block, ends[k - 1])
                 if j < warm:  # a block ends at the warm-up's end, where the reset falls
                     stop = min(stop, warm)
-                for step, a in zip(table[steps[start + np.arange(j, stop)[:, None]]], prods):
+                at = np.arange(j, stop)[:, None]
+                # the super steps of each lock step of the block: (lock step, batch, length)
+                supers = [None] * (stop - j)
+                if j < warm:
+                    at = warm_at[:k] + at
+                else:
+                    lens = count[ops_at[:k] + at]
+                    at = ops[ops_at[:k] + at]
+                    for i, b in zip(*np.nonzero(lens > 1)):
+                        supers[i] = (supers[i] or []) + [(i, b, int(lens[i, b]))]
+                done = []
+                for step, a, sup in zip(table[steps[at]], prods, supers):
+                    if sup:
+                        taken = [(i, b, *_super_step(step[b], m, frame[b], cache))
+                                 for i, b, m in sup]
                     np.matmul(step, frame, out=a)
                     # Householder QR in place: R's upper triangle overwrites a, Q goes
                     # to frame
                     tau = _umath_linalg.qr_r_raw(a, signature="d->d")
                     _umath_linalg.qr_reduced(a, tau, signature="dd->d", out=frame)
+                    if sup:  # the super step's batch takes its own frame
+                        for _, b, _, q in taken:
+                            frame[b] = q
+                        done += taken
                 block_rows, grown = rows[: stop - j + 1], rows[1 : stop - j + 1]
                 np.abs(prods[: stop - j].diagonal(axis1=2, axis2=3), out=grown)
                 np.log(grown, out=grown)
+                for i, b, grow, _ in done:
+                    grown[i, b] = grow
                 block_rows[0] = log
                 # a reduction over the outer axis adds the rows in order: one += per step
                 np.add.reduce(block_rows, axis=0, out=log)

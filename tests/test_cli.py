@@ -170,7 +170,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert (f"error: T=8.9e+307: an arc length 2T past {dynamics.LYAP_MAX_ARC} would keep "
-                "more than 1 GiB of crossings") in captured.err
+                "more than 1 GiB of crossings at a typical rate") in captured.err
         # the limit itself passes the check and is flowed
         argv[4] = str(dynamics.LYAP_MAX_ARC / 2)
         with pytest.raises(_Flowed):
@@ -442,13 +442,15 @@ class TestPinnedStdout:
          "05dd76375e9c54793a95647eedbbb89806be3670ff61249da8d6d8138579a27a"),
         # both lyapunov pins re-recorded when the sampler began to unfold cusp excursions
         # in closed form: the codes part from the loop's at the first jump, where the
-        # crossing times differ in the last bits.  The geodesic's codes are those of
-        # geodesic_sample from SeedSequence(seed), not of spawned seeds
+        # crossing times differ in the last bits; and again when the transport began to
+        # take each run of LYAP_RUN or more equal pair steps in one super step on Python
+        # ints, which moved their exponents by at most 2.4e-12.  The geodesic's codes are
+        # those of geodesic_sample from SeedSequence(seed), not of spawned seeds
         (["lyapunov", "--rep", "params", "--params", QUINTIC, "--T", "50", "--ntraj", "2",
-          "--seed", "1"], "646403e0f68238948d760c5e48f07a5e69e959fdb316053505be914c31fc1017"),
+          "--seed", "1"], "00fee744afe77708b6c953163686c5302e60ae30991ab37ca92fac9aa68443a8"),
         # a faster sampler must keep the mirror codes of the 2x2 path bit for bit
         (["lyapunov", "--rep", "sym3", "--sig", "2,3,inf", "--T", "200", "--ntraj", "4",
-          "--seed", "5"], "37af10f1a889770eb4c2a7152ee3f50f4458538f0336350614040db106e65822"),
+          "--seed", "5"], "de89459ad29e911c8f502d7c8fa58ed0f272c0d4a0dbd12d93e90c1128afe9a9"),
         # the reflections are the Levelt matrices' rows reversed, bit for bit (R_C @ h is
         # not: it flips zeros to -0.0); the octic prints nine -0.0 entries, and the
         # second family has irrational coefficients

@@ -10,6 +10,7 @@ import tracemalloc
 import weakref
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -859,7 +860,8 @@ class TestAnosovCertificate:
 
 def per_event_lyapunov(rep_mats, sig, T, n_batch, seed):
     """The per-event reference of the batch scheme: one geodesic, cut by a scan of its
-    pair steps, each batch transported alone with one 2-D QR per pair of crossings."""
+    pair steps, each batch transported alone with one 2-D QR per pair of crossings, or
+    one super step per long run of equal counted pair steps."""
     mats = [np.asarray(m, dtype=float) for m in rep_mats]
     n = mats[0].shape[0]
     warm = dyn.LYAP_WARMUP
@@ -888,12 +890,26 @@ def per_event_lyapunov(rep_mats, sig, T, n_batch, seed):
                 key=lambda i: abs(step_end[cands[i] - 1] - target))
         cuts.append(cands[i])
         lo = i + 1
-    rows, spans = [], []
+    rows, spans, cache = [], [], {}
     for first, stop in zip([warm] + cuts, cuts + [len(steps)]):
         frame, logs = np.eye(n), np.zeros(n)
-        for k in range(first - warm, stop):
+        k = first - warm
+        while k < stop:
             pair = steps[k]
             step = mats[pair[1]] @ mats[pair[0]] if len(pair) == 2 else mats[pair[0]]
+            # a run of LYAP_RUN or more equal counted steps of a finite step is one super
+            # step, checked apart against a 50-digit transport
+            run = 1
+            if k >= first and np.isfinite(step).all():
+                while k + run < stop and steps[k + run] == pair:
+                    run += 1
+            if run >= dyn.LYAP_RUN:
+                grown, frame = dyn._super_step(step, run, frame, cache)
+                k += run
+                if not np.all(np.isfinite(grown)):
+                    break
+                logs += grown
+                continue
             q, r = np.linalg.qr(step @ frame)
             d = np.sign(np.diag(r))
             d[d == 0] = 1.0
@@ -903,6 +919,7 @@ def per_event_lyapunov(rep_mats, sig, T, n_batch, seed):
                 break
             if k >= first:
                 logs += np.log(diag)
+            k += 1
         else:
             rows.append(logs)
             spans.append(step_end[stop - 1] - step_end[first - 1])
@@ -949,10 +966,10 @@ class TestLyapunovMC:
             ("fuchsian", 50, 2, 4, 0),
             ("rank5", 200, 4, 2, 0),
             ("partial_discard", 10, 4, 2, 2),
-            # the longest batch, kept, runs alone for 375 of its 574 lock steps, about six
-            # transport blocks; three batches are discarded past the first block, at their
-            # steps 64, 81 and 134
-            ("partial_discard", 400, 80, 56, 77),
+            # the longest batch, kept, runs alone for the last 31 of its 118 lock steps, seven
+            # blocks of 5 in test_block_size_moves_no_bit; a batch is discarded at its lock
+            # step 78, past the first block
+            ("partial_discard", 200, 40, 43, 36),
         ],
     )
     def test_matches_per_event_loop(self, lyap_reps, rep, T, n_traj, seed, discarded):
@@ -968,10 +985,10 @@ class TestLyapunovMC:
     def test_block_size_moves_no_bit(self, lyap_reps, monkeypatch, block):
         # blocks shorter than the warm-up, not dividing it, equal to it, and one block
         rep_mats, sig = lyap_reps["partial_discard"]
-        want = dyn.lyapunov_mc(rep_mats, sig, 400, 80, 56)
+        want = dyn.lyapunov_mc(rep_mats, sig, 200, 40, 43)
         monkeypatch.setattr(dyn, "LYAP_BLOCK", block)
-        got = dyn.lyapunov_mc(rep_mats, sig, 400, 80, 56)
-        assert got.n_discarded == want.n_discarded == 77
+        got = dyn.lyapunov_mc(rep_mats, sig, 200, 40, 43)
+        assert got.n_discarded == want.n_discarded == 36
         assert got.per_batch.tobytes() == want.per_batch.tobytes()
         assert got.stderr.tobytes() == want.stderr.tobytes()
 
@@ -1068,6 +1085,122 @@ class TestLyapunovMC:
         rep_mats, sig = lyap_reps["fuchsian"]
         with pytest.raises(ValueError, match=f"too few for the warm-up of {dyn.LYAP_WARMUP}"):
             dyn.lyapunov_mc(rep_mats, sig, 0.5, 2, 0)
+
+
+def _runs(rep_mats, sig, seed, arc):
+    """The pair-step matrices and the runs (start, length) of equal pair steps of at
+    least ``LYAP_RUN`` on one geodesic, with each step of the geodesic."""
+    mats = [np.asarray(m, dtype=float) for m in rep_mats]
+    codes = fox.geodesic_sample(sig, np.random.SeedSequence(seed), arc).events
+    steps = [(codes[k], codes[k + 1]) for k in range(0, len(codes) - 1, 2)]
+    runs, k = [], 0
+    while k < len(steps):
+        m = 1
+        while k + m < len(steps) and steps[k + m] == steps[k]:
+            m += 1
+        if m >= dyn.LYAP_RUN:
+            runs.append((k, m))
+        k += m
+    return [mats[j] @ mats[i] for i, j in steps], runs
+
+
+def _mp_transport(cols):
+    """log |diag R| and Q of the QR of the matrix of mpmath columns ``cols``."""
+    logs, qs = [], []
+    for c in cols:
+        for q in qs:
+            d = mp.fsum(a * b for a, b in zip(q, c))
+            c = [a - d * b for a, b in zip(c, q)]
+        r = mp.sqrt(mp.fsum(a * a for a in c))
+        logs.append(mp.log(r))
+        qs.append([a / r for a in c])
+    return logs, qs
+
+
+def _mp_mul(a, cols):
+    """The mpmath matrix ``a`` (rows) times the columns ``cols``."""
+    return [[mp.fsum(x * y for x, y in zip(row, c)) for row in a] for c in cols]
+
+
+class TestSuperStep:
+    """A run of m equal pair steps is one super step, ``dyn._super_step``; here it is
+    checked against 50-digit transports of the same float step and frame."""
+
+    @pytest.fixture(scope="class", params=["sym3", "quintic", "octic"])
+    def geodesic(self, request, lyap_reps):
+        # the benchmark's geodesic, a quintic one whose table is integral, and an octic
+        # one whose table is not
+        if request.param == "octic":
+            rep_mats = mono.reflection_matrices(*mono.levelt_matrices(OCTIC))
+            sig = fox.orbifold_signature(OCTIC)
+        else:
+            rep_mats, sig = lyap_reps[request.param]
+        seed, arc = {"sym3": (5, 8000.0), "quintic": (11, 10000.0),
+                     "octic": (4, 10000.0)}[request.param]
+        return _runs(rep_mats, sig, seed, arc)
+
+    @staticmethod
+    def frame_before(steps, k):
+        # the frame a float transport from the identity 64 steps before step k brings
+        frame = np.eye(len(steps[0]))
+        for step in steps[max(k - 64, 0):k]:
+            frame = np.linalg.qr(step @ frame)[0]
+        return frame
+
+    def check(self, got, want, m):
+        (logs, q), (mp_logs, mp_q) = got, want
+        assert np.abs(logs - np.array(mp_logs, dtype=float)).max() < 1e-12, m
+        for j, col in enumerate(mp_q):
+            # the super step sets the frame's column signs first, so Q's columns agree
+            # up to sign
+            col = np.array(col, dtype=float)
+            assert np.abs(q[:, j] - np.sign(col @ q[:, j]) * col).max() < 1e-12, (m, j)
+
+    def test_longest_runs_match_a_50_digit_power(self, geodesic):
+        # QR(u^m F) is the transport of m steps u, so the 20 longest runs (31,883 steps
+        # at most on the sym3 geodesic) are checked against u^m by squarings and a
+        # Gram-Schmidt at 50 digits, which keep some 20 digits past cond(u^m)
+        steps, runs = geodesic
+        longest = sorted(runs, key=lambda r: -r[1])[:20]
+        assert len(longest) == 20 and longest[0][1] > 5000
+        with mp.workdps(50):
+            for k, m in longest:
+                u, frame = steps[k], self.frame_before(steps, k)
+                got = dyn._super_step(u, m, frame, {})
+                power, cols = [list(map(mp.mpf, row)) for row in u.tolist()], frame.T.tolist()
+                cols = [list(map(mp.mpf, c)) for c in cols]
+                e = m
+                while e:
+                    if e & 1:
+                        cols = _mp_mul(power, cols)
+                    e >>= 1
+                    if e:
+                        power = [list(r) for r in zip(*_mp_mul(power, list(zip(*power))))]
+                logs, q = _mp_transport(cols)
+                # R's diagonal is positive, so Q's columns are those of u^m F made unit
+                self.check(got, (logs, q), m)
+
+    def test_short_runs_match_a_50_digit_step_by_step_transport(self, geodesic):
+        steps, runs = geodesic
+        with mp.workdps(50):
+            for k, m in sorted(runs, key=lambda r: r[1])[:10]:
+                u, frame = steps[k], self.frame_before(steps, k)
+                got = dyn._super_step(u, m, frame, {})
+                a = [list(map(mp.mpf, row)) for row in u.tolist()]
+                cols = [list(map(mp.mpf, c)) for c in frame.T.tolist()]
+                total = [mp.mpf(0)] * len(cols)
+                for _ in range(m):
+                    logs, cols = _mp_transport(_mp_mul(a, cols))
+                    total = [t + x for t, x in zip(total, logs)]
+                self.check(got, (total, cols), m)
+
+    def test_blind_to_the_frames_column_signs(self, geodesic):
+        steps, runs = geodesic
+        k, m = max(runs, key=lambda r: r[1])
+        frame = self.frame_before(steps, k)
+        logs, q = dyn._super_step(steps[k], m, frame, {})
+        flipped = dyn._super_step(steps[k], m, frame * [1, -1, -1, 1], {})
+        assert logs.tobytes() == flipped[0].tobytes() and q.tobytes() == flipped[1].tobytes()
 
 
 def test_what_the_benchmark_reads_of_the_ball():
