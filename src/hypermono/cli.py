@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import dynamics, fuchsian, monodromy, params
-from ._linalg import row_chunks, singular_gaps
+from ._linalg import row_chunks, singular_gaps, symplectic_gaps
 from .monodromy import form_signature
 
 
@@ -184,27 +184,36 @@ def cmd_monodromy(args) -> int:
 def cmd_certify(args) -> int:
     """Log-Anosov certificate of the word ball; with --out, its (dist, gap, word) CSV.
 
-    The ball's SVDs start right after ``enumerate_ball``, in the ``with``
-    block of ``singular_gaps``, and run ahead, at most two chunks per worker,
-    while the distances and the word column are built.  One loop takes the
-    chunks in ball order: it collects each chunk's gaps and, with --out,
-    writes its rows of the CSV in one block as the chunk lands.  ``anosov_certificate`` takes the collected (dists,
-    gaps), and the JSON is written inside the CSV's ``_whole_file`` block, so
-    it is renamed into place just before the CSV.  A run that fails partway
-    (a ``LinAlgError`` in some chunk, or a JSON path that cannot be written)
-    leaves neither file and no thread behind.
+    The gaps come a chunk of ``row_chunks`` at a time.  When the ball's
+    matrices are exact integers in a frame where the form is exactly
+    ``STANDARD_J4`` (``WordBall.exact_symplectic``, the quintic's), each chunk's
+    gaps are the closed form of ``symplectic_gaps``, computed as the loop takes
+    the chunk, and no thread starts.  Otherwise they are the ball's SVDs, which
+    start right after ``enumerate_ball``, in the ``with`` block of
+    ``singular_gaps``, and run ahead, at most two chunks per worker, while the
+    distances and the word column are built.  One loop takes the chunks in
+    ball order: it collects each chunk's gaps and, with --out, writes its rows
+    of the CSV in one block as the chunk lands.  ``anosov_certificate`` takes
+    the collected (dists, gaps), and the JSON is written inside the CSV's
+    ``_whole_file`` block, so it is renamed into place just before the CSV.
+    A run that fails partway (a ``LinAlgError`` in some chunk, or a JSON path
+    that cannot be written) leaves neither file and no thread behind.
     """
     p = _parse_params(args)
     sig, std, gen_mats, orders, fuchs = _ball_inputs(args, p)
     ball = dynamics.enumerate_ball(gen_mats, orders, args.L, fuchs_gens=fuchs)
-    with contextlib.ExitStack() as files, singular_gaps(ball.mats, top=False) as chunks:
+    if ball.exact_symplectic:
+        gap_chunks = contextlib.nullcontext(symplectic_gaps(ball.mats))
+    else:
+        gap_chunks = singular_gaps(ball.mats, top=False)
+    with contextlib.ExitStack() as files, gap_chunks as chunks:
         dists = dynamics.frobenius_distances(ball)
         if args.out:
             words = ball.unfold("e", lambda s, k, w: f"{s}^{k}" if w == "e" else f"{s}^{k}.{w}")
             csv = files.enter_context(_whole_file(args.out + ".csv"))
             csv.write("dist,gap,word\n")
         gaps = []
-        for rows, chunk, _ in chunks:
+        for rows, chunk, *_ in chunks:  # no top vectors are asked for
             if args.out:
                 columns = (map(repr, dists[rows].tolist()), map(repr, chunk.tolist()), words[rows])
                 _write_lines(csv, map(",".join, zip(*columns)))

@@ -20,9 +20,11 @@ from numpy.linalg import _umath_linalg
 
 from ._linalg import _rank_cut, projective_normalize, row_chunks, singular_gaps
 from .fuchsian import IDENT, INF, OrbifoldSignature, geodesic_sample, mat_inv
+from .monodromy import STANDARD_J4
 from .params import as_exact
 
 LIMIT_DEDUP_RES = 1e-8  # limit samples are deduplicated on this grid of their coordinates
+HULL_BINS = 1024  # x bins of _hull_candidates' pre-filter
 EXACT_LIMIT = 2**53  # integer products are exact floats while n * max|g| * max|X| < this
 INTEGRAL_TOL = 1e-9  # a generator entry within this (relative) of an integer is that integer
 LYAP_WARMUP = 32  # pair steps each Lyapunov batch is transported before it counts
@@ -56,6 +58,9 @@ class WordBall:
     refuses to build past what float64 holds exactly; else the float products.
     ``fuchs`` is, when the ball was built with Fuchsian generators, the (N, 4)
     array of normalized 2x2 matrices (a, b, c, d) of the same words.
+    ``exact_symplectic`` is true when ``mats`` are exact integer products of
+    4x4 generators that each preserve ``STANDARD_J4`` exactly, the stacks
+    ``_linalg.symplectic_gaps`` takes.
     """
 
     alphabet: list
@@ -64,6 +69,7 @@ class WordBall:
     rest: np.ndarray
     mats: np.ndarray
     fuchs: Optional[np.ndarray]
+    exact_symplectic: bool
 
     def __len__(self):
         return len(self.rest)
@@ -195,14 +201,22 @@ def enumerate_ball(
     Each level first checks n * max|g| * max|X| < ``EXACT_LIMIT`` = 2**53 (X
     the frontier), which keeps every partial sum an exact float, and raises
     ``ArithmeticError`` where the bound fails.  Otherwise ``mats`` are the
-    float products of the given generators.
+    float products of the given generators.  ``exact_symplectic`` also needs
+    gᵀ J g = J, J = ``STANDARD_J4``, of every generator g, checked in Python ints.
     """
     alphabet = list(alphabet or gen_mats)
-    levels = _ball_levels(*_step_table(gen_mats, alphabet), orders, L, alphabet, fuchs_gens)
+    steps, exact = _step_table(gen_mats, alphabet)
+    levels = _ball_levels(steps, exact, orders, L, alphabet, fuchs_gens)
     letter, exponent, rest, mats, fuchs = zip(*levels)
+    symplectic = exact and steps.shape[1:] == STANDARD_J4.shape
+    if symplectic:
+        J = np.frompyfunc(int, 1, 1)(STANDARD_J4)
+        symplectic = all(np.array_equal(g.T @ J @ g, J)
+                         for g in np.frompyfunc(int, 1, 1)(steps[::2]))
     return WordBall(
         alphabet, *map(np.concatenate, (letter, exponent, rest, mats)),
         fuchs=np.concatenate(fuchs) if fuchs_gens is not None else None,
+        exact_symplectic=symplectic,
     )
 
 
@@ -348,13 +362,33 @@ def _hull_candidates(xs, ys):
 
     In (x, y) order a lower-hull vertex is a prefix or a suffix minimum of y:
     its support line has slope <= 0 (no lower point to its left) or >= 0
-    (none to its right).
+    (none to its right).  The indices come in (x, y, index) order.
+
+    Only the points left by a pre-filter are sorted.  The (finite) xs fall
+    into ``HULL_BINS`` bins of equal width, and a point above the least y of
+    every earlier bin and above the least y of every later bin is dropped: a
+    point of an earlier (later) bin lies strictly left (right) of it and lower.
+    The lowest point of those bins is never dropped, so a point that was kept
+    fails the prefix (suffix) test among the kept points exactly when it fails
+    it among all points.
     """
+    if len(xs):
+        lo, hi = xs.min(), xs.max()
+        share = (xs - lo) / (hi - lo) if hi > lo else np.zeros(len(xs))  # in [0, 1], monotone
+        bins = np.minimum((share * HULL_BINS).astype(np.intp), HULL_BINS - 1)
+        least = np.full(HULL_BINS + 2, np.inf)  # a bin's least y, between two empty ends
+        np.minimum.at(least, bins + 1, ys)
+        before = np.minimum.accumulate(least)[bins]  # the least y of bins < bin
+        after = np.minimum.accumulate(least[::-1])[::-1][bins + 2]  # and of bins > bin
+        kept = np.flatnonzero((ys <= before) | (ys <= after))
+        xs, ys = xs[kept], ys[kept]
+    else:
+        kept = np.arange(0)
     order = np.lexsort((ys, xs))
     y = ys[order]
     prefix = y <= np.minimum.accumulate(y)
     suffix = y <= np.minimum.accumulate(y[::-1])[::-1]
-    return order[prefix | suffix]
+    return kept[order[prefix | suffix]]
 
 
 def frobenius_distances(ball: WordBall) -> np.ndarray:

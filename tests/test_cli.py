@@ -52,10 +52,11 @@ class TestDeterminism:
         assert summary["ball_size"] == first[".csv"].count(b"\n") - 1
         assert summary["eps_hat"] > 0
         # sha256 recorded from the per-row CSV writer: rerun equality passes a uniform change.
-        # Re-recorded when the quintic's ball matrices became its exact integer products.
+        # Re-recorded when the quintic's ball matrices became its exact integer products,
+        # and again when its gaps became the closed form of symplectic_gaps (last bits).
         assert {s: hashlib.sha256(b).hexdigest() for s, b in first.items()} == {
-            ".csv": "d8fe27dbd33150a82c623c4ac746a97490c2d59c39f300eb6b08e0f59b856a26",
-            ".json": "51ec1114c2a7b2914f3d85483f6cea712e4b2bb74e5446b04caa141d042ea9d0",
+            ".csv": "9859574d028e2695e3741f3705d41483ba48ad2fc6e9991bab66cd018a760211",
+            ".json": "79e5b9301edd977c0603b5f20ede9b45bb78a717f84e98a09414cb99be21f7d5",
         }
 
     def test_octic_certify_bytes_pinned(self, tmp_path, capsys):
@@ -73,21 +74,34 @@ class TestDeterminism:
             ".json": "ac7981a7e551c3970c787a66b4e3a60be7341295acb942e9f2a61b0280dceb69",
         }
 
-    def test_multi_chunk_certify_bytes_pinned(self, tmp_path, capsys, monkeypatch):
-        # 29,527 words: the certificate's SVDs run in four chunks on up to three
-        # worker threads, and the 29,528 CSV lines are written in four blocks.  sha256
-        # recorded while one SVD call and one write covered the whole ball; the
-        # bytes do not depend on the number of CPUs.
+    def test_multi_chunk_certify_bytes_pinned(self, tmp_path, capsys):
+        # 29,527 words: the closed-form gaps are taken in four chunks, and the 29,528
+        # CSV lines are written in four blocks.  sha256 recorded when the gaps became
+        # the closed form of symplectic_gaps
+        prefix = tmp_path / "out"
+        assert cli.main(["certify", "--params", QUINTIC, "--L", "9", "--out", str(prefix)]) == 0
+        digest = {s: hashlib.sha256(Path(f"{prefix}{s}").read_bytes()).hexdigest()
+                  for s in (".csv", ".json")}
+        assert digest == {
+            ".csv": "bac6261517f2adf6131d749326f79f93f05169ee531220960e3e1e5aaecaf830",
+            ".json": "cef0d546f2731f277efbd792df8688fa62f4aa66eb5b933781fd503fe6a314ed",
+        }
+
+    def test_octic_multi_chunk_certify_bytes_pinned(self, tmp_path, capsys, monkeypatch):
+        # 37,504 words on a float frame: the certificate's SVDs run in five chunks on
+        # up to three worker threads, and the 37,505 CSV lines are written in five
+        # blocks.  The bytes do not depend on the number of CPUs; sha256 recorded
+        # before the quintic's gaps left the SVD, which did not move them
         for cpus in CPU_MASKS:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
             prefix = tmp_path / f"cpus{len(cpus)}"
-            argv = ["certify", "--params", QUINTIC, "--L", "9", "--out", str(prefix)]
+            argv = ["certify", "--params", OCTIC, "--L", "9", "--out", str(prefix)]
             assert cli.main(argv) == 0
             digest = {s: hashlib.sha256(Path(f"{prefix}{s}").read_bytes()).hexdigest()
                       for s in (".csv", ".json")}
             assert digest == {
-                ".csv": "eaf0add029d506ddcf7cb3e244ac990ec1a1bc0da00dfbc4000d65f4a40612c4",
-                ".json": "0ffd551de8280d71d3587a88cd4cbce7a4906919c27e170dfa87524a90f800ea",
+                ".csv": "a1f42f9953d82809f18425def1457fc86aa1ea0432ee71dc39fe29b90e085c59",
+                ".json": "0d08bba146e5e41b231a34f86e08b5f3fd673e02e544cc20487c0648dfaf87ea",
             }
 
     def test_limitset_rerun_identical(self, tmp_path, capsys):
@@ -209,14 +223,17 @@ class TestExitCodes:
         assert f"error: exponent {exponent!r} is neither 'p/q' nor a decimal" in (
             capsys.readouterr().err)
 
-    @pytest.mark.parametrize("command, fault", [
-        ("certify", "nan"), ("certify", "svd"), ("limitset", "svd"),
+    @pytest.mark.parametrize("command, fault, params, chunks", [
+        ("certify", "nan", QUINTIC, 4), ("certify", "svd", OCTIC, 5),
+        ("limitset", "svd", QUINTIC, 4),
     ], ids=["nan", "svd", "limitset-svd"])
     def test_failed_chunk_leaves_no_partial_csv(self, tmp_path, capsys, monkeypatch, command,
-                                                fault):
-        # quintic L=9 has four SVD chunks; the third fails after the rows of the
-        # first two are written (for limitset, after its cusp rows, a block for each
-        # of the four chunks), and the files of an earlier run are left as they were
+                                                fault, params, chunks):
+        # at L=9 the quintic has four chunks and the octic five; the third fails after
+        # the rows of the first two are written (for limitset, after its cusp rows, a
+        # block for each chunk), and the files of an earlier run are left as they
+        # were.  The quintic's certify gaps are the closed form, which refuses the NaN
+        # as the octic's SVD would; the octic's SVD chunks run on worker threads
         third, balls = 2 * _linalg.SVD_CHUNK, []
         enumerate_ball, svd = dynamics.enumerate_ball, np.linalg.svd
 
@@ -244,10 +261,10 @@ class TestExitCodes:
         for name in earlier:
             (tmp_path / name).write_text("earlier run\n")
         before = threading.active_count()
-        argv = [command, "--params", QUINTIC, "--L", "9", "--out", str(tmp_path / "out")]
+        argv = [command, "--params", params, "--L", "9", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 3
         assert "numerical failure" in capsys.readouterr().err
-        assert blocks == [str(tmp_path / "out.csv.part")] * (2 + 4 * (command == "limitset"))
+        assert blocks == [str(tmp_path / "out.csv.part")] * (2 + chunks * (command == "limitset"))
         assert sorted(p.name for p in tmp_path.iterdir()) == earlier
         assert all((tmp_path / name).read_text() == "earlier run\n" for name in earlier)
         assert threading.active_count() == before
@@ -334,9 +351,10 @@ class TestExitCodes:
         assert threading.active_count() == threads
 
     def test_certify_leaves_no_partial_output(self, tmp_path, capsys, monkeypatch):
-        # with o.json a directory, a fresh o.csv used to be left behind.  L=3 is one
-        # SVD chunk, so no worker; at L=9, four chunks on three CPUs, the refusal
-        # leaves the stream's block while its three workers live, and all end
+        # with o.json a directory, a fresh o.csv used to be left behind.  The quintic
+        # takes its gaps in closed form, so no worker at L=3 (one chunk) or L=9 (four);
+        # the octic at L=9 runs five SVD chunks on three CPUs, and the refusal leaves the
+        # stream's block while its three workers live, and all end
         (tmp_path / "o.json").mkdir()
         threads, alive, certificate = threading.active_count(), [], dynamics.anosov_certificate
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -346,14 +364,14 @@ class TestExitCodes:
             return certificate(*args)
 
         monkeypatch.setattr(dynamics, "anosov_certificate", counting_certificate)
-        for L in ("3", "9"):
-            argv = ["certify", "--params", QUINTIC, "--L", L, "--out", str(tmp_path / "o")]
+        for params, L in ((QUINTIC, "3"), (QUINTIC, "9"), (OCTIC, "9")):
+            argv = ["certify", "--params", params, "--L", L, "--out", str(tmp_path / "o")]
             assert cli.main(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and "error:" in captured.err
             assert [p.name for p in tmp_path.iterdir()] == ["o.json"]
             assert threading.active_count() == threads
-        assert alive == [threads, threads + 3]
+        assert alive == [threads, threads, threads + 3]
 
     def test_euclidean_signature_refused(self, capsys):
         # the float chi of (2, 3, 6) is -1.1e-16, whose sign says hyperbolic
@@ -657,8 +675,25 @@ def test_cusp_kind_runs_no_ball_svd(kinds, ball_svds, capsys, monkeypatch):
     assert "kind" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("params, ball_svds", [(QUINTIC, False), (OCTIC, True)])
+def test_certify_runs_a_ball_svd_only_on_a_float_frame(params, ball_svds, capsys, monkeypatch):
+    # the quintic's ball is exact and symplectic in the J4 frame, so its gaps are the
+    # closed form; the octic's frame is a float one, so its gaps are the SVDs
+    svd, stacks = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kwargs):
+        stacks.append(np.ndim(a) == 3)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert cli.main(["certify", "--params", params, "--L", "6"]) == 0
+    assert any(stacks) == ball_svds
+    assert "eps_hat" in capsys.readouterr().out
+
+
 def test_one_chunk_certify_starts_no_thread():
-    # quintic L=6 is one SVD chunk: no worker thread, and no thread pool imported
+    # quintic L=6 is one chunk, and L=9 four: the quintic's gaps are the closed form
+    # of symplectic_gaps, so neither starts a worker thread or imports a thread pool
     env = dict(os.environ, PYTHONPATH=str(Path(hypermono.__file__).parents[1]))
     code = f"""
 import contextlib, io, sys, threading
@@ -667,10 +702,10 @@ start = threading.Thread.start
 threading.Thread.start = lambda t: (started.append(t), start(t))
 from hypermono import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["certify", "--params", "{QUINTIC}", "--L", "6"])
-print(code, "concurrent.futures" in sys.modules, len(started))
+    codes = [cli.main(["certify", "--params", "{QUINTIC}", "--L", L]) for L in ("6", "9")]
+print(*codes, "concurrent.futures" in sys.modules, len(started))
 """
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "0 False 0"
+    assert out.stdout.strip() == "0 0 False 0"

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import inspect
+import itertools
 import math
 import os
 import sys
@@ -495,7 +496,7 @@ def streamed_limit_curve(ball, gap_min, h1):
 def mats_ball(mats):
     """A ball of the given matrices, for ``limit_curve_samples``, which reads no word."""
     blank = np.full(len(mats), -1)
-    return dyn.WordBall([], blank, np.zeros(len(mats), dtype=int), blank, mats, None)
+    return dyn.WordBall([], blank, np.zeros(len(mats), dtype=int), blank, mats, None, False)
 
 
 LIMIT_FAMILIES = {
@@ -783,6 +784,97 @@ def library_cusp_line(h1):
     return samples.points[0]
 
 
+def symplectic_ball_gaps(mats):
+    """The stack's gaps, collected from the chunks of ``symplectic_gaps``."""
+    return np.concatenate([g for _, g in _linalg.symplectic_gaps(mats)])
+
+
+def mp_gap(g):
+    """log s0 - log s1 of the matrix g by a 50-digit SVD."""
+    with mp.workdps(50):
+        s = sorted(mp.svd_r(mp.matrix(g.tolist()), compute_uv=False), reverse=True)
+        return float(mp.log(s[0]) - mp.log(s[1]))
+
+
+def two_planes(a, b):
+    """The 4x4 matrix that acts as a on span(e0, e2) and as b on span(e1, e3): in
+    ``STANDARD_J4`` those planes are symplectic, so SL2 x SL2 lies in Sp4."""
+    g = np.zeros((4, 4))
+    g[np.ix_([0, 2], [0, 2])], g[np.ix_([1, 3], [1, 3])] = a, b
+    return g
+
+
+class TestSymplecticGaps:
+    def test_quintic_matches_a_50_digit_svd(self, mq):
+        # every gap below 0.5, the 200 largest, and the 200 words whose s1 is nearest 1
+        # (s1 = 1 on hundreds of words, where v = 0 and a y = s^2 + s^-2 form would
+        # lose half the digits of its second term)
+        ball, _, _ = ball_for(mq, 9)
+        assert ball.exact_symplectic and len(ball) == 29527
+        gaps = symplectic_ball_gaps(ball.mats)
+        s1 = np.linalg.svd(ball.mats, compute_uv=False)[:, 1]
+        assert np.sum(s1 == 1.0) > 100
+        checked = (set(np.flatnonzero(gaps < 0.5)) | set(np.argsort(-gaps)[:200])
+                   | set(np.argsort(np.abs(s1 - 1.0))[:200]))
+        assert len(checked) > 400
+        worst = max(abs(gaps[i] - mp_gap(ball.mats[i])) for i in checked)
+        assert worst < 1e-12
+
+    def test_identity_and_the_form_have_gap_zero(self):
+        gaps = symplectic_ball_gaps(np.stack([np.eye(4), mono.STANDARD_J4]))
+        assert gaps.tolist() == [0.0, 0.0]
+
+    def test_coalescing_row_takes_the_exact_discriminant(self, monkeypatch):
+        # ||a||_F^2 + 1 = ||b||_F^2, so z+ - z- = 1 and d = 1, far below 2^-20 t1^2.
+        # t1 and t2 lie below 2^52 and 2^53, so only u^2 rounds, and its rounding
+        # alone would move d by about 1: the row must take u, v and d exactly
+        a, b = [[1, 6972], [0, 1]], [[6971, 84], [-83, -1]]
+        g = two_planes(a, b)
+        assert np.array_equal(g.T @ mono.STANDARD_J4 @ g, mono.STANDARD_J4)
+        t1, t2 = _linalg._exact_invariants(g)
+        u, v = t1 - 4, t2 - 2 * t1 + 2
+        assert t1 < 2**52 and t2 < 2**53 and u * u - 4 * v == 1
+        assert float(u) * float(u) - 4.0 * float(v) != 1.0
+        exact, invariants = [], _linalg._exact_invariants
+        monkeypatch.setattr(_linalg, "_exact_invariants",
+                            lambda m: exact.append(m.tolist()) or invariants(m))
+        ordinary = two_planes([[2, 1], [1, 1]], [[1, 1], [0, 1]])
+        gaps = symplectic_ball_gaps(np.stack([ordinary, g]))
+        assert exact == [g.tolist()]
+        # the gap is about 1.03e-8; a d off by 1 would move it by as much
+        assert abs(gaps[1] - mp_gap(g)) < 1e-12
+        assert abs(gaps[0] - mp_gap(ordinary)) < 1e-12
+
+    def test_past_the_float_bounds_takes_python_ints(self):
+        # entries past 2^26: the float64 minors would round, and u, v, d come exactly
+        n = 3 * 2**40 + 1
+        g = two_planes([[1, n], [0, 1]], [[1, 0], [n - 1, 1]])
+        assert abs(symplectic_ball_gaps(g[None])[0] - mp_gap(g)) < 1e-12
+
+    def test_non_finite_row_raises(self, monkeypatch):
+        # the chunks come one at a time: the first two are taken before the third raises
+        monkeypatch.setattr(_linalg, "SVD_CHUNK", 5)
+        mats = np.stack([np.eye(4)] * 14)
+        mats[11, 2, 3] = np.nan
+        chunks = _linalg.symplectic_gaps(mats)
+        assert [rows for rows, _ in itertools.islice(chunks, 2)] == [slice(0, 5), slice(5, 10)]
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            next(chunks)
+
+    def test_ball_says_where_the_closed_form_holds(self, mq):
+        # the quintic's table is integral and preserves STANDARD_J4; the octic's is a
+        # float table; an integral table conjugated off the form is not symplectic there
+        assert ball_for(mq, 2)[0].exact_symplectic
+        assert not ball_for(OCTIC, 2)[0].exact_symplectic
+        std, _ = mono.build_rep(mq).standardized()
+        p = np.eye(4)
+        p[0, 1] = 1.0
+        gens = {s: np.round(p @ g @ np.linalg.inv(p)) for s, g in (("0", std.h0), ("inf", std.hinf))}
+        ball = dyn.enumerate_ball(gens, {"0": 5}, 2)
+        assert not ball.exact_symplectic
+        assert dyn._step_table(gens, ["0", "inf"])[1]
+
+
 class TestCuspLine:
     @pytest.mark.parametrize("a", DORAN_MORGAN)
     def test_line_is_fixed_and_spans_the_image(self, a):
@@ -819,6 +911,34 @@ class TestAnosovCertificate:
             assert dyn._lower_hull(xs[keep].tolist(), ys[keep].tolist()) == hull
             # _hull_value divides by these gaps
             assert all(b[0] - a[0] >= 1e-12 for a, b in zip(hull, hull[1:]))
+
+    @staticmethod
+    def sorted_candidates(xs, ys):
+        """``_hull_candidates`` as one lexsort of every point, before its pre-filter."""
+        order = np.lexsort((ys, xs))
+        y = ys[order]
+        prefix = y <= np.minimum.accumulate(y)
+        suffix = y <= np.minimum.accumulate(y[::-1])[::-1]
+        return order[prefix | suffix]
+
+    def test_candidates_match_one_lexsort_on_the_quintic(self, mq):
+        ball, _, _ = ball_for(mq, 9, with_fuchs=True)
+        xs, ys = dyn.frobenius_distances(ball), symplectic_ball_gaps(ball.mats)
+        keep = dyn._hull_candidates(xs, ys)
+        assert keep.tolist() == self.sorted_candidates(xs, ys).tolist()
+        assert 0 < len(keep) < len(xs) // 100
+
+    def test_candidates_match_one_lexsort_with_ties(self):
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            m = int(rng.integers(0, 3000))
+            # ties in x, in y and in both; x on few or many bins, one x value, or spread
+            xs = rng.integers(0, [1, 7, 3000][trial % 3], size=m).astype(float)
+            ys = rng.integers(-5, [5, 50, 5000][trial % 3 - 1], size=m).astype(float)
+            if trial % 4 == 3:
+                xs, ys = xs * 1e-3 + 40.0, ys * 0.25
+            keep = dyn._hull_candidates(xs, ys)
+            assert keep.tolist() == self.sorted_candidates(xs, ys).tolist(), trial
 
     def test_near_tie_keeps_lower_point(self):
         # (1e-13, -3) counts as x = 0 and is lower than (0, 0), so it replaces it.
