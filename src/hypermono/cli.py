@@ -191,9 +191,13 @@ def cmd_certify(args) -> int:
     the chunk, and no thread starts.  Otherwise they are the ball's SVDs, which
     start right after ``enumerate_ball``, in the ``with`` block of
     ``singular_gaps``, and run ahead, at most two chunks per worker, while the
-    distances and the word column are built.  One loop takes the chunks in
-    ball order: it collects each chunk's gaps and, with --out, writes its rows
-    of the CSV in one block as the chunk lands.  ``anosov_certificate`` takes
+    distances and the word column are built.  The ball is held once
+    (``enumerate_ball`` writes its levels in place), and ``WordBall.unfold``
+    keeps a word's string only for the words shorter than the longest, which
+    can be another word's rest; the last level's strings are made a chunk at a
+    time.  One loop takes the chunks in ball order: it collects each chunk's
+    gaps and, with --out, writes its rows of the CSV in one block as the chunk
+    lands.  ``anosov_certificate`` takes
     the collected (dists, gaps), and the JSON is written inside the CSV's
     ``_whole_file`` block, so it is renamed into place just before the CSV.
     A run that fails partway (a ``LinAlgError`` in some chunk, or a JSON path
@@ -215,7 +219,7 @@ def cmd_certify(args) -> int:
         gaps = []
         for rows, chunk, *_ in chunks:  # no top vectors are asked for
             if args.out:
-                columns = (map(repr, dists[rows].tolist()), map(repr, chunk.tolist()), words[rows])
+                columns = (map(repr, dists[rows].tolist()), map(repr, chunk.tolist()), words(rows))
                 _write_lines(csv, map(",".join, zip(*columns)))
             gaps.append(chunk)
         cert = dynamics.anosov_certificate(dists, np.concatenate(gaps))

@@ -75,11 +75,26 @@ class WordBall:
         return len(self.rest)
 
     def unfold(self, identity, prepend):
-        """Values in index order: ``identity``, then ``prepend(s, k, values[rest[i]])``
-        for each word i, of head s^k."""
-        values = [identity]
-        for i, k, r in zip(*(a[1:].tolist() for a in (self.letter, self.exponent, self.rest))):
-            values.append(prepend(self.alphabet[i], k, values[r]))
+        """The words' values, as a function of a slice of word indices.
+
+        Word 0's value is ``identity`` and word i's is ``prepend(s, k, v)``, for
+        the head s^k of word i and the value v of ``rest[i]``.  A rest comes
+        before the words that name it, so the values of the words up to
+        ``max(rest)`` are made here and kept; those of the later words (in a
+        ball, the longest, which no word names) are made each time a slice asks
+        for them, and are not kept.  The function takes a slice with no step
+        and returns the list of its words' values, in index order.
+        """
+        columns = (self.letter, self.exponent, self.rest)
+        kept = [identity]
+        for i, k, r in zip(*(a[1:int(self.rest.max()) + 1].tolist() for a in columns)):
+            kept.append(prepend(self.alphabet[i], k, kept[r]))
+
+        def values(rows):
+            tail = slice(max(rows.start, len(kept)), rows.stop)
+            return kept[rows] + [prepend(self.alphabet[i], k, kept[r])
+                                 for i, k, r in zip(*(a[tail].tolist() for a in columns))]
+
         return values
 
 
@@ -113,63 +128,133 @@ def _fuchs_step(m, fq):
     return out / np.sqrt(np.abs(det))[:, None]
 
 
-def _ball_levels(steps, exact, orders, L, alphabet, fuchs_gens=None):
-    """The word ball a level at a time, in ``enumerate_ball``'s order.
+def _syllable_steps(orders, alphabet):
+    """``extend(letter, exponent)``, the reduced words one step longer than given words.
 
-    ``steps, exact`` is ``_step_table(gen_mats, alphabet)``; step t = 2i + (sign < 0)
-    is the step code of ``geodesic_sample``.  Yields only, for each length 0..L
-    that has words, ``(letter, exponent, rest, X, FQ)``: the level's words as
-    ``WordBall`` stores them, their matrices X (m, n, n) and their Fuchsian rows
-    FQ (m, 4), None without ``fuchs_gens``.  One loop over the steps builds a
-    level from the last, X by one stacked matmul and FQ by one ``_fuchs_step``
-    per step, and only that level is kept.  On an integral table X holds the
-    exact integer products, which float64 carries while n * max|g| * max|X| <
-    ``EXACT_LIMIT`` (X the frontier); a level past that raises ``ArithmeticError``.
+    The words are given by their first syllables, ``(alphabet[letter],
+    exponent)``, the identity by letter -1.  ``extend`` returns ``(parent,
+    step, letter, exponent)`` of the longer words, in (parent, step) order:
+    step t = 2i + (sign < 0), row t of the table of ``_step_table`` and the
+    step code of ``geodesic_sample``, puts alphabet[i]^sign in front of word
+    ``parent``.  A step extends a word whose first letter is its own away from
+    0, and a finite order e keeps the net exponent in (-e/2, e/2].
     """
-    if L < 0:
-        raise ValueError("L must be >= 0")
     step_letter = np.repeat(np.arange(len(alphabet)), 2)
     step_sign = np.tile([1, -1], len(alphabet))
     step_order = np.array([orders.get(s, INF) for s in alphabet], dtype=float)[step_letter]
-    n = steps.shape[1]
-    g_bound = n * int(np.abs(steps).max()) if exact else None
-    if fuchs_gens is not None:
-        f_gens = [tuple(map(float, fuchs_gens[s])) for s in alphabet]
-        f_steps = [f for g in f_gens for f in (g, mat_inv(g))]
 
-    # the frontier, the last level: matrices X, Fuchsian rows FQ, words; offset: ball index of X[0]
-    X = np.eye(n)[None]
-    FQ = np.array([IDENT]) if fuchs_gens is not None else None
-    letter, exponent, rest = np.array([-1]), np.array([0]), np.array([-1])
-    offset = 0
-
-    yield letter, exponent, rest, X, FQ
-    for ell in range(1, L + 1):
-        # (word, step) -> the net exponent of the first syllable; a step extends a word
-        # whose first letter is its own away from 0, and a finite order e keeps the net
-        # exponent in (-e/2, e/2]
+    def extend(letter, exponent):
         same = letter[:, None] == step_letter
         nets = np.where(same, exponent[:, None] + step_sign, step_sign)
         valid = ((-step_order < 2 * nets) & (2 * nets <= step_order)
                  & (~same | (np.abs(nets) > np.abs(exponent)[:, None])))
-        parent, step = np.nonzero(valid)  # candidates in (parent, step) order
-        if not len(parent):
-            return
-        if exact and g_bound * int(np.abs(X).max()) >= EXACT_LIMIT:
-            raise ArithmeticError(f"level {ell}: exact products could pass 2**53, beyond the "
-                                  "integers float64 holds exactly")
-        Y = np.empty((len(parent), n, n))  # the candidates' matrices and Fuchsian rows
-        fq = np.empty((len(parent), 4)) if FQ is not None else None
+        parent, step = np.nonzero(valid)
+        return parent, step, step_letter[step], nets[parent, step]
+
+    return extend
+
+
+def _next_level(extend, letter, exponent, rest, offset):
+    """Level ell + 1 from level ell's words, the first of which is ball index ``offset``:
+    ``(parent, step, letter, exponent, rest)`` as ``extend`` and ``WordBall`` give them.
+
+    A word's rest is its parent's when the step's letter is the parent's first
+    letter (the step changes the first exponent), else the parent itself.
+    """
+    parent, step, new_letter, new_exponent = extend(letter, exponent)
+    new_rest = np.where(letter[parent] == new_letter, rest[parent], offset + parent)
+    return parent, step, new_letter, new_exponent, new_rest
+
+
+def _level_sizes(extend, L):
+    """The number of words of each length 0..L that has words, without the words.
+
+    What ``extend`` allows a word depends on its first syllable only, so the
+    count runs over the first syllables of each level, each with the number of
+    words that begin with it, in Python ints.
+    """
+    if L < 0:
+        raise ValueError("L must be >= 0")
+    classes = {(-1, 0): 1}  # first syllable (letter, exponent) -> number of words
+    sizes = [1]
+    for _ in range(L):
+        counts = list(classes.values())
+        parent, _, letter, exponent = extend(*map(np.array, zip(*classes)))
+        classes = {}
+        for p, head in zip(parent.tolist(), zip(letter.tolist(), exponent.tolist())):
+            classes[head] = classes.get(head, 0) + counts[p]
+        if not classes:
+            break
+        sizes.append(sum(classes.values()))
+    return sizes
+
+
+def _check_exact(ell, steps, X):
+    """Raise ``ArithmeticError`` when level ell, made by the integral table ``steps``
+    from level ell - 1's matrices X, could pass what float64 holds exactly.
+
+    Its entries are exact while n * max|g| * max|X| < ``EXACT_LIMIT``.
+    """
+    # max|X| without an |X| the size of the level
+    if steps.shape[1] * int(np.abs(steps).max()) * int(max(X.max(), -X.min())) >= EXACT_LIMIT:
+        raise ArithmeticError(f"level {ell}: exact products could pass 2**53, beyond the "
+                              "integers float64 holds exactly")
+
+
+def _level_filler(steps, alphabet, fuchs_gens):
+    """``fill(X, FQ, parent, step, Y, fq)``, which writes a level's matrices into Y
+    and its Fuchsian rows into fq, from X and FQ, the previous level's.
+
+    ``steps`` is the table of ``_step_table(gen_mats, alphabet)`` and ``parent,
+    step`` the level's of ``_next_level``; FQ and fq are None without
+    ``fuchs_gens``.  Word j is ``steps[step[j]] @ X[parent[j]]``, by one stacked
+    matmul and one ``_fuchs_step`` per step.
+    """
+    if fuchs_gens is not None:
+        f_gens = [tuple(map(float, fuchs_gens[s])) for s in alphabet]
+        f_steps = [f for g in f_gens for f in (g, mat_inv(g))]
+
+    def fill(X, FQ, parent, step, Y, fq):
         for t, g in enumerate(steps):
             at = np.flatnonzero(step == t)
             Y[at] = g @ X[parent[at]]
-            if FQ is not None:
+            if fq is not None:
                 fq[at] = _fuchs_step(f_steps[t], FQ[parent[at]])
-        X, FQ = Y, fq
-        rest = np.where(letter[parent] == step_letter[step], rest[parent], offset + parent)
+
+    return fill
+
+
+def _ball_levels(steps, exact, orders, L, alphabet):
+    """The word ball a level at a time, in ``enumerate_ball``'s order.
+
+    ``steps, exact`` is ``_step_table(gen_mats, alphabet)``.  Yields only, for
+    each length 0..L that has words, ``(letter, exponent, rest, X)``: the
+    level's words as ``WordBall`` stores them and their matrices X (m, n, n).
+    Each level is built from the last by ``_next_level`` and ``_level_filler``,
+    and only that level is kept; on an integral table, a level past
+    ``EXACT_LIMIT`` raises ``ArithmeticError`` (``_check_exact``).
+    """
+    if L < 0:
+        raise ValueError("L must be >= 0")
+    extend = _syllable_steps(orders, alphabet)
+    fill = _level_filler(steps, alphabet, None)
+    letter, exponent, rest = np.array([-1]), np.array([0]), np.array([-1])
+    X = np.eye(steps.shape[1])[None]
+    offset = 0  # ball index of the level's first word
+
+    yield letter, exponent, rest, X
+    for ell in range(1, L + 1):
+        parent, step, *words = _next_level(extend, letter, exponent, rest, offset)
+        if not len(parent):
+            return
+        if exact:
+            _check_exact(ell, steps, X)
         offset += len(letter)
-        letter, exponent = step_letter[step], nets[parent, step]
-        yield letter, exponent, rest, X, FQ
+        letter, exponent, rest = words
+        Y = np.empty((len(parent),) + X.shape[1:])
+        fill(X, None, parent, step, Y, None)
+        X = Y
+        yield letter, exponent, rest, X
 
 
 def enumerate_ball(
@@ -186,38 +271,66 @@ def enumerate_ball(
     when none): consecutive syllables have distinct letters, and the exponent
     of a letter of finite order e lies in (-e/2, e/2].  Every such word is
     kept, so a matrix repeats where the generators do not represent that free
-    product faithfully.  The ball is the levels of ``_ball_levels`` on the
-    step table of ``_step_table``, each generator in ``alphabet`` followed by
-    its inverse, concatenated.
+    product faithfully.  The ball holds, bit for bit, the levels that
+    ``_ball_levels`` yields on the step table of ``_step_table`` (each
+    generator in ``alphabet`` followed by its inverse), but is built in place:
+    ``_level_sizes`` counts every level's words first, and one loop then
+    writes each level's words, matrices and Fuchsian rows into the ball's
+    arrays (three (N,) int columns, one (N, n, n) and one (N, 4) array),
+    reading the previous level's from the same arrays.  No level is held
+    twice, and only the level being written has its parents and steps (16
+    bytes a word) held beside the ball (184 bytes a 4x4 word with its
+    Fuchsian row).
 
     Order: words of length ell come after all shorter words, in the order of
     (parent in the previous level, generator in ``alphabet``, sign +1 then -1).
-    A word's ``rest`` is its parent's rest if it extends the parent's first
-    syllable, else its parent.
 
-    Arithmetic: when ``_step_table`` finds the table integral (entries within
-    ``INTEGRAL_TOL`` of integers, each generator times its inverse the
+    Exactness: when every generator and its inverse is integral (every entry
+    within ``INTEGRAL_TOL`` of integers, each generator times its inverse the
     identity), ``mats`` are the exact integer products, computed in float64.
     Each level first checks n * max|g| * max|X| < ``EXACT_LIMIT`` = 2**53 (X
-    the frontier), which keeps every partial sum an exact float, and raises
-    ``ArithmeticError`` where the bound fails.  Otherwise ``mats`` are the
-    float products of the given generators.  ``exact_symplectic`` also needs
+    the previous level), which keeps every partial sum an exact float, and
+    raises ``ArithmeticError`` where the bound fails, before the next level's
+    words are made.  Level 1's check, on the identity, comes before the ball
+    is allocated; a later level's comes after, so an L whose ball cannot be
+    allocated at all fails there, at once.  Otherwise ``mats`` are the float
+    products of the given generators.  ``exact_symplectic`` also needs
     gᵀ J g = J, J = ``STANDARD_J4``, of every generator g, checked in Python ints.
     """
     alphabet = list(alphabet or gen_mats)
     steps, exact = _step_table(gen_mats, alphabet)
-    levels = _ball_levels(steps, exact, orders, L, alphabet, fuchs_gens)
-    letter, exponent, rest, mats, fuchs = zip(*levels)
+    extend = _syllable_steps(orders, alphabet)
+    sizes = _level_sizes(extend, L)
+    n = steps.shape[1]
+    # level 1's check reads only the identity, so it comes before the ball is allocated
+    if exact and len(sizes) > 1:
+        _check_exact(1, steps, np.eye(n))
+    N = sum(sizes)
+    letter, exponent, rest = (np.empty(N, dtype=int) for _ in range(3))
+    letter[0], exponent[0], rest[0] = -1, 0, -1
+    mats = np.empty((N, n, n))
+    mats[0] = np.eye(n)
+    fuchs = None
+    if fuchs_gens is not None:
+        fuchs = np.empty((N, 4))
+        fuchs[0] = IDENT
+    fill = _level_filler(steps, alphabet, fuchs_gens)
+    start, end = 0, 1  # the previous level's rows
+    for ell, size in enumerate(sizes[1:], 1):
+        last, new = slice(start, end), slice(end, end + size)
+        if exact:
+            _check_exact(ell, steps, mats[last])
+        parent, step, letter[new], exponent[new], rest[new] = _next_level(
+            extend, letter[last], exponent[last], rest[last], start)
+        fill(mats[last], None if fuchs is None else fuchs[last], parent, step,
+             mats[new], None if fuchs is None else fuchs[new])
+        start, end = new.start, new.stop
     symplectic = exact and steps.shape[1:] == STANDARD_J4.shape
     if symplectic:
         J = np.frompyfunc(int, 1, 1)(STANDARD_J4)
         symplectic = all(np.array_equal(g.T @ J @ g, J)
                          for g in np.frompyfunc(int, 1, 1)(steps[::2]))
-    return WordBall(
-        alphabet, *map(np.concatenate, (letter, exponent, rest, mats)),
-        fuchs=np.concatenate(fuchs) if fuchs_gens is not None else None,
-        exact_symplectic=symplectic,
-    )
+    return WordBall(alphabet, letter, exponent, rest, mats, fuchs, exact_symplectic=symplectic)
 
 
 # --- limit curve ---------------------------------------------------------------
@@ -878,7 +991,7 @@ def rational_limit_classify(gen_mats, orders, v, L):
     if not exact:
         raise ValueError("the exact search needs integral generators and inverses (det +-1)")
     levels = []  # (letter, exponent, rest) of each level so far
-    for ell, (*syllables, X, _) in enumerate(_ball_levels(steps, exact, orders, L, alphabet)):
+    for ell, (*syllables, X) in enumerate(_ball_levels(steps, exact, orders, L, alphabet)):
         levels.append(syllables)
         n = X.shape[1]
         D = X - np.eye(n)  # (u - id)^T for each word's u

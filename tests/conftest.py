@@ -70,7 +70,7 @@ def ball_for(p, L, with_fuchs=False):
 
 def ball_words(ball):
     """The ball's words as tuples of syllables (symbol, exponent), leftmost first."""
-    return ball.unfold((), lambda s, k, rest: ((s, k),) + rest)
+    return ball.unfold((), lambda s, k, rest: ((s, k),) + rest)(slice(0, len(ball)))
 
 
 @pytest.fixture(scope="session")

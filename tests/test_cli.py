@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,25 @@ class TestDeterminism:
             ".csv": "bac6261517f2adf6131d749326f79f93f05169ee531220960e3e1e5aaecaf830",
             ".json": "cef0d546f2731f277efbd792df8688fa62f4aa66eb5b933781fd503fe6a314ed",
         }
+
+    @pytest.mark.parametrize("L, csv, json_sha", [
+        (0, "dist,gap,word\n0.0,0.0,e\n",
+         "4f864fd528af2f3705bf5eaab3f9c491288a66ba8fa8ed8bd72bf4bce540d11a"),
+        (1, "dist,gap,word\n0.0,0.0,e\n"
+            "1.6926769374738715,1.8052983803626144,0^1\n"
+            "1.6926769374738715,1.8052983803626144,0^-1\n"
+            "2.709622832989049,0.720124884293505,inf^1\n"
+            "2.709622832989049,0.720124884293505,inf^-1\n",
+         "7cc0cd154b5fef2c9b41ff9e4fa9cc7fcb1ff409a48a5eceb8d82a6541b24b76"),
+    ], ids=["L0", "L1"])
+    def test_smallest_certify_bytes_pinned(self, tmp_path, capsys, L, csv, json_sha):
+        # at L=0 the identity is the whole last level, so no word is kept as a rest;
+        # at L=1 only the identity is
+        prefix = tmp_path / "out"
+        argv = ["certify", "--params", QUINTIC, "--L", str(L), "--out", str(prefix)]
+        assert cli.main(argv) == 0
+        assert Path(f"{prefix}.csv").read_text() == csv
+        assert hashlib.sha256(Path(f"{prefix}.json").read_bytes()).hexdigest() == json_sha
 
     def test_octic_multi_chunk_certify_bytes_pinned(self, tmp_path, capsys, monkeypatch):
         # 37,504 words on a float frame: the certificate's SVDs run in five chunks on
@@ -172,6 +192,25 @@ class TestDeterminism:
             assert header == "x0,x1,x2,x3,gap,kind"
         assert bodies["cusp"] and bodies["attracting"]
         assert bodies["attracting,cusp"] == bodies["cusp"] + bodies["attracting"]
+
+
+class TestMemory:
+    def test_certify_holds_each_word_once(self, tmp_path, capsys):
+        # the ball's arrays are held once, and the word column keeps a string only for
+        # the words shorter than L, which can be rests; the last level's strings are
+        # made a chunk at a time.  84,897 words: about 290 traced bytes a word, where a
+        # joined ball and every word's string read 370
+        prefix = tmp_path / "out"
+        argv = ["certify", "--params", QUINTIC, "--L", "10", "--out", str(prefix)]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        words = json.loads(Path(f"{prefix}.json").read_text())["ball_size"]
+        assert words == 84897
+        assert peak <= 320 * words
 
 
 class TestExitCodes:

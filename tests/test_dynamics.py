@@ -270,22 +270,58 @@ class TestEnumerateBall:
         with pytest.raises(ArithmeticError, match="level 1"):
             dyn.enumerate_ball(huge, orders, 1)
 
+    def test_level_1_refused_before_the_ball_is_allocated(self):
+        # level 1's check reads only the identity and the step table, so it comes before
+        # the ball's arrays are allocated: at L=40 (about 2.4e19 words, past what any
+        # array holds) the entry 2**70 is still refused at level 1, at once
+        gens = {"a": np.array([[1.0, 2.0**70], [0.0, 1.0]]),
+                "b": np.array([[1.0, 0.0], [2.0**70, 1.0]])}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArithmeticError, match="level 1"):
+                dyn.enumerate_ball(gens, {"a": INF, "b": INF}, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_ball_is_held_once(self):
+        # the levels' matrices and Fuchsian rows are written in place into the ball's
+        # arrays: the traced peak stays within 1.5x the bytes returned, where joining
+        # the levels held both copies at once (2.00x)
+        gens, orders, fuchs = _inputs(MIRROR_QUINTIC, True)
+        tracemalloc.start()
+        try:
+            ball = dyn.enumerate_ball(gens, orders, 9, fuchs_gens=fuchs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ball) == 29527
+        held = sum(a.nbytes for a in (ball.letter, ball.exponent, ball.rest, ball.mats,
+                                      ball.fuchs))
+        assert peak <= 1.5 * held
+
     @pytest.mark.parametrize("family", list(BALLS8))
     def test_engine_yields_levels_only(self, balls8, family):
-        # one (letter, exponent, rest, X, FQ) tuple per length 0..L, arrays of one length,
+        # one (letter, exponent, rest, X) tuple per length 0..L, arrays of one length,
         # and nothing else: the levels, concatenated, are the ball
-        gens, orders, fuchs = _inputs(BALLS8[family][0], family == "quintic")
+        gens, orders, _ = _inputs(BALLS8[family][0], False)
         alphabet = list(gens)
-        levels = list(dyn._ball_levels(*dyn._step_table(gens, alphabet), orders, 8, alphabet,
-                                       fuchs))
+        levels = list(dyn._ball_levels(*dyn._step_table(gens, alphabet), orders, 8, alphabet))
         assert len(levels) == 9
         for level in levels:
-            assert isinstance(level, tuple) and len(level) == 5
-            letter, exponent, rest, X, FQ = level
+            assert isinstance(level, tuple) and len(level) == 4
+            letter, exponent, rest, X = level
             assert len(exponent) == len(rest) == len(X) == len(letter)
-            assert FQ is None if fuchs is None else len(FQ) == len(letter)
+        # the ball, built in place, holds the levels bit for bit; the Fuchsian rows are
+        # checked against the per-word loop in test_matches_per_word_loop
         ball = balls8[family][0]
-        assert np.concatenate([X for *_, X, _ in levels]).tobytes() == ball.mats.tobytes()
+        for k, name in enumerate(("letter", "exponent", "rest", "mats")):
+            joined, got = np.concatenate([level[k] for level in levels]), getattr(ball, name)
+            assert joined.dtype == got.dtype and joined.tobytes() == got.tobytes()
+        # the words that are some word's rest, the only values unfold keeps, end where
+        # the stream's last level starts
+        assert int(ball.rest.max()) + 1 == len(ball) - len(levels[-1][0])
 
     def test_step_table_decides_integrality(self):
         # each generator, then its np.linalg.inv; an integral table comes back rounded
